@@ -30,7 +30,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .errors import DimensionMismatch, PreconditionViolated, SpectrumError
-from .extension import LiftBundle, lift
+from .extension import LiftBundle, _coerce_bundle, lift
 from .relation import (
     LinearRelation,
     classify,
@@ -119,13 +119,6 @@ def _kernel_relation(star: LinearRelation, gamma: np.ndarray,
     return LinearRelation(star.n1, star.n2, Subspace(star.n1 + star.n2, basis))
 
 
-def _coerce_bundle(source: LinearRelation | LiftBundle,
-                   cfg: ToleranceConfig) -> LiftBundle:
-    if isinstance(source, LiftBundle):
-        return source
-    return lift(source, cfg)
-
-
 def _lift_blocks(star: LinearRelation, split: int):
     """Row blocks (h1, h2, k1, k2) of the graph basis of a lifted adjoint."""
     w = star.graph.basis
@@ -133,7 +126,27 @@ def _lift_blocks(star: LinearRelation, split: int):
     return w[:split], w[split:n], w[n : n + split], w[n + split :]
 
 
-def _flip_triplet(kind: str, star: LinearRelation, split: int, p: Subspace,
+def _make_triplet(kind: str, star: LinearRelation, boundary: Subspace,
+                  gamma0: np.ndarray, gamma1: np.ndarray, bundle: LiftBundle,
+                  cfg: ToleranceConfig) -> BoundaryTriplet:
+    """Kernels and Friedrichs flag of given boundary maps, as a triplet."""
+    ker0 = _kernel_relation(star, gamma0, cfg)
+    flag = relation_equal(ker0, bundle.S_F, cfg).verdict is Verdict.EQUAL
+    return BoundaryTriplet(
+        kind=kind,
+        star=star,
+        split=bundle.n1,
+        boundary=boundary,
+        gamma0=gamma0,
+        gamma1=gamma1,
+        ker_gamma0=ker0,
+        ker_gamma1=_kernel_relation(star, gamma1, cfg),
+        ker_gamma0_is_friedrichs=flag,
+        cfg=cfg,
+    )
+
+
+def _flip_triplet(kind: str, star: LinearRelation, p: Subspace,
                   bundle: LiftBundle, cfg: ToleranceConfig) -> BoundaryTriplet:
     """Common construction for the main and tilde triplets.
 
@@ -141,41 +154,25 @@ def _flip_triplet(kind: str, star: LinearRelation, split: int, p: Subspace,
     parameter space; both land inside it by construction, so the
     projection loses nothing.
     """
-    h1, h2, k1, k2 = _lift_blocks(star, split)
+    h1, h2, k1, k2 = _lift_blocks(star, bundle.n1)
     ph = p.basis.conj().T
     gamma0 = ph @ np.vstack([-k1, h2])
     gamma1 = ph @ np.vstack([h1, k2])
-    ker0 = _kernel_relation(star, gamma0, cfg)
-    ker1 = _kernel_relation(star, gamma1, cfg)
-    flag = relation_equal(ker0, bundle.S_F, cfg).verdict is Verdict.EQUAL
-    return BoundaryTriplet(
-        kind=kind,
-        star=star,
-        split=split,
-        boundary=p,
-        gamma0=gamma0,
-        gamma1=gamma1,
-        ker_gamma0=ker0,
-        ker_gamma1=ker1,
-        ker_gamma0_is_friedrichs=flag,
-        cfg=cfg,
-    )
+    return _make_triplet(kind, star, p, gamma0, gamma1, bundle, cfg)
 
 
 def triplet_main(source: LinearRelation | LiftBundle,
                  cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> BoundaryTriplet:
     """Triplet on S* with parameter space (graph R)^perp."""
     bundle = _coerce_bundle(source, cfg)
-    return _flip_triplet("main", bundle.S_star, bundle.n1, bundle.G, bundle, cfg)
+    return _flip_triplet("main", bundle.S_star, bundle.G, bundle, cfg)
 
 
 def triplet_tilde(source: LinearRelation | LiftBundle,
                   cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> BoundaryTriplet:
     """Triplet on S~* whose Gamma0-kernel is the Friedrichs extension."""
     bundle = _coerce_bundle(source, cfg)
-    return _flip_triplet(
-        "tilde", bundle.S_tilde_star, bundle.n1, bundle.G_tilde, bundle, cfg
-    )
+    return _flip_triplet("tilde", bundle.S_tilde_star, bundle.G_tilde, bundle, cfg)
 
 
 def triplet_basic(source: LinearRelation | LiftBundle,
@@ -192,22 +189,8 @@ def triplet_basic(source: LinearRelation | LiftBundle,
     n = star.n1
     w = star.graph.basis
     ph = bundle.G0.basis.conj().T
-    gamma0 = ph @ w[:n]
-    gamma1 = ph @ w[n:]
-    ker0 = _kernel_relation(star, gamma0, cfg)
-    ker1 = _kernel_relation(star, gamma1, cfg)
-    flag = relation_equal(ker0, bundle.S_F, cfg).verdict is Verdict.EQUAL
-    return BoundaryTriplet(
-        kind="basic",
-        star=star,
-        split=bundle.n1,
-        boundary=bundle.G0,
-        gamma0=gamma0,
-        gamma1=gamma1,
-        ker_gamma0=ker0,
-        ker_gamma1=ker1,
-        ker_gamma0_is_friedrichs=flag,
-        cfg=cfg,
+    return _make_triplet(
+        "basic", star, bundle.G0, ph @ w[:n], ph @ w[n:], bundle, cfg
     )
 
 

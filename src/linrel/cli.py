@@ -17,7 +17,7 @@ import io
 import json
 import math
 import sys
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .errors import (
 )
 from .extension import (
     LiftBundle,
+    _decomposition_results,
     extremal_family,
     friedrichs_generic,
     is_extremal,
@@ -51,6 +52,7 @@ from .extension import (
     krein_order_margin,
     lift,
     nonneg_extension,
+    s0_adjoint_decomposition_check,
 )
 from .oracle import (
     adjoint_definitional,
@@ -72,7 +74,7 @@ from .specio import (
     encode_subspace,
     load_relation_spec,
 )
-from .subspace import Subspace, Verdict, complement, relate
+from .subspace import RelateResult, Subspace, Verdict, complement, relate
 
 __all__ = ["main"]
 
@@ -82,13 +84,19 @@ _TRIPLET_BUILDERS = {
     "tilde": triplet_tilde,
 }
 
+# Largest Green-identity defect a triplet self-check accepts.
+_GREEN_TOL = 1e-10
+
 
 def _config_from_args(args: argparse.Namespace) -> ToleranceConfig:
-    return ToleranceConfig(
-        rank_tol=args.tol_rank,
-        angle_tol=args.tol_angle,
-        psd_floor=args.psd_floor,
-    )
+    try:
+        return ToleranceConfig(
+            rank_tol=args.tol_rank,
+            angle_tol=args.tol_angle,
+            psd_floor=args.psd_floor,
+        )
+    except ValueError as exc:
+        raise InputFormatError(str(exc)) from exc
 
 
 def _config_echo(cfg: ToleranceConfig, seed: int) -> dict:
@@ -157,38 +165,65 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _triplet_checks(bundle: LiftBundle, cfg: ToleranceConfig) -> list[dict]:
+def _equal(*results: RelateResult) -> bool:
+    return all(r.verdict is Verdict.EQUAL for r in results)
+
+
+def _triplet_results(
+    bundle: LiftBundle, cfg: ToleranceConfig,
+) -> Iterator[
+    tuple[str, BoundaryTriplet, float, bool, RelateResult, RelateResult]
+]:
+    """Self-checks of the three boundary triplets of the lift, in order.
+
+    Yields (kind, trip, green_defect, surjective, k0, k1), where k0 and k1
+    relate ker Gamma0 and ker Gamma1 to their closed forms.
+    """
     kernel_targets = {
         "main": (bundle.H, bundle.K),
         "basic": (bundle.S_F, bundle.S_K),
         "tilde": (bundle.S_F, bundle.K),
     }
-    checks = []
     for kind, builder in _TRIPLET_BUILDERS.items():
         trip = builder(bundle, cfg)
         want0, want1 = kernel_targets[kind]
-        green = green_identity_defect(trip)
-        rank_ok = boundary_map_rank(trip) == 2 * trip.g
-        a0 = relation_equal(trip.ker_gamma0, want0, cfg)
-        a1 = relation_equal(trip.ker_gamma1, want1, cfg)
-        kernels_ok = (
-            a0.verdict is Verdict.EQUAL and a1.verdict is Verdict.EQUAL
+        yield (
+            kind,
+            trip,
+            green_identity_defect(trip),
+            boundary_map_rank(trip) == 2 * trip.g,
+            relation_equal(trip.ker_gamma0, want0, cfg),
+            relation_equal(trip.ker_gamma1, want1, cfg),
         )
-        checks.append(
-            {
-                "name": f"triplet_{kind}_green_identity",
-                "passed": green < 1e-10,
-                "residual": green,
-            }
-        )
-        checks.append(
-            {
-                "name": f"triplet_{kind}_surjective_and_kernels",
-                "passed": bool(rank_ok and kernels_ok),
-                "residual": max(a0.angle, a1.angle),
-            }
-        )
-    return checks
+
+
+def _extreme_closed_forms(
+    bundle: LiftBundle, cfg: ToleranceConfig,
+) -> tuple[RelateResult, RelateResult]:
+    """Generic Friedrichs and Krein routes against the closed S_F, S_K."""
+    return (
+        relation_equal(friedrichs_generic(bundle.S, cfg), bundle.S_F, cfg),
+        relation_equal(krein_generic(bundle.S, cfg), bundle.S_K, cfg),
+    )
+
+
+def _worst_krein_margin(bundle: LiftBundle, cfg: ToleranceConfig,
+                        rng: np.random.Generator) -> float:
+    """Smallest Krein-order margin over three nonnegative parameters on G0.
+
+    The parameters are drawn from the caller's rng; inf when G0 = {0}.
+    """
+    worst = math.inf
+    g0 = bundle.G0.dim
+    for _ in range(3 if g0 else 0):
+        theta = random_selfadjoint_relation(g0, rng=rng, nonneg=True)
+        a_theta = nonneg_extension(bundle, theta, cfg)
+        worst = min(worst, krein_order_margin(a_theta, bundle, cfg))
+    return worst
+
+
+def _check(name: str, passed: bool, residual: float) -> dict:
+    return {"name": name, "passed": bool(passed), "residual": residual}
 
 
 def cmd_extensions(args: argparse.Namespace) -> int:
@@ -197,65 +232,35 @@ def cmd_extensions(args: argparse.Namespace) -> int:
     rel = spec.relation
     bundle = lift(rel, cfg)
 
-    checks = _triplet_checks(bundle, cfg)
-
-    from .relation import componentwise_sum
-
-    transversal = componentwise_sum(bundle.H, bundle.K, cfg)
-    r_t = relation_equal(bundle.S_star, transversal, cfg)
+    checks = []
+    for kind, _, green, surjective, k0, k1 in _triplet_results(bundle, cfg):
+        checks += [
+            _check(f"triplet_{kind}_green_identity", green < _GREEN_TOL, green),
+            _check(
+                f"triplet_{kind}_surjective_and_kernels",
+                surjective and _equal(k0, k1),
+                max(k0.angle, k1.angle),
+            ),
+        ]
+    r_hk, r_fk, _ = _decomposition_results(bundle, cfg)
+    r_f, r_k = _extreme_closed_forms(bundle, cfg)
+    for name, res in (
+        ("adjoint_is_componentwise_sum_H_K", r_hk),
+        ("s0_adjoint_is_sum_of_extreme_extensions", r_fk),
+        ("friedrichs_closed_form", r_f),
+        ("krein_closed_form", r_k),
+    ):
+        checks.append(_check(name, _equal(res), res.angle))
+    worst = _worst_krein_margin(bundle, cfg, np.random.default_rng(args.seed))
     checks.append(
-        {
-            "name": "adjoint_is_componentwise_sum_H_K",
-            "passed": r_t.verdict is Verdict.EQUAL,
-            "residual": r_t.angle,
-        }
-    )
-    s0_sum = componentwise_sum(bundle.S_F, bundle.S_K, cfg)
-    r_s0 = relation_equal(adjoint(bundle.S0, cfg), s0_sum, cfg)
-    checks.append(
-        {
-            "name": "s0_adjoint_is_sum_of_extreme_extensions",
-            "passed": r_s0.verdict is Verdict.EQUAL,
-            "residual": r_s0.angle,
-        }
-    )
-    r_f = relation_equal(friedrichs_generic(bundle.S, cfg), bundle.S_F, cfg)
-    r_k = relation_equal(krein_generic(bundle.S, cfg), bundle.S_K, cfg)
-    checks.append(
-        {
-            "name": "friedrichs_closed_form",
-            "passed": r_f.verdict is Verdict.EQUAL,
-            "residual": r_f.angle,
-        }
-    )
-    checks.append(
-        {
-            "name": "krein_closed_form",
-            "passed": r_k.verdict is Verdict.EQUAL,
-            "residual": r_k.angle,
-        }
+        _check(
+            "krein_order_sampled_parameters",
+            worst >= cfg.psd_floor,
+            max(0.0, -worst) if math.isfinite(worst) else 0.0,
+        )
     )
 
-    rng = np.random.default_rng(args.seed)
-    worst_margin = math.inf
     g0 = bundle.G0.dim
-    if g0:
-        for _ in range(3):
-            theta = random_selfadjoint_relation(g0, rng=rng, nonneg=True)
-            a_theta = nonneg_extension(bundle, theta, cfg)
-            worst_margin = min(
-                worst_margin, krein_order_margin(a_theta, bundle, cfg)
-            )
-    checks.append(
-        {
-            "name": "krein_order_sampled_parameters",
-            "passed": worst_margin >= cfg.psd_floor,
-            "residual": encode_float(max(0.0, -worst_margin))
-            if math.isfinite(worst_margin)
-            else 0.0,
-        }
-    )
-
     family = []
     for name, l_space in (
         ("zero", Subspace.zero(g0)),
@@ -299,10 +304,9 @@ def cmd_extensions(args: argparse.Namespace) -> int:
         },
         "flags": {
             "relation_is_singular": is_singular_relation(rel, cfg),
-            "friedrichs_equals_krein": relation_equal(
-                bundle.S_F, bundle.S_K, cfg
-            ).verdict
-            is Verdict.EQUAL,
+            "friedrichs_equals_krein": _equal(
+                relation_equal(bundle.S_F, bundle.S_K, cfg)
+            ),
         },
         "extremal_family": family,
         "checks": checks,
@@ -485,13 +489,9 @@ def _verify_checks(spec: LoadedSpec, cfg: ToleranceConfig,
 
     adj = adjoint(rel, cfg)
     r_o = relation_equal(adj, adjoint_definitional(rel, cfg), cfg)
-    checks.append(
-        ("adjoint_matches_oracle", r_o.verdict is Verdict.EQUAL, r_o.angle)
-    )
+    checks.append(("adjoint_matches_oracle", _equal(r_o), r_o.angle))
     r_i = relation_equal(adjoint(adj, cfg), rel, cfg)
-    checks.append(
-        ("adjoint_involution", r_i.verdict is Verdict.EQUAL, r_i.angle)
-    )
+    checks.append(("adjoint_involution", _equal(r_i), r_i.angle))
 
     p = parts(rel, cfg)
     p_adj = parts(adj, cfg)
@@ -500,14 +500,12 @@ def _verify_checks(spec: LoadedSpec, cfg: ToleranceConfig,
     checks.append(
         (
             "adjoint_parts_duality",
-            a_mul.verdict is Verdict.EQUAL and a_ker.verdict is Verdict.EQUAL,
+            _equal(a_mul, a_ker),
             max(a_mul.angle, a_ker.angle),
         )
     )
 
     bundle = lift(rel, cfg)
-    from .extension import s0_adjoint_decomposition_check
-
     checks.append(
         (
             "lift_decompositions",
@@ -515,34 +513,17 @@ def _verify_checks(spec: LoadedSpec, cfg: ToleranceConfig,
             None,
         )
     )
-    r_f = relation_equal(friedrichs_generic(bundle.S, cfg), bundle.S_F, cfg)
-    r_k = relation_equal(krein_generic(bundle.S, cfg), bundle.S_K, cfg)
+    r_f, r_k = _extreme_closed_forms(bundle, cfg)
     checks.append(
         (
             "extreme_extensions_closed_forms",
-            r_f.verdict is Verdict.EQUAL and r_k.verdict is Verdict.EQUAL,
+            _equal(r_f, r_k),
             max(r_f.angle, r_k.angle),
         )
     )
 
-    kernel_targets = {
-        "main": (bundle.H, bundle.K),
-        "basic": (bundle.S_F, bundle.S_K),
-        "tilde": (bundle.S_F, bundle.K),
-    }
-    for kind, builder in _TRIPLET_BUILDERS.items():
-        trip = builder(bundle, cfg)
-        want0, want1 = kernel_targets[kind]
-        green = green_identity_defect(trip)
-        rank_ok = boundary_map_rank(trip) == 2 * trip.g
-        k0 = relation_equal(trip.ker_gamma0, want0, cfg)
-        k1 = relation_equal(trip.ker_gamma1, want1, cfg)
-        ok = (
-            green < 1e-10
-            and rank_ok
-            and k0.verdict is Verdict.EQUAL
-            and k1.verdict is Verdict.EQUAL
-        )
+    for kind, trip, green, surjective, k0, k1 in _triplet_results(bundle, cfg):
+        ok = green < _GREEN_TOL and surjective and _equal(k0, k1)
         checks.append(
             (f"triplet_{kind}", ok, max(green, k0.angle, k1.angle))
         )
@@ -553,6 +534,7 @@ def _verify_checks(spec: LoadedSpec, cfg: ToleranceConfig,
                 worst = max(worst, float(np.max(np.abs(diff))))
         checks.append((f"weyl_{kind}_closed_form", worst < 1e-9, worst))
 
+    # the Krein-order samples continue the stream after the sweep's draws
     rng = np.random.default_rng(seed)
     g = bundle.G.dim
     thetas = [random_selfadjoint_relation(g, rng=rng) for _ in range(5)]
@@ -565,15 +547,7 @@ def _verify_checks(spec: LoadedSpec, cfg: ToleranceConfig,
         )
     )
 
-    worst_margin = math.inf
-    g0 = bundle.G0.dim
-    if g0:
-        for _ in range(3):
-            theta = random_selfadjoint_relation(g0, rng=rng, nonneg=True)
-            a_theta = nonneg_extension(bundle, theta, cfg)
-            worst_margin = min(
-                worst_margin, krein_order_margin(a_theta, bundle, cfg)
-            )
+    worst_margin = _worst_krein_margin(bundle, cfg, rng)
     checks.append(
         (
             "krein_order_sampled",

@@ -33,9 +33,11 @@ from .relation import (
     from_product,
     operator_part,
     parts,
+    relation_equal,
     resolvent,
 )
 from .subspace import (
+    RelateResult,
     Subspace,
     Verdict,
     complement,
@@ -377,6 +379,8 @@ def extremal_family(bundle: LiftBundle, l_space: Subspace,
         raise DimensionMismatch(
             f"L lives in C^{l_space.ambient_dim}, expected C^{bundle.G0.dim}"
         )
+    if not bundle.G0.dim:
+        return bundle.S_F  # S0 is selfadjoint, so S_F = S_K = S0
     theta = from_product(l_space, complement(l_space, cfg))
     a = nonneg_extension(bundle, theta, cfg)
     if not is_extremal(a, bundle, cfg):
@@ -384,16 +388,26 @@ def extremal_family(bundle: LiftBundle, l_space: Subspace,
     return a
 
 
+def _decomposition_results(
+    bundle: LiftBundle, cfg: ToleranceConfig,
+) -> tuple[RelateResult, RelateResult, RelateResult]:
+    """S* vs H +^ K, S0* vs S_F +^ S_K, and S0* vs its closed form."""
+    s0_adj = adjoint(bundle.S0, cfg)
+    sum_hk = componentwise_sum(bundle.H, bundle.K, cfg)
+    sum_fk = componentwise_sum(bundle.S_F, bundle.S_K, cfg)
+    return (
+        relation_equal(bundle.S_star, sum_hk, cfg),
+        relation_equal(s0_adj, sum_fk, cfg),
+        relation_equal(s0_adj, bundle.S0_star, cfg),
+    )
+
+
 def s0_adjoint_decomposition_check(bundle: LiftBundle,
                                    cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
     """S0* = S_F +^ S_K (and the closed form), plus S* = H +^ K."""
-    s0_adj = adjoint(bundle.S0, cfg)
-    sum_fk = componentwise_sum(bundle.S_F, bundle.S_K, cfg)
-    ok = relate(s0_adj.graph, sum_fk.graph, cfg).verdict is Verdict.EQUAL
-    ok = ok and relate(s0_adj.graph, bundle.S0_star.graph, cfg).verdict is Verdict.EQUAL
-    sum_hk = componentwise_sum(bundle.H, bundle.K, cfg)
-    ok = ok and relate(bundle.S_star.graph, sum_hk.graph, cfg).verdict is Verdict.EQUAL
-    return ok
+    return all(
+        r.verdict is Verdict.EQUAL for r in _decomposition_results(bundle, cfg)
+    )
 
 
 def is_singular_relation(rel: LinearRelation,

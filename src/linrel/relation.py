@@ -26,6 +26,7 @@ from .subspace import (
     join,
     meet,
     nullspace_columns,
+    oplus,
     orthonormal_columns,
     relate,
     span,
@@ -176,16 +177,8 @@ def from_product(m_space: Subspace, n_space: Subspace) -> LinearRelation:
     Dedicated constructor: the block-diagonal basis keeps the zero blocks
     exact instead of round-tripping them through a factorization.
     """
-    basis = np.zeros(
-        (m_space.ambient_dim + n_space.ambient_dim, m_space.dim + n_space.dim),
-        dtype=complex,
-    )
-    basis[: m_space.ambient_dim, : m_space.dim] = m_space.basis
-    basis[m_space.ambient_dim :, m_space.dim :] = n_space.basis
     return LinearRelation(
-        m_space.ambient_dim,
-        n_space.ambient_dim,
-        Subspace(m_space.ambient_dim + n_space.ambient_dim, basis),
+        m_space.ambient_dim, n_space.ambient_dim, oplus(m_space, n_space)
     )
 
 

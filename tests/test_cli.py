@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,39 @@ from linrel.specio import (
     load_relation_spec,
 )
 from linrel.subspace import Subspace, Verdict
+
+DATA = Path(__file__).resolve().parents[1] / "data"
+
+EXTENSIONS_CHECKS = [
+    "triplet_main_green_identity",
+    "triplet_main_surjective_and_kernels",
+    "triplet_basic_green_identity",
+    "triplet_basic_surjective_and_kernels",
+    "triplet_tilde_green_identity",
+    "triplet_tilde_surjective_and_kernels",
+    "adjoint_is_componentwise_sum_H_K",
+    "s0_adjoint_is_sum_of_extreme_extensions",
+    "friedrichs_closed_form",
+    "krein_closed_form",
+    "krein_order_sampled_parameters",
+]
+
+VERIFY_CHECKS = [
+    "input_graph_orthonormal",
+    "adjoint_matches_oracle",
+    "adjoint_involution",
+    "adjoint_parts_duality",
+    "lift_decompositions",
+    "extreme_extensions_closed_forms",
+    "triplet_main",
+    "weyl_main_closed_form",
+    "triplet_basic",
+    "weyl_basic_closed_form",
+    "triplet_tilde",
+    "weyl_tilde_closed_form",
+    "extension_sweep",
+    "krein_order_sampled",
+]
 
 
 def write_spec(path, payload):
@@ -218,6 +252,22 @@ class TestExtensions:
         ]["S"]["dim"]
         assert all(f["extremal"] for f in report["extremal_family"])
 
+    def test_check_names_and_order(self, capsys):
+        assert main(["extensions", str(DATA / "halfline_embed.json")]) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [c["name"] for c in checks] == EXTENSIONS_CHECKS
+        assert all(c["passed"] for c in checks)
+
+    @pytest.mark.parametrize("name", ["graph_one", "theta_minus_one"])
+    def test_trivial_parameter_space(self, name, capsys):
+        # dense domain and range: G0 = {0}, S0 is already selfadjoint
+        assert main(["extensions", str(DATA / f"{name}.json")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["boundary_spaces"]["G0"]["dim"] == 0
+        assert [c["name"] for c in report["checks"]] == EXTENSIONS_CHECKS
+        assert all(c["passed"] for c in report["checks"])
+        assert all(f["extremal"] for f in report["extremal_family"])
+
 
 class TestWeyl:
     def read_csv(self, text):
@@ -318,6 +368,13 @@ class TestVerify:
         assert "verify: PASS" in out
         assert "FAIL" not in out
 
+    def test_check_names_and_order(self, capsys):
+        assert main(["verify", str(DATA / "halfline_embed.json")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[1] for line in lines[:-1]] == VERIFY_CHECKS
+        assert all(line.startswith("ok ") for line in lines[:-1])
+        assert lines[-1] == f"verify: PASS ({len(VERIFY_CHECKS)}/{len(VERIFY_CHECKS)})"
+
     def test_corrupted_basis_fails(self, tmp_path, capsys):
         path = write_spec(
             tmp_path / "skew.json",
@@ -361,3 +418,11 @@ class TestErrorPaths:
         )
         assert main(["analyze", path]) == 2
         assert "operator" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--tol-rank", "-1"), ("--tol-angle", "nan"), ("--psd-floor", "1")],
+    )
+    def test_bad_tolerance_exits_2(self, operator_spec, flag, value, capsys):
+        assert main(["analyze", operator_spec, flag, value]) == 2
+        assert "input error" in capsys.readouterr().err

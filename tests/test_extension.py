@@ -189,6 +189,15 @@ class TestExtremalFamily:
             assert is_extremal(a_l, bundle)
             assert krein_order_check(a_l, bundle)
 
+    def test_trivial_parameter_space(self):
+        # dense domain and range: G0 = {0} and S_F = S_K = S0
+        dense = lift(from_operator(np.array([[2.0, 1.0], [0.0, 3.0]])))
+        assert dense.G0.dim == 0
+        for l_space in (Subspace.zero(0), Subspace.full(0)):
+            a_l = extremal_family(dense, l_space)
+            assert_relation_equal(a_l, dense.S0)
+            assert_relation_equal(a_l, dense.S_K)
+
 
 class TestNamedExamples:
     def test_scalar_graph(self):

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,10 +81,11 @@ class BoundaryTriplet:
     boundary is the parameter space, a subspace of C^n whose fixed basis
     defines the coordinates of all boundary values.  gamma0 and gamma1
     are g x d matrices acting on graph coefficients, d = star.dim.
+    friedrichs is the Friedrichs extension S_F of the lift.
 
-    ker_gamma0_is_friedrichs records whether ker Gamma0 equals the
-    Friedrichs extension; the semiboundedness criterion is only valid for
-    such triplets, so it is computed once at construction time.
+    ker_gamma0 and ker_gamma1 are computed on first access, and so is
+    ker_gamma0_is_friedrichs, which records whether ker Gamma0 equals S_F;
+    the semiboundedness criterion is only valid for such triplets.
     """
 
     kind: str
@@ -92,14 +94,25 @@ class BoundaryTriplet:
     boundary: Subspace
     gamma0: np.ndarray
     gamma1: np.ndarray
-    ker_gamma0: LinearRelation
-    ker_gamma1: LinearRelation
-    ker_gamma0_is_friedrichs: bool
+    friedrichs: LinearRelation
     cfg: ToleranceConfig
 
     @property
     def g(self) -> int:
         return self.boundary.dim
+
+    @cached_property
+    def ker_gamma0(self) -> LinearRelation:
+        return _kernel_relation(self.star, self.gamma0, self.cfg)
+
+    @cached_property
+    def ker_gamma1(self) -> LinearRelation:
+        return _kernel_relation(self.star, self.gamma1, self.cfg)
+
+    @cached_property
+    def ker_gamma0_is_friedrichs(self) -> bool:
+        res = relation_equal(self.ker_gamma0, self.friedrichs, self.cfg)
+        return res.verdict is Verdict.EQUAL
 
     @property
     def is_degenerate(self) -> bool:
@@ -126,26 +139,6 @@ def _lift_blocks(star: LinearRelation, split: int):
     return w[:split], w[split:n], w[n : n + split], w[n + split :]
 
 
-def _make_triplet(kind: str, star: LinearRelation, boundary: Subspace,
-                  gamma0: np.ndarray, gamma1: np.ndarray, bundle: LiftBundle,
-                  cfg: ToleranceConfig) -> BoundaryTriplet:
-    """Kernels and Friedrichs flag of given boundary maps, as a triplet."""
-    ker0 = _kernel_relation(star, gamma0, cfg)
-    flag = relation_equal(ker0, bundle.S_F, cfg).verdict is Verdict.EQUAL
-    return BoundaryTriplet(
-        kind=kind,
-        star=star,
-        split=bundle.n1,
-        boundary=boundary,
-        gamma0=gamma0,
-        gamma1=gamma1,
-        ker_gamma0=ker0,
-        ker_gamma1=_kernel_relation(star, gamma1, cfg),
-        ker_gamma0_is_friedrichs=flag,
-        cfg=cfg,
-    )
-
-
 def _flip_triplet(kind: str, star: LinearRelation, p: Subspace,
                   bundle: LiftBundle, cfg: ToleranceConfig) -> BoundaryTriplet:
     """Common construction for the main and tilde triplets.
@@ -158,7 +151,7 @@ def _flip_triplet(kind: str, star: LinearRelation, p: Subspace,
     ph = p.basis.conj().T
     gamma0 = ph @ np.vstack([-k1, h2])
     gamma1 = ph @ np.vstack([h1, k2])
-    return _make_triplet(kind, star, p, gamma0, gamma1, bundle, cfg)
+    return BoundaryTriplet(kind, star, bundle.n1, p, gamma0, gamma1, bundle.S_F, cfg)
 
 
 def triplet_main(source: LinearRelation | LiftBundle,
@@ -189,8 +182,8 @@ def triplet_basic(source: LinearRelation | LiftBundle,
     n = star.n1
     w = star.graph.basis
     ph = bundle.G0.basis.conj().T
-    return _make_triplet(
-        "basic", star, bundle.G0, ph @ w[:n], ph @ w[n:], bundle, cfg
+    return BoundaryTriplet(
+        "basic", star, bundle.n1, bundle.G0, ph @ w[:n], ph @ w[n:], bundle.S_F, cfg
     )
 
 

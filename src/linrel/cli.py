@@ -60,7 +60,7 @@ from .oracle import (
     random_selfadjoint_relation,
 )
 from .relation import (
-    LinearRelation,
+    SymmetryReport,
     adjoint,
     classify,
     parts,
@@ -131,8 +131,7 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _symmetry_echo(rel: LinearRelation, cfg: ToleranceConfig, seed: int) -> dict:
-    rep = classify(rel, cfg, seed=seed)
+def _symmetry_echo(rep: SymmetryReport) -> dict:
     return {
         "is_symmetric": rep.is_symmetric,
         "is_selfadjoint": rep.is_selfadjoint,
@@ -158,7 +157,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "ker": encode_subspace(p.ker),
             "mul": encode_subspace(p.mul),
         },
-        "symmetry": _symmetry_echo(rel, cfg, args.seed),
+        "symmetry": _symmetry_echo(classify(rel, cfg, seed=args.seed)),
         "adjoint": encode_relation(adjoint(rel, cfg)),
     }
     _emit(dump_report(report), args.out)
@@ -315,6 +314,17 @@ def cmd_extensions(args: argparse.Namespace) -> int:
     return 0 if all(c["passed"] for c in checks) else 1
 
 
+def _finite(value: int | float, where: str) -> float:
+    """value as a float; InputFormatError when that is NaN or infinite."""
+    try:
+        out = float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        out = math.inf
+    if not math.isfinite(out):
+        raise InputFormatError(f"{where}: non-finite value {out!r}")
+    return out
+
+
 def _parse_lambda_grid(text: str) -> list[complex]:
     try:
         raw = json.loads(text)
@@ -324,8 +334,9 @@ def _parse_lambda_grid(text: str) -> list[complex]:
         raise InputFormatError("--grid: expected a non-empty JSON list")
     grid = []
     for i, item in enumerate(raw):
+        where = f"--grid[{i}]"
         if isinstance(item, (int, float)) and not isinstance(item, bool):
-            grid.append(complex(float(item), 0.0))
+            grid.append(complex(_finite(item, where), 0.0))
         elif (
             isinstance(item, list)
             and len(item) == 2
@@ -334,10 +345,12 @@ def _parse_lambda_grid(text: str) -> list[complex]:
                 for p in item
             )
         ):
-            grid.append(complex(float(item[0]), float(item[1])))
+            grid.append(
+                complex(_finite(item[0], where), _finite(item[1], where))
+            )
         else:
             raise InputFormatError(
-                f"--grid[{i}]: expected a number or a [re, im] pair"
+                f"{where}: expected a number or a [re, im] pair"
             )
     return grid
 
@@ -412,7 +425,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
             "ker_gamma0_is_friedrichs": trip.ker_gamma0_is_friedrichs,
         },
         "extension": encode_relation(a_theta),
-        "symmetry": _symmetry_echo(a_theta, cfg, args.seed),
+        "symmetry": _symmetry_echo(rep),
         "extremal": extremal,
         "krein_order": {
             "margin": encode_float(margin),
@@ -433,6 +446,8 @@ def cmd_semibound_demo(args: argparse.Namespace) -> int:
         isinstance(c, (int, float)) and not isinstance(c, bool) for c in raw
     ):
         raise InputFormatError("--c-list: expected a non-empty list of reals")
+    c_list = [_finite(c, f"--c-list[{i}]") for i, c in enumerate(raw)]
+    delta = _finite(args.delta, "--delta")
 
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -448,8 +463,8 @@ def cmd_semibound_demo(args: argparse.Namespace) -> int:
         ]
     )
     results = []
-    for c in raw:
-        exp = alternative_experiment(float(c), args.delta, cfg)
+    for c in c_list:
+        exp = alternative_experiment(c, delta, cfg)
         results.append(exp)
         writer.writerow(
             [

@@ -11,9 +11,10 @@ intersection S0, the intermediate symmetric extension S~, and the
 boundary-parameter space G0 = mul R* (+) ker R* that parametrizes the
 nonnegative selfadjoint extensions.
 
-All members are built from their closed product/graph forms; the adjoint
-cross-check and the generic Friedrichs/Krein routes are kept independent
-so tests can compare them.
+All members are built from their closed product/graph forms.  lift
+checks the closed-form S* against adjoint(S) by a Gram-norm angle, with
+no second factorization; the generic Friedrichs/Krein routes stay
+independent of the closed forms so tests can compare them.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .errors import DimensionMismatch, PreconditionViolated
 from .relation import (
     LinearRelation,
+    _adjoint_from_complement,
     adjoint,
     classify,
     componentwise_sum,
@@ -40,6 +42,7 @@ from .subspace import (
     RelateResult,
     Subspace,
     Verdict,
+    _sine_angle,
     complement,
     nullspace_columns,
     oplus,
@@ -122,12 +125,29 @@ def _lift_columns(n1: int, n2: int, h1=None, h2=None, k1=None, k2=None,
     return out
 
 
+def _adjoint_angle(t: LinearRelation, sym: LinearRelation) -> float:
+    """Largest principal angle between t and adjoint(sym), for square sym.
+
+    adjoint(sym) is the orthogonal complement of J sym, J(h, k) = (k, -h).
+    So when dim t + dim sym = 2n, t equals adjoint(sym) iff it is
+    orthogonal to J sym, and the norm of t^H J sym is the sine of the
+    largest principal angle between the two; otherwise that angle is pi/2.
+    """
+    n = sym.n1
+    if t.dim + sym.dim != 2 * n:
+        return math.pi / 2
+    w = sym.graph.basis
+    return _sine_angle(t.graph.basis.conj().T @ np.vstack([w[n:], -w[:n]]))
+
+
 def lift(rel: LinearRelation,
          cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> LiftBundle:
     """Build the lift S of R and the full extension inventory around it."""
     n1, n2 = rel.n1, rel.n2
     n = n1 + n2
-    r_star = adjoint(rel, cfg)
+    # G = (graph R)^perp is also the flipped graph of R*: one factorization
+    g_space = complement(rel.graph, cfg)
+    r_star = _adjoint_from_complement(rel, g_space)
 
     p = parts(rel, cfg)
     dom_r, ran_r = p.dom, p.ran
@@ -153,10 +173,10 @@ def lift(rel: LinearRelation,
     )
     s_star = LinearRelation(n, n, Subspace(2 * n, s_star_basis))
 
-    cross = relate(s_star.graph, adjoint(s_rel, cfg).graph, cfg)
-    if cross.verdict is not Verdict.EQUAL:
+    angle = _adjoint_angle(s_star, s_rel)
+    if not angle < cfg.angle_tol:
         raise ArithmeticError(
-            f"closed-form S* disagrees with adjoint(S): angle {cross.angle:.3e}"
+            f"closed-form S* disagrees with adjoint(S): angle {angle:.3e}"
         )
 
     h_rel = from_product(
@@ -200,7 +220,6 @@ def lift(rel: LinearRelation,
     )
     s_tilde_star = LinearRelation(n, n, Subspace(2 * n, s_tilde_star_basis))
 
-    g_space = complement(rel.graph, cfg)
     g0_space = oplus(mul_r_star, ker_r_star)
 
     r_star_op = operator_part(r_star, cfg)

@@ -21,7 +21,7 @@ from .errors import DimensionMismatch, SpectrumError
 from .subspace import (
     RelateResult,
     Subspace,
-    Verdict,
+    _sine_angle,
     complement,
     join,
     meet,
@@ -204,8 +204,13 @@ def parts(rel: LinearRelation,
     dom = span(f_blk, rel.n1, cfg)
     ran = span(g_blk, rel.n2, cfg)
     ker = span(f_blk @ nullspace_columns(g_blk, cfg.rank_tol), rel.n1, cfg)
-    mul = span(g_blk @ nullspace_columns(f_blk, cfg.rank_tol), rel.n2, cfg)
-    return RelationParts(dom=dom, ran=ran, ker=ker, mul=mul)
+    return RelationParts(dom=dom, ran=ran, ker=ker, mul=_mul(rel, cfg))
+
+
+def _mul(rel: LinearRelation, cfg: ToleranceConfig) -> Subspace:
+    """mul R: range components of the coefficients with F c = 0."""
+    coeffs = nullspace_columns(rel.domain_block, cfg.rank_tol)
+    return span(rel.range_block @ coeffs, rel.n2, cfg)
 
 
 def adjoint(rel: LinearRelation,
@@ -217,8 +222,13 @@ def adjoint(rel: LinearRelation,
     factorization of the graph basis produces the whole adjoint; the
     definitional route lives in the oracle module as a cross-check.
     """
-    ortho = complement(rel.graph, cfg).basis
-    top, bottom = ortho[: rel.n1], ortho[rel.n1 :]
+    return _adjoint_from_complement(rel, complement(rel.graph, cfg))
+
+
+def _adjoint_from_complement(rel: LinearRelation,
+                             ortho: Subspace) -> LinearRelation:
+    """R* from the orthogonal complement of the graph of R, by the flip."""
+    top, bottom = ortho.basis[: rel.n1], ortho.basis[rel.n1 :]
     basis = np.vstack([-bottom, top])
     return LinearRelation(rel.n2, rel.n1, Subspace(rel.n1 + rel.n2, basis))
 
@@ -235,9 +245,10 @@ def operator_part(rel: LinearRelation,
 
     The graph of the operator part is the orthogonal complement of
     {0} x mul(R) inside the graph, so one projection of the graph basis
-    followed by a re-span does it.
+    followed by a re-span does it.  Only mul R is factored, not the
+    other parts.
     """
-    mul = parts(rel, cfg).mul
+    mul = _mul(rel, cfg)
     if mul.dim == 0:
         return rel
     z = np.zeros((rel.n1 + rel.n2, mul.dim), dtype=complex)
@@ -279,14 +290,18 @@ def classify(rel: LinearRelation,
              seed: int = 0) -> SymmetryReport:
     """Symmetry-class report.
 
-    The dom-perp-ran test is exact: with graph basis [F; G] the numerical
-    range collapses to {0} precisely when the cross-Gram matrix F^H G
-    vanishes (complex polarization), which is also the condition for the
-    domain and range spans to be orthogonal.  Nonnegativity is the
-    Hermitian-PSD test on the same matrix.  The sampled radius is
-    cosmetic; the algebraic tests are authoritative.  All of these need
-    the pairing between the two components, so a rectangular relation
-    gets None for dom_perp_ran and the radius.
+    Every verdict is read off the cross-Gram matrix F^H G of the graph
+    basis [F; G].  The sine of the largest principal angle of the graph
+    against the graph of R* is the spectral norm of F^H G - G^H F, so R
+    is symmetric when dim R <= n and that angle is below angle_tol, and
+    selfadjoint when it is also true that dim R = n (then dim R* = dim R).
+    The dom-perp-ran test is exact: the numerical range collapses to {0}
+    precisely when F^H G vanishes (complex polarization), which is also
+    the condition for the domain and range spans to be orthogonal.
+    Nonnegativity is the Hermitian-PSD test on the same matrix.  The
+    sampled radius is cosmetic; the algebraic tests are authoritative.
+    All of these need the pairing between the two components, so a
+    rectangular relation gets None for dom_perp_ran and the radius.
     """
     if rel.n1 != rel.n2:
         return SymmetryReport(
@@ -300,17 +315,14 @@ def classify(rel: LinearRelation,
 
     f_blk, g_blk = rel.domain_block, rel.range_block
     cross = f_blk.conj().T @ g_blk
+    skew = cross - cross.conj().T
     dom_perp_ran = bool(
         cross.size == 0 or np.max(np.abs(cross)) <= cfg.rank_tol
     )
-    hermitian = bool(
-        cross.size == 0
-        or np.max(np.abs(cross - cross.conj().T)) <= cfg.rank_tol
-    )
+    hermitian = bool(cross.size == 0 or np.max(np.abs(skew)) <= cfg.rank_tol)
 
-    verdict = relate(rel.graph, adjoint(rel, cfg).graph, cfg).verdict
-    is_symmetric = verdict in (Verdict.EQUAL, Verdict.SUBSET)
-    is_selfadjoint = verdict is Verdict.EQUAL
+    is_symmetric = rel.dim <= rel.n1 and _sine_angle(skew) < cfg.angle_tol
+    is_selfadjoint = is_symmetric and rel.dim == rel.n1
     is_nonnegative = False
     lower_bound: float | None = None
     if is_symmetric and hermitian:
@@ -433,7 +445,7 @@ def orthogonal_componentwise_sum(
 def operator_norm(rel: LinearRelation,
                   cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
     """Norm of a single-valued relation as an operator on its domain."""
-    if parts(rel, cfg).mul.dim != 0:
+    if _mul(rel, cfg).dim != 0:
         raise ValueError("operator_norm needs a single-valued relation")
     if rel.dim == 0:
         return 0.0

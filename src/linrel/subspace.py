@@ -205,6 +205,18 @@ def meet(u: Subspace, v: Subspace,
     return complement(join(complement(u, cfg), complement(v, cfg), cfg), cfg)
 
 
+def _sine_angle(mat: np.ndarray) -> float:
+    """arcsin of the spectral norm of mat, capped at pi/2; 0 when mat is empty.
+
+    The callers pass a matrix whose singular values are the sines of a set
+    of principal angles, so this is the largest of those angles.
+    """
+    if mat.size == 0:
+        return 0.0
+    s = np.linalg.svd(mat, compute_uv=False)
+    return float(np.arcsin(min(1.0, float(s[0]))))
+
+
 def _containment_angle(a: Subspace, b: Subspace) -> float:
     """Largest principal angle of a against b; 0 iff a is inside b.
 
@@ -215,10 +227,7 @@ def _containment_angle(a: Subspace, b: Subspace) -> float:
         return 0.0
     if b.dim == 0:
         return float(np.pi / 2)
-    residual = a.basis - b.basis @ (b.basis.conj().T @ a.basis)
-    s = np.linalg.svd(residual, compute_uv=False)
-    top = float(s[0]) if s.size else 0.0
-    return float(np.arcsin(min(1.0, top)))
+    return _sine_angle(a.basis - b.basis @ (b.basis.conj().T @ a.basis))
 
 
 def relate(u: Subspace, v: Subspace,

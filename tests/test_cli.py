@@ -297,6 +297,11 @@ class TestWeyl:
     def test_grid_rejects_strings(self, halfline_spec, capsys):
         assert main(["weyl", halfline_spec, "--grid", '["a"]']) == 2
 
+    def test_grid_rejects_non_finite(self, halfline_spec, capsys):
+        # json.loads accepts NaN and Infinity; they must not reach the SVDs
+        assert main(["weyl", halfline_spec, "--grid", "[NaN, Infinity]"]) == 2
+        assert "--grid[0]: non-finite" in capsys.readouterr().err
+
 
 class TestExtend:
     def test_selfadjoint_theta(self, halfline_spec, theta_spec, capsys):
@@ -359,6 +364,16 @@ class TestSemiboundDemo:
 
     def test_bad_c_list_exits_2(self, capsys):
         assert main(["semibound-demo", "--c-list", "{}"]) == 2
+
+    def test_non_finite_delta_exits_2(self, capsys):
+        assert main(["semibound-demo", "--delta", "nan"]) == 2
+        assert "--delta: non-finite" in capsys.readouterr().err
+
+    def test_non_finite_slope_exits_2(self, capsys):
+        # an infinite slope used to pass with an infinite gap
+        assert main(["semibound-demo", "--c-list", "[Infinity]"]) == 2
+        err = capsys.readouterr().err
+        assert "--c-list[0]: non-finite" in err
 
 
 class TestVerify:

@@ -4,8 +4,10 @@ its distinguished selfadjoint extensions, and the extremal family."""
 import numpy as np
 import pytest
 
+from linrel import extension
 from linrel.errors import DimensionMismatch, PreconditionViolated
 from linrel.extension import (
+    _adjoint_angle,
     extremal_family,
     friedrichs_generic,
     is_extremal,
@@ -22,6 +24,7 @@ from linrel.oracle import (
     random_selfadjoint_relation,
 )
 from linrel.relation import (
+    LinearRelation,
     adjoint,
     classify,
     from_operator,
@@ -32,7 +35,7 @@ from linrel.relation import (
     relation_equal,
     zero_operator,
 )
-from linrel.subspace import Subspace, Verdict, oplus, span
+from linrel.subspace import Subspace, Verdict, oplus, relate, span
 
 from conftest import assert_relation_equal, assert_subspace_equal
 
@@ -92,6 +95,36 @@ class TestLiftStructure:
         assert_relation_equal(
             meet_relations(bundle.S_F, bundle.K), bundle.S_tilde
         )
+
+
+class TestLiftAdjointCheck:
+    """lift's Gram-norm check of the closed-form S* against adjoint(S)."""
+
+    @pytest.mark.parametrize("rank", [2, 4, 6])
+    def test_gram_angle_matches_relate(self, rank):
+        bundle = lift(random_relation(4, 4, rank=rank, rng=rank))
+        ref = relate(bundle.S_star.graph, adjoint(bundle.S).graph)
+        assert ref.verdict is Verdict.EQUAL
+        assert abs(_adjoint_angle(bundle.S_star, bundle.S) - ref.angle) < 1e-12
+
+    def test_wrong_s_star_raises(self, monkeypatch):
+        rel = random_relation(3, 3, rank=3, rng=1)
+        other = adjoint(random_relation(3, 3, rank=3, rng=2))
+        monkeypatch.setattr(
+            extension, "_adjoint_from_complement", lambda rel, ortho: other
+        )
+        with pytest.raises(ArithmeticError, match="disagrees with adjoint"):
+            lift(rel)
+
+    def test_s_star_of_wrong_dimension_raises(self, monkeypatch):
+        rel = random_relation(3, 3, rank=3, rng=1)
+        r_star = adjoint(rel)
+        short = LinearRelation(3, 3, Subspace(6, r_star.graph.basis[:, 1:]))
+        monkeypatch.setattr(
+            extension, "_adjoint_from_complement", lambda rel, ortho: short
+        )
+        with pytest.raises(ArithmeticError, match="disagrees with adjoint"):
+            lift(rel)
 
 
 class TestDistinguishedExtensions:

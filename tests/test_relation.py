@@ -9,7 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linrel.errors import DimensionMismatch, SpectrumError
-from linrel.oracle import adjoint_definitional, random_relation
+from linrel.oracle import (
+    adjoint_definitional,
+    random_relation,
+    random_selfadjoint_relation,
+)
 from linrel.relation import (
     LinearRelation,
     adjoint,
@@ -32,7 +36,7 @@ from linrel.relation import (
 )
 from linrel.subspace import Subspace, Verdict, complement, relate, span
 
-from conftest import assert_relation_equal, assert_subspace_equal
+from conftest import CFG, assert_relation_equal, assert_subspace_equal
 
 
 def graph_of_scalar(c):
@@ -192,6 +196,56 @@ class TestClassify:
         assert rep.dom_perp_ran is None
         assert rep.lower_bound is None
         assert rep.numerical_range_radius is None
+
+
+def reference_symmetry(rel):
+    """(is_symmetric, is_selfadjoint) by forming the adjoint and relating."""
+    verdict = relate(rel.graph, adjoint(rel).graph).verdict
+    return verdict in (Verdict.EQUAL, Verdict.SUBSET), verdict is Verdict.EQUAL
+
+
+def tilted(rel, eps):
+    """rel with its first basis vector turned by eps toward J^-1 of its second.
+
+    J^-1 (h, k) = (-k, h) maps the second basis vector out of every
+    selfadjoint relation containing rel, so for such rel the graph leaves
+    its adjoint by a largest principal angle of eps.
+    """
+    n = rel.n1
+    b = rel.graph.basis.copy()
+    w = np.concatenate([-b[n:, 1], b[:n, 1]])
+    b[:, 0] = math.cos(eps) * b[:, 0] + math.sin(eps) * w
+    return LinearRelation(n, n, Subspace(2 * n, np.linalg.qr(b)[0]))
+
+
+class TestClassifyGramRule:
+    """classify's Gram-norm symmetry test against the adjoint route."""
+
+    @pytest.mark.parametrize("rank", [0, 3, 6, 9])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_relations(self, rank, seed):
+        rel = random_relation(6, 6, rank=rank, rng=seed)
+        rep = classify(rel)
+        assert (rep.is_symmetric, rep.is_selfadjoint) == reference_symmetry(rel)
+
+    def test_constructed_symmetric_and_selfadjoint(self):
+        sa = random_selfadjoint_relation(6, rng=3, dom_dim=4)
+        sym = LinearRelation(6, 6, Subspace(12, sa.graph.basis[:, :4]))
+        for rel, want in ((sym, (True, False)), (sa, (True, True))):
+            rep = classify(rel)
+            assert reference_symmetry(rel) == want
+            assert (rep.is_symmetric, rep.is_selfadjoint) == want
+
+    @pytest.mark.parametrize("factor", [0.1, 10.0])
+    def test_tilt_around_angle_tol(self, factor):
+        sa = random_selfadjoint_relation(6, rng=3, dom_dim=4)
+        sym = LinearRelation(6, 6, Subspace(12, sa.graph.basis[:, :4]))
+        for rel, selfadjoint in ((sym, False), (sa, True)):
+            rel = tilted(rel, factor * CFG.angle_tol)
+            want = (True, selfadjoint) if factor < 1 else (False, False)
+            rep = classify(rel)
+            assert reference_symmetry(rel) == want
+            assert (rep.is_symmetric, rep.is_selfadjoint) == want
 
 
 class TestSpectral:

@@ -30,7 +30,12 @@ from functools import cached_property
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
-from .errors import DimensionMismatch, PreconditionViolated, SpectrumError
+from .errors import (
+    DimensionMismatch,
+    InputFormatError,
+    PreconditionViolated,
+    SpectrumError,
+)
 from .extension import LiftBundle, _coerce_bundle, lift
 from .relation import (
     LinearRelation,
@@ -41,6 +46,7 @@ from .relation import (
 from .subspace import (
     Subspace,
     Verdict,
+    _numerical_rank,
     complement,
     nullspace_columns,
     orthonormal_columns,
@@ -212,7 +218,7 @@ def boundary_map_rank(trip: BoundaryTriplet) -> int:
     if stacked.size == 0:
         return 0
     s = np.linalg.svd(stacked, compute_uv=False)
-    return int(np.count_nonzero(s > trip.cfg.rank_tol * s[0]))
+    return _numerical_rank(s, trip.cfg.rank_tol)
 
 
 def defect_coefficients(trip: BoundaryTriplet, lam: complex) -> np.ndarray:
@@ -238,7 +244,7 @@ def _gamma0_on_defect(trip: BoundaryTriplet, lam: complex,
     a0 = trip.gamma0 @ ns
     if trip.g:
         s = np.linalg.svd(a0, compute_uv=False)
-        if s[-1] <= cfg.rank_tol * max(s[0], 1.0):
+        if _numerical_rank(s, cfg.rank_tol) < trip.g:
             raise SpectrumError(
                 f"Gamma0 is not invertible on the defect space at lambda = {lam}"
             )
@@ -438,12 +444,20 @@ def alternative_experiment(c: float, delta: float,
     delta = float(delta)
     rel = from_operator(np.array([[c]], dtype=complex))
     bundle = lift(rel, cfg)
+    if not bundle.dom_R.dim:
+        raise InputFormatError(
+            f"slope c = {c!r} is too steep: the domain component of "
+            f"graph(c) is below rank_tol = {cfg.rank_tol!r}, so dom R = {{0}}"
+        )
     trip = triplet_tilde(bundle, cfg)
     theta = from_operator(np.array([[-delta]], dtype=complex))
 
     a_theta = extension_from_boundary(trip, theta, cfg)
     bound = classify(a_theta, cfg).lower_bound
-    assert bound is not None and math.isfinite(bound)
+    if bound is None or not math.isfinite(bound):
+        raise PreconditionViolated(
+            f"A_theta at c = {c!r} has no finite lower bound ({bound!r})"
+        )
 
     s = 1.0 + c * c
     closed = (-delta * s - math.sqrt((delta * s) ** 2 + 4.0 * c * c)) / 2.0

@@ -11,12 +11,13 @@ class ToleranceConfig:
     """Knobs for all rank / equality / positivity verdicts.
 
     rank_tol
-        Relative singular-value cutoff: singular values below
-        ``rank_tol * s_max`` are treated as zero.  One knob for every
-        rank-revealing decision so verdicts stay reproducible.
+        Singular values at or below ``rank_tol * max(s_max, 1)`` (not
+        ``rank_tol * s_max``) are treated as zero.  One knob and one rule
+        for every rank-revealing decision so verdicts stay reproducible.
     angle_tol
         Maximum principal angle (radians) under which two subspaces are
-        reported equal.  Containment tests use the same threshold.
+        reported equal.  Containment, symmetry and orthogonality tests use
+        the same threshold.
     psd_floor
         Eigenvalue floor for positive-semidefinite verdicts: a Hermitian
         matrix counts as PSD when its smallest eigenvalue is >= psd_floor.

@@ -29,12 +29,12 @@ from .errors import DimensionMismatch, PreconditionViolated
 from .relation import (
     LinearRelation,
     _adjoint_from_complement,
+    _mul,
     adjoint,
     classify,
     componentwise_sum,
     from_product,
     operator_part,
-    parts,
     relation_equal,
     resolvent,
 )
@@ -48,6 +48,7 @@ from .subspace import (
     oplus,
     orthonormal_columns,
     relate,
+    span,
 )
 
 __all__ = [
@@ -149,8 +150,8 @@ def lift(rel: LinearRelation,
     g_space = complement(rel.graph, cfg)
     r_star = _adjoint_from_complement(rel, g_space)
 
-    p = parts(rel, cfg)
-    dom_r, ran_r = p.dom, p.ran
+    dom_r = span(rel.domain_block, n1, cfg)
+    ran_r = span(rel.range_block, n2, cfg)
     # mul R* = (dom R)^perp and ker R* = (ran R)^perp; taking complements
     # keeps the bases exactly orthogonal to dom R / ran R.
     mul_r_star = complement(dom_r, cfg)
@@ -272,7 +273,7 @@ def friedrichs_generic(sym: LinearRelation,
         raise PreconditionViolated(
             "friedrichs_generic needs dom S perpendicular to ran S"
         )
-    return _restrict_star(sym, parts(sym, cfg).dom, "dom", cfg)
+    return _restrict_star(sym, span(sym.domain_block, sym.n1, cfg), "dom", cfg)
 
 
 def krein_generic(sym: LinearRelation,
@@ -286,7 +287,7 @@ def krein_generic(sym: LinearRelation,
         raise PreconditionViolated(
             "krein_generic needs dom S perpendicular to ran S"
         )
-    return _restrict_star(sym, parts(sym, cfg).ran, "ran", cfg)
+    return _restrict_star(sym, span(sym.range_block, sym.n2, cfg), "ran", cfg)
 
 
 def _coerce_bundle(source: LinearRelation | LiftBundle,
@@ -366,9 +367,9 @@ def krein_order_margin(a: LinearRelation, bundle: LiftBundle,
 
         (S_F + 1)^{-1} <= (A + 1)^{-1} <= (S_K + 1)^{-1},
 
-    so both differences must be Hermitian PSD.  Returns the smallest
-    eigenvalue seen (>= psd_floor means the order holds); -inf when a
-    difference fails to be Hermitian at all.
+    so both differences must be PSD.  Returns the smallest eigenvalue of
+    their Hermitian parts (>= psd_floor means the order holds); A's
+    selfadjointness is decided by classify's angle rule beforehand.
     """
     _require_nonneg_selfadjoint_extension(a, bundle, cfg)
     res_f = resolvent(bundle.S_F, -1.0, cfg)
@@ -378,8 +379,6 @@ def krein_order_margin(a: LinearRelation, bundle: LiftBundle,
     for diff in (res_a - res_f, res_k - res_a):
         if not diff.size:
             continue
-        if np.max(np.abs(diff - diff.conj().T)) > 1e-8:
-            return -math.inf
         herm = (diff + diff.conj().T) / 2.0
         margin = min(margin, float(np.linalg.eigvalsh(herm)[0]))
     return margin
@@ -437,6 +436,5 @@ def is_singular_relation(rel: LinearRelation,
     zero operator, and exactly the ones whose Friedrichs and Krein
     extensions are disjoint (meet equal to the lift itself).
     """
-    p = parts(rel, cfg)
-    product = from_product(p.dom, p.mul)
+    product = from_product(span(rel.domain_block, rel.n1, cfg), _mul(rel, cfg))
     return relate(rel.graph, product.graph, cfg).verdict is Verdict.EQUAL

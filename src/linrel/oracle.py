@@ -2,9 +2,8 @@
 
 The verifiers here deliberately avoid the main modules' algorithms:
 adjoint_definitional solves the defining pairing equations as one dense
-nullspace problem with its own SVD helper, and numerical_range_hull
-samples the range definition directly.  They are allowed to be slower;
-they exist to disagree loudly when the fast paths are wrong.
+nullspace problem with its own SVD helper.  It is allowed to be slower;
+it exists to disagree loudly when the fast paths are wrong.
 
 The random_* generators are input factories for property tests, not
 verifiers, so they may lean on plain QR factorizations.
@@ -25,7 +24,6 @@ from .subspace import Subspace, Verdict, relate
 
 __all__ = [
     "adjoint_definitional",
-    "numerical_range_hull",
     "SweepRecord",
     "SweepReport",
     "extension_sweep",
@@ -65,30 +63,6 @@ def adjoint_definitional(rel: LinearRelation,
     system = np.hstack([g_blk.conj().T, -f_blk.conj().T])
     basis = _svd_nullspace(system, cfg.rank_tol)
     return LinearRelation(rel.n2, rel.n1, Subspace(rel.n1 + rel.n2, basis))
-
-
-def numerical_range_hull(rel: LinearRelation, samples: int = 4096,
-                         seed: int = 0) -> np.ndarray:
-    """Sampled point cloud of {<g, f> / ||f||^2 : (f, g) in R, f != 0}.
-
-    Purely multivalued relations have no admissible f; their range is
-    {0} by convention and a single zero point is returned.
-    """
-    f_blk, g_blk = rel.domain_block, rel.range_block
-    if rel.dim == 0 or np.max(np.abs(f_blk)) == 0.0:
-        return np.zeros(1, dtype=complex)
-    rng = np.random.default_rng(seed)
-    coeff = rng.standard_normal((rel.dim, samples)) + 1j * rng.standard_normal(
-        (rel.dim, samples)
-    )
-    f_vals = f_blk @ coeff
-    norms_sq = np.einsum("ij,ij->j", f_vals.conj(), f_vals).real
-    mask = norms_sq > 1e-24
-    if not mask.any():
-        return np.zeros(1, dtype=complex)
-    g_vals = g_blk @ coeff
-    pairings = np.einsum("ij,ij->j", f_vals.conj(), g_vals)
-    return pairings[mask] / norms_sq[mask]
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from .errors import DimensionMismatch, SpectrumError
 from .subspace import (
     RelateResult,
     Subspace,
+    _numerical_rank,
     _sine_angle,
     complement,
     join,
@@ -38,7 +39,6 @@ __all__ = [
     "SymmetryReport",
     "from_operator",
     "from_kernel_pair",
-    "from_graph",
     "from_product",
     "identity_relation",
     "zero_operator",
@@ -47,6 +47,7 @@ __all__ = [
     "inverse",
     "operator_part",
     "classify",
+    "numerical_range_hull",
     "eigenspace",
     "defect_relation",
     "resolvent",
@@ -166,11 +167,6 @@ def from_kernel_pair(c_mat, d_mat,
     return LinearRelation(n1, n2, Subspace(n1 + n2, basis))
 
 
-def from_graph(n1: int, n2: int, graph: Subspace) -> LinearRelation:
-    """Wrap an existing graph subspace of C^{n1+n2} as a relation."""
-    return LinearRelation(n1, n2, graph)
-
-
 def from_product(m_space: Subspace, n_space: Subspace) -> LinearRelation:
     """The product relation M x N (every pair (m, n) is in the relation).
 
@@ -273,15 +269,39 @@ def _lower_bound_of_operator_part(rel: LinearRelation,
     if op.dim == 0:
         return math.inf
     f_blk, g_blk = op.domain_block, op.range_block
-    u, s, vh = np.linalg.svd(f_blk, full_matrices=False)
-    keep = s > cfg.rank_tol * max(float(s[0]), 1.0)
-    if not keep.any():
+    _, s, vh = np.linalg.svd(f_blk, full_matrices=False)
+    r = _numerical_rank(s, cfg.rank_tol)
+    if not r:
         return math.inf
-    whitener = vh.conj().T[:, keep] / s[keep]
+    whitener = vh[:r].conj().T / s[:r]
     a = f_blk.conj().T @ g_blk
     a = (a + a.conj().T) / 2.0
     reduced = whitener.conj().T @ a @ whitener
     return float(np.linalg.eigvalsh(reduced)[0])
+
+
+def numerical_range_hull(rel: LinearRelation, samples: int = 4096,
+                         seed: int = 0) -> np.ndarray:
+    """Sampled point cloud of {<g, f> / ||f||^2 : (f, g) in R, f != 0}.
+
+    Purely multivalued relations have no admissible f; their range is
+    {0} by convention and a single zero point is returned.
+    """
+    f_blk, g_blk = rel.domain_block, rel.range_block
+    if rel.dim == 0 or np.max(np.abs(f_blk)) == 0.0:
+        return np.zeros(1, dtype=complex)
+    rng = np.random.default_rng(seed)
+    coeff = rng.standard_normal((rel.dim, samples)) + 1j * rng.standard_normal(
+        (rel.dim, samples)
+    )
+    f_vals = f_blk @ coeff
+    norms_sq = np.einsum("ij,ij->j", f_vals.conj(), f_vals).real
+    mask = norms_sq > 1e-24
+    if not mask.any():
+        return np.zeros(1, dtype=complex)
+    g_vals = g_blk @ coeff
+    pairings = np.einsum("ij,ij->j", f_vals.conj(), g_vals)
+    return pairings[mask] / norms_sq[mask]
 
 
 def classify(rel: LinearRelation,
@@ -298,8 +318,8 @@ def classify(rel: LinearRelation,
     The dom-perp-ran test is exact: the numerical range collapses to {0}
     precisely when F^H G vanishes (complex polarization), which is also
     the condition for the domain and range spans to be orthogonal.
-    Nonnegativity is the Hermitian-PSD test on the same matrix.  The
-    sampled radius is cosmetic; the algebraic tests are authoritative.
+    Nonnegativity (PSD Hermitian part) and the lower bound are decided
+    only when the symmetry rule accepts R.  The sampled radius is cosmetic.
     All of these need the pairing between the two components, so a
     rectangular relation gets None for dom_perp_ran and the radius.
     """
@@ -313,19 +333,17 @@ def classify(rel: LinearRelation,
             numerical_range_radius=None,
         )
 
-    f_blk, g_blk = rel.domain_block, rel.range_block
-    cross = f_blk.conj().T @ g_blk
-    skew = cross - cross.conj().T
+    cross = rel.domain_block.conj().T @ rel.range_block
     dom_perp_ran = bool(
         cross.size == 0 or np.max(np.abs(cross)) <= cfg.rank_tol
     )
-    hermitian = bool(cross.size == 0 or np.max(np.abs(skew)) <= cfg.rank_tol)
 
+    skew = cross - cross.conj().T
     is_symmetric = rel.dim <= rel.n1 and _sine_angle(skew) < cfg.angle_tol
     is_selfadjoint = is_symmetric and rel.dim == rel.n1
     is_nonnegative = False
     lower_bound: float | None = None
-    if is_symmetric and hermitian:
+    if is_symmetric:
         eig_floor = 0.0
         if cross.size:
             herm = (cross + cross.conj().T) / 2.0
@@ -333,20 +351,7 @@ def classify(rel: LinearRelation,
         is_nonnegative = eig_floor >= cfg.psd_floor
         lower_bound = _lower_bound_of_operator_part(rel, cfg)
 
-    radius = 0.0
-    if rel.dim and np.max(np.abs(f_blk)) > 0:
-        rng = np.random.default_rng(seed)
-        coeff = rng.standard_normal((rel.dim, samples)) + 1j * rng.standard_normal(
-            (rel.dim, samples)
-        )
-        f_vals = f_blk @ coeff
-        norms_sq = np.einsum("ij,ij->j", f_vals.conj(), f_vals).real
-        mask = norms_sq > 1e-24
-        if mask.any():
-            g_vals = g_blk @ coeff
-            pairings = np.einsum("ij,ij->j", f_vals.conj(), g_vals)
-            radius = float(np.max(np.abs(pairings[mask] / norms_sq[mask])))
-
+    radius = float(np.max(np.abs(numerical_range_hull(rel, samples, seed))))
     return SymmetryReport(
         is_symmetric=is_symmetric,
         is_selfadjoint=is_selfadjoint,
@@ -399,7 +404,7 @@ def resolvent(rel: LinearRelation, lam: complex,
             "an everywhere-defined operator"
         )
     s = np.linalg.svd(pencil, compute_uv=False)
-    if s.size == 0 or s[-1] <= cfg.rank_tol * s[0]:
+    if _numerical_rank(s, cfg.rank_tol) < n:
         raise SpectrumError(f"lambda = {lam} is a spectral point")
     return rel.domain_block @ np.linalg.inv(pencil)
 
@@ -428,18 +433,20 @@ def orthogonal_componentwise_sum(
     a: LinearRelation, b: LinearRelation,
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
 ) -> LinearRelation:
-    """Componentwise sum that asserts the graphs are orthogonal."""
+    """componentwise_sum of graphs that miss orthogonality by < angle_tol.
+
+    arcsin ||a^H b|| is that miss: ||a^H b|| is the cosine of the smallest
+    principal angle between the graphs.
+    """
     if (a.n1, a.n2) != (b.n1, b.n2):
         raise DimensionMismatch(
             f"componentwise sum of ({a.n1},{a.n2}) and ({b.n1},{b.n2}) relations"
         )
-    overlap = a.graph.basis.conj().T @ b.graph.basis
-    if overlap.size and np.max(np.abs(overlap)) > 1e-8:
+    if _sine_angle(a.graph.basis.conj().T @ b.graph.basis) >= cfg.angle_tol:
         raise ValueError(
             "graphs are not orthogonal; use componentwise_sum instead"
         )
-    basis = np.hstack([a.graph.basis, b.graph.basis])
-    return LinearRelation(a.n1, a.n2, Subspace(a.n1 + a.n2, basis))
+    return componentwise_sum(a, b, cfg)
 
 
 def operator_norm(rel: LinearRelation,

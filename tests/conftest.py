@@ -1,11 +1,13 @@
 """Shared fixtures and assertion helpers for the test suite."""
 
+import math
+
 import numpy as np
 import pytest
 
 from linrel.config import DEFAULT_TOLERANCES
-from linrel.relation import relation_equal
-from linrel.subspace import Verdict, relate
+from linrel.relation import LinearRelation, relation_equal
+from linrel.subspace import Subspace, Verdict, relate
 
 
 @pytest.fixture
@@ -39,3 +41,17 @@ def assert_relation_subset(r, s, tol=1e-8, msg=""):
 
 
 CFG = DEFAULT_TOLERANCES
+
+
+def tilted(rel, eps):
+    """rel with its first basis vector turned by eps toward J^-1 of its second.
+
+    J^-1 (h, k) = (-k, h) maps the second basis vector out of every
+    selfadjoint relation containing rel, so for such rel the graph leaves
+    its adjoint by a largest principal angle of eps.
+    """
+    n = rel.n1
+    b = rel.graph.basis.copy()
+    w = np.concatenate([-b[n:, 1], b[:n, 1]])
+    b[:, 0] = math.cos(eps) * b[:, 0] + math.sin(eps) * w
+    return LinearRelation(n, n, Subspace(2 * n, np.linalg.qr(b)[0]))

@@ -9,6 +9,7 @@ import pytest
 
 from linrel.boundary import (
     WEYL_ORIGIN_RADIUS,
+    BoundaryTriplet,
     alternative_experiment,
     boundary_map_rank,
     closed_form_gamma,
@@ -23,6 +24,7 @@ from linrel.boundary import (
     triplet_tilde,
     weyl,
 )
+from linrel.config import DEFAULT_TOLERANCES
 from linrel.errors import PreconditionViolated, SpectrumError
 from linrel.extension import lift
 from linrel.oracle import random_relation, random_selfadjoint_relation
@@ -56,6 +58,17 @@ class TestTripletStructure:
         for builder in (triplet_main, triplet_basic, triplet_tilde):
             trip = builder(bundle)
             assert boundary_map_rank(trip) == 2 * trip.g
+
+    def test_map_rank_follows_the_rank_rule(self):
+        # stacked singular values (0.01, 5e-11): 5e-11 is below
+        # rank_tol * max(s_max, 1), so the rank is 1, not 2
+        star = from_product(Subspace.full(1), Subspace.full(1))
+        trip = BoundaryTriplet(
+            "main", star, 1, Subspace.full(1),
+            np.array([[0.01, 0.0]]), np.array([[0.0, 5e-11]]),
+            star, DEFAULT_TOLERANCES,
+        )
+        assert boundary_map_rank(trip) == 1
 
     def test_kernels_main(self, bundle, trip_main):
         assert_relation_equal(trip_main.ker_gamma0, bundle.H)

@@ -1,6 +1,7 @@
 """Command-line interface and the spec-file IO layer behind it."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -9,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from linrel import boundary
 from linrel.cli import main
 from linrel.errors import InputFormatError
-from linrel.relation import from_graph, relation_equal
+from linrel.relation import LinearRelation, relation_equal
 from linrel.specio import (
     decode_matrix,
     dump_report,
@@ -224,7 +226,7 @@ class TestAnalyze:
         spec = load_relation_spec(path)
         assert not spec.was_orthonormalized
         basis = decode_matrix(adj["graph_basis"], "basis")
-        want = from_graph(adj["n1"], adj["n2"], Subspace(4, basis))
+        want = LinearRelation(adj["n1"], adj["n2"], Subspace(4, basis))
         res = relation_equal(spec.relation, want)
         assert res.verdict is Verdict.EQUAL
 
@@ -374,6 +376,36 @@ class TestSemiboundDemo:
         assert main(["semibound-demo", "--c-list", "[Infinity]"]) == 2
         err = capsys.readouterr().err
         assert "--c-list[0]: non-finite" in err
+
+    def test_default_list_passes_the_gap_rule(self, capsys):
+        assert main(["semibound-demo"]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == (
+            "verdict: bounded-below branch holds for every family member "
+            "(4/4); criterion agreement 4/4"
+        )
+
+    def test_gap_beyond_angle_tol_exits_1(self, capsys):
+        # the computed bound misses the closed form by about 1e12 here
+        assert main(["semibound-demo", "--c-list", "[1e6]"]) == 1
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert "closed-form gap FAILED" in last
+        assert "[1000000.0]" in last
+
+    def test_too_steep_slope_exits_2(self, capsys):
+        assert main(["semibound-demo", "--c-list", "[1e200]"]) == 2
+        err = capsys.readouterr().err
+        assert "slope c = 1e+200" in err and "rank_tol = 1e-10" in err
+
+    def test_missing_lower_bound_is_a_typed_error(self, monkeypatch, capsys):
+        real = boundary.classify
+
+        def no_bound(rel, cfg=None):
+            return dataclasses.replace(real(rel, cfg), lower_bound=None)
+
+        monkeypatch.setattr(boundary, "classify", no_bound)
+        assert main(["semibound-demo", "--c-list", "[1.0]"]) == 3
+        assert "no finite lower bound" in capsys.readouterr().err
 
 
 class TestVerify:

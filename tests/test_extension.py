@@ -1,6 +1,8 @@
 """The lift of a relation to a symmetric relation in the product space,
 its distinguished selfadjoint extensions, and the extremal family."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -37,7 +39,7 @@ from linrel.relation import (
 )
 from linrel.subspace import Subspace, Verdict, oplus, relate, span
 
-from conftest import assert_relation_equal, assert_subspace_equal
+from conftest import CFG, assert_relation_equal, assert_subspace_equal, tilted
 
 
 @pytest.fixture
@@ -203,6 +205,25 @@ class TestNonnegExtension:
         assert relation_equal(ext, bundle.S_star).verdict in (
             Verdict.EQUAL, Verdict.SUBSET,
         )
+
+    def test_krein_margin_of_tilted_extension_is_finite(self):
+        # selfadjointness within angle_tol is the only symmetry gate; the
+        # margin is read off the Hermitian parts of the differences
+        bundle = lift(random_relation(3, 3, rank=2, rng=1))
+        d, g0 = bundle.dom_R.dim, bundle.G0.dim
+        theta = random_selfadjoint_relation(g0, rng=1, dom_dim=g0, nonneg=True)
+        ext = nonneg_extension(bundle, theta)
+        # theta's columns first: the tilt then stays inside the positive
+        # definite block, and the tilted extension stays nonnegative
+        b = ext.graph.basis
+        cols = np.hstack([b[:, d : d + g0], b[:, :d], b[:, d + g0 :]])
+        a = tilted(
+            LinearRelation(ext.n1, ext.n2, Subspace(2 * ext.n1, cols)),
+            0.5 * CFG.angle_tol,
+        )
+        margin = krein_order_margin(a, bundle)
+        assert math.isfinite(margin)
+        assert abs(margin - krein_order_margin(ext, bundle)) < 1e-7
 
 
 class TestExtremalFamily:

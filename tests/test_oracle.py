@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from linrel.oracle import (
     adjoint_definitional,
     extension_sweep,
-    numerical_range_hull,
     random_hermitian,
     random_relation,
     random_selfadjoint_relation,
@@ -20,6 +19,7 @@ from linrel.relation import (
     from_operator,
     from_product,
     identity_relation,
+    numerical_range_hull,
     parts,
     relation_equal,
 )

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linrel.config import ToleranceConfig
 from linrel.errors import DimensionMismatch, SpectrumError
 from linrel.oracle import (
     adjoint_definitional,
@@ -36,7 +37,7 @@ from linrel.relation import (
 )
 from linrel.subspace import Subspace, Verdict, complement, relate, span
 
-from conftest import CFG, assert_relation_equal, assert_subspace_equal
+from conftest import CFG, assert_relation_equal, assert_subspace_equal, tilted
 
 
 def graph_of_scalar(c):
@@ -204,20 +205,6 @@ def reference_symmetry(rel):
     return verdict in (Verdict.EQUAL, Verdict.SUBSET), verdict is Verdict.EQUAL
 
 
-def tilted(rel, eps):
-    """rel with its first basis vector turned by eps toward J^-1 of its second.
-
-    J^-1 (h, k) = (-k, h) maps the second basis vector out of every
-    selfadjoint relation containing rel, so for such rel the graph leaves
-    its adjoint by a largest principal angle of eps.
-    """
-    n = rel.n1
-    b = rel.graph.basis.copy()
-    w = np.concatenate([-b[n:, 1], b[:n, 1]])
-    b[:, 0] = math.cos(eps) * b[:, 0] + math.sin(eps) * w
-    return LinearRelation(n, n, Subspace(2 * n, np.linalg.qr(b)[0]))
-
-
 class TestClassifyGramRule:
     """classify's Gram-norm symmetry test against the adjoint route."""
 
@@ -246,6 +233,42 @@ class TestClassifyGramRule:
             rep = classify(rel)
             assert reference_symmetry(rel) == want
             assert (rep.is_symmetric, rep.is_selfadjoint) == want
+
+
+class TestOneRulePerVerdict:
+    """Rank and angle verdicts that used to follow a second, local rule."""
+
+    def test_tilted_nonnegative_relation_stays_nonnegative(self):
+        # nonnegativity and the lower bound follow the symmetry (angle) rule;
+        # a skew part far below angle_tol must not veto them
+        sa = random_selfadjoint_relation(6, rng=0, dom_dim=4, nonneg=True)
+        rep = classify(tilted(sa, 0.1 * CFG.angle_tol))
+        assert rep.is_selfadjoint and rep.is_nonnegative
+        assert rep.lower_bound is not None and math.isfinite(rep.lower_bound)
+        assert abs(rep.lower_bound - classify(sa).lower_bound) < 1e-9
+
+    def test_resolvent_follows_the_rank_rule(self):
+        # 5e-11 sits below rank_tol * max(s_max, 1): parts and eigenspace
+        # see a kernel, so 0 is a spectral point of the resolvent too
+        rel = from_operator(np.diag([0.5, 5e-11]))
+        assert parts(rel).ker.dim == 1
+        assert eigenspace(rel, 0.0).dim == 1
+        with pytest.raises(SpectrumError, match="spectral point"):
+            resolvent(rel, 0.0)
+
+    def test_orthogonal_sum_uses_angle_tol(self):
+        # the graphs miss orthogonality by arcsin(1e-7)
+        eps = 1e-7
+        a = LinearRelation(2, 2, span([[1.0, 0.0, 0.0, 0.0]]))
+        b = LinearRelation(
+            2, 2, span([[eps, math.sqrt(1.0 - eps * eps), 0.0, 0.0]])
+        )
+        total = orthogonal_componentwise_sum(
+            a, b, ToleranceConfig(angle_tol=1e-6)
+        )
+        assert total.dim == 2
+        with pytest.raises(ValueError, match="not orthogonal"):
+            orthogonal_componentwise_sum(a, b)
 
 
 class TestSpectral:

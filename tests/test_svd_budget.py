@@ -17,7 +17,7 @@ from linrel.subspace import Verdict
 from conftest import assert_relation_equal
 
 N = 8
-LIFT_SVD_BUDGET = 11
+LIFT_SVD_BUDGET = 9
 
 
 @pytest.fixture

@@ -6,180 +6,32 @@ relation calculus (adjoints, parts, block operations), the lift of a
 relation to a symmetric relation with its distinguished nonnegative
 selfadjoint extensions, boundary triplets with Weyl functions, and the
 boundary-parameter criterion for lower bounds.
+
+The public names are the __all__ lists of the modules below; each is
+declared once, in its module, and re-exported here.
 """
 
-from .config import DEFAULT_TOLERANCES, ToleranceConfig
-from .errors import (
-    DimensionMismatch,
-    InputFormatError,
-    LinrelError,
-    PreconditionViolated,
-    SpectrumError,
+from . import (
+    blockcalc,
+    boundary,
+    config,
+    errors,
+    extension,
+    oracle,
+    relation,
+    subspace,
 )
-from .subspace import (
-    RelateResult,
-    Subspace,
-    Verdict,
-    complement,
-    join,
-    meet,
-    oplus,
-    relate,
-    span,
-)
-from .relation import (
-    LinearRelation,
-    RelationParts,
-    SymmetryReport,
-    adjoint,
-    classify,
-    componentwise_sum,
-    meet_relations,
-    defect_relation,
-    eigenspace,
-    from_kernel_pair,
-    from_operator,
-    from_product,
-    identity_relation,
-    inverse,
-    numerical_range_hull,
-    operator_norm,
-    operator_part,
-    orthogonal_componentwise_sum,
-    parts,
-    relation_equal,
-    resolvent,
-    zero_operator,
-)
-from .blockcalc import (
-    Block2x2,
-    block,
-    check_adjoint_inclusion,
-    check_column_adjoint,
-    check_row_adjoint,
-    check_row_col_duality,
-    column,
-    row,
-)
-from .extension import (
-    LiftBundle,
-    extremal_family,
-    friedrichs_generic,
-    is_extremal,
-    is_singular_relation,
-    krein_generic,
-    krein_order_check,
-    krein_order_margin,
-    lift,
-    nonneg_extension,
-    s0_adjoint_decomposition_check,
-)
-from .boundary import (
-    AlternativeExperiment,
-    BoundaryTriplet,
-    SemiboundResult,
-    alternative_experiment,
-    boundary_map_rank,
-    closed_form_gamma,
-    closed_form_weyl,
-    defect_coefficients,
-    extension_from_boundary,
-    gamma_field,
-    green_identity_defect,
-    semibound_criterion,
-    triplet_basic,
-    triplet_main,
-    triplet_tilde,
-    weyl,
-)
-from .oracle import (
-    adjoint_definitional,
-    extension_sweep,
-    random_hermitian,
-    random_relation,
-    random_selfadjoint_relation,
-)
+from .config import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .subspace import *  # noqa: F401,F403
+from .relation import *  # noqa: F401,F403
+from .blockcalc import *  # noqa: F401,F403
+from .extension import *  # noqa: F401,F403
+from .boundary import *  # noqa: F401,F403
+from .oracle import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "DEFAULT_TOLERANCES",
-    "ToleranceConfig",
-    "LinrelError",
-    "DimensionMismatch",
-    "PreconditionViolated",
-    "SpectrumError",
-    "InputFormatError",
-    "Subspace",
-    "Verdict",
-    "RelateResult",
-    "span",
-    "complement",
-    "meet",
-    "join",
-    "relate",
-    "oplus",
-    "LinearRelation",
-    "RelationParts",
-    "SymmetryReport",
-    "from_operator",
-    "from_kernel_pair",
-    "from_product",
-    "identity_relation",
-    "zero_operator",
-    "parts",
-    "adjoint",
-    "inverse",
-    "operator_part",
-    "classify",
-    "numerical_range_hull",
-    "eigenspace",
-    "defect_relation",
-    "resolvent",
-    "componentwise_sum",
-    "meet_relations",
-    "orthogonal_componentwise_sum",
-    "operator_norm",
-    "relation_equal",
-    "Block2x2",
-    "column",
-    "row",
-    "block",
-    "check_row_col_duality",
-    "check_adjoint_inclusion",
-    "check_row_adjoint",
-    "check_column_adjoint",
-    "LiftBundle",
-    "lift",
-    "friedrichs_generic",
-    "krein_generic",
-    "nonneg_extension",
-    "is_extremal",
-    "krein_order_margin",
-    "krein_order_check",
-    "extremal_family",
-    "s0_adjoint_decomposition_check",
-    "is_singular_relation",
-    "BoundaryTriplet",
-    "SemiboundResult",
-    "AlternativeExperiment",
-    "triplet_main",
-    "triplet_basic",
-    "triplet_tilde",
-    "green_identity_defect",
-    "boundary_map_rank",
-    "defect_coefficients",
-    "weyl",
-    "gamma_field",
-    "closed_form_weyl",
-    "closed_form_gamma",
-    "extension_from_boundary",
-    "semibound_criterion",
-    "alternative_experiment",
-    "adjoint_definitional",
-    "extension_sweep",
-    "random_relation",
-    "random_selfadjoint_relation",
-    "random_hermitian",
-]
+_MODULES = (config, errors, subspace, relation, blockcalc, extension, boundary, oracle)
+
+__all__ = ["__version__"] + [name for mod in _MODULES for name in mod.__all__]

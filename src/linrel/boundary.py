@@ -36,7 +36,7 @@ from .errors import (
     PreconditionViolated,
     SpectrumError,
 )
-from .extension import LiftBundle, _coerce_bundle, lift
+from .extension import LiftBundle, lift
 from .relation import (
     LinearRelation,
     classify,
@@ -87,7 +87,8 @@ class BoundaryTriplet:
     boundary is the parameter space, a subspace of C^n whose fixed basis
     defines the coordinates of all boundary values.  gamma0 and gamma1
     are g x d matrices acting on graph coefficients, d = star.dim.
-    friedrichs is the Friedrichs extension S_F of the lift.
+    friedrichs is the Friedrichs extension S_F of the lift, and cfg is
+    the lift's ToleranceConfig.
 
     ker_gamma0 and ker_gamma1 are computed on first access, and so is
     ker_gamma0_is_friedrichs, which records whether ker Gamma0 equals S_F;
@@ -96,7 +97,6 @@ class BoundaryTriplet:
 
     kind: str
     star: LinearRelation
-    split: int
     boundary: Subspace
     gamma0: np.ndarray
     gamma1: np.ndarray
@@ -125,11 +125,6 @@ class BoundaryTriplet:
         """True when the parameter space is trivial (S0 selfadjoint)."""
         return self.g == 0
 
-    def boundary_values(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(Gamma0, Gamma1) of elements given by graph coefficients."""
-        coeffs = np.asarray(coeffs, dtype=complex)
-        return self.gamma0 @ coeffs, self.gamma1 @ coeffs
-
 
 def _kernel_relation(star: LinearRelation, gamma: np.ndarray,
                      cfg: ToleranceConfig) -> LinearRelation:
@@ -146,7 +141,7 @@ def _lift_blocks(star: LinearRelation, split: int):
 
 
 def _flip_triplet(kind: str, star: LinearRelation, p: Subspace,
-                  bundle: LiftBundle, cfg: ToleranceConfig) -> BoundaryTriplet:
+                  bundle: LiftBundle) -> BoundaryTriplet:
     """Common construction for the main and tilde triplets.
 
     Gamma0 projects (-k1, h2) and Gamma1 projects (h1, k2) onto the
@@ -157,25 +152,20 @@ def _flip_triplet(kind: str, star: LinearRelation, p: Subspace,
     ph = p.basis.conj().T
     gamma0 = ph @ np.vstack([-k1, h2])
     gamma1 = ph @ np.vstack([h1, k2])
-    return BoundaryTriplet(kind, star, bundle.n1, p, gamma0, gamma1, bundle.S_F, cfg)
+    return BoundaryTriplet(kind, star, p, gamma0, gamma1, bundle.S_F, bundle.cfg)
 
 
-def triplet_main(source: LinearRelation | LiftBundle,
-                 cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> BoundaryTriplet:
+def triplet_main(bundle: LiftBundle) -> BoundaryTriplet:
     """Triplet on S* with parameter space (graph R)^perp."""
-    bundle = _coerce_bundle(source, cfg)
-    return _flip_triplet("main", bundle.S_star, bundle.G, bundle, cfg)
+    return _flip_triplet("main", bundle.S_star, bundle.G, bundle)
 
 
-def triplet_tilde(source: LinearRelation | LiftBundle,
-                  cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> BoundaryTriplet:
+def triplet_tilde(bundle: LiftBundle) -> BoundaryTriplet:
     """Triplet on S~* whose Gamma0-kernel is the Friedrichs extension."""
-    bundle = _coerce_bundle(source, cfg)
-    return _flip_triplet("tilde", bundle.S_tilde_star, bundle.G_tilde, bundle, cfg)
+    return _flip_triplet("tilde", bundle.S_tilde_star, bundle.G_tilde, bundle)
 
 
-def triplet_basic(source: LinearRelation | LiftBundle,
-                  cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> BoundaryTriplet:
+def triplet_basic(bundle: LiftBundle) -> BoundaryTriplet:
     """Triplet on S0* with parameter space G0 and Weyl function lambda*I.
 
     Gamma0 and Gamma1 are plain compressions of the two components onto
@@ -183,13 +173,12 @@ def triplet_basic(source: LinearRelation | LiftBundle,
     the triplet is then degenerate (S0 is already selfadjoint) and the
     is_degenerate flag reports it.
     """
-    bundle = _coerce_bundle(source, cfg)
     star = bundle.S0_star
     n = star.n1
     w = star.graph.basis
     ph = bundle.G0.basis.conj().T
     return BoundaryTriplet(
-        "basic", star, bundle.n1, bundle.G0, ph @ w[:n], ph @ w[n:], bundle.S_F, cfg
+        "basic", star, bundle.G0, ph @ w[:n], ph @ w[n:], bundle.S_F, bundle.cfg
     )
 
 
@@ -442,17 +431,17 @@ def alternative_experiment(c: float, delta: float,
     """Worked one-dimensional example of the semiboundedness criterion."""
     c = float(c)
     delta = float(delta)
-    rel = from_operator(np.array([[c]], dtype=complex))
+    rel = from_operator(np.array([[c]], dtype=complex), cfg)
     bundle = lift(rel, cfg)
     if not bundle.dom_R.dim:
         raise InputFormatError(
             f"slope c = {c!r} is too steep: the domain component of "
             f"graph(c) is below rank_tol = {cfg.rank_tol!r}, so dom R = {{0}}"
         )
-    trip = triplet_tilde(bundle, cfg)
-    theta = from_operator(np.array([[-delta]], dtype=complex))
+    trip = triplet_tilde(bundle)
+    theta = from_operator(np.array([[-delta]], dtype=complex), cfg)
 
-    a_theta = extension_from_boundary(trip, theta, cfg)
+    a_theta = extension_from_boundary(trip, theta)
     bound = classify(a_theta, cfg).lower_bound
     if bound is None or not math.isfinite(bound):
         raise PreconditionViolated(
@@ -471,7 +460,7 @@ def alternative_experiment(c: float, delta: float,
         if x < -1e-3
     )
     agrees = all(
-        semibound_criterion(trip, theta, x, cfg).agree for x in probes
+        semibound_criterion(trip, theta, x).agree for x in probes
     )
     return AlternativeExperiment(
         c=c,

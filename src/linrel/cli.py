@@ -169,7 +169,7 @@ def _equal(*results: RelateResult) -> bool:
 
 
 def _triplet_results(
-    bundle: LiftBundle, cfg: ToleranceConfig,
+    bundle: LiftBundle,
 ) -> Iterator[
     tuple[str, BoundaryTriplet, float, bool, RelateResult, RelateResult]
 ]:
@@ -184,29 +184,30 @@ def _triplet_results(
         "tilde": (bundle.S_F, bundle.K),
     }
     for kind, builder in _TRIPLET_BUILDERS.items():
-        trip = builder(bundle, cfg)
+        trip = builder(bundle)
         want0, want1 = kernel_targets[kind]
         yield (
             kind,
             trip,
             green_identity_defect(trip),
             boundary_map_rank(trip) == 2 * trip.g,
-            relation_equal(trip.ker_gamma0, want0, cfg),
-            relation_equal(trip.ker_gamma1, want1, cfg),
+            relation_equal(trip.ker_gamma0, want0, bundle.cfg),
+            relation_equal(trip.ker_gamma1, want1, bundle.cfg),
         )
 
 
 def _extreme_closed_forms(
-    bundle: LiftBundle, cfg: ToleranceConfig,
+    bundle: LiftBundle,
 ) -> tuple[RelateResult, RelateResult]:
     """Generic Friedrichs and Krein routes against the closed S_F, S_K."""
+    cfg = bundle.cfg
     return (
         relation_equal(friedrichs_generic(bundle.S, cfg), bundle.S_F, cfg),
         relation_equal(krein_generic(bundle.S, cfg), bundle.S_K, cfg),
     )
 
 
-def _worst_krein_margin(bundle: LiftBundle, cfg: ToleranceConfig,
+def _worst_krein_margin(bundle: LiftBundle,
                         rng: np.random.Generator) -> float:
     """Smallest Krein-order margin over three nonnegative parameters on G0.
 
@@ -216,8 +217,8 @@ def _worst_krein_margin(bundle: LiftBundle, cfg: ToleranceConfig,
     g0 = bundle.G0.dim
     for _ in range(3 if g0 else 0):
         theta = random_selfadjoint_relation(g0, rng=rng, nonneg=True)
-        a_theta = nonneg_extension(bundle, theta, cfg)
-        worst = min(worst, krein_order_margin(a_theta, bundle, cfg))
+        a_theta = nonneg_extension(bundle, theta)
+        worst = min(worst, krein_order_margin(a_theta, bundle))
     return worst
 
 
@@ -232,7 +233,7 @@ def cmd_extensions(args: argparse.Namespace) -> int:
     bundle = lift(rel, cfg)
 
     checks = []
-    for kind, _, green, surjective, k0, k1 in _triplet_results(bundle, cfg):
+    for kind, _, green, surjective, k0, k1 in _triplet_results(bundle):
         checks += [
             _check(f"triplet_{kind}_green_identity", green < _GREEN_TOL, green),
             _check(
@@ -241,8 +242,8 @@ def cmd_extensions(args: argparse.Namespace) -> int:
                 max(k0.angle, k1.angle),
             ),
         ]
-    r_hk, r_fk, _ = _decomposition_results(bundle, cfg)
-    r_f, r_k = _extreme_closed_forms(bundle, cfg)
+    r_hk, r_fk, _ = _decomposition_results(bundle)
+    r_f, r_k = _extreme_closed_forms(bundle)
     for name, res in (
         ("adjoint_is_componentwise_sum_H_K", r_hk),
         ("s0_adjoint_is_sum_of_extreme_extensions", r_fk),
@@ -250,7 +251,7 @@ def cmd_extensions(args: argparse.Namespace) -> int:
         ("krein_closed_form", r_k),
     ):
         checks.append(_check(name, _equal(res), res.angle))
-    worst = _worst_krein_margin(bundle, cfg, np.random.default_rng(args.seed))
+    worst = _worst_krein_margin(bundle, np.random.default_rng(args.seed))
     checks.append(
         _check(
             "krein_order_sampled_parameters",
@@ -265,12 +266,12 @@ def cmd_extensions(args: argparse.Namespace) -> int:
         ("zero", Subspace.zero(g0)),
         ("full", Subspace.full(g0)),
     ):
-        a_l = extremal_family(bundle, l_space, cfg)
+        a_l = extremal_family(bundle, l_space)
         family.append(
             {
                 "parameter_subspace": name,
                 "extension": encode_relation(a_l),
-                "extremal": is_extremal(a_l, bundle, cfg),
+                "extremal": is_extremal(a_l, bundle),
             }
         )
 
@@ -360,7 +361,7 @@ def cmd_weyl(args: argparse.Namespace) -> int:
     spec = load_relation_spec(args.spec, cfg)
     grid = _parse_lambda_grid(args.grid)
     bundle = lift(spec.relation, cfg)
-    trip = _TRIPLET_BUILDERS[args.triplet](bundle, cfg)
+    trip = _TRIPLET_BUILDERS[args.triplet](bundle)
     g = trip.g
 
     buf = io.StringIO()
@@ -374,7 +375,7 @@ def cmd_weyl(args: argparse.Namespace) -> int:
     for lam in grid:
         row = [repr(lam.real), repr(lam.imag)]
         try:
-            m_lam = weyl(trip, lam, cfg)
+            m_lam = weyl(trip, lam)
         except SpectrumError:
             row += [""] * (2 * g * g) + ["singular"]
         else:
@@ -396,7 +397,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
     theta_spec = load_relation_spec(args.theta, cfg)
     theta = theta_spec.relation
     bundle = lift(spec.relation, cfg)
-    trip = _TRIPLET_BUILDERS[args.triplet](bundle, cfg)
+    trip = _TRIPLET_BUILDERS[args.triplet](bundle)
     if theta.n1 != trip.g or theta.n2 != trip.g:
         raise DimensionMismatch(
             f"theta acts on C^{theta.n1} x C^{theta.n2}, but the "
@@ -408,12 +409,12 @@ def cmd_extend(args: argparse.Namespace) -> int:
             "selfadjoint extension"
         )
 
-    a_theta = extension_from_boundary(trip, theta, cfg)
+    a_theta = extension_from_boundary(trip, theta)
     rep = classify(a_theta, cfg, seed=args.seed)
     extremal = margin = None
     if rep.is_nonnegative:
-        extremal = is_extremal(a_theta, bundle, cfg)
-        margin = krein_order_margin(a_theta, bundle, cfg)
+        extremal = is_extremal(a_theta, bundle)
+        margin = krein_order_margin(a_theta, bundle)
     report = {
         "tool": {"name": "linrel", "version": __version__},
         "config": _config_echo(cfg, args.seed),
@@ -532,11 +533,11 @@ def _verify_checks(spec: LoadedSpec, cfg: ToleranceConfig,
     checks.append(
         (
             "lift_decompositions",
-            s0_adjoint_decomposition_check(bundle, cfg),
+            s0_adjoint_decomposition_check(bundle),
             None,
         )
     )
-    r_f, r_k = _extreme_closed_forms(bundle, cfg)
+    r_f, r_k = _extreme_closed_forms(bundle)
     checks.append(
         (
             "extreme_extensions_closed_forms",
@@ -545,14 +546,14 @@ def _verify_checks(spec: LoadedSpec, cfg: ToleranceConfig,
         )
     )
 
-    for kind, trip, green, surjective, k0, k1 in _triplet_results(bundle, cfg):
+    for kind, trip, green, surjective, k0, k1 in _triplet_results(bundle):
         ok = green < _GREEN_TOL and surjective and _equal(k0, k1)
         checks.append(
             (f"triplet_{kind}", ok, max(green, k0.angle, k1.angle))
         )
         worst = 0.0
         for lam in (-1.0, 1j):
-            diff = weyl(trip, lam, cfg) - closed_form_weyl(bundle, kind, lam)
+            diff = weyl(trip, lam) - closed_form_weyl(bundle, kind, lam)
             if diff.size:
                 worst = max(worst, float(np.max(np.abs(diff))))
         checks.append((f"weyl_{kind}_closed_form", worst < 1e-9, worst))
@@ -561,7 +562,7 @@ def _verify_checks(spec: LoadedSpec, cfg: ToleranceConfig,
     rng = np.random.default_rng(seed)
     g = bundle.G.dim
     thetas = [random_selfadjoint_relation(g, rng=rng) for _ in range(5)]
-    sweep = extension_sweep(bundle, thetas, cfg)
+    sweep = extension_sweep(bundle, thetas)
     checks.append(
         (
             "extension_sweep",
@@ -570,7 +571,7 @@ def _verify_checks(spec: LoadedSpec, cfg: ToleranceConfig,
         )
     )
 
-    worst_margin = _worst_krein_margin(bundle, cfg, rng)
+    worst_margin = _worst_krein_margin(bundle, rng)
     checks.append(
         (
             "krein_order_sampled",

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+__all__ = ["ToleranceConfig", "DEFAULT_TOLERANCES"]
+
 
 @dataclass(frozen=True)
 class ToleranceConfig:
@@ -15,9 +17,10 @@ class ToleranceConfig:
         ``rank_tol * s_max``) are treated as zero.  One knob and one rule
         for every rank-revealing decision so verdicts stay reproducible.
     angle_tol
-        Maximum principal angle (radians) under which two subspaces are
-        reported equal.  Containment, symmetry and orthogonality tests use
-        the same threshold.
+        Principal angle (radians) that two subspaces must stay strictly
+        below to be reported equal.  Containment, symmetry and
+        orthogonality tests use the same strict rule, so angle_tol must
+        be positive: at 0 no equality or symmetry verdict could pass.
     psd_floor
         Eigenvalue floor for positive-semidefinite verdicts: a Hermitian
         matrix counts as PSD when its smallest eigenvalue is >= psd_floor.
@@ -34,8 +37,8 @@ class ToleranceConfig:
                 raise ValueError(f"{name} must be finite, got {value!r}")
         if self.rank_tol <= 0:
             raise ValueError(f"rank_tol must be positive, got {self.rank_tol!r}")
-        if self.angle_tol < 0:
-            raise ValueError(f"angle_tol must be nonnegative, got {self.angle_tol!r}")
+        if self.angle_tol <= 0:
+            raise ValueError(f"angle_tol must be positive, got {self.angle_tol!r}")
         if self.psd_floor > 0:
             raise ValueError(f"psd_floor must be <= 0, got {self.psd_floor!r}")
 

@@ -2,6 +2,14 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "LinrelError",
+    "DimensionMismatch",
+    "PreconditionViolated",
+    "SpectrumError",
+    "InputFormatError",
+]
+
 
 class LinrelError(Exception):
     """Base class for all package-specific errors."""

@@ -28,6 +28,7 @@ from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .errors import DimensionMismatch, PreconditionViolated
 from .relation import (
     LinearRelation,
+    SymmetryReport,
     _adjoint_from_complement,
     _mul,
     adjoint,
@@ -74,6 +75,10 @@ class LiftBundle:
     G_tilde are subspaces of that sum space.  G0 and G_tilde carry the
     fixed bases produced by the deterministic factorization order here, so
     boundary-parameter matrices are reproducible across runs.
+
+    cfg is the ToleranceConfig given to lift.  Every function that takes
+    a bundle, and every boundary triplet built from one, decides its
+    verdicts with it; none of them takes a tolerance of its own.
     """
 
     R: LinearRelation
@@ -290,16 +295,8 @@ def krein_generic(sym: LinearRelation,
     return _restrict_star(sym, span(sym.range_block, sym.n2, cfg), "ran", cfg)
 
 
-def _coerce_bundle(source: LinearRelation | LiftBundle,
-                   cfg: ToleranceConfig) -> LiftBundle:
-    if isinstance(source, LiftBundle):
-        return source
-    return lift(source, cfg)
-
-
-def nonneg_extension(source: LinearRelation | LiftBundle,
-                     theta: LinearRelation,
-                     cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> LinearRelation:
+def nonneg_extension(bundle: LiftBundle,
+                     theta: LinearRelation) -> LinearRelation:
     """Selfadjoint extension attached to a boundary parameter on G0.
 
     theta is a selfadjoint relation in the fixed basis of
@@ -308,13 +305,12 @@ def nonneg_extension(source: LinearRelation | LiftBundle,
     and the purely multivalued part {0} x ({0} (+) ran R).  The result is
     selfadjoint, extends S0, and is nonnegative exactly when theta is.
     """
-    bundle = _coerce_bundle(source, cfg)
     g0 = bundle.G0.dim
     if theta.n1 != g0 or theta.n2 != g0:
         raise DimensionMismatch(
             f"theta acts on C^{theta.n1}, but dim G0 = {g0}"
         )
-    if g0 and not classify(theta, cfg).is_selfadjoint:
+    if g0 and not classify(theta, bundle.cfg).is_selfadjoint:
         raise PreconditionViolated("theta is not selfadjoint in G0")
 
     n1, n2 = bundle.n1, bundle.n2
@@ -333,33 +329,30 @@ def nonneg_extension(source: LinearRelation | LiftBundle,
 
 
 def _require_nonneg_selfadjoint_extension(a: LinearRelation,
-                                          bundle: LiftBundle,
-                                          cfg: ToleranceConfig) -> None:
-    report = classify(a, cfg)
+                                          bundle: LiftBundle) -> SymmetryReport:
+    report = classify(a, bundle.cfg)
     if not report.is_selfadjoint:
         raise PreconditionViolated("extension is not selfadjoint")
     if not report.is_nonnegative:
         raise PreconditionViolated("extension is not nonnegative")
-    if relate(bundle.S.graph, a.graph, cfg).verdict not in (
+    if relate(bundle.S.graph, a.graph, bundle.cfg).verdict not in (
         Verdict.EQUAL,
         Verdict.SUBSET,
     ):
         raise PreconditionViolated("relation does not extend S")
+    return report
 
 
-def is_extremal(a: LinearRelation, bundle: LiftBundle,
-                cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
+def is_extremal(a: LinearRelation, bundle: LiftBundle) -> bool:
     """Extremality of a nonnegative selfadjoint extension of S.
 
     Extremal extensions are exactly the ones whose own numerical range
     collapses to {0}; the exact cross-Gram test decides that.
     """
-    _require_nonneg_selfadjoint_extension(a, bundle, cfg)
-    return classify(a, cfg).dom_perp_ran
+    return _require_nonneg_selfadjoint_extension(a, bundle).dom_perp_ran
 
 
-def krein_order_margin(a: LinearRelation, bundle: LiftBundle,
-                       cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
+def krein_order_margin(a: LinearRelation, bundle: LiftBundle) -> float:
     """Worst eigenvalue of the two resolvent-difference matrices.
 
     The extreme extensions bound every nonnegative selfadjoint extension
@@ -371,7 +364,8 @@ def krein_order_margin(a: LinearRelation, bundle: LiftBundle,
     their Hermitian parts (>= psd_floor means the order holds); A's
     selfadjointness is decided by classify's angle rule beforehand.
     """
-    _require_nonneg_selfadjoint_extension(a, bundle, cfg)
+    _require_nonneg_selfadjoint_extension(a, bundle)
+    cfg = bundle.cfg
     res_f = resolvent(bundle.S_F, -1.0, cfg)
     res_a = resolvent(a, -1.0, cfg)
     res_k = resolvent(bundle.S_K, -1.0, cfg)
@@ -384,14 +378,12 @@ def krein_order_margin(a: LinearRelation, bundle: LiftBundle,
     return margin
 
 
-def krein_order_check(a: LinearRelation, bundle: LiftBundle,
-                      cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
+def krein_order_check(a: LinearRelation, bundle: LiftBundle) -> bool:
     """Resolvent sandwich (S_F + 1)^-1 <= (A + 1)^-1 <= (S_K + 1)^-1."""
-    return krein_order_margin(a, bundle, cfg) >= cfg.psd_floor
+    return krein_order_margin(a, bundle) >= bundle.cfg.psd_floor
 
 
-def extremal_family(bundle: LiftBundle, l_space: Subspace,
-                    cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> LinearRelation:
+def extremal_family(bundle: LiftBundle, l_space: Subspace) -> LinearRelation:
     """Extension for the product parameter theta = L x (G0 (-) L)."""
     if l_space.ambient_dim != bundle.G0.dim:
         raise DimensionMismatch(
@@ -399,17 +391,18 @@ def extremal_family(bundle: LiftBundle, l_space: Subspace,
         )
     if not bundle.G0.dim:
         return bundle.S_F  # S0 is selfadjoint, so S_F = S_K = S0
-    theta = from_product(l_space, complement(l_space, cfg))
-    a = nonneg_extension(bundle, theta, cfg)
-    if not is_extremal(a, bundle, cfg):
+    theta = from_product(l_space, complement(l_space, bundle.cfg))
+    a = nonneg_extension(bundle, theta)
+    if not is_extremal(a, bundle):
         raise ArithmeticError("product-form parameter produced a non-extremal extension")
     return a
 
 
 def _decomposition_results(
-    bundle: LiftBundle, cfg: ToleranceConfig,
+    bundle: LiftBundle,
 ) -> tuple[RelateResult, RelateResult, RelateResult]:
     """S* vs H +^ K, S0* vs S_F +^ S_K, and S0* vs its closed form."""
+    cfg = bundle.cfg
     s0_adj = adjoint(bundle.S0, cfg)
     sum_hk = componentwise_sum(bundle.H, bundle.K, cfg)
     sum_fk = componentwise_sum(bundle.S_F, bundle.S_K, cfg)
@@ -420,11 +413,10 @@ def _decomposition_results(
     )
 
 
-def s0_adjoint_decomposition_check(bundle: LiftBundle,
-                                   cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
+def s0_adjoint_decomposition_check(bundle: LiftBundle) -> bool:
     """S0* = S_F +^ S_K (and the closed form), plus S* = H +^ K."""
     return all(
-        r.verdict is Verdict.EQUAL for r in _decomposition_results(bundle, cfg)
+        r.verdict is Verdict.EQUAL for r in _decomposition_results(bundle)
     )
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .boundary import extension_from_boundary, triplet_main
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
-from .extension import LiftBundle, lift
+from .extension import LiftBundle
 from .relation import LinearRelation, classify, relation_equal
 from .subspace import Subspace, Verdict, relate
 
@@ -93,9 +93,8 @@ class SweepReport:
         return all(r.consistent for r in self.records)
 
 
-def extension_sweep(source: LinearRelation | LiftBundle,
-                    thetas: Sequence[LinearRelation],
-                    cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SweepReport:
+def extension_sweep(bundle: LiftBundle,
+                    thetas: Sequence[LinearRelation]) -> SweepReport:
     """Drive theta -> A_theta over a grid and check the claimed properties.
 
     Every selfadjoint theta must produce a selfadjoint relation between
@@ -103,11 +102,11 @@ def extension_sweep(source: LinearRelation | LiftBundle,
     (the parametrization is a bijection).  Non-selfadjoint parameters are
     expected to fail selfadjointness and are only recorded.
     """
-    bundle = source if isinstance(source, LiftBundle) else lift(source, cfg)
-    trip = triplet_main(bundle, cfg)
+    cfg = bundle.cfg
+    trip = triplet_main(bundle)
     records = []
     for theta in thetas:
-        a_theta = extension_from_boundary(trip, theta, cfg)
+        a_theta = extension_from_boundary(trip, theta)
         fwd = relate(bundle.S.graph, a_theta.graph, cfg).verdict
         bwd = relate(a_theta.graph, bundle.S_star.graph, cfg).verdict
         records.append(

@@ -143,14 +143,11 @@ class SymmetryReport:
     numerical_range_radius: float | None
 
 
-def from_operator(mat) -> LinearRelation:
+def from_operator(mat,
+                  cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> LinearRelation:
     """Graph of an everywhere-defined operator given by an n2 x n1 matrix."""
     mat = np.atleast_2d(np.asarray(mat, dtype=complex))
-    n2, n1 = mat.shape
-    basis = orthonormal_columns(
-        np.vstack([np.eye(n1, dtype=complex), mat]), DEFAULT_TOLERANCES.rank_tol
-    )
-    return LinearRelation(n1, n2, Subspace(n1 + n2, basis))
+    return from_kernel_pair(np.eye(mat.shape[1]), mat, cfg)
 
 
 def from_kernel_pair(c_mat, d_mat,
@@ -306,7 +303,6 @@ def numerical_range_hull(rel: LinearRelation, samples: int = 4096,
 
 def classify(rel: LinearRelation,
              cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-             samples: int = 2048,
              seed: int = 0) -> SymmetryReport:
     """Symmetry-class report.
 
@@ -351,7 +347,7 @@ def classify(rel: LinearRelation,
         is_nonnegative = eig_floor >= cfg.psd_floor
         lower_bound = _lower_bound_of_operator_part(rel, cfg)
 
-    radius = float(np.max(np.abs(numerical_range_hull(rel, samples, seed))))
+    radius = float(np.max(np.abs(numerical_range_hull(rel, 2048, seed))))
     return SymmetryReport(
         is_symmetric=is_symmetric,
         is_selfadjoint=is_selfadjoint,

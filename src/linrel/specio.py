@@ -172,18 +172,21 @@ def load_relation_spec(
             f"{path}: mode {mode!r} needs matrices {missing}"
         )
 
+    decoded = {
+        key: decode_matrix(matrices[key], f"{path}: matrices.{key}")
+        for key in _MODE_MATRICES[mode]
+    }
     was_orthonormalized = False
     if mode == "operator":
-        mat = decode_matrix(matrices["operator"], f"{path}: matrices.operator")
+        mat = decoded["operator"]
         if mat.shape != (n2, n1):
             raise InputFormatError(
                 f"{path}: matrices.operator has shape {mat.shape}, "
                 f"expected ({n2}, {n1})"
             )
-        rel = from_operator(mat)
+        rel = from_operator(mat, cfg)
     elif mode == "kernel_pair":
-        c_mat = decode_matrix(matrices["c"], f"{path}: matrices.c")
-        d_mat = decode_matrix(matrices["d"], f"{path}: matrices.d")
+        c_mat, d_mat = decoded["c"], decoded["d"]
         if c_mat.shape[0] != n1 or d_mat.shape[0] != n2:
             raise InputFormatError(
                 f"{path}: kernel pair has {c_mat.shape[0]}/{d_mat.shape[0]} "
@@ -196,7 +199,7 @@ def load_relation_spec(
             )
         rel = from_kernel_pair(c_mat, d_mat, cfg)
     else:
-        basis = decode_matrix(matrices["basis"], f"{path}: matrices.basis")
+        basis = decoded["basis"]
         if basis.shape[0] != n1 + n2:
             raise InputFormatError(
                 f"{path}: matrices.basis has {basis.shape[0]} rows, "
@@ -214,10 +217,7 @@ def load_relation_spec(
         "n1": n1,
         "n2": n2,
         "label": label,
-        "matrices": {
-            key: encode_matrix(decode_matrix(matrices[key], key))
-            for key in _MODE_MATRICES[mode]
-        },
+        "matrices": {key: encode_matrix(mat) for key, mat in decoded.items()},
     }
     return LoadedSpec(
         relation=rel,

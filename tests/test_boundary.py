@@ -24,7 +24,7 @@ from linrel.boundary import (
     triplet_tilde,
     weyl,
 )
-from linrel.config import DEFAULT_TOLERANCES
+from linrel.config import DEFAULT_TOLERANCES, ToleranceConfig
 from linrel.errors import PreconditionViolated, SpectrumError
 from linrel.extension import lift
 from linrel.oracle import random_relation, random_selfadjoint_relation
@@ -59,12 +59,18 @@ class TestTripletStructure:
             trip = builder(bundle)
             assert boundary_map_rank(trip) == 2 * trip.g
 
+    def test_triplets_copy_the_lift_cfg(self, rng):
+        cfg = ToleranceConfig(rank_tol=1e-9, angle_tol=1e-6, psd_floor=-1e-6)
+        bundle = lift(random_relation(2, 3, rank=2, rng=rng), cfg)
+        for builder in (triplet_main, triplet_basic, triplet_tilde):
+            assert builder(bundle).cfg is cfg
+
     def test_map_rank_follows_the_rank_rule(self):
         # stacked singular values (0.01, 5e-11): 5e-11 is below
         # rank_tol * max(s_max, 1), so the rank is 1, not 2
         star = from_product(Subspace.full(1), Subspace.full(1))
         trip = BoundaryTriplet(
-            "main", star, 1, Subspace.full(1),
+            "main", star, Subspace.full(1),
             np.array([[0.01, 0.0]]), np.array([[0.0, 5e-11]]),
             star, DEFAULT_TOLERANCES,
         )

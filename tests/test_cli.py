@@ -468,8 +468,22 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize(
         "flag, value",
-        [("--tol-rank", "-1"), ("--tol-angle", "nan"), ("--psd-floor", "1")],
+        [
+            ("--tol-rank", "-1"),
+            ("--tol-angle", "nan"),
+            ("--tol-angle", "0"),
+            ("--psd-floor", "1"),
+        ],
     )
     def test_bad_tolerance_exits_2(self, operator_spec, flag, value, capsys):
         assert main(["analyze", operator_spec, flag, value]) == 2
         assert "input error" in capsys.readouterr().err
+
+    def test_negative_psd_floor_needs_the_equals_form(self, operator_spec, capsys):
+        # argparse reads "-1e-6" after a space as an option, not a value
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", operator_spec, "--psd-floor", "-1e-6"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["analyze", operator_spec, "--psd-floor=-1e-6"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["psd_floor"] == -1e-6

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from linrel import extension
+from linrel.config import ToleranceConfig
 from linrel.errors import DimensionMismatch, PreconditionViolated
 from linrel.extension import (
     _adjoint_angle,
@@ -194,6 +195,22 @@ class TestNonnegExtension:
         theta = identity_relation(bundle.G0.dim + 1)
         with pytest.raises(DimensionMismatch):
             nonneg_extension(bundle, theta)
+
+    def test_parameter_tolerance_comes_from_the_lift(self, rng):
+        # a parameter 1e-6 off selfadjoint passes the lift's angle_tol of
+        # 1e-5 and fails the default 1e-8
+        rel = random_relation(3, 3, rank=1, rng=rng)
+        cfg = ToleranceConfig(angle_tol=1e-5)
+        bundle = lift(rel, cfg)
+        g0 = bundle.G0.dim
+        theta = tilted(
+            random_selfadjoint_relation(g0, rng=rng, dom_dim=g0, nonneg=True),
+            1e-6,
+        )
+        ext = nonneg_extension(bundle, theta)
+        assert classify(ext, cfg).is_selfadjoint
+        with pytest.raises(PreconditionViolated, match="selfadjoint"):
+            nonneg_extension(lift(rel), theta)
 
     def test_sandwiched_between_s_and_s_star(self, bundle, rng):
         g0 = bundle.G0.dim

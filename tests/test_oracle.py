@@ -131,10 +131,12 @@ class TestExtensionSweep:
         assert not rec.extension_selfadjoint
 
     def test_accepts_bare_relation_source(self, rng):
+        from linrel.extension import lift
+
         rel = random_relation(2, 2, rank=1, rng=rng)
         g = 4 - 1
         thetas = [random_selfadjoint_relation(g, rng=rng) for _ in range(2)]
-        report = extension_sweep(rel, thetas)
+        report = extension_sweep(lift(rel), thetas)
         assert report.all_consistent
 
 

@@ -24,7 +24,7 @@ gamma1 @ c in the coordinates of the parameter-space basis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -41,6 +41,7 @@ from .relation import (
     LinearRelation,
     classify,
     from_operator,
+    lower_bound,
     relation_equal,
 )
 from .subspace import (
@@ -218,8 +219,8 @@ def defect_coefficients(trip: BoundaryTriplet, lam: complex) -> np.ndarray:
     return nullspace_columns(pencil, trip.cfg.rank_tol)
 
 
-def _gamma0_on_defect(trip: BoundaryTriplet, lam: complex,
-                      cfg: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
+def _gamma0_on_defect(trip: BoundaryTriplet,
+                      lam: complex) -> tuple[np.ndarray, np.ndarray]:
     if abs(lam) <= WEYL_ORIGIN_RADIUS:
         raise SpectrumError(
             f"lambda = {lam} is inside the excluded disk around the origin"
@@ -233,7 +234,7 @@ def _gamma0_on_defect(trip: BoundaryTriplet, lam: complex,
     a0 = trip.gamma0 @ ns
     if trip.g:
         s = np.linalg.svd(a0, compute_uv=False)
-        if _numerical_rank(s, cfg.rank_tol) < trip.g:
+        if _numerical_rank(s, trip.cfg.rank_tol) < trip.g:
             raise SpectrumError(
                 f"Gamma0 is not invertible on the defect space at lambda = {lam}"
             )
@@ -242,19 +243,23 @@ def _gamma0_on_defect(trip: BoundaryTriplet, lam: complex,
 
 def weyl(trip: BoundaryTriplet, lam: complex,
          cfg: ToleranceConfig | None = None) -> np.ndarray:
-    """Weyl function M(lambda) = Gamma1 (Gamma0 | N_lambda)^{-1}, g x g."""
-    cfg = cfg or trip.cfg
-    ns, a0 = _gamma0_on_defect(trip, lam, cfg)
+    """Weyl function M(lambda) = Gamma1 (Gamma0 | N_lambda)^{-1}, g x g.
+
+    A cfg given here replaces the triplet's own for both rank decisions.
+    weyl is the one triplet function that keeps an optional cfg, because
+    bench/test_smoke.py passes one.
+    """
+    if cfg is not None:
+        trip = replace(trip, cfg=cfg)
+    ns, a0 = _gamma0_on_defect(trip, lam)
     if trip.g == 0:
         return np.zeros((0, 0), dtype=complex)
     return (trip.gamma1 @ ns) @ np.linalg.inv(a0)
 
 
-def gamma_field(trip: BoundaryTriplet, lam: complex,
-                cfg: ToleranceConfig | None = None) -> np.ndarray:
+def gamma_field(trip: BoundaryTriplet, lam: complex) -> np.ndarray:
     """gamma(lambda): boundary coordinates -> defect element of H, n x g."""
-    cfg = cfg or trip.cfg
-    ns, a0 = _gamma0_on_defect(trip, lam, cfg)
+    ns, a0 = _gamma0_on_defect(trip, lam)
     n = trip.star.n1
     if trip.g == 0:
         return np.zeros((n, 0), dtype=complex)
@@ -314,15 +319,15 @@ def closed_form_gamma(bundle: LiftBundle, kind: str, lam: complex) -> np.ndarray
     return d[:, None] * p
 
 
-def extension_from_boundary(trip: BoundaryTriplet, theta: LinearRelation,
-                            cfg: ToleranceConfig | None = None) -> LinearRelation:
+def extension_from_boundary(trip: BoundaryTriplet,
+                            theta: LinearRelation) -> LinearRelation:
     """A_theta = {fhat in star : (Gamma0 fhat, Gamma1 fhat) in theta}.
 
     The membership constraint is expressed against a basis of the
     orthogonal complement of theta's graph, so theta may be any relation
     in the parameter space; multivalued parameters need no special case.
     """
-    cfg = cfg or trip.cfg
+    cfg = trip.cfg
     if theta.n1 != trip.g or theta.n2 != trip.g:
         raise DimensionMismatch(
             f"theta acts on C^{theta.n1} x C^{theta.n2}, parameter space "
@@ -358,8 +363,7 @@ class SemiboundResult:
 
 
 def semibound_criterion(trip: BoundaryTriplet, theta: LinearRelation,
-                        x: float,
-                        cfg: ToleranceConfig | None = None) -> SemiboundResult:
+                        x: float) -> SemiboundResult:
     """Test m(A_theta) >= x against nonnegativity of theta - M(x).
 
     Valid only below the lower bound of the Friedrichs extension; for the
@@ -368,7 +372,7 @@ def semibound_criterion(trip: BoundaryTriplet, theta: LinearRelation,
     columns (t, t' - M(x) t)), never as an operator product, so
     multivalued parameters work unchanged.
     """
-    cfg = cfg or trip.cfg
+    cfg = trip.cfg
     if not trip.ker_gamma0_is_friedrichs:
         raise PreconditionViolated(
             "criterion needs a triplet whose Gamma0-kernel is the "
@@ -382,12 +386,11 @@ def semibound_criterion(trip: BoundaryTriplet, theta: LinearRelation,
     if not classify(theta, cfg).is_selfadjoint:
         raise PreconditionViolated("theta is not selfadjoint")
 
-    a_theta = extension_from_boundary(trip, theta, cfg)
-    bound = classify(a_theta, cfg).lower_bound
+    bound = lower_bound(extension_from_boundary(trip, theta), cfg)
     if bound is None:
         raise PreconditionViolated("extension is not symmetric")
 
-    m_x = weyl(trip, x, cfg)
+    m_x = weyl(trip, x)
     t_dom, t_ran = theta.domain_block, theta.range_block
     shifted = LinearRelation(
         theta.n1,
@@ -441,8 +444,7 @@ def alternative_experiment(c: float, delta: float,
     trip = triplet_tilde(bundle)
     theta = from_operator(np.array([[-delta]], dtype=complex), cfg)
 
-    a_theta = extension_from_boundary(trip, theta)
-    bound = classify(a_theta, cfg).lower_bound
+    bound = lower_bound(extension_from_boundary(trip, theta), cfg)
     if bound is None or not math.isfinite(bound):
         raise PreconditionViolated(
             f"A_theta at c = {c!r} has no finite lower bound ({bound!r})"

@@ -6,7 +6,8 @@ tolerance and seed flags, and echo the effective configuration in every
 report so results are reproducible from the artifact alone.
 
 Exit codes: 0 success, 1 verification failure, 2 input error,
-3 mathematical precondition violated.
+3 mathematical precondition violated, 4 internal error (any other
+exception, reported as one line on stderr).
 """
 
 from __future__ import annotations
@@ -60,9 +61,11 @@ from .oracle import (
     random_selfadjoint_relation,
 )
 from .relation import (
-    SymmetryReport,
+    LinearRelation,
     adjoint,
     classify,
+    lower_bound,
+    numerical_range_hull,
     parts,
     relation_equal,
 )
@@ -131,14 +134,24 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _symmetry_echo(rep: SymmetryReport) -> dict:
+def _symmetry_echo(rel: LinearRelation, cfg: ToleranceConfig,
+                   seed: int) -> dict:
+    """classify's verdicts, the lower bound, and the sampled radius.
+
+    The radius is the largest modulus over 2048 seeded samples of the
+    numerical range; a rectangular relation has none.
+    """
+    rep = classify(rel, cfg)
+    radius = None
+    if rel.n1 == rel.n2:
+        radius = float(np.max(np.abs(numerical_range_hull(rel, 2048, seed))))
     return {
         "is_symmetric": rep.is_symmetric,
         "is_selfadjoint": rep.is_selfadjoint,
         "is_nonnegative": rep.is_nonnegative,
         "dom_perp_ran": rep.dom_perp_ran,
-        "lower_bound": encode_float(rep.lower_bound),
-        "numerical_range_radius": rep.numerical_range_radius,
+        "lower_bound": encode_float(lower_bound(rel, cfg)),
+        "numerical_range_radius": radius,
     }
 
 
@@ -157,7 +170,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             "ker": encode_subspace(p.ker),
             "mul": encode_subspace(p.mul),
         },
-        "symmetry": _symmetry_echo(classify(rel, cfg, seed=args.seed)),
+        "symmetry": _symmetry_echo(rel, cfg, args.seed),
         "adjoint": encode_relation(adjoint(rel, cfg)),
     }
     _emit(dump_report(report), args.out)
@@ -410,9 +423,9 @@ def cmd_extend(args: argparse.Namespace) -> int:
         )
 
     a_theta = extension_from_boundary(trip, theta)
-    rep = classify(a_theta, cfg, seed=args.seed)
+    symmetry = _symmetry_echo(a_theta, cfg, args.seed)
     extremal = margin = None
-    if rep.is_nonnegative:
+    if symmetry["is_nonnegative"]:
         extremal = is_extremal(a_theta, bundle)
         margin = krein_order_margin(a_theta, bundle)
     report = {
@@ -426,7 +439,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
             "ker_gamma0_is_friedrichs": trip.ker_gamma0_is_friedrichs,
         },
         "extension": encode_relation(a_theta),
-        "symmetry": _symmetry_echo(rep),
+        "symmetry": symmetry,
         "extremal": extremal,
         "krein_order": {
             "margin": encode_float(margin),
@@ -738,6 +751,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (PreconditionViolated, SpectrumError) as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -47,6 +47,7 @@ __all__ = [
     "inverse",
     "operator_part",
     "classify",
+    "lower_bound",
     "numerical_range_hull",
     "eigenspace",
     "defect_relation",
@@ -61,7 +62,10 @@ __all__ = [
 
 @dataclass(eq=False)
 class LinearRelation:
-    """A relation C^{n1} -> C^{n2} as the subspace of its graph."""
+    """A relation C^{n1} -> C^{n2} as the subspace of its graph.
+
+    == is identity; relation_equal decides equality at a tolerance.
+    """
 
     n1: int
     n2: int
@@ -92,21 +96,6 @@ class LinearRelation:
         """Bottom n2 rows of the graph basis (range-side components)."""
         return self.graph.basis[self.n1 :]
 
-    def equals(self, other: "LinearRelation",
-               cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
-        return (
-            self.n1 == other.n1
-            and self.n2 == other.n2
-            and self.graph.equals(other.graph, cfg)
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LinearRelation):
-            return NotImplemented
-        return self.equals(other)
-
-    __hash__ = None
-
     def __repr__(self) -> str:
         return f"LinearRelation(n1={self.n1}, n2={self.n2}, dim={self.dim})"
 
@@ -125,22 +114,17 @@ class RelationParts:
 class SymmetryReport:
     """Symmetry-class verdicts of a relation.
 
-    Every field except the booleans needs the pairing <g, f> between the
-    two components, which only exists when both live in the same space:
-    for rectangular relations the symmetry booleans are False and
-    dom_perp_ran / numerical_range_radius are None.  lower_bound is the
-    greatest lower bound of the operator part on its domain: +inf when
-    the domain is trivial (every bound holds vacuously), None when the
-    relation is not symmetric.  A single finite relation is never
-    unbounded below.
+    The verdicts need the pairing <g, f> between the two components,
+    which only exists when both live in the same space: for rectangular
+    relations the booleans are False and dom_perp_ran is None.  The lower
+    bound and the numerical range are not verdicts; lower_bound and
+    numerical_range_hull compute them.
     """
 
     is_symmetric: bool
     is_selfadjoint: bool
     is_nonnegative: bool
     dom_perp_ran: bool | None
-    lower_bound: float | None
-    numerical_range_radius: float | None
 
 
 def from_operator(mat,
@@ -251,17 +235,38 @@ def operator_part(rel: LinearRelation,
     return LinearRelation(rel.n1, rel.n2, Subspace(rel.n1 + rel.n2, basis))
 
 
-def _lower_bound_of_operator_part(rel: LinearRelation,
-                                  cfg: ToleranceConfig) -> float:
-    """Smallest eigenvalue of the compressed operator part on its domain.
+def _symmetry(rel: LinearRelation,
+              cfg: ToleranceConfig) -> tuple[np.ndarray, bool] | None:
+    """(F^H G, symmetry verdict) of a square relation; None if rectangular.
+
+    The sine of the largest principal angle of the graph [F; G] against
+    the graph of R* is the spectral norm of F^H G - G^H F, so R is
+    symmetric when dim R <= n and that angle is below angle_tol.
+    """
+    if rel.n1 != rel.n2:
+        return None
+    cross = rel.domain_block.conj().T @ rel.range_block
+    skew = cross - cross.conj().T
+    return cross, rel.dim <= rel.n1 and _sine_angle(skew) < cfg.angle_tol
+
+
+def lower_bound(rel: LinearRelation,
+                cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float | None:
+    """Greatest lower bound of the operator part on its domain.
+
+    None when the relation is rectangular or not symmetric by classify's
+    rule; +inf when the domain is trivial (every bound holds vacuously).
+    A single finite relation is never unbounded below.
 
     With graph basis [F; G] of the operator part, the quadratic form
     <g, f> on unit domain vectors is the generalized Rayleigh quotient of
     (F^H G, F^H F).  Whitening the domain through the SVD of F turns that
     into a standard Hermitian eigenproblem, which stays stable when F is
-    badly conditioned (steep operators have nearly vertical graphs).  A
-    trivial domain means every bound holds, reported as +inf.
+    badly conditioned (steep operators have nearly vertical graphs).
     """
+    sym = _symmetry(rel, cfg)
+    if sym is None or not sym[1]:
+        return None
     op = operator_part(rel, cfg)
     if op.dim == 0:
         return math.inf
@@ -282,8 +287,11 @@ def numerical_range_hull(rel: LinearRelation, samples: int = 4096,
     """Sampled point cloud of {<g, f> / ||f||^2 : (f, g) in R, f != 0}.
 
     Purely multivalued relations have no admissible f; their range is
-    {0} by convention and a single zero point is returned.
+    {0} by convention and a single zero point is returned.  The pairing
+    needs a square relation.
     """
+    if rel.n1 != rel.n2:
+        raise DimensionMismatch("the numerical range needs a square relation")
     f_blk, g_blk = rel.domain_block, rel.range_block
     if rel.dim == 0 or np.max(np.abs(f_blk)) == 0.0:
         return np.zeros(1, dtype=complex)
@@ -302,59 +310,36 @@ def numerical_range_hull(rel: LinearRelation, samples: int = 4096,
 
 
 def classify(rel: LinearRelation,
-             cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-             seed: int = 0) -> SymmetryReport:
-    """Symmetry-class report.
+             cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SymmetryReport:
+    """Symmetry-class verdicts, all read off the cross-Gram matrix F^H G.
 
-    Every verdict is read off the cross-Gram matrix F^H G of the graph
-    basis [F; G].  The sine of the largest principal angle of the graph
-    against the graph of R* is the spectral norm of F^H G - G^H F, so R
-    is symmetric when dim R <= n and that angle is below angle_tol, and
-    selfadjoint when it is also true that dim R = n (then dim R* = dim R).
+    R is symmetric by the angle rule of _symmetry, and selfadjoint when
+    it is also true that dim R = n (then dim R* = dim R).  Nonnegativity
+    (PSD Hermitian part of F^H G) is decided only when R is symmetric.
     The dom-perp-ran test is exact: the numerical range collapses to {0}
     precisely when F^H G vanishes (complex polarization), which is also
-    the condition for the domain and range spans to be orthogonal.
-    Nonnegativity (PSD Hermitian part) and the lower bound are decided
-    only when the symmetry rule accepts R.  The sampled radius is cosmetic.
-    All of these need the pairing between the two components, so a
-    rectangular relation gets None for dom_perp_ran and the radius.
+    the condition for the domain and range spans to be orthogonal.  A
+    rectangular relation has no pairing and gets None for dom_perp_ran.
     """
-    if rel.n1 != rel.n2:
-        return SymmetryReport(
-            is_symmetric=False,
-            is_selfadjoint=False,
-            is_nonnegative=False,
-            dom_perp_ran=None,
-            lower_bound=None,
-            numerical_range_radius=None,
-        )
-
-    cross = rel.domain_block.conj().T @ rel.range_block
+    sym = _symmetry(rel, cfg)
+    if sym is None:
+        return SymmetryReport(False, False, False, None)
+    cross, is_symmetric = sym
     dom_perp_ran = bool(
         cross.size == 0 or np.max(np.abs(cross)) <= cfg.rank_tol
     )
-
-    skew = cross - cross.conj().T
-    is_symmetric = rel.dim <= rel.n1 and _sine_angle(skew) < cfg.angle_tol
-    is_selfadjoint = is_symmetric and rel.dim == rel.n1
     is_nonnegative = False
-    lower_bound: float | None = None
     if is_symmetric:
         eig_floor = 0.0
         if cross.size:
             herm = (cross + cross.conj().T) / 2.0
             eig_floor = float(np.linalg.eigvalsh(herm)[0])
         is_nonnegative = eig_floor >= cfg.psd_floor
-        lower_bound = _lower_bound_of_operator_part(rel, cfg)
-
-    radius = float(np.max(np.abs(numerical_range_hull(rel, 2048, seed))))
     return SymmetryReport(
         is_symmetric=is_symmetric,
-        is_selfadjoint=is_selfadjoint,
+        is_selfadjoint=is_symmetric and rel.dim == rel.n1,
         is_nonnegative=is_nonnegative,
         dom_perp_ran=dom_perp_ran,
-        lower_bound=lower_bound,
-        numerical_range_radius=radius,
     )
 
 

@@ -89,7 +89,10 @@ def nullspace_columns(mat: np.ndarray, rank_tol: float) -> np.ndarray:
 
 @dataclass(eq=False)
 class Subspace:
-    """A closed linear subspace of C^n held as an orthonormal basis."""
+    """A closed linear subspace of C^n held as an orthonormal basis.
+
+    == is identity; relate decides equality at a tolerance.
+    """
 
     ambient_dim: int
     basis: np.ndarray
@@ -124,17 +127,6 @@ class Subspace:
     def projector(self) -> np.ndarray:
         """Orthogonal projection matrix onto the subspace."""
         return self.basis @ self.basis.conj().T
-
-    def equals(self, other: "Subspace",
-               cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
-        return relate(self, other, cfg).verdict is Verdict.EQUAL
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return self.equals(other)
-
-    __hash__ = None  # tolerance-based equality is not hashable
 
     def __repr__(self) -> str:
         return f"Subspace(ambient_dim={self.ambient_dim}, dim={self.dim})"

@@ -45,3 +45,19 @@ def test_functions_taking_a_lift_take_no_cfg(mod):
         if takes_lift:
             assert "cfg" not in params, name
             assert all(p.annotation == "LiftBundle" for p in takes_lift), name
+
+
+def test_functions_taking_a_triplet_take_no_cfg():
+    # a triplet copies its lift's cfg; weyl keeps an optional one because
+    # bench/test_smoke.py passes it
+    takes_cfg = []
+    for mod in EXPORTING + (specio, cli):
+        for name, fn in vars(mod).items():
+            if not inspect.isfunction(fn) or fn.__module__ != mod.__name__:
+                continue
+            params = inspect.signature(fn).parameters
+            if "cfg" in params and any(
+                "BoundaryTriplet" in str(p.annotation) for p in params.values()
+            ):
+                takes_cfg.append(f"{mod.__name__}.{name}")
+    assert takes_cfg == ["linrel.boundary.weyl"]

@@ -1,7 +1,6 @@
 """Command-line interface and the spec-file IO layer behind it."""
 
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -13,7 +12,7 @@ import pytest
 from linrel import boundary
 from linrel.cli import main
 from linrel.errors import InputFormatError
-from linrel.relation import LinearRelation, relation_equal
+from linrel.relation import LinearRelation, numerical_range_hull, relation_equal
 from linrel.specio import (
     decode_matrix,
     dump_report,
@@ -208,6 +207,15 @@ class TestAnalyze:
         assert not report["symmetry"]["is_symmetric"]
         assert report["parts"]["mul"]["dim"] == 1
 
+    def test_seed_picks_the_radius_samples(self, halfline_spec, capsys):
+        # --seed reaches analyze's report only through the sampled radius
+        assert main(["analyze", halfline_spec, "--seed", "7"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        rel = load_relation_spec(halfline_spec).relation
+        want = float(np.max(np.abs(numerical_range_hull(rel, 2048, 7))))
+        assert report["symmetry"]["numerical_range_radius"] == want
+        assert want != float(np.max(np.abs(numerical_range_hull(rel, 2048, 0))))
+
     def test_adjoint_round_trip(self, operator_spec, tmp_path, capsys):
         # the emitted adjoint basis must re-ingest to the same relation
         assert main(["analyze", operator_spec]) == 0
@@ -398,12 +406,7 @@ class TestSemiboundDemo:
         assert "slope c = 1e+200" in err and "rank_tol = 1e-10" in err
 
     def test_missing_lower_bound_is_a_typed_error(self, monkeypatch, capsys):
-        real = boundary.classify
-
-        def no_bound(rel, cfg=None):
-            return dataclasses.replace(real(rel, cfg), lower_bound=None)
-
-        monkeypatch.setattr(boundary, "classify", no_bound)
+        monkeypatch.setattr(boundary, "lower_bound", lambda rel, cfg=None: None)
         assert main(["semibound-demo", "--c-list", "[1.0]"]) == 3
         assert "no finite lower bound" in capsys.readouterr().err
 
@@ -478,6 +481,14 @@ class TestErrorPaths:
     def test_bad_tolerance_exits_2(self, operator_spec, flag, value, capsys):
         assert main(["analyze", operator_spec, flag, value]) == 2
         assert "input error" in capsys.readouterr().err
+
+    def test_internal_error_exits_4(self, capsys):
+        # no floating-point angle passes lift's S* check at this tolerance
+        path = str(DATA / "halfline_embed.json")
+        assert main(["extensions", path, "--tol-angle", "1e-20"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: ArithmeticError: ")
+        assert err.count("\n") == 1
 
     def test_negative_psd_floor_needs_the_equals_form(self, operator_spec, capsys):
         # argparse reads "-1e-6" after a space as an option, not a value

@@ -33,6 +33,7 @@ from linrel.relation import (
     from_operator,
     from_product,
     identity_relation,
+    lower_bound,
     meet_relations,
     parts,
     relation_equal,
@@ -144,7 +145,7 @@ class TestDistinguishedExtensions:
         assert rep.is_selfadjoint and not rep.is_nonnegative
         flip = np.array([[0.0, 1.0], [1.0, 0.0]])
         assert_relation_equal(bundle.K, from_operator(flip))
-        assert abs(rep.lower_bound + 1.0) < 1e-12
+        assert abs(lower_bound(bundle.K) + 1.0) < 1e-12
 
     def test_extremality(self, bundle):
         assert is_extremal(bundle.H, bundle)

@@ -1,4 +1,4 @@
-"""SVD budget of lift and of the triplet builders, at a fixed seed.
+"""SVD budget of classify, lift and the triplet builders, at a fixed seed.
 
 numpy.linalg.svd calls are counted, so a change that re-forms an adjoint
 inside lift or factors the triplet kernels eagerly fails here, not only
@@ -8,10 +8,11 @@ in the benchmark.  The kernels themselves are checked on first access.
 import numpy as np
 import pytest
 
+from linrel import relation
 from linrel.boundary import triplet_basic, triplet_main, triplet_tilde
 from linrel.extension import lift
-from linrel.oracle import random_relation
-from linrel.relation import relation_equal
+from linrel.oracle import random_relation, random_selfadjoint_relation
+from linrel.relation import classify, relation_equal
 from linrel.subspace import Verdict
 
 from conftest import assert_relation_equal
@@ -31,6 +32,19 @@ def svd_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counted)
     return calls
+
+
+def test_classify_factors_once_and_samples_nothing(svd_calls, monkeypatch):
+    # verdicts only: no operator part, no lower bound, no numerical range
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("classify sampled the numerical range")
+
+    monkeypatch.setattr(relation, "numerical_range_hull", no_sampling)
+    rel = random_selfadjoint_relation(N, rng=0, dom_dim=5, nonneg=True)
+    svd_calls.clear()
+    rep = classify(rel)
+    assert rep.is_selfadjoint and rep.is_nonnegative
+    assert len(svd_calls) <= 1, svd_calls
 
 
 @pytest.mark.parametrize("rank", [N // 2, N, 3 * N // 2])

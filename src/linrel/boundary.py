@@ -39,6 +39,7 @@ from .errors import (
 from .extension import LiftBundle, lift
 from .relation import (
     LinearRelation,
+    _sub_relation,
     classify,
     from_operator,
     lower_bound,
@@ -50,7 +51,6 @@ from .subspace import (
     _numerical_rank,
     complement,
     nullspace_columns,
-    orthonormal_columns,
     span,
 )
 
@@ -110,11 +110,11 @@ class BoundaryTriplet:
 
     @cached_property
     def ker_gamma0(self) -> LinearRelation:
-        return _kernel_relation(self.star, self.gamma0, self.cfg)
+        return _sub_relation(self.star, self.gamma0, self.cfg)
 
     @cached_property
     def ker_gamma1(self) -> LinearRelation:
-        return _kernel_relation(self.star, self.gamma1, self.cfg)
+        return _sub_relation(self.star, self.gamma1, self.cfg)
 
     @cached_property
     def ker_gamma0_is_friedrichs(self) -> bool:
@@ -125,13 +125,6 @@ class BoundaryTriplet:
     def is_degenerate(self) -> bool:
         """True when the parameter space is trivial (S0 selfadjoint)."""
         return self.g == 0
-
-
-def _kernel_relation(star: LinearRelation, gamma: np.ndarray,
-                     cfg: ToleranceConfig) -> LinearRelation:
-    coeffs = nullspace_columns(gamma, cfg.rank_tol)
-    basis = star.graph.basis @ coeffs
-    return LinearRelation(star.n1, star.n2, Subspace(star.n1 + star.n2, basis))
 
 
 def _lift_blocks(star: LinearRelation, split: int):
@@ -335,11 +328,7 @@ def extension_from_boundary(trip: BoundaryTriplet,
         )
     z = complement(theta.graph, cfg)
     stacked = np.vstack([trip.gamma0, trip.gamma1])
-    coeffs = nullspace_columns(z.basis.conj().T @ stacked, cfg.rank_tol)
-    basis = orthonormal_columns(trip.star.graph.basis @ coeffs, cfg.rank_tol)
-    return LinearRelation(
-        trip.star.n1, trip.star.n2, Subspace(trip.star.n1 + trip.star.n2, basis)
-    )
+    return _sub_relation(trip.star, z.basis.conj().T @ stacked, cfg)
 
 
 @dataclass(frozen=True)

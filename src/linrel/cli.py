@@ -71,6 +71,7 @@ from .relation import (
 )
 from .specio import (
     LoadedSpec,
+    _finite,
     dump_report,
     encode_float,
     encode_relation,
@@ -89,6 +90,8 @@ _TRIPLET_BUILDERS = {
 
 # Largest Green-identity defect a triplet self-check accepts.
 _GREEN_TOL = 1e-10
+# Largest max-abs gap between verify's Weyl functions and their closed forms.
+_WEYL_TOL = 1e-9
 
 
 def _config_from_args(args: argparse.Namespace) -> ToleranceConfig:
@@ -328,17 +331,6 @@ def cmd_extensions(args: argparse.Namespace) -> int:
     return 0 if all(c["passed"] for c in checks) else 1
 
 
-def _finite(value: int | float, where: str) -> float:
-    """value as a float; InputFormatError when that is NaN or infinite."""
-    try:
-        out = float(value)
-    except OverflowError:  # a JSON integer beyond the float range
-        out = math.inf
-    if not math.isfinite(out):
-        raise InputFormatError(f"{where}: non-finite value {out!r}")
-    return out
-
-
 def _parse_lambda_grid(text: str) -> list[complex]:
     try:
         raw = json.loads(text)
@@ -349,23 +341,9 @@ def _parse_lambda_grid(text: str) -> list[complex]:
     grid = []
     for i, item in enumerate(raw):
         where = f"--grid[{i}]"
-        if isinstance(item, (int, float)) and not isinstance(item, bool):
-            grid.append(complex(_finite(item, where), 0.0))
-        elif (
-            isinstance(item, list)
-            and len(item) == 2
-            and all(
-                isinstance(p, (int, float)) and not isinstance(p, bool)
-                for p in item
-            )
-        ):
-            grid.append(
-                complex(_finite(item[0], where), _finite(item[1], where))
-            )
-        else:
-            raise InputFormatError(
-                f"{where}: expected a number or a [re, im] pair"
-            )
+        pair = isinstance(item, list) and len(item) == 2
+        re_, im = item if pair else (item, 0)
+        grid.append(complex(_finite(re_, where), _finite(im, where)))
     return grid
 
 
@@ -456,9 +434,7 @@ def cmd_semibound_demo(args: argparse.Namespace) -> int:
         raw = json.loads(args.c_list)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"--c-list: invalid JSON: {exc.msg}") from exc
-    if not isinstance(raw, list) or not raw or not all(
-        isinstance(c, (int, float)) and not isinstance(c, bool) for c in raw
-    ):
+    if not isinstance(raw, list) or not raw:
         raise InputFormatError("--c-list: expected a non-empty list of reals")
     c_list = [_finite(c, f"--c-list[{i}]") for i, c in enumerate(raw)]
     delta = _finite(args.delta, "--delta")
@@ -569,7 +545,7 @@ def _verify_checks(spec: LoadedSpec, cfg: ToleranceConfig,
             diff = weyl(trip, lam) - closed_form_weyl(bundle, kind, lam)
             if diff.size:
                 worst = max(worst, float(np.max(np.abs(diff))))
-        checks.append((f"weyl_{kind}_closed_form", worst < 1e-9, worst))
+        checks.append((f"weyl_{kind}_closed_form", worst < _WEYL_TOL, worst))
 
     # the Krein-order samples continue the stream after the sweep's draws
     rng = np.random.default_rng(seed)

@@ -31,6 +31,7 @@ from .relation import (
     SymmetryReport,
     _adjoint_from_complement,
     _mul,
+    _sub_relation,
     adjoint,
     classify,
     componentwise_sum,
@@ -45,9 +46,7 @@ from .subspace import (
     Verdict,
     _sine_angle,
     complement,
-    nullspace_columns,
     oplus,
-    orthonormal_columns,
     relate,
     span,
 )
@@ -74,7 +73,10 @@ class LiftBundle:
     Relations S .. S_tilde_star act in H1 (+) H2 = C^{n1+n2}; G, G0 and
     G_tilde are subspaces of that sum space.  G0 and G_tilde carry the
     fixed bases produced by the deterministic factorization order here, so
-    boundary-parameter matrices are reproducible across runs.
+    boundary-parameter matrices are reproducible across runs.  A theta
+    for extend is read in the coordinates of the G, G0 or G_tilde basis
+    that the extensions command prints, so changing how any of the three
+    is factored changes what a saved theta means: a breaking change.
 
     cfg is the ToleranceConfig given to lift.  Every function that takes
     a bundle, and every boundary triplet built from one, decides its
@@ -165,19 +167,20 @@ def lift(rel: LinearRelation,
     f_blk, g_blk = rel.domain_block, rel.range_block
     a_blk, b_blk = r_star.domain_block, r_star.range_block  # (h2, k1) pairs
 
-    s_basis = _lift_columns(n1, n2, h1=f_blk, k2=g_blk, width=rel.dim)
-    s_rel = LinearRelation(n, n, Subspace(2 * n, s_basis))
+    def lifted(*blocks: np.ndarray) -> LinearRelation:
+        return LinearRelation(n, n, Subspace(2 * n, np.hstack(blocks)))
 
-    eye1 = np.eye(n1, dtype=complex)
-    eye2 = np.eye(n2, dtype=complex)
-    s_star_basis = np.hstack(
-        [
-            _lift_columns(n1, n2, h1=eye1, width=n1),
-            _lift_columns(n1, n2, h2=a_blk, k1=b_blk, width=r_star.dim),
-            _lift_columns(n1, n2, k2=eye2, width=n2),
-        ]
+    # each lifted block is built once; the relations holding it share it
+    s_cols = _lift_columns(n1, n2, h1=f_blk, k2=g_blk, width=rel.dim)
+    r_star_cols = _lift_columns(n1, n2, h2=a_blk, k1=b_blk, width=r_star.dim)
+    k2_cols = _lift_columns(n1, n2, k2=np.eye(n2, dtype=complex), width=n2)
+
+    s_rel = lifted(s_cols)
+    s_star = lifted(
+        _lift_columns(n1, n2, h1=np.eye(n1, dtype=complex), width=n1),
+        r_star_cols,
+        k2_cols,
     )
-    s_star = LinearRelation(n, n, Subspace(2 * n, s_star_basis))
 
     angle = _adjoint_angle(s_star, s_rel)
     if not angle < cfg.angle_tol:
@@ -189,13 +192,7 @@ def lift(rel: LinearRelation,
         oplus(Subspace.full(n1), Subspace.zero(n2)),
         oplus(Subspace.zero(n1), Subspace.full(n2)),
     )
-    k_basis = np.hstack(
-        [
-            _lift_columns(n1, n2, h1=f_blk, k2=g_blk, width=rel.dim),
-            _lift_columns(n1, n2, h2=a_blk, k1=b_blk, width=r_star.dim),
-        ]
-    )
-    k_rel = LinearRelation(n, n, Subspace(2 * n, k_basis))
+    k_rel = lifted(s_cols, r_star_cols)
 
     s_f = from_product(
         oplus(dom_r, Subspace.zero(n2)), oplus(mul_r_star, Subspace.full(n2))
@@ -210,21 +207,14 @@ def lift(rel: LinearRelation,
         oplus(Subspace.full(n1), ker_r_star), oplus(mul_r_star, Subspace.full(n2))
     )
 
-    s_tilde_basis = np.hstack(
-        [
-            _lift_columns(n1, n2, h1=f_blk, k2=g_blk, width=rel.dim),
-            _lift_columns(n1, n2, k1=mul_r_star.basis, width=mul_r_star.dim),
-        ]
+    s_tilde = lifted(
+        s_cols, _lift_columns(n1, n2, k1=mul_r_star.basis, width=mul_r_star.dim)
     )
-    s_tilde = LinearRelation(n, n, Subspace(2 * n, s_tilde_basis))
-    s_tilde_star_basis = np.hstack(
-        [
-            _lift_columns(n1, n2, h1=dom_r.basis, width=dom_r.dim),
-            _lift_columns(n1, n2, h2=a_blk, k1=b_blk, width=r_star.dim),
-            _lift_columns(n1, n2, k2=eye2, width=n2),
-        ]
+    s_tilde_star = lifted(
+        _lift_columns(n1, n2, h1=dom_r.basis, width=dom_r.dim),
+        r_star_cols,
+        k2_cols,
     )
-    s_tilde_star = LinearRelation(n, n, Subspace(2 * n, s_tilde_star_basis))
 
     g0_space = oplus(mul_r_star, ker_r_star)
 
@@ -262,9 +252,7 @@ def _restrict_star(sym: LinearRelation, window: Subspace, side: str,
     star = adjoint(sym, cfg)
     block = star.domain_block if side == "dom" else star.range_block
     residual = block - window.basis @ (window.basis.conj().T @ block)
-    coeffs = nullspace_columns(residual, cfg.rank_tol)
-    basis = orthonormal_columns(star.graph.basis @ coeffs, cfg.rank_tol)
-    return LinearRelation(star.n1, star.n2, Subspace(star.n1 + star.n2, basis))
+    return _sub_relation(star, residual, cfg)
 
 
 def friedrichs_generic(sym: LinearRelation,

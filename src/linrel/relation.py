@@ -348,9 +348,7 @@ def eigenspace(rel: LinearRelation, lam: complex,
     """N_lambda(T) = {f : (f, lambda f) in T}."""
     if rel.n1 != rel.n2:
         raise DimensionMismatch("eigenspace needs a square relation")
-    pencil = rel.range_block - lam * rel.domain_block
-    coeffs = nullspace_columns(pencil, cfg.rank_tol)
-    return span(rel.domain_block @ coeffs, rel.n1, cfg)
+    return span(defect_relation(rel, lam, cfg).domain_block, rel.n1, cfg)
 
 
 def defect_relation(rel: LinearRelation, lam: complex,
@@ -358,9 +356,17 @@ def defect_relation(rel: LinearRelation, lam: complex,
     """The defect pairs {(f, lambda f)} in T, as a relation."""
     if rel.n1 != rel.n2:
         raise DimensionMismatch("defect pairs need a square relation")
-    pencil = rel.range_block - lam * rel.domain_block
-    coeffs = nullspace_columns(pencil, cfg.rank_tol)
-    basis = orthonormal_columns(rel.graph.basis @ coeffs, cfg.rank_tol)
+    return _sub_relation(rel, rel.range_block - lam * rel.domain_block, cfg)
+
+
+def _sub_relation(rel: LinearRelation, constraint: np.ndarray,
+                  cfg: ToleranceConfig) -> LinearRelation:
+    """{W c : constraint @ c = 0} for the graph basis W of rel.
+
+    W and the nullspace basis of the constraint are both orthonormal, so
+    their product is an orthonormal basis as it stands: one factorization.
+    """
+    basis = rel.graph.basis @ nullspace_columns(constraint, cfg.rank_tol)
     return LinearRelation(rel.n1, rel.n2, Subspace(rel.n1 + rel.n2, basis))
 
 

@@ -55,6 +55,24 @@ def encode_matrix(mat: np.ndarray) -> list:
     ]
 
 
+def _finite(value: Any, where: str) -> float:
+    """value as a float; InputFormatError unless it is a finite real number.
+
+    This is the one rule for numbers read from JSON, in spec files and in
+    CLI arguments alike.  A boolean is not a number although bool is an
+    int, and an integer beyond the float range is non-finite.
+    """
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise InputFormatError(f"{where}: expected a real number, got {value!r}")
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise InputFormatError(f"{where}: non-finite value {out!r}")
+    return out
+
+
 def decode_matrix(obj: Any, where: str) -> np.ndarray:
     """Parse a [re, im]-encoded matrix, reporting the offending entry."""
     if not isinstance(obj, list) or not obj:
@@ -74,19 +92,10 @@ def decode_matrix(obj: Any, where: str) -> np.ndarray:
             )
         entries = []
         for j, entry in enumerate(row):
-            ok = (
-                isinstance(entry, list)
-                and len(entry) == 2
-                and all(isinstance(p, (int, float)) for p in entry)
-            )
-            if not ok:
-                raise InputFormatError(
-                    f"{where}[{i}][{j}]: expected a [re, im] pair"
-                )
-            z = complex(float(entry[0]), float(entry[1]))
-            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                raise InputFormatError(f"{where}[{i}][{j}]: non-finite entry")
-            entries.append(z)
+            at = f"{where}[{i}][{j}]"
+            if not (isinstance(entry, list) and len(entry) == 2):
+                raise InputFormatError(f"{at}: expected a [re, im] pair")
+            entries.append(complex(_finite(entry[0], at), _finite(entry[1], at)))
         rows.append(entries)
     return np.array(rows, dtype=complex)
 

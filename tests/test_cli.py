@@ -470,6 +470,27 @@ class TestErrorPaths:
         assert "operator" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "entry, why",
+        [([True, False], "expected a real number"), ([10**400, 0], "non-finite")],
+    )
+    def test_spec_entry_must_be_a_finite_real(self, tmp_path, entry, why,
+                                              capsys):
+        # bool is an int to Python, and float(10**400) overflows
+        path = write_spec(
+            tmp_path / "entry.json",
+            {
+                "mode": "operator",
+                "n1": 1,
+                "n2": 1,
+                "matrices": {"operator": [[entry]]},
+            },
+        )
+        assert main(["analyze", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ")
+        assert "matrices.operator[0][0]" in err and why in err
+
+    @pytest.mark.parametrize(
         "flag, value",
         [
             ("--tol-rank", "-1"),

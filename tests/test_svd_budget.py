@@ -1,18 +1,25 @@
-"""SVD budget of classify, lift and the triplet builders, at a fixed seed.
+"""SVD budget of classify, lift, the triplet builders and the
+sub-relation builders, at a fixed seed.
 
 numpy.linalg.svd calls are counted, so a change that re-forms an adjoint
-inside lift or factors the triplet kernels eagerly fails here, not only
-in the benchmark.  The kernels themselves are checked on first access.
+inside lift, factors the triplet kernels eagerly, or re-orthonormalizes a
+graph basis times a nullspace basis fails here, not only in the
+benchmark.  The kernels themselves are checked on first access.
 """
 
 import numpy as np
 import pytest
 
 from linrel import relation
-from linrel.boundary import triplet_basic, triplet_main, triplet_tilde
-from linrel.extension import lift
+from linrel.boundary import (
+    extension_from_boundary,
+    triplet_basic,
+    triplet_main,
+    triplet_tilde,
+)
+from linrel.extension import friedrichs_generic, krein_generic, lift
 from linrel.oracle import random_relation, random_selfadjoint_relation
-from linrel.relation import classify, relation_equal
+from linrel.relation import classify, defect_relation, relation_equal
 from linrel.subspace import Verdict
 
 from conftest import assert_relation_equal
@@ -75,3 +82,37 @@ def test_triplet_builders_factor_nothing(rank, svd_calls):
     # main pins H, which is S_F only when G0 = {0}
     h_is_sf = relation_equal(bundle.H, bundle.S_F).verdict is Verdict.EQUAL
     assert [t.ker_gamma0_is_friedrichs for t in trips] == [h_is_sf, True, True]
+
+
+# {W c : M c = 0} needs the factorizations that find M and its nullspace,
+# and none after: W c is orthonormal when W and c are
+SUB_RELATION_BUDGETS = {
+    "extension_from_boundary": 2,
+    "friedrichs_generic": 4,
+    "krein_generic": 4,
+    "defect_relation": 1,
+}
+
+
+def _build_sub_relation(name, bundle):
+    if name == "extension_from_boundary":
+        trip = triplet_main(bundle)
+        theta = random_selfadjoint_relation(trip.g, rng=3)
+        return lambda: extension_from_boundary(trip, theta)
+    if name == "defect_relation":
+        return lambda: defect_relation(bundle.S_star, 1j)
+    generic = {"friedrichs_generic": friedrichs_generic,
+               "krein_generic": krein_generic}[name]
+    return lambda: generic(bundle.S)
+
+
+@pytest.mark.parametrize("name", list(SUB_RELATION_BUDGETS))
+@pytest.mark.parametrize("rank", [N // 2, N, 3 * N // 2])
+def test_sub_relation_builders_factor_no_product(name, rank, svd_calls):
+    build = _build_sub_relation(name, lift(random_relation(N, N, rank=rank, rng=5)))
+    svd_calls.clear()
+    rel = build()
+    assert len(svd_calls) <= SUB_RELATION_BUDGETS[name], svd_calls
+    basis = rel.graph.basis
+    gram_err = np.abs(basis.conj().T @ basis - np.eye(rel.dim))
+    assert np.max(gram_err, initial=0.0) < 1e-12

@@ -1,10 +1,10 @@
 """Columns, rows, and 2x2 blocks of linear relations.
 
-Compositions are computed by assembling one linear constraint system on
-stacked coordinates and extracting its nullspace.  That treats operator
-graphs, non-densely-defined relations, and purely multivalued relations
-uniformly: membership of (x, y) in a relation A is the orthogonality of
-(x, y) to the complement of the graph of A.
+Every element of a relation A is [F_A; G_A] a for its graph basis
+[F_A; G_A] and a coefficient vector a, so a row or a column is the image
+of the entries' coefficients under one stacked matrix.  That treats
+operator graphs, non-densely-defined relations, and purely multivalued
+relations uniformly, and never forms a graph complement.
 """
 
 from __future__ import annotations
@@ -16,15 +16,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .errors import DimensionMismatch
 from .relation import LinearRelation, adjoint
-from .subspace import (
-    RelateResult,
-    Subspace,
-    Verdict,
-    complement,
-    nullspace_columns,
-    orthonormal_columns,
-    relate,
-)
+from .subspace import RelateResult, Verdict, nullspace_columns, relate, span
 
 __all__ = [
     "Block2x2",
@@ -69,71 +61,48 @@ class Block2x2:
         return self.e12.n1
 
 
-def _membership_rows(rel: LinearRelation, cfg: ToleranceConfig,
-                     total: int, x_cols: slice, y_cols: slice) -> np.ndarray:
-    """Constraint rows forcing (x, y) into rel, on stacked coordinates.
-
-    Rows are the conjugate transpose of a basis of the graph complement,
-    scattered into the x/y column positions of the stacked system.
-    """
-    perp = complement(rel.graph, cfg).basis
-    rows = np.zeros((perp.shape[1], total), dtype=complex)
-    rows[:, x_cols] = perp[: rel.n1].conj().T
-    rows[:, y_cols] = perp[rel.n1 :].conj().T
-    return rows
-
-
 def column(a: LinearRelation, b: LinearRelation,
            cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> LinearRelation:
-    """col(A; B) = {(h, (k1, k2)) : (h, k1) in A, (h, k2) in B}."""
+    """col(A; B) = {(h, (k1, k2)) : (h, k1) in A, (h, k2) in B}.
+
+    Its elements are (F_A a, G_A a, G_B b) over the coefficient pairs with
+    F_A a = F_B b.  That map is injective on the pairs, with singular
+    values >= 1/sqrt(2), so orthonormalizing the image drops no pair: one
+    factorization finds the pairs and one orthonormalizes their image.
+    """
     if a.n1 != b.n1:
         raise DimensionMismatch(
             f"column entries need one domain space, got C^{a.n1} and C^{b.n1}"
         )
-    h, k1, k2 = a.n1, a.n2, b.n2
-    total = h + k1 + k2
-    sl_h = slice(0, h)
-    sl_k1 = slice(h, h + k1)
-    sl_k2 = slice(h + k1, total)
-    constraints = np.vstack(
-        [
-            _membership_rows(a, cfg, total, sl_h, sl_k1),
-            _membership_rows(b, cfg, total, sl_h, sl_k2),
-        ]
+    pairs = nullspace_columns(
+        np.hstack([a.domain_block, -b.domain_block]), cfg.rank_tol
     )
-    basis = nullspace_columns(constraints, cfg.rank_tol)
-    return LinearRelation(h, k1 + k2, Subspace(total, basis))
+    image = np.vstack(
+        [a.graph.basis @ pairs[: a.dim], b.range_block @ pairs[a.dim :]]
+    )
+    return LinearRelation(a.n1, a.n2 + b.n2, span(image, cfg=cfg))
 
 
 def row(c: LinearRelation, d: LinearRelation,
         cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> LinearRelation:
-    """(C ; D) = {((h1, h2), k1 + k2) : (h1, k1) in C, (h2, k2) in D}."""
+    """(C ; D) = {((h1, h2), k1 + k2) : (h1, k1) in C, (h2, k2) in D}.
+
+    Its elements are (F_C c, F_D d, G_C c + G_D d) over all coefficient
+    pairs (c, d): the span of [[F_C, 0], [0, F_D], [G_C, G_D]], which one
+    factorization orthonormalizes.
+    """
     if c.n2 != d.n2:
         raise DimensionMismatch(
             f"row entries need one range space, got C^{c.n2} and C^{d.n2}"
         )
-    h1, h2, k = c.n1, d.n1, c.n2
-    total = h1 + h2 + 2 * k
-    sl_h1 = slice(0, h1)
-    sl_h2 = slice(h1, h1 + h2)
-    sl_k1 = slice(h1 + h2, h1 + h2 + k)
-    sl_k2 = slice(h1 + h2 + k, total)
-    constraints = np.vstack(
+    image = np.block(
         [
-            _membership_rows(c, cfg, total, sl_h1, sl_k1),
-            _membership_rows(d, cfg, total, sl_h2, sl_k2),
+            [c.domain_block, np.zeros((c.n1, d.dim))],
+            [np.zeros((d.n1, c.dim)), d.domain_block],
+            [c.range_block, d.range_block],
         ]
     )
-    solutions = nullspace_columns(constraints, cfg.rank_tol)
-    image = np.vstack(
-        [
-            solutions[sl_h1],
-            solutions[sl_h2],
-            solutions[sl_k1] + solutions[sl_k2],
-        ]
-    )
-    basis = orthonormal_columns(image, cfg.rank_tol)
-    return LinearRelation(h1 + h2, k, Subspace(h1 + h2 + k, basis))
+    return LinearRelation(c.n1 + d.n1, c.n2, span(image, cfg=cfg))
 
 
 def block(b: Block2x2,

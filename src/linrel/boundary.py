@@ -212,12 +212,17 @@ def defect_coefficients(trip: BoundaryTriplet, lam: complex) -> np.ndarray:
     return nullspace_columns(pencil, trip.cfg.rank_tol)
 
 
-def _gamma0_on_defect(trip: BoundaryTriplet,
-                      lam: complex) -> tuple[np.ndarray, np.ndarray]:
+def _outside_origin_disk(lam: complex) -> None:
+    """Refuse lambda within WEYL_ORIGIN_RADIUS of the origin."""
     if abs(lam) <= WEYL_ORIGIN_RADIUS:
         raise SpectrumError(
             f"lambda = {lam} is inside the excluded disk around the origin"
         )
+
+
+def _gamma0_on_defect(trip: BoundaryTriplet,
+                      lam: complex) -> tuple[np.ndarray, np.ndarray]:
+    _outside_origin_disk(lam)
     ns = defect_coefficients(trip, lam)
     if ns.shape[1] != trip.g:
         raise SpectrumError(
@@ -272,10 +277,7 @@ def closed_form_weyl(bundle: LiftBundle, kind: str, lam: complex) -> np.ndarray:
     component, lambda on the second) onto their parameter spaces; basic
     is lambda times the identity.
     """
-    if abs(lam) <= WEYL_ORIGIN_RADIUS:
-        raise SpectrumError(
-            f"lambda = {lam} is inside the excluded disk around the origin"
-        )
+    _outside_origin_disk(lam)
     if kind == "basic":
         return lam * np.eye(bundle.G0.dim, dtype=complex)
     if kind == "main":
@@ -294,10 +296,7 @@ def closed_form_gamma(bundle: LiftBundle, kind: str, lam: complex) -> np.ndarray
     basic has the constant inclusion of G0; main rescales the first
     component of the parameter space by -1/lambda.
     """
-    if abs(lam) <= WEYL_ORIGIN_RADIUS:
-        raise SpectrumError(
-            f"lambda = {lam} is inside the excluded disk around the origin"
-        )
+    _outside_origin_disk(lam)
     if kind == "basic":
         return bundle.G0.basis.copy()
     if kind != "main":

@@ -23,6 +23,7 @@ from .subspace import (
     Subspace,
     _numerical_rank,
     _sine_angle,
+    _subspace_where,
     complement,
     join,
     meet,
@@ -286,9 +287,12 @@ def numerical_range_hull(rel: LinearRelation, samples: int = 4096,
                          seed: int = 0) -> np.ndarray:
     """Sampled point cloud of {<g, f> / ||f||^2 : (f, g) in R, f != 0}.
 
-    Purely multivalued relations have no admissible f; their range is
-    {0} by convention and a single zero point is returned.  The pairing
-    needs a square relation.
+    The seeded vectors x are standard complex Gaussians in C^(n1+n2), and
+    the samples are their projections W W^H x onto the graph (W its
+    basis), so the cloud depends on the relation and the seed only, not
+    on the basis.  Purely multivalued relations have no admissible f;
+    their range is {0} by convention and a single zero point is returned.
+    The pairing needs a square relation.
     """
     if rel.n1 != rel.n2:
         raise DimensionMismatch("the numerical range needs a square relation")
@@ -296,9 +300,9 @@ def numerical_range_hull(rel: LinearRelation, samples: int = 4096,
     if rel.dim == 0 or np.max(np.abs(f_blk)) == 0.0:
         return np.zeros(1, dtype=complex)
     rng = np.random.default_rng(seed)
-    coeff = rng.standard_normal((rel.dim, samples)) + 1j * rng.standard_normal(
-        (rel.dim, samples)
-    )
+    shape = (rel.n1 + rel.n2, samples)
+    ambient = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    coeff = rel.graph.basis.conj().T @ ambient
     f_vals = f_blk @ coeff
     norms_sq = np.einsum("ij,ij->j", f_vals.conj(), f_vals).real
     mask = norms_sq > 1e-24
@@ -361,13 +365,10 @@ def defect_relation(rel: LinearRelation, lam: complex,
 
 def _sub_relation(rel: LinearRelation, constraint: np.ndarray,
                   cfg: ToleranceConfig) -> LinearRelation:
-    """{W c : constraint @ c = 0} for the graph basis W of rel.
-
-    W and the nullspace basis of the constraint are both orthonormal, so
-    their product is an orthonormal basis as it stands: one factorization.
-    """
-    basis = rel.graph.basis @ nullspace_columns(constraint, cfg.rank_tol)
-    return LinearRelation(rel.n1, rel.n2, Subspace(rel.n1 + rel.n2, basis))
+    """{W c : constraint @ c = 0} for the graph basis W of rel."""
+    return LinearRelation(
+        rel.n1, rel.n2, _subspace_where(rel.graph, constraint, cfg.rank_tol)
+    )
 
 
 def resolvent(rel: LinearRelation, lam: complex,

@@ -183,17 +183,35 @@ def join(u: Subspace, v: Subspace,
 
 def meet(u: Subspace, v: Subspace,
          cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Subspace:
-    """Intersection, via De Morgan on orthogonal complements.
+    """Intersection: the directions of u whose angle to v has sine <= rank_tol.
 
-    Complements of orthonormal bases are exact to machine precision, which
-    makes this route more robust than principal-vector matching at the
-    configured angle tolerance.
+    The singular values of the residual (I - P_v) u are the sines of the
+    principal angles of u against v, so the coefficients of the shared
+    directions are its nullspace at rank_tol, and u times them is the
+    meet: one factorization.
     """
     if u.ambient_dim != v.ambient_dim:
         raise DimensionMismatch(
             f"meet of C^{u.ambient_dim} and C^{v.ambient_dim} subspaces"
         )
-    return complement(join(complement(u, cfg), complement(v, cfg), cfg), cfg)
+    return _subspace_where(u, _residual(u, v), cfg.rank_tol)
+
+
+def _subspace_where(u: Subspace, constraint: np.ndarray,
+                    rank_tol: float) -> Subspace:
+    """{B c : constraint @ c = 0} for the basis B of u.
+
+    B and the nullspace basis of the constraint are both orthonormal, so
+    their product is an orthonormal basis as it stands: no second
+    factorization.
+    """
+    basis = u.basis @ nullspace_columns(constraint, rank_tol)
+    return Subspace(u.ambient_dim, basis)
+
+
+def _residual(a: Subspace, b: Subspace) -> np.ndarray:
+    """(I - P_b) applied to the basis of a; its singular values are sines."""
+    return a.basis - b.basis @ (b.basis.conj().T @ a.basis)
 
 
 def _sine_angle(mat: np.ndarray) -> float:
@@ -218,7 +236,7 @@ def _containment_angle(a: Subspace, b: Subspace) -> float:
         return 0.0
     if b.dim == 0:
         return float(np.pi / 2)
-    return _sine_angle(a.basis - b.basis @ (b.basis.conj().T @ a.basis))
+    return _sine_angle(_residual(a, b))
 
 
 def relate(u: Subspace, v: Subspace,

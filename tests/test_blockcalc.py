@@ -241,3 +241,49 @@ class TestLiftBlockForms:
             )
         )
         assert_relation_equal(s_star_block, bundle.S_star)
+
+
+class TestDegenerateEntries:
+    """Purely multivalued and dim-0 entries: the coefficient images have
+    zero-width blocks or drop rank."""
+
+    @pytest.fixture
+    def entries(self, rng):
+        mul = Subspace(3, np.linalg.qr(rng.normal(size=(3, 2)))[0] + 0j)
+        return {"multivalued": from_product(Subspace.zero(2), mul),
+                "dim0": zero_zero(2, 3)}
+
+    @pytest.mark.parametrize("kind", ["multivalued", "dim0"])
+    def test_row(self, rng, entries, kind):
+        c, d = random_relation(2, 3, rank=4, rng=rng), entries[kind]
+        r = row(c, d)
+        pc, pd, pr = parts(c), parts(d), parts(r)
+        # (0, k) in C and (0, -k) in D add up to the zero element
+        assert r.dim == c.dim + d.dim - meet(pc.mul, pd.mul).dim
+        assert_subspace_equal(pr.dom, oplus(pc.dom, Subspace.zero(2)))
+        assert_subspace_equal(pr.mul, join(pc.mul, pd.mul))
+        res = check_row_adjoint(c, d)
+        assert res.verdict is Verdict.EQUAL and res.angle < 1e-8
+
+    @pytest.mark.parametrize("kind", ["multivalued", "dim0"])
+    def test_column(self, rng, entries, kind):
+        a, b = random_relation(2, 3, rank=4, rng=rng), entries[kind]
+        # dom B = {0} leaves only h = 0: col(A; B) = {0} x (mul A (+) mul B)
+        mul_a, mul_b = parts(a).mul, parts(b).mul
+        zero = Subspace.zero(2)
+        assert_relation_equal(column(a, b), from_product(zero, oplus(mul_a, mul_b)))
+        assert_relation_equal(column(b, a), from_product(zero, oplus(mul_b, mul_a)))
+        res = check_column_adjoint(a, b)
+        assert res.verdict is Verdict.EQUAL and res.angle < 1e-8
+
+    def test_row_of_shared_multivalued_part_drops_rank(self, entries):
+        m = entries["multivalued"]
+        r = row(m, m)
+        assert r.dim == 2
+        assert_relation_equal(r, from_product(Subspace.zero(4), parts(m).mul))
+
+    def test_dim0_entries_give_dim0(self):
+        z = zero_zero(2, 3)
+        assert row(z, z).dim == 0 and row(z, z).graph.basis.shape == (7, 0)
+        assert column(z, z).dim == 0
+        assert column(z, z).graph.basis.shape == (8, 0)

@@ -158,6 +158,19 @@ class TestWeyl:
         with pytest.raises(SpectrumError):
             weyl(trip_main, WEYL_ORIGIN_RADIUS / 2)
 
+    def test_origin_guard_is_shared(self, bundle, trip_main):
+        lam = WEYL_ORIGIN_RADIUS / 2
+        want = f"lambda = {lam} is inside the excluded disk around the origin"
+        for call in (
+            lambda: weyl(trip_main, lam),
+            lambda: gamma_field(trip_main, lam),
+            lambda: closed_form_weyl(bundle, "main", lam),
+            lambda: closed_form_gamma(bundle, "basic", lam),
+        ):
+            with pytest.raises(SpectrumError) as exc:
+                call()
+            assert str(exc.value) == want
+
     def test_defect_dimension_constant(self, trip_main):
         for lam in (-3.0, 0.5j, 1 + 2j):
             assert defect_coefficients(trip_main, lam).shape[1] == trip_main.g

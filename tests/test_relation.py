@@ -371,3 +371,17 @@ def test_adjoint_involution_property(seed, n1, n2):
     rel = random_relation(n1, n2, rng=rng)
     assert_relation_equal(adjoint(adjoint(rel)), rel)
     assert_relation_equal(adjoint(rel), adjoint_definitional(rel))
+
+
+def test_numerical_range_radius_ignores_the_basis():
+    # the same relation under a second orthonormal basis W Q
+    rng = np.random.default_rng(12)
+    for dim in (2, 4, 6):
+        rel = random_relation(4, 4, rank=dim, rng=rng)
+        q = np.linalg.qr(rng.normal(size=(dim, dim))
+                         + 1j * rng.normal(size=(dim, dim)))[0]
+        turned = LinearRelation(4, 4, Subspace(8, rel.graph.basis @ q))
+        for seed in (0, 7):
+            r1 = np.max(np.abs(numerical_range_hull(rel, 2048, seed)))
+            r2 = np.max(np.abs(numerical_range_hull(turned, 2048, seed)))
+            assert abs(r1 - r2) < 1e-12

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linrel.config import DEFAULT_TOLERANCES
 from linrel.subspace import (
     Subspace,
     Verdict,
@@ -120,3 +121,36 @@ def test_lattice_properties(seed, ambient, d1, d2):
     assert relate(m, u).verdict in (Verdict.EQUAL, Verdict.SUBSET)
     assert relate(u, j).verdict in (Verdict.EQUAL, Verdict.SUBSET)
     assert_subspace_equal(complement(complement(u)), u)
+
+
+def test_meet_shared_direction_below_half_dimension():
+    # dim u + dim v <= ambient: a generic pair would meet in {0}
+    e = np.eye(4, dtype=complex)
+    u, v = span(e[:, :2], 4), span(e[:, 1:3], 4)
+    for m in (meet(u, v), meet(v, u)):
+        assert m.dim == 1
+        assert_subspace_equal(m, span(e[:, 1:2], 4))
+
+
+def test_meet_with_zero_full_and_itself(rng):
+    u = random_subspace(rng, 5, 3)
+    for m in (meet(u, Subspace.zero(5)), meet(Subspace.zero(5), u)):
+        assert m.dim == 0 and m.basis.shape == (5, 0)
+    assert_subspace_equal(meet(u, Subspace.full(5)), u)
+    assert_subspace_equal(meet(Subspace.full(5), u), u)
+    assert_subspace_equal(meet(u, u), u)
+    assert meet(Subspace.zero(5), Subspace.zero(5)).dim == 0
+
+
+@pytest.mark.parametrize("factor, shared", [(10.0, 1), (0.1, 2)])
+def test_meet_decides_tilt_against_rank_tol(factor, shared):
+    # v is u with its second direction turned by a sine of factor * rank_tol
+    t = factor * DEFAULT_TOLERANCES.rank_tol
+    e = np.eye(4, dtype=complex)
+    u = span(e[:, :2], 4)
+    turned = np.cos(t) * e[:, 1] + np.sin(t) * e[:, 2]
+    v = Subspace(4, np.column_stack([e[:, 0], turned]))
+    m, j = meet(u, v), join(u, v)
+    assert m.dim == shared
+    assert m.dim + j.dim == u.dim + v.dim
+    assert relate(m, u).forward_angle < 1e-12

@@ -1,5 +1,5 @@
-"""SVD budget of classify, lift, the triplet builders and the
-sub-relation builders, at a fixed seed.
+"""SVD budget of classify, lift, the triplet builders, the sub-relation
+builders and the block calculus, at a fixed seed.
 
 numpy.linalg.svd calls are counted, so a change that re-forms an adjoint
 inside lift, factors the triplet kernels eagerly, or re-orthonormalizes a
@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from linrel import relation
+from linrel.blockcalc import Block2x2, block, column, row
 from linrel.boundary import (
     extension_from_boundary,
     triplet_basic,
@@ -20,7 +21,7 @@ from linrel.boundary import (
 from linrel.extension import friedrichs_generic, krein_generic, lift
 from linrel.oracle import random_relation, random_selfadjoint_relation
 from linrel.relation import classify, defect_relation, relation_equal
-from linrel.subspace import Verdict
+from linrel.subspace import Verdict, meet, span
 
 from conftest import assert_relation_equal
 
@@ -116,3 +117,42 @@ def test_sub_relation_builders_factor_no_product(name, rank, svd_calls):
     basis = rel.graph.basis
     gram_err = np.abs(basis.conj().T @ basis - np.eye(rel.dim))
     assert np.max(gram_err, initial=0.0) < 1e-12
+
+
+# row and column are images of their entries' graph coefficients, and meet
+# is u times a coefficient nullspace: none forms a graph complement
+CALCULUS_BUDGETS = {"meet": 1, "row": 1, "column": 2, "block": 5}
+
+
+def _build_calculus(name, h1, h2):
+    rng = np.random.default_rng(7)
+
+    def rel(n1, n2):
+        return random_relation(n1, n2, rank=(n1 + n2) // 2, rng=rng)
+
+    if name == "meet":
+        shared = rng.normal(size=(h1 + h2, 1))
+        u = span(np.hstack([shared, rng.normal(size=(h1 + h2, h1))]))
+        v = span(np.hstack([shared, rng.normal(size=(h1 + h2, h2))]))
+        return lambda: meet(u, v)
+    if name == "row":
+        c, d = rel(h1, h1), rel(h2, h1)
+        return lambda: row(c, d).graph
+    if name == "column":
+        a, b = rel(h1, h1), rel(h1, h2)
+        return lambda: column(a, b).graph
+    entries = Block2x2(e11=rel(h1, h1), e12=rel(h2, h1),
+                       e21=rel(h1, h2), e22=rel(h2, h2))
+    return lambda: block(entries).graph
+
+
+@pytest.mark.parametrize("name", list(CALCULUS_BUDGETS))
+@pytest.mark.parametrize("h1, h2", [(N, N), (3, 5)])
+def test_block_calculus_forms_no_complement(name, h1, h2, svd_calls):
+    build = _build_calculus(name, h1, h2)
+    svd_calls.clear()
+    space = build()
+    assert len(svd_calls) <= CALCULUS_BUDGETS[name], svd_calls
+    assert space.dim >= 1
+    gram_err = np.abs(space.basis.conj().T @ space.basis - np.eye(space.dim))
+    assert np.max(gram_err) < 1e-12

@@ -24,8 +24,9 @@ gamma1 @ c in the coordinates of the parameter-space basis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,7 +51,6 @@ from .subspace import (
     Verdict,
     _numerical_rank,
     complement,
-    nullspace_columns,
     span,
 )
 
@@ -64,7 +64,6 @@ __all__ = [
     "triplet_tilde",
     "green_identity_defect",
     "boundary_map_rank",
-    "defect_coefficients",
     "weyl",
     "gamma_field",
     "closed_form_weyl",
@@ -80,6 +79,22 @@ __all__ = [
 WEYL_ORIGIN_RADIUS = 1e-6
 
 
+class _ResolventBlocks(NamedTuple):
+    """The blocks of the Krein resolvent formula that depend on no lambda.
+
+    With Q0 an orthonormal basis of ker Gamma0 and Q1 = Gamma0^+, the
+    graph basis W = [F; G] of the adjoint gives [f0; g0] = W Q0 and
+    [f1; g1] = W Q1; the other two blocks are Gamma1 Q0 and Gamma1 Q1.
+    """
+
+    f0: np.ndarray
+    g0: np.ndarray
+    f1: np.ndarray
+    g1: np.ndarray
+    gamma1_q0: np.ndarray
+    gamma1_q1: np.ndarray
+
+
 @dataclass(eq=False)
 class BoundaryTriplet:
     """Boundary maps for an adjoint relation, in graph coordinates.
@@ -93,7 +108,9 @@ class BoundaryTriplet:
 
     ker_gamma0 and ker_gamma1 are computed on first access, and so is
     ker_gamma0_is_friedrichs, which records whether ker Gamma0 equals S_F;
-    the semiboundedness criterion is only valid for such triplets.
+    the semiboundedness criterion is only valid for such triplets.  So
+    are resolvent_blocks, the one factorization of Gamma0 that weyl and
+    gamma_field read at every lambda.
     """
 
     kind: str
@@ -120,6 +137,29 @@ class BoundaryTriplet:
     def ker_gamma0_is_friedrichs(self) -> bool:
         res = relation_equal(self.ker_gamma0, self.friedrichs, self.cfg)
         return res.verdict is Verdict.EQUAL
+
+    @cached_property
+    def resolvent_blocks(self) -> _ResolventBlocks:
+        """Split the graph coefficients as c = Q0 a + Q1 b, with b = Gamma0 c.
+
+        One full SVD of Gamma0 gives both Q0 (its trailing right singular
+        vectors) and Q1 = Gamma0^+.  A Gamma0 that is not surjective, or
+        whose kernel is not n-dimensional, has no Weyl function at all.
+        """
+        n, g = self.star.n1, self.g
+        u, s, vh = np.linalg.svd(self.gamma0)
+        if self.star.dim != n + g or _numerical_rank(s, self.cfg.rank_tol) < g:
+            raise SpectrumError(
+                "Gamma0 is not surjective with an n-dimensional kernel"
+            )
+        q0 = vh[g:].conj().T
+        q1 = vh[:g].conj().T @ (u.conj().T / s[:, None])
+        w = self.star.graph.basis
+        wq0, wq1 = w @ q0, w @ q1
+        return _ResolventBlocks(
+            wq0[:n], wq0[n:], wq1[:n], wq1[n:],
+            self.gamma1 @ q0, self.gamma1 @ q1,
+        )
 
     @property
     def is_degenerate(self) -> bool:
@@ -204,14 +244,6 @@ def boundary_map_rank(trip: BoundaryTriplet) -> int:
     return _numerical_rank(s, trip.cfg.rank_tol)
 
 
-def defect_coefficients(trip: BoundaryTriplet, lam: complex) -> np.ndarray:
-    """Graph coefficients spanning N_lambda(star) = {fhat : f' = lambda f}."""
-    w = trip.star.graph.basis
-    n = trip.star.n1
-    pencil = w[n:] - lam * w[:n]
-    return nullspace_columns(pencil, trip.cfg.rank_tol)
-
-
 def _outside_origin_disk(lam: complex) -> None:
     """Refuse lambda within WEYL_ORIGIN_RADIUS of the origin."""
     if abs(lam) <= WEYL_ORIGIN_RADIUS:
@@ -220,48 +252,56 @@ def _outside_origin_disk(lam: complex) -> None:
         )
 
 
-def _gamma0_on_defect(trip: BoundaryTriplet,
-                      lam: complex) -> tuple[np.ndarray, np.ndarray]:
+def _resolvent_solve(trip: BoundaryTriplet, lam: complex,
+                     rank_tol: float) -> np.ndarray:
+    """X = (g0 - lambda f0)^{-1} (g1 - lambda f1) from the cached blocks.
+
+    The defect element with Gamma0-value b has coefficients (Q1 - Q0 X) b.
+    T* = ker Gamma0 (+) N_lambda exactly when the n x n pencil
+    g0 - lambda f0 is invertible, so the rank rule applied to it is the one
+    spectral test: below full rank, lambda is an eigenvalue of ker Gamma0.
+    """
     _outside_origin_disk(lam)
-    ns = defect_coefficients(trip, lam)
-    if ns.shape[1] != trip.g:
+    blocks = trip.resolvent_blocks
+    pencil = blocks.g0 - lam * blocks.f0
+    s = np.linalg.svd(pencil, compute_uv=False)
+    if _numerical_rank(s, rank_tol) < pencil.shape[0]:
         raise SpectrumError(
-            f"defect space at lambda = {lam} has dimension {ns.shape[1]}, "
-            f"expected {trip.g}"
+            f"lambda = {lam} is an eigenvalue of ker Gamma0"
         )
-    a0 = trip.gamma0 @ ns
-    if trip.g:
-        s = np.linalg.svd(a0, compute_uv=False)
-        if _numerical_rank(s, trip.cfg.rank_tol) < trip.g:
-            raise SpectrumError(
-                f"Gamma0 is not invertible on the defect space at lambda = {lam}"
-            )
-    return ns, a0
+    return np.linalg.solve(pencil, blocks.g1 - lam * blocks.f1)
 
 
 def weyl(trip: BoundaryTriplet, lam: complex,
          cfg: ToleranceConfig | None = None) -> np.ndarray:
     """Weyl function M(lambda) = Gamma1 (Gamma0 | N_lambda)^{-1}, g x g.
 
-    A cfg given here replaces the triplet's own for both rank decisions.
-    weyl is the one triplet function that keeps an optional cfg, because
-    bench/test_smoke.py passes one.
+    Evaluated by the Krein resolvent formula
+
+        M(lambda) = Gamma1 Q1 - Gamma1 Q0 (g0 - lambda f0)^{-1} (g1 - lambda f1)
+
+    on the triplet's cached resolvent_blocks: after the first call each
+    lambda costs one values-only SVD of the n x n pencil g0 - lambda f0,
+    whose rank under the rank rule decides whether lambda is a spectral
+    point (SpectrumError), and one solve.  A cfg given here replaces the
+    triplet's rank_tol for that decision only; the cached factorization
+    is kept.  weyl is the one triplet function that keeps an optional
+    cfg, because bench/test_smoke.py passes one.
     """
-    if cfg is not None:
-        trip = replace(trip, cfg=cfg)
-    ns, a0 = _gamma0_on_defect(trip, lam)
-    if trip.g == 0:
-        return np.zeros((0, 0), dtype=complex)
-    return (trip.gamma1 @ ns) @ np.linalg.inv(a0)
+    x = _resolvent_solve(trip, lam, (cfg or trip.cfg).rank_tol)
+    blocks = trip.resolvent_blocks
+    return blocks.gamma1_q1 - blocks.gamma1_q0 @ x
 
 
 def gamma_field(trip: BoundaryTriplet, lam: complex) -> np.ndarray:
-    """gamma(lambda): boundary coordinates -> defect element of H, n x g."""
-    ns, a0 = _gamma0_on_defect(trip, lam)
-    n = trip.star.n1
-    if trip.g == 0:
-        return np.zeros((n, 0), dtype=complex)
-    return (trip.star.graph.basis @ ns)[:n] @ np.linalg.inv(a0)
+    """gamma(lambda): boundary coordinates -> defect element of H, n x g.
+
+    gamma(lambda) = f1 - f0 (g0 - lambda f0)^{-1} (g1 - lambda f1), from the
+    same cached blocks, rank rule and solve as weyl.
+    """
+    x = _resolvent_solve(trip, lam, trip.cfg.rank_tol)
+    blocks = trip.resolvent_blocks
+    return blocks.f1 - blocks.f0 @ x
 
 
 def _origin_scaling(n1: int, n2: int, lam: complex) -> np.ndarray:
@@ -325,9 +365,13 @@ def extension_from_boundary(trip: BoundaryTriplet,
             f"theta acts on C^{theta.n1} x C^{theta.n2}, parameter space "
             f"has dimension {trip.g}"
         )
-    z = complement(theta.graph, cfg)
-    stacked = np.vstack([trip.gamma0, trip.gamma1])
-    return _sub_relation(trip.star, z.basis.conj().T @ stacked, cfg)
+    # one expression: neither the complement basis nor the stacked maps
+    # stays alive through the factorization in _sub_relation, which is
+    # where a chain holding cached resolvent blocks peaks in memory
+    constraint = complement(theta.graph, cfg).basis.conj().T @ np.vstack(
+        [trip.gamma0, trip.gamma1]
+    )
+    return _sub_relation(trip.star, constraint, cfg)
 
 
 @dataclass(frozen=True)

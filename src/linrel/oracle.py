@@ -2,8 +2,10 @@
 
 The verifiers here deliberately avoid the main modules' algorithms:
 adjoint_definitional solves the defining pairing equations as one dense
-nullspace problem with its own SVD helper.  It is allowed to be slower;
-it exists to disagree loudly when the fast paths are wrong.
+nullspace problem with its own SVD helper, and weyl_definitional builds
+the Weyl function straight from its definition, one defect-space
+nullspace per lambda.  They are allowed to be slower; they exist to
+disagree loudly when the fast paths are wrong.
 
 The random_* generators are input factories for property tests, not
 verifiers, so they may lean on plain QR factorizations.
@@ -16,14 +18,22 @@ from typing import Sequence
 
 import numpy as np
 
-from .boundary import extension_from_boundary, triplet_main
+from .boundary import (
+    BoundaryTriplet,
+    _outside_origin_disk,
+    extension_from_boundary,
+    triplet_main,
+)
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
+from .errors import SpectrumError
 from .extension import LiftBundle
 from .relation import LinearRelation, classify, relation_equal
 from .subspace import Subspace, Verdict, relate
 
 __all__ = [
     "adjoint_definitional",
+    "defect_coefficients",
+    "weyl_definitional",
     "SweepRecord",
     "SweepReport",
     "extension_sweep",
@@ -63,6 +73,35 @@ def adjoint_definitional(rel: LinearRelation,
     system = np.hstack([g_blk.conj().T, -f_blk.conj().T])
     basis = _svd_nullspace(system, cfg.rank_tol)
     return LinearRelation(rel.n2, rel.n1, Subspace(rel.n1 + rel.n2, basis))
+
+
+def defect_coefficients(trip: BoundaryTriplet, lam: complex) -> np.ndarray:
+    """Graph coefficients spanning N_lambda(star) = {fhat : f' = lambda f}."""
+    w = trip.star.graph.basis
+    n = trip.star.n1
+    pencil = w[n:] - lam * w[:n]
+    return _svd_nullspace(pencil, trip.cfg.rank_tol)
+
+
+def weyl_definitional(trip: BoundaryTriplet, lam: complex) -> np.ndarray:
+    """M(lambda) = Gamma1 (Gamma0 | N_lambda)^{-1}, one nullspace per lambda.
+
+    lambda is a spectral point (SpectrumError) when the defect space does
+    not have dimension g or Gamma0 has a kernel on it.
+    """
+    _outside_origin_disk(lam)
+    ns = defect_coefficients(trip, lam)
+    if ns.shape[1] != trip.g:
+        raise SpectrumError(
+            f"defect space at lambda = {lam} has dimension {ns.shape[1]}, "
+            f"expected {trip.g}"
+        )
+    a0 = trip.gamma0 @ ns
+    if _svd_nullspace(a0, trip.cfg.rank_tol).shape[1]:
+        raise SpectrumError(
+            f"Gamma0 is not invertible on the defect space at lambda = {lam}"
+        )
+    return (trip.gamma1 @ ns) @ np.linalg.inv(a0)
 
 
 @dataclass(frozen=True)

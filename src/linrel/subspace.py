@@ -29,6 +29,12 @@ __all__ = [
 ]
 
 
+# Absolute Gram-matrix deviation a Subspace basis may carry and still count
+# as orthonormal: far above the ~1e-15 round-off of any factorization, far
+# below a basis that was never orthonormalized.
+_GRAM_ATOL = 1e-8
+
+
 def _as_matrix(vectors, ambient_dim: int | None) -> np.ndarray:
     """Stack vectors as columns of a complex matrix."""
     if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
@@ -83,7 +89,9 @@ def nullspace_columns(mat: np.ndarray, rank_tol: float) -> np.ndarray:
         return np.zeros((0, 0), dtype=complex)
     if m == 0:
         return np.eye(k, dtype=complex)
-    _, s, vh = np.linalg.svd(mat)
+    # V^H is k x k either way; only a wide matrix needs the full
+    # factorization for it, and a tall one would form an unread m x m U
+    _, s, vh = np.linalg.svd(mat, full_matrices=m < k)
     return vh[_numerical_rank(s, rank_tol) :].conj().T
 
 
@@ -109,7 +117,7 @@ class Subspace:
         d = self.basis.shape[1]
         if d:
             gram = self.basis.conj().T @ self.basis
-            if not np.allclose(gram, np.eye(d), atol=1e-8):
+            if not np.allclose(gram, np.eye(d), atol=_GRAM_ATOL):
                 raise ValueError("basis columns are not orthonormal")
 
     @property

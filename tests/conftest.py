@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from linrel.boundary import BoundaryTriplet
 from linrel.config import DEFAULT_TOLERANCES
 from linrel.relation import LinearRelation, relation_equal
 from linrel.subspace import Subspace, Verdict, relate
@@ -55,3 +56,15 @@ def tilted(rel, eps):
     w = np.concatenate([-b[n:, 1], b[:n, 1]])
     b[:, 0] = math.cos(eps) * b[:, 0] + math.sin(eps) * w
     return LinearRelation(n, n, Subspace(2 * n, np.linalg.qr(b)[0]))
+
+
+def swapped(trip):
+    """The triplet (Gamma1, -Gamma0): Green identity kept, M' = -M^{-1}.
+
+    Its Gamma0-kernel is ker Gamma1 of trip, whose operator part has
+    nonzero eigenvalues, unlike the kernels the three builders pin.
+    """
+    return BoundaryTriplet(
+        trip.kind, trip.star, trip.boundary, trip.gamma1, -trip.gamma0,
+        trip.friedrichs, trip.cfg,
+    )

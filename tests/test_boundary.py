@@ -14,7 +14,6 @@ from linrel.boundary import (
     boundary_map_rank,
     closed_form_gamma,
     closed_form_weyl,
-    defect_coefficients,
     extension_from_boundary,
     gamma_field,
     green_identity_defect,
@@ -27,16 +26,22 @@ from linrel.boundary import (
 from linrel.config import DEFAULT_TOLERANCES, ToleranceConfig
 from linrel.errors import PreconditionViolated, SpectrumError
 from linrel.extension import lift
-from linrel.oracle import random_relation, random_selfadjoint_relation
+from linrel.oracle import (
+    defect_coefficients,
+    random_relation,
+    random_selfadjoint_relation,
+    weyl_definitional,
+)
 from linrel.relation import (
     classify,
     from_operator,
     from_product,
+    operator_part,
     relation_equal,
 )
 from linrel.subspace import Subspace, Verdict
 
-from conftest import assert_relation_equal
+from conftest import assert_relation_equal, swapped
 
 
 @pytest.fixture
@@ -193,6 +198,84 @@ class TestWeyl:
     def test_no_closed_gamma_for_tilde(self, bundle):
         with pytest.raises(ValueError, match="tilde"):
             closed_form_gamma(bundle, "tilde", -1.0)
+
+
+def nonzero_eigenvalues(rel):
+    """Nonzero eigenvalues of the operator part of a selfadjoint relation."""
+    op = operator_part(rel)
+    f_blk, g_blk = op.domain_block, op.range_block
+    ev = np.linalg.eigvals(
+        np.linalg.solve(f_blk.conj().T @ f_blk, f_blk.conj().T @ g_blk)
+    )
+    return ev.real[np.abs(ev) > 1e-6]
+
+
+class TestResolventRoute:
+    """weyl and gamma_field against the per-lambda nullspace oracle."""
+
+    LAMBDAS = (-2.0, -0.5, 1j, 1.5 - 0.5j)
+
+    @pytest.mark.parametrize("rank", [4, 8, 12])
+    def test_agrees_with_oracle_and_closed_forms(self, rank):
+        bundle = lift(random_relation(8, 8, rank=rank, rng=5))
+        for build in (triplet_main, triplet_basic, triplet_tilde):
+            trip = build(bundle)
+            for lam in self.LAMBDAS:
+                m = weyl(trip, lam)
+                np.testing.assert_allclose(
+                    m, weyl_definitional(trip, lam), atol=1e-9
+                )
+                np.testing.assert_allclose(
+                    m, closed_form_weyl(bundle, trip.kind, lam), atol=1e-9
+                )
+                if trip.kind != "tilde":
+                    np.testing.assert_allclose(
+                        gamma_field(trip, lam),
+                        closed_form_gamma(bundle, trip.kind, lam),
+                        atol=1e-9,
+                    )
+
+    @pytest.mark.parametrize("rank", [4, 8, 12])
+    def test_eigenvalue_of_ker_gamma0_is_a_spectral_point(self, rank):
+        bundle = lift(random_relation(8, 8, rank=rank, rng=5))
+        main_trip = triplet_main(bundle)
+        trip = swapped(main_trip)
+        assert green_identity_defect(trip) < 1e-12
+        for lam in (1j, 1.5 - 0.5j):
+            want = -np.linalg.inv(weyl(main_trip, lam))
+            np.testing.assert_allclose(weyl(trip, lam), want, atol=1e-9)
+            np.testing.assert_allclose(
+                weyl_definitional(trip, lam), want, atol=1e-9
+            )
+        eigs = nonzero_eigenvalues(trip.ker_gamma0)
+        assert eigs.size
+        for mu in (eigs.min(), eigs.max()):
+            for route in (weyl, weyl_definitional, gamma_field):
+                with pytest.raises(SpectrumError):
+                    route(trip, float(mu))
+
+    def test_gamma0_without_full_rank_has_no_weyl_function(self):
+        star = from_product(Subspace.full(1), Subspace.full(1))
+        trip = BoundaryTriplet(
+            "main", star, Subspace.full(1),
+            np.array([[5e-11, 0.0]]), np.array([[0.0, 1.0]]),
+            star, DEFAULT_TOLERANCES,
+        )
+        for route in (weyl, weyl_definitional, gamma_field):
+            with pytest.raises(SpectrumError):
+                route(trip, -1.0)
+
+    def test_cfg_changes_only_the_rank_decision(self, trip_main):
+        # ker Gamma0 = H: the pencil's singular values are |lambda| and 1
+        lam = -10.0
+        m = weyl(trip_main, lam)
+        blocks = trip_main.resolvent_blocks
+        loose = ToleranceConfig(rank_tol=0.5)
+        with pytest.raises(SpectrumError, match="eigenvalue"):
+            weyl(trip_main, lam, loose)
+        strict = ToleranceConfig(rank_tol=1e-14)
+        np.testing.assert_array_equal(weyl(trip_main, lam, strict), m)
+        assert trip_main.resolvent_blocks is blocks
 
 
 class TestExtensionFromBoundary:

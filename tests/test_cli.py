@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from linrel import boundary
+from linrel import boundary, cli
 from linrel.cli import main
 from linrel.errors import InputFormatError
 from linrel.relation import LinearRelation, numerical_range_hull, relation_equal
@@ -21,6 +21,8 @@ from linrel.specio import (
     load_relation_spec,
 )
 from linrel.subspace import Subspace, Verdict
+
+from conftest import swapped
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -299,6 +301,21 @@ class TestWeyl:
         assert abs(float(body[0][i]) + 1.0) < 1e-9
         # singular rows leave the matrix cells empty
         assert all(cell == "" for cell in body[2][2:-1])
+
+    def test_eigenvalue_of_ker_gamma0_is_singular(self, monkeypatch, capsys):
+        # R = graph(1): the swapped main triplet has ker Gamma0 = K, whose
+        # eigenvalues are +-1, and M'(2) = -1 / M(2) = -1 / 0.75
+        monkeypatch.setitem(
+            cli._TRIPLET_BUILDERS, "main",
+            lambda bundle: swapped(boundary.triplet_main(bundle)),
+        )
+        code = main(
+            ["weyl", str(DATA / "graph_one.json"), "--grid", "[-1.0, 1.0, 2.0]"]
+        )
+        assert code == 0
+        header, *body = self.read_csv(capsys.readouterr().out)
+        assert [r[-1] for r in body] == ["singular", "singular", "ok"]
+        assert abs(float(body[2][header.index("m00_re")]) + 4 / 3) < 1e-12
 
     def test_bad_grid_exits_2(self, halfline_spec, capsys):
         assert main(["weyl", halfline_spec, "--grid", "nope"]) == 2

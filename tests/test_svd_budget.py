@@ -1,5 +1,5 @@
-"""SVD budget of classify, lift, the triplet builders, the sub-relation
-builders and the block calculus, at a fixed seed.
+"""SVD budget of classify, lift, the triplet builders, the Weyl function,
+the sub-relation builders and the block calculus, at a fixed seed.
 
 numpy.linalg.svd calls are counted, so a change that re-forms an adjoint
 inside lift, factors the triplet kernels eagerly, or re-orthonormalizes a
@@ -14,10 +14,13 @@ from linrel import relation
 from linrel.blockcalc import Block2x2, block, column, row
 from linrel.boundary import (
     extension_from_boundary,
+    gamma_field,
     triplet_basic,
     triplet_main,
     triplet_tilde,
+    weyl,
 )
+from linrel.config import ToleranceConfig
 from linrel.extension import friedrichs_generic, krein_generic, lift
 from linrel.oracle import random_relation, random_selfadjoint_relation
 from linrel.relation import classify, defect_relation, relation_equal
@@ -35,7 +38,7 @@ def svd_calls(monkeypatch):
     real_svd = np.linalg.svd
 
     def counted(*args, **kwargs):
-        calls.append(np.shape(args[0]))
+        calls.append((np.shape(args[0]), kwargs.get("compute_uv", True)))
         return real_svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
@@ -83,6 +86,28 @@ def test_triplet_builders_factor_nothing(rank, svd_calls):
     # main pins H, which is S_F only when G0 = {0}
     h_is_sf = relation_equal(bundle.H, bundle.S_F).verdict is Verdict.EQUAL
     assert [t.ker_gamma0_is_friedrichs for t in trips] == [h_is_sf, True, True]
+
+
+@pytest.mark.parametrize("rank", [N // 2, N, 3 * N // 2])
+@pytest.mark.parametrize("build", [triplet_main, triplet_basic, triplet_tilde])
+def test_weyl_factors_gamma0_once_per_triplet(build, rank, svd_calls):
+    # one SVD of Gamma0 on the first call; then each lambda costs one
+    # values-only SVD of the n x n pencil, whatever cfg weyl is given
+    trip = build(lift(random_relation(N, N, rank=rank, rng=5)))
+    n = trip.star.n1
+    pencil_only = [((n, n), False)]
+    svd_calls.clear()
+    weyl(trip, -1.0)
+    assert len(svd_calls) <= 2, svd_calls
+    later = (
+        lambda: weyl(trip, 1j),
+        lambda: gamma_field(trip, -0.5),
+        lambda: weyl(trip, 2.0, ToleranceConfig(rank_tol=1e-12)),
+    )
+    for call in later:
+        svd_calls.clear()
+        call()
+        assert svd_calls == pencil_only
 
 
 # {W c : M c = 0} needs the factorizations that find M and its nullspace,

@@ -95,14 +95,13 @@ def row(c: LinearRelation, d: LinearRelation,
         raise DimensionMismatch(
             f"row entries need one range space, got C^{c.n2} and C^{d.n2}"
         )
-    image = np.block(
-        [
-            [c.domain_block, np.zeros((c.n1, d.dim))],
-            [np.zeros((d.n1, c.dim)), d.domain_block],
-            [c.range_block, d.range_block],
-        ]
-    )
-    return LinearRelation(c.n1 + d.n1, c.n2, span(image, cfg=cfg))
+    n1 = c.n1 + d.n1
+    image = np.zeros((n1 + c.n2, c.dim + d.dim), dtype=complex)
+    image[: c.n1, : c.dim] = c.domain_block
+    image[c.n1 : n1, c.dim :] = d.domain_block
+    image[n1:, : c.dim] = c.range_block
+    image[n1:, c.dim :] = d.range_block
+    return LinearRelation(n1, c.n2, span(image, cfg=cfg))
 
 
 def block(b: Block2x2,

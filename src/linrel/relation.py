@@ -60,6 +60,10 @@ __all__ = [
     "relation_equal",
 ]
 
+# A numerical-range sample whose domain part f has squared norm at or below
+# this, (1e-12)^2, counts as f = 0: its quotient <g, f> / ||f||^2 is noise.
+_HULL_MIN_NORM_SQ = 1e-24
+
 
 @dataclass(eq=False)
 class LinearRelation:
@@ -305,7 +309,7 @@ def numerical_range_hull(rel: LinearRelation, samples: int = 4096,
     coeff = rel.graph.basis.conj().T @ ambient
     f_vals = f_blk @ coeff
     norms_sq = np.einsum("ij,ij->j", f_vals.conj(), f_vals).real
-    mask = norms_sq > 1e-24
+    mask = norms_sq > _HULL_MIN_NORM_SQ
     if not mask.any():
         return np.zeros(1, dtype=complex)
     g_vals = g_blk @ coeff

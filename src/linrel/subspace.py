@@ -33,6 +33,27 @@ __all__ = [
 # as orthonormal: far above the ~1e-15 round-off of any factorization, far
 # below a basis that was never orthonormalized.
 _GRAM_ATOL = 1e-8
+# Extra slack on the Gram diagonal: np.allclose's default rtol, which it
+# scales by the identity's unit diagonal.  Kept so that the accepted bases
+# are exactly those of np.allclose(B^H B, I, atol=_GRAM_ATOL).
+_GRAM_DIAG_RTOL = 1e-5
+_GRAM_DIAG_BOUND = _GRAM_ATOL + _GRAM_DIAG_RTOL
+
+
+def _is_orthonormal(basis: np.ndarray) -> bool:
+    """|B^H B - I| <= _GRAM_ATOL off the diagonal, <= _GRAM_DIAG_BOUND on it.
+
+    The accept set of np.allclose(B^H B, I, atol=_GRAM_ATOL) without its
+    per-call machinery.  NaN and inf fail both comparisons.
+    """
+    d = basis.shape[1]
+    dev = basis.conj().T @ basis
+    dev.flat[:: d + 1] -= 1.0
+    dev = np.abs(dev)
+    if not dev.flat[:: d + 1].max() <= _GRAM_DIAG_BOUND:
+        return False
+    dev.flat[:: d + 1] = 0.0
+    return bool(dev.max() <= _GRAM_ATOL)
 
 
 def _as_matrix(vectors, ambient_dim: int | None) -> np.ndarray:
@@ -114,11 +135,8 @@ class Subspace:
                 f"basis shape {self.basis.shape} does not match ambient "
                 f"dimension {self.ambient_dim}"
             )
-        d = self.basis.shape[1]
-        if d:
-            gram = self.basis.conj().T @ self.basis
-            if not np.allclose(gram, np.eye(d), atol=_GRAM_ATOL):
-                raise ValueError("basis columns are not orthonormal")
+        if self.basis.shape[1] and not _is_orthonormal(self.basis):
+            raise ValueError("basis columns are not orthonormal")
 
     @property
     def dim(self) -> int:

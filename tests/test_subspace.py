@@ -1,12 +1,17 @@
 """Subspace arithmetic: spans, complements, lattice operations, verdicts."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linrel.cli import main
 from linrel.config import DEFAULT_TOLERANCES
+from linrel.specio import load_relation_spec
 from linrel.subspace import (
+    _GRAM_ATOL,
     Subspace,
     Verdict,
     complement,
@@ -42,6 +47,109 @@ def test_subspace_rejects_non_orthonormal_basis():
     bad = np.array([[1.0], [1.0]], dtype=complex)
     with pytest.raises(ValueError, match="orthonormal"):
         Subspace(2, bad)
+
+
+# The Gram diagonal may deviate from 1 by _GRAM_ATOL plus np.allclose's
+# default rtol of 1e-5; the off-diagonal entries by _GRAM_ATOL alone.
+_DIAG_BOUND = 1e-8 + 1e-5
+
+
+def _orthonormal(n, d, seed=11):
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+    return np.linalg.qr(raw)[0]
+
+
+def _off_diagonal(size):
+    """Basis whose Gram has size * e^(i phi) at (0, 1) and 1 on the diagonal."""
+    g = np.eye(3, dtype=complex)
+    g[0, 1] = size * np.exp(0.7j)
+    g[1, 0] = np.conj(g[0, 1])
+    return _orthonormal(5, 3) @ np.linalg.cholesky(g).conj().T
+
+
+def _diagonal(dev, d=3):
+    """Basis whose Gram has 1 + dev at (d-1, d-1), with complex phases."""
+    b = _orthonormal(5, d) * np.exp(1j * np.arange(1, d + 1))
+    b[:, -1] *= np.sqrt(1.0 + dev)
+    return b
+
+
+def _with_entry(value):
+    b = _orthonormal(5, 3)
+    b[2, 1] = value
+    return b
+
+
+@pytest.mark.parametrize(
+    ("make", "accepted"),
+    [
+        (lambda: _off_diagonal(1e-8 * (1 - 1e-6)), True),
+        (lambda: _off_diagonal(1e-8 * (1 + 1e-6)), False),
+        (lambda: _diagonal(_DIAG_BOUND - 1e-12), True),
+        (lambda: _diagonal(_DIAG_BOUND + 1e-12), False),
+        (lambda: _diagonal(-(_DIAG_BOUND - 1e-12)), True),
+        (lambda: _diagonal(-(_DIAG_BOUND + 1e-12)), False),
+        (lambda: _diagonal(1e-8 * (1 + 1e-6)), True),
+        (lambda: _with_entry(np.nan), False),
+        (lambda: _with_entry(np.inf), False),
+        (lambda: _with_entry(complex(0.0, -np.inf)), False),
+        (lambda: np.zeros((4, 0), dtype=complex), True),
+        (lambda: _orthonormal(4, 1), True),
+        (lambda: _diagonal(_DIAG_BOUND - 1e-12, d=1), True),
+        (lambda: _diagonal(_DIAG_BOUND + 1e-12, d=1), False),
+        (lambda: _diagonal(np.nan, d=1), False),
+    ],
+    ids=[
+        "offdiag-inside", "offdiag-outside",
+        "diag-above-inside", "diag-above-outside",
+        "diag-below-inside", "diag-below-outside",
+        "diag-beyond-atol-alone", "nan", "inf", "imag-inf",
+        "d0", "d1", "d1-inside", "d1-outside", "d1-nan",
+    ],
+)
+def test_subspace_accept_set_is_allclose(make, accepted):
+    basis = make()
+    n, d = basis.shape
+    with np.errstate(invalid="ignore"):
+        gram = basis.conj().T @ basis
+        want = bool(np.allclose(gram, np.eye(d), atol=_GRAM_ATOL))
+        # the case lies on the side of the bound its id names
+        assert want is accepted
+        try:
+            Subspace(n, basis)
+            got = True
+        except ValueError:
+            got = False
+    assert got is want
+
+
+@pytest.mark.parametrize(
+    ("dev", "orthonormalized"),
+    [(_DIAG_BOUND - 1e-12, False), (_DIAG_BOUND + 1e-12, True)],
+    ids=["inside", "outside"],
+)
+def test_graph_basis_spec_at_the_diagonal_bound(tmp_path, capsys, dev,
+                                                 orthonormalized):
+    """A graph_basis scaled to the bound keeps its flag and its verdict."""
+    col = np.array([0.6 * np.exp(0.4j), 0.8 * np.exp(-1.1j)]) * np.sqrt(1 + dev)
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps({
+        "label": "scaled unit graph",
+        "mode": "graph_basis",
+        "n1": 1,
+        "n2": 1,
+        "matrices": {"basis": [[[z.real, z.imag]] for z in col]},
+    }))
+    spec = load_relation_spec(str(path))
+    assert spec.was_orthonormalized is orthonormalized
+    assert spec.relation.dim == 1
+    main(["analyze", str(path)])
+    report = json.loads(capsys.readouterr().out)
+    assert report["input"]["orthonormalized"] is orthonormalized
+    main(["verify", str(path)])
+    status = "FAIL" if orthonormalized else "ok  "
+    assert f"{status} input_graph_orthonormal\n" in capsys.readouterr().out
 
 
 def test_zero_and_full():

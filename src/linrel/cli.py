@@ -88,10 +88,24 @@ _TRIPLET_BUILDERS = {
     "tilde": triplet_tilde,
 }
 
-# Largest Green-identity defect a triplet self-check accepts.
-_GREEN_TOL = 1e-10
-# Largest max-abs gap between verify's Weyl functions and their closed forms.
-_WEYL_TOL = 1e-9
+
+def _green_tol(cfg: ToleranceConfig) -> float:
+    """Largest Green-identity defect a triplet self-check accepts.
+
+    rank_tol: the defect is built from orthonormal bases, so it is a
+    unit-scale residual, and rank_tol is where the rank rule calls such a
+    residual zero (1e-10 at the default tolerances).
+    """
+    return cfg.rank_tol
+
+
+def _weyl_tol(cfg: ToleranceConfig) -> float:
+    """Largest max-abs gap between verify's Weyl functions and closed forms.
+
+    10 rank_tol (1e-9 at the default tolerances): one digit of slack over
+    the Green-identity bound for the solve that forms M(lambda).
+    """
+    return 10.0 * cfg.rank_tol
 
 
 def _config_from_args(args: argparse.Namespace) -> ToleranceConfig:
@@ -251,7 +265,9 @@ def cmd_extensions(args: argparse.Namespace) -> int:
     checks = []
     for kind, _, green, surjective, k0, k1 in _triplet_results(bundle):
         checks += [
-            _check(f"triplet_{kind}_green_identity", green < _GREEN_TOL, green),
+            _check(
+                f"triplet_{kind}_green_identity", green < _green_tol(cfg), green
+            ),
             _check(
                 f"triplet_{kind}_surjective_and_kernels",
                 surjective and _equal(k0, k1),
@@ -536,7 +552,7 @@ def _verify_checks(spec: LoadedSpec, cfg: ToleranceConfig,
     )
 
     for kind, trip, green, surjective, k0, k1 in _triplet_results(bundle):
-        ok = green < _GREEN_TOL and surjective and _equal(k0, k1)
+        ok = green < _green_tol(cfg) and surjective and _equal(k0, k1)
         checks.append(
             (f"triplet_{kind}", ok, max(green, k0.angle, k1.angle))
         )
@@ -545,7 +561,9 @@ def _verify_checks(spec: LoadedSpec, cfg: ToleranceConfig,
             diff = weyl(trip, lam) - closed_form_weyl(bundle, kind, lam)
             if diff.size:
                 worst = max(worst, float(np.max(np.abs(diff))))
-        checks.append((f"weyl_{kind}_closed_form", worst < _WEYL_TOL, worst))
+        checks.append(
+            (f"weyl_{kind}_closed_form", worst < _weyl_tol(cfg), worst)
+        )
 
     # the Krein-order samples continue the stream after the sweep's draws
     rng = np.random.default_rng(seed)

@@ -11,10 +11,13 @@ intersection S0, the intermediate symmetric extension S~, and the
 boundary-parameter space G0 = mul R* (+) ker R* that parametrizes the
 nonnegative selfadjoint extensions.
 
-All members are built from their closed product/graph forms.  lift
-checks the closed-form S* against adjoint(S) by a Gram-norm angle, with
-no second factorization; the generic Friedrichs/Krein routes stay
-independent of the closed forms so tests can compare them.
+All members are built from their closed product/graph forms: each graph
+basis is a stack of the checked bases of R, R*, dom R, ran R, mul R*,
+ker R* and identities on disjoint rows of C^{2n}, so it needs no Gram
+test of its own (subspace._stack).  lift checks the closed-form S*
+against adjoint(S) by a Gram-norm angle, with no second factorization;
+the generic Friedrichs/Krein routes stay independent of the closed forms
+so tests can compare them.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .subspace import (
     Subspace,
     Verdict,
     _sine_angle,
+    _stack,
     complement,
     oplus,
     relate,
@@ -164,23 +168,21 @@ def lift(rel: LinearRelation,
     mul_r_star = complement(dom_r, cfg)
     ker_r_star = complement(ran_r, cfg)
 
-    f_blk, g_blk = rel.domain_block, rel.range_block
-    a_blk, b_blk = r_star.domain_block, r_star.range_block  # (h2, k1) pairs
+    def lifted(*blocks) -> LinearRelation:
+        return LinearRelation(n, n, _stack(2 * n, blocks))
 
-    def lifted(*blocks: np.ndarray) -> LinearRelation:
-        return LinearRelation(n, n, Subspace(2 * n, np.hstack(blocks)))
+    # rows of the four components of H1 (+) H2 (+) H1 (+) H2 = C^{2n}; each
+    # relation below is a 2 x 2 block arrangement of parts on these rows
+    h1, h2, k1, k2 = (0, n1), (n1, n), (n, n + n1), (n + n1, 2 * n)
+    # graph R puts its F rows on h1 and its G rows on k2; graph R*, whose
+    # pairs are (h2, k1), puts its rows on h2 and k1
+    s_block = (rel.graph, [h1, k2])
+    r_star_block = (r_star.graph, [h2, k1])
+    all_h1 = (Subspace.full(n1), [h1])
+    all_k2 = (Subspace.full(n2), [k2])
 
-    # each lifted block is built once; the relations holding it share it
-    s_cols = _lift_columns(n1, n2, h1=f_blk, k2=g_blk, width=rel.dim)
-    r_star_cols = _lift_columns(n1, n2, h2=a_blk, k1=b_blk, width=r_star.dim)
-    k2_cols = _lift_columns(n1, n2, k2=np.eye(n2, dtype=complex), width=n2)
-
-    s_rel = lifted(s_cols)
-    s_star = lifted(
-        _lift_columns(n1, n2, h1=np.eye(n1, dtype=complex), width=n1),
-        r_star_cols,
-        k2_cols,
-    )
+    s_rel = lifted(s_block)
+    s_star = lifted(all_h1, r_star_block, all_k2)
 
     angle = _adjoint_angle(s_star, s_rel)
     if not angle < cfg.angle_tol:
@@ -188,33 +190,14 @@ def lift(rel: LinearRelation,
             f"closed-form S* disagrees with adjoint(S): angle {angle:.3e}"
         )
 
-    h_rel = from_product(
-        oplus(Subspace.full(n1), Subspace.zero(n2)),
-        oplus(Subspace.zero(n1), Subspace.full(n2)),
-    )
-    k_rel = lifted(s_cols, r_star_cols)
-
-    s_f = from_product(
-        oplus(dom_r, Subspace.zero(n2)), oplus(mul_r_star, Subspace.full(n2))
-    )
-    s_k = from_product(
-        oplus(Subspace.full(n1), ker_r_star), oplus(Subspace.zero(n1), ran_r)
-    )
-    s0 = from_product(
-        oplus(dom_r, Subspace.zero(n2)), oplus(Subspace.zero(n1), ran_r)
-    )
-    s0_star = from_product(
-        oplus(Subspace.full(n1), ker_r_star), oplus(mul_r_star, Subspace.full(n2))
-    )
-
-    s_tilde = lifted(
-        s_cols, _lift_columns(n1, n2, k1=mul_r_star.basis, width=mul_r_star.dim)
-    )
-    s_tilde_star = lifted(
-        _lift_columns(n1, n2, h1=dom_r.basis, width=dom_r.dim),
-        r_star_cols,
-        k2_cols,
-    )
+    h_rel = lifted(all_h1, all_k2)
+    k_rel = lifted(s_block, r_star_block)
+    s_f = lifted((dom_r, [h1]), (mul_r_star, [k1]), all_k2)
+    s_k = lifted(all_h1, (ker_r_star, [h2]), (ran_r, [k2]))
+    s0 = lifted((dom_r, [h1]), (ran_r, [k2]))
+    s0_star = lifted(all_h1, (ker_r_star, [h2]), (mul_r_star, [k1]), all_k2)
+    s_tilde = lifted(s_block, (mul_r_star, [k1]))
+    s_tilde_star = lifted((dom_r, [h1]), r_star_block, all_k2)
 
     g0_space = oplus(mul_r_star, ker_r_star)
 

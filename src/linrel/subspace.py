@@ -4,6 +4,16 @@ A subspace is stored as an ambient dimension together with a matrix whose
 columns form an orthonormal basis.  The zero subspace (an ``(n, 0)`` basis
 matrix) is a first-class value so that kernel and multivalued-part
 computations never need special casing.
+
+Every basis is checked when its Subspace is built.  A basis that comes
+from a factorization, from user input or from a product of bases must
+pass the Gram test |B^H B - I| <= 1e-8 off the diagonal and <= 1e-8 +
+1e-5 on it; an entry of modulus above 2, NaN or inf fails it before the
+product is formed.  A basis stacked from the bases of existing
+Subspaces (and identities) on pairwise disjoint rows, as oplus, full and
+the lifted relations of the extension module are, is accepted by that
+structure instead: its Gram matrix is block diagonal with the parts'
+Grams as its blocks, exactly, so the parts' own checks decide the same.
 """
 
 from __future__ import annotations
@@ -38,21 +48,34 @@ _GRAM_ATOL = 1e-8
 # are exactly those of np.allclose(B^H B, I, atol=_GRAM_ATOL).
 _GRAM_DIAG_RTOL = 1e-5
 _GRAM_DIAG_BOUND = _GRAM_ATOL + _GRAM_DIAG_RTOL
+# No entry of an accepted basis exceeds its column norm,
+# sqrt(1 + _GRAM_DIAG_BOUND) < 2, in modulus.  So a basis with an entry
+# beyond this bound (or a NaN) fails the Gram test anyway, and rejecting it
+# before the product keeps the accept set and spares numpy's overflow and
+# invalid-value warnings.
+_ENTRY_BOUND = 2.0
 
 
 def _is_orthonormal(basis: np.ndarray) -> bool:
     """|B^H B - I| <= _GRAM_ATOL off the diagonal, <= _GRAM_DIAG_BOUND on it.
 
     The accept set of np.allclose(B^H B, I, atol=_GRAM_ATOL) without its
-    per-call machinery.  NaN and inf fail both comparisons.
+    per-call machinery.  A NaN, inf or huge entry fails before the
+    product, so no RuntimeWarning precedes the rejection.
     """
+    if not np.abs(basis).max(initial=0.0) <= _ENTRY_BOUND:
+        return False
     d = basis.shape[1]
     dev = basis.conj().T @ basis
-    dev.flat[:: d + 1] -= 1.0
+    dev.reshape(-1)[:: d + 1] -= 1.0
     dev = np.abs(dev)
-    if not dev.flat[:: d + 1].max() <= _GRAM_DIAG_BOUND:
+    # a basis from a factorization deviates by ~1e-15 everywhere: one pass
+    if dev.max() <= _GRAM_ATOL:
+        return True
+    diag = dev.reshape(-1)[:: d + 1]
+    if not diag.max() <= _GRAM_DIAG_BOUND:
         return False
-    dev.flat[:: d + 1] = 0.0
+    diag[:] = 0.0
     return bool(dev.max() <= _GRAM_ATOL)
 
 
@@ -148,7 +171,8 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, np.eye(ambient_dim, dtype=complex))
+        # the identity is orthonormal exactly, as a stack of unit columns
+        return _assembled(ambient_dim, np.eye(ambient_dim, dtype=complex))
 
     def projector(self) -> np.ndarray:
         """Orthogonal projection matrix onto the subspace."""
@@ -286,7 +310,59 @@ def relate(u: Subspace, v: Subspace,
 def oplus(u: Subspace, v: Subspace) -> Subspace:
     """External direct sum: u + v inside C^(m+n), with exact zero blocks."""
     m, n = u.ambient_dim, v.ambient_dim
-    basis = np.zeros((m + n, u.dim + v.dim), dtype=complex)
-    basis[:m, : u.dim] = u.basis
-    basis[m:, u.dim :] = v.basis
-    return Subspace(m + n, basis)
+    return _stack(m + n, [(u, [(0, m)]), (v, [(m, m + n)])])
+
+
+def _assembled(ambient_dim: int, basis: np.ndarray) -> Subspace:
+    """A Subspace whose basis is orthonormal by construction: no Gram test.
+
+    Only _stack and Subspace.full build one; every other basis goes
+    through Subspace.__post_init__.
+    """
+    out = object.__new__(Subspace)
+    out.ambient_dim = ambient_dim
+    out.basis = basis
+    return out
+
+
+def _stack(ambient_dim: int, blocks) -> Subspace:
+    """Column blocks of existing Subspaces placed on pairwise disjoint rows.
+
+    Each block is (part, rows): rows is a list of half-open target row
+    ranges (start, stop) whose lengths add up to part.ambient_dim, and the
+    rows of part's basis fill them in order, in part's columns; every other
+    entry is an exact zero.  The Gram matrix of the stack is then block
+    diagonal with the parts' Gram matrices as its blocks, because each
+    cross block sums products with exact zeros.  So the stack is
+    orthonormal exactly when its parts are, which their own checks decided,
+    and no Gram product is formed.  Raises ValueError when two ranges
+    overlap or one leaves C^ambient_dim.
+    """
+    ranges = []
+    for part, rows in blocks:
+        if sum(stop - start for start, stop in rows) != part.ambient_dim:
+            raise DimensionMismatch(
+                f"rows {rows} do not hold a C^{part.ambient_dim} part"
+            )
+        ranges += [r for r in rows if r[0] != r[1]]
+    end = 0
+    for start, stop in sorted(ranges):
+        if start < end or stop < start:
+            raise ValueError(
+                f"row range ({start}, {stop}) is reversed or overlaps another"
+            )
+        end = stop
+    if end > ambient_dim:
+        raise ValueError(f"row {end - 1} lies outside C^{ambient_dim}")
+
+    basis = np.zeros((ambient_dim, sum(part.dim for part, _ in blocks)),
+                     dtype=complex)
+    col = 0
+    for part, rows in blocks:
+        cols = slice(col, col + part.dim)
+        src = 0
+        for start, stop in rows:
+            basis[start:stop, cols] = part.basis[src : src + stop - start]
+            src += stop - start
+        col += part.dim
+    return _assembled(ambient_dim, basis)

@@ -460,6 +460,34 @@ class TestVerify:
         assert "FAIL input_graph_orthonormal" in out
         assert "verify: FAIL" in out
 
+    def test_tighter_rank_tol_tightens_green_and_weyl_bounds(
+            self, monkeypatch, capsys):
+        # a Green defect of 5e-11 and a Weyl gap of 5e-10 pass the default
+        # bounds (rank_tol and 10 rank_tol, 1e-10 and 1e-9) and fail both
+        # bounds at rank_tol = 1e-11
+        real_weyl = cli.weyl
+        monkeypatch.setattr(cli, "green_identity_defect", lambda trip: 5e-11)
+        monkeypatch.setattr(cli, "weyl",
+                            lambda trip, lam: real_weyl(trip, lam) + 5e-10)
+        path = str(DATA / "halfline_embed.json")
+
+        assert main(["verify", path]) == 0
+        assert capsys.readouterr().out.endswith("verify: PASS (14/14)\n")
+
+        assert main(["verify", path, "--tol-rank", "1e-11"]) == 1
+        failed = [line.split()[1]
+                  for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("FAIL ")]
+        assert failed == [name for name in VERIFY_CHECKS
+                          if name.startswith(("triplet_", "weyl_"))]
+
+        assert main(["extensions", path, "--tol-rank", "1e-11"]) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [c["name"] for c in checks if not c["passed"]] == [
+            f"triplet_{kind}_green_identity"
+            for kind in ("main", "basic", "tilde")
+        ]
+
 
 class TestErrorPaths:
     def test_malformed_json_exits_2_with_location(self, tmp_path, capsys):

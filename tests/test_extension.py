@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from linrel import extension
+from linrel import extension, subspace
 from linrel.config import ToleranceConfig
 from linrel.errors import DimensionMismatch, PreconditionViolated
 from linrel.extension import (
@@ -99,6 +99,45 @@ class TestLiftStructure:
         assert_relation_equal(
             meet_relations(bundle.S_F, bundle.K), bundle.S_tilde
         )
+
+
+# every Subspace a LiftBundle holds: the graphs of S .. S~*, then the rest
+_BUNDLE_RELATIONS = ("S", "S_star", "H", "K", "S_F", "S_K", "S0", "S0_star",
+                     "S_tilde", "S_tilde_star")
+_BUNDLE_SPACES = ("G", "G0", "G_tilde", "dom_R", "ran_R", "mul_R_star",
+                  "ker_R_star")
+
+
+class TestStackedBases:
+    """lift stacks checked bases on disjoint rows instead of Gram-testing them."""
+
+    # ranks n/2, n and 3n/2
+    @pytest.mark.parametrize(
+        ("n", "rank"), [(4, 2), (4, 4), (4, 6), (6, 3), (6, 6), (6, 9)]
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_every_bundle_basis_is_orthonormal(self, n, rank, seed):
+        bundle = lift(random_relation(n, n, rank=rank, rng=seed))
+        spaces = [getattr(bundle, name).graph for name in _BUNDLE_RELATIONS]
+        spaces += [getattr(bundle, name) for name in _BUNDLE_SPACES]
+        for space in spaces:
+            assert space.dim == 0 or subspace._is_orthonormal(space.basis)
+        # rank n/2 leaves dom R and ran R proper, so G0 != {0}; ranks n and
+        # 3n/2 make both dense, so G0 = {0}
+        assert (bundle.G0.dim > 0) is (rank < n)
+
+    def test_lifted_bases_are_the_zero_padded_blocks(self, bundle):
+        n1, n = bundle.n1, bundle.n
+        f, g = bundle.R.domain_block, bundle.R.range_block
+        want = np.zeros((2 * n, bundle.R.dim), dtype=complex)
+        want[:n1], want[n + n1 :] = f, g
+        assert bundle.S.graph.basis.tobytes() == want.tobytes()
+        r_star = bundle.R_star.graph.basis
+        k = bundle.K.graph.basis
+        assert np.array_equal(k[:, : bundle.R.dim], want)
+        assert np.array_equal(k[n1 : n + n1, bundle.R.dim :], r_star)
+        assert not np.any(k[:n1, bundle.R.dim :])
+        assert not np.any(k[n + n1 :, bundle.R.dim :])
 
 
 class TestLiftAdjointCheck:

@@ -1,6 +1,7 @@
 """Subspace arithmetic: spans, complements, lattice operations, verdicts."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -9,11 +10,14 @@ from hypothesis import strategies as st
 
 from linrel.cli import main
 from linrel.config import DEFAULT_TOLERANCES
+from linrel.errors import DimensionMismatch
 from linrel.specio import load_relation_spec
 from linrel.subspace import (
     _GRAM_ATOL,
     Subspace,
     Verdict,
+    _is_orthonormal,
+    _stack,
     complement,
     join,
     meet,
@@ -94,6 +98,7 @@ def _with_entry(value):
         (lambda: _with_entry(np.nan), False),
         (lambda: _with_entry(np.inf), False),
         (lambda: _with_entry(complex(0.0, -np.inf)), False),
+        (lambda: _with_entry(1e200), False),
         (lambda: np.zeros((4, 0), dtype=complex), True),
         (lambda: _orthonormal(4, 1), True),
         (lambda: _diagonal(_DIAG_BOUND - 1e-12, d=1), True),
@@ -104,18 +109,21 @@ def _with_entry(value):
         "offdiag-inside", "offdiag-outside",
         "diag-above-inside", "diag-above-outside",
         "diag-below-inside", "diag-below-outside",
-        "diag-beyond-atol-alone", "nan", "inf", "imag-inf",
+        "diag-beyond-atol-alone", "nan", "inf", "imag-inf", "huge",
         "d0", "d1", "d1-inside", "d1-outside", "d1-nan",
     ],
 )
 def test_subspace_accept_set_is_allclose(make, accepted):
     basis = make()
     n, d = basis.shape
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         gram = basis.conj().T @ basis
         want = bool(np.allclose(gram, np.eye(d), atol=_GRAM_ATOL))
-        # the case lies on the side of the bound its id names
-        assert want is accepted
+    # the case lies on the side of the bound its id names
+    assert want is accepted
+    # a non-finite or huge entry is rejected before any product: no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         try:
             Subspace(n, basis)
             got = True
@@ -211,6 +219,71 @@ def test_oplus_blocks(rng):
     # top-right and bottom-left blocks stay exactly zero
     assert np.all(w.basis[:3, 2:] == 0)
     assert np.all(w.basis[3:, :2] == 0)
+
+
+@pytest.mark.parametrize(
+    ("m", "du", "n", "dv"),
+    [(3, 2, 2, 1), (4, 0, 3, 3), (1, 1, 5, 0), (6, 6, 2, 2)],
+)
+def test_oplus_is_bit_identical_to_zero_padding(rng, m, du, n, dv):
+    u = random_subspace(rng, m, du)
+    v = random_subspace(rng, n, dv)
+    padded = np.zeros((m + n, du + dv), dtype=complex)
+    padded[:m, :du] = u.basis
+    padded[m:, du:] = v.basis
+    w = oplus(u, v)
+    assert w.basis.shape == padded.shape
+    assert w.basis.tobytes() == padded.tobytes()
+    assert _is_orthonormal(w.basis) or w.dim == 0
+
+
+def test_stack_splits_a_part_over_row_ranges(rng):
+    u = random_subspace(rng, 5, 3)
+    v = random_subspace(rng, 2, 2)
+    # u's rows 0..1 go to rows 0..1, its rows 2..4 to rows 5..7; v fills 2..3
+    w = _stack(8, [(u, [(0, 2), (5, 8)]), (v, [(2, 4)]),
+                   (Subspace.full(1), [(4, 5)])])
+    assert w.ambient_dim == 8 and w.dim == 6
+    assert np.array_equal(w.basis[[0, 1, 5, 6, 7], :3], u.basis)
+    assert np.array_equal(w.basis[2:4, 3:5], v.basis)
+    assert w.basis[4, 5] == 1
+    nonzero = np.count_nonzero(u.basis) + np.count_nonzero(v.basis) + 1
+    assert np.count_nonzero(w.basis) == nonzero
+    assert _is_orthonormal(w.basis)
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        [(0, 3), (2, 4)],          # two parts share row 2
+        [(0, 2), (1, 3)],          # the same, the other way round
+        [(0, 3), (0, 2)],          # identical starts
+        [(1, 4), (0, 2)],          # given out of order
+    ],
+    ids=["tail", "head", "same-start", "unsorted"],
+)
+def test_stack_rejects_overlapping_row_maps(rng, blocks):
+    (a0, a1), (b0, b1) = blocks
+    u = random_subspace(rng, a1 - a0, 1)
+    v = random_subspace(rng, b1 - b0, 1)
+    with pytest.raises(ValueError, match="overlaps"):
+        _stack(6, [(u, [(a0, a1)]), (v, [(b0, b1)])])
+
+
+def test_stack_rejects_overlap_within_one_part(rng):
+    u = random_subspace(rng, 4, 2)
+    with pytest.raises(ValueError, match="overlaps"):
+        _stack(6, [(u, [(0, 2), (1, 3)])])
+
+
+def test_stack_rejects_rows_outside_and_wrong_lengths(rng):
+    u = random_subspace(rng, 3, 2)
+    with pytest.raises(ValueError, match="outside"):
+        _stack(4, [(u, [(2, 5)])])
+    with pytest.raises(DimensionMismatch):
+        _stack(6, [(u, [(0, 2)])])
+    with pytest.raises(ValueError, match="reversed"):
+        _stack(8, [(u, [(2, 0), (3, 8)])])
 
 
 @settings(max_examples=40, deadline=None)

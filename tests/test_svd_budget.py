@@ -4,13 +4,15 @@ the sub-relation builders and the block calculus, at a fixed seed.
 numpy.linalg.svd calls are counted, so a change that re-forms an adjoint
 inside lift, factors the triplet kernels eagerly, or re-orthonormalizes a
 graph basis times a nullspace basis fails here, not only in the
-benchmark.  The kernels themselves are checked on first access.
+benchmark.  The kernels themselves are checked on first access.  Gram
+tests of Subspace bases are counted too, so a change that routes one of
+lift's stacked bases back through the Gram product fails here as well.
 """
 
 import numpy as np
 import pytest
 
-from linrel import relation
+from linrel import relation, subspace
 from linrel.blockcalc import Block2x2, block, column, row
 from linrel.boundary import (
     extension_from_boundary,
@@ -30,6 +32,10 @@ from conftest import assert_relation_equal
 
 N = 8
 LIFT_SVD_BUDGET = 9
+# the bases lift factors or flips: G, R*, dom R, ran R, mul R*, ker R*,
+# and for G~ the multivalued and operator parts of R* and G~ itself; the
+# relations it stacks from them take no Gram product
+LIFT_GRAM_BUDGET = 9
 
 
 @pytest.fixture
@@ -42,6 +48,19 @@ def svd_calls(monkeypatch):
         return real_svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+@pytest.fixture
+def gram_checks(monkeypatch):
+    calls = []
+    real_check = subspace._is_orthonormal
+
+    def counted(basis):
+        calls.append(basis.shape)
+        return real_check(basis)
+
+    monkeypatch.setattr(subspace, "_is_orthonormal", counted)
     return calls
 
 
@@ -64,6 +83,16 @@ def test_lift_stays_within_budget(rank, svd_calls):
     svd_calls.clear()
     lift(rel)
     assert len(svd_calls) <= LIFT_SVD_BUDGET, svd_calls
+
+
+@pytest.mark.parametrize("rank", [N // 2, N, 3 * N // 2])
+def test_lift_gram_checks_only_factored_bases(rank, gram_checks):
+    rel = random_relation(N, N, rank=rank, rng=5)
+    gram_checks.clear()
+    bundle = lift(rel)
+    assert len(gram_checks) <= LIFT_GRAM_BUDGET, gram_checks
+    # no basis of C^{2n}, the lift's own graph space, is Gram-tested
+    assert all(rows < 2 * bundle.n for rows, _ in gram_checks), gram_checks
 
 
 @pytest.mark.parametrize("rank", [N // 2, N, 3 * N // 2])

@@ -121,22 +121,6 @@ class LiftBundle:
         return self.R.n1 + self.R.n2
 
 
-def _lift_columns(n1: int, n2: int, h1=None, h2=None, k1=None, k2=None,
-                  width: int = 0) -> np.ndarray:
-    """Assemble graph columns of a lifted relation from component blocks."""
-    n = n1 + n2
-    out = np.zeros((2 * n, width), dtype=complex)
-    if h1 is not None:
-        out[:n1] = h1
-    if h2 is not None:
-        out[n1:n] = h2
-    if k1 is not None:
-        out[n : n + n1] = k1
-    if k2 is not None:
-        out[n + n1 :] = k2
-    return out
-
-
 def _adjoint_angle(t: LinearRelation, sym: LinearRelation) -> float:
     """Largest principal angle between t and adjoint(sym), for square sym.
 
@@ -174,10 +158,10 @@ def lift(rel: LinearRelation,
     # rows of the four components of H1 (+) H2 (+) H1 (+) H2 = C^{2n}; each
     # relation below is a 2 x 2 block arrangement of parts on these rows
     h1, h2, k1, k2 = (0, n1), (n1, n), (n, n + n1), (n + n1, 2 * n)
-    # graph R puts its F rows on h1 and its G rows on k2; graph R*, whose
-    # pairs are (h2, k1), puts its rows on h2 and k1
+    # graph R*, whose pairs are (h2, k1), fills the adjacent rows h2 and k1
+    # as one block; only graph R is split, its F rows on h1, its G rows on k2
     s_block = (rel.graph, [h1, k2])
-    r_star_block = (r_star.graph, [h2, k1])
+    r_star_block = (r_star.graph, [(n1, n + n1)])
     all_h1 = (Subspace.full(n1), [h1])
     all_k2 = (Subspace.full(n2), [k2])
 
@@ -284,18 +268,16 @@ def nonneg_extension(bundle: LiftBundle,
     if g0 and not classify(theta, bundle.cfg).is_selfadjoint:
         raise PreconditionViolated("theta is not selfadjoint in G0")
 
-    n1, n2 = bundle.n1, bundle.n2
     n = bundle.n
-    dom_b = bundle.dom_R.basis
-    ran_b = bundle.ran_R.basis
     g0_b = bundle.G0.basis
-
-    zero_on_dom = _lift_columns(n1, n2, h1=dom_b, width=bundle.dom_R.dim)
+    # S0's graph is the zero operator on dom R (rows h1) followed by
+    # {0} x ran R (rows k2); theta's columns go between the two
+    s0_b = bundle.S0.graph.basis
+    split = bundle.dom_R.dim
     theta_cols = np.vstack(
         [g0_b @ theta.domain_block, g0_b @ theta.range_block]
     )
-    mul_cols = _lift_columns(n1, n2, k2=ran_b, width=bundle.ran_R.dim)
-    basis = np.hstack([zero_on_dom, theta_cols, mul_cols])
+    basis = np.hstack([s0_b[:, :split], theta_cols, s0_b[:, split:]])
     return LinearRelation(n, n, Subspace(2 * n, basis))
 
 

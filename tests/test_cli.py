@@ -460,33 +460,46 @@ class TestVerify:
         assert "FAIL input_graph_orthonormal" in out
         assert "verify: FAIL" in out
 
-    def test_tighter_rank_tol_tightens_green_and_weyl_bounds(
-            self, monkeypatch, capsys):
-        # a Green defect of 5e-11 and a Weyl gap of 5e-10 pass the default
-        # bounds (rank_tol and 10 rank_tol, 1e-10 and 1e-9) and fail both
-        # bounds at rank_tol = 1e-11
+    @pytest.mark.parametrize(
+        "defect, tight, loose",
+        # rank_tol 1e-11 tightens both bounds below the patched residuals,
+        # rank_tol 1e-8 loosens them above; the default sits between
+        [(5e-11, "1e-11", None), (5e-9, None, "1e-8")],
+    )
+    def test_rank_tol_sets_green_and_weyl_bounds(
+            self, defect, tight, loose, monkeypatch, capsys):
+        # the Green defect is patched to defect and the Weyl gap to
+        # 10 defect: both pass at rank_tol (bounds rank_tol and 10 rank_tol)
+        # when defect < rank_tol, and fail when defect > rank_tol
         real_weyl = cli.weyl
-        monkeypatch.setattr(cli, "green_identity_defect", lambda trip: 5e-11)
+        monkeypatch.setattr(cli, "green_identity_defect", lambda trip: defect)
         monkeypatch.setattr(cli, "weyl",
-                            lambda trip, lam: real_weyl(trip, lam) + 5e-10)
+                            lambda trip, lam: real_weyl(trip, lam) + 10 * defect)
         path = str(DATA / "halfline_embed.json")
+        failing = [name for name in VERIFY_CHECKS
+                   if name.startswith(("triplet_", "weyl_"))]
+        green_checks = [f"triplet_{kind}_green_identity"
+                        for kind in ("main", "basic", "tilde")]
 
-        assert main(["verify", path]) == 0
-        assert capsys.readouterr().out.endswith("verify: PASS (14/14)\n")
+        def verify_failures(*extra):
+            code = main(["verify", path, *extra])
+            lines = capsys.readouterr().out.splitlines()
+            return code, [line.split()[1] for line in lines
+                          if line.startswith("FAIL ")]
 
-        assert main(["verify", path, "--tol-rank", "1e-11"]) == 1
-        failed = [line.split()[1]
-                  for line in capsys.readouterr().out.splitlines()
-                  if line.startswith("FAIL ")]
-        assert failed == [name for name in VERIFY_CHECKS
-                          if name.startswith(("triplet_", "weyl_"))]
+        def extensions_failures(*extra):
+            code = main(["extensions", path, *extra])
+            checks = json.loads(capsys.readouterr().out)["checks"]
+            return code, [c["name"] for c in checks if not c["passed"]]
 
-        assert main(["extensions", path, "--tol-rank", "1e-11"]) == 1
-        checks = json.loads(capsys.readouterr().out)["checks"]
-        assert [c["name"] for c in checks if not c["passed"]] == [
-            f"triplet_{kind}_green_identity"
-            for kind in ("main", "basic", "tilde")
-        ]
+        # passing at the bound that is above the defect ...
+        above = ["--tol-rank", loose] if loose else []
+        assert verify_failures(*above) == (0, [])
+        assert extensions_failures(*above) == (0, [])
+        # ... and failing at the one below it
+        below = ["--tol-rank", tight] if tight else []
+        assert verify_failures(*below) == (1, failing)
+        assert extensions_failures(*below) == (1, green_checks)
 
 
 class TestErrorPaths:

@@ -40,6 +40,7 @@ from .errors import (
 from .extension import LiftBundle, lift
 from .relation import (
     LinearRelation,
+    _pencil_solve,
     _sub_relation,
     classify,
     from_operator,
@@ -263,13 +264,9 @@ def _resolvent_solve(trip: BoundaryTriplet, lam: complex,
     """
     _outside_origin_disk(lam)
     blocks = trip.resolvent_blocks
-    pencil = blocks.g0 - lam * blocks.f0
-    s = np.linalg.svd(pencil, compute_uv=False)
-    if _numerical_rank(s, rank_tol) < pencil.shape[0]:
-        raise SpectrumError(
-            f"lambda = {lam} is an eigenvalue of ker Gamma0"
-        )
-    return np.linalg.solve(pencil, blocks.g1 - lam * blocks.f1)
+    return _pencil_solve(blocks.g0, blocks.f0, lam,
+                         blocks.g1 - lam * blocks.f1, rank_tol,
+                         "an eigenvalue of ker Gamma0")
 
 
 def weyl(trip: BoundaryTriplet, lam: complex,

@@ -135,8 +135,11 @@ def _emit(text: str, out_path: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputFormatError(f"{out_path}: {exc.strerror or exc}") from exc
 
 
 def _symmetry_echo(rel: LinearRelation, cfg: ToleranceConfig,

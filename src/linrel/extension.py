@@ -14,10 +14,11 @@ nonnegative selfadjoint extensions.
 All members are built from their closed product/graph forms: each graph
 basis is a stack of the checked bases of R, R*, dom R, ran R, mul R*,
 ker R* and identities on disjoint rows of C^{2n}, so it needs no Gram
-test of its own (subspace._stack).  lift checks the closed-form S*
-against adjoint(S) by a Gram-norm angle, with no second factorization;
-the generic Friedrichs/Krein routes stay independent of the closed forms
-so tests can compare them.
+test of its own (subspace._stack); R* and G~ are signed swaps of the
+checked G and op R* (subspace._signed_swap), untested too.  lift checks
+the closed-form S* against adjoint(S) by a Gram-norm angle, with no
+second factorization; the generic Friedrichs/Krein routes stay
+independent of the closed forms so tests can compare them.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from .subspace import (
     RelateResult,
     Subspace,
     Verdict,
+    _signed_swap,
     _sine_angle,
     _stack,
     complement,
@@ -132,8 +134,8 @@ def _adjoint_angle(t: LinearRelation, sym: LinearRelation) -> float:
     n = sym.n1
     if t.dim + sym.dim != 2 * n:
         return math.pi / 2
-    w = sym.graph.basis
-    return _sine_angle(t.graph.basis.conj().T @ np.vstack([w[n:], -w[:n]]))
+    j_sym = _signed_swap(sym.graph, n, "head")
+    return _sine_angle(t.graph.basis.conj().T @ j_sym.basis)
 
 
 def lift(rel: LinearRelation,
@@ -185,9 +187,9 @@ def lift(rel: LinearRelation,
 
     g0_space = oplus(mul_r_star, ker_r_star)
 
+    # G~ = J graph(op R*), J(f, g) = (g, -f)
     r_star_op = operator_part(r_star, cfg)
-    g_tilde_basis = np.vstack([r_star_op.range_block, -r_star_op.domain_block])
-    g_tilde = Subspace(n, g_tilde_basis)
+    g_tilde = _signed_swap(r_star_op.graph, n2, "head")
 
     return LiftBundle(
         R=rel,

@@ -22,6 +22,8 @@ from .subspace import (
     RelateResult,
     Subspace,
     _numerical_rank,
+    _residual,
+    _signed_swap,
     _sine_angle,
     _subspace_where,
     complement,
@@ -210,15 +212,12 @@ def adjoint(rel: LinearRelation,
 def _adjoint_from_complement(rel: LinearRelation,
                              ortho: Subspace) -> LinearRelation:
     """R* from the orthogonal complement of the graph of R, by the flip."""
-    top, bottom = ortho.basis[: rel.n1], ortho.basis[rel.n1 :]
-    basis = np.vstack([-bottom, top])
-    return LinearRelation(rel.n2, rel.n1, Subspace(rel.n1 + rel.n2, basis))
+    return LinearRelation(rel.n2, rel.n1, _signed_swap(ortho, rel.n1, "tail"))
 
 
 def inverse(rel: LinearRelation) -> LinearRelation:
     """Componentwise swap of the graph."""
-    basis = np.vstack([rel.range_block, rel.domain_block])
-    return LinearRelation(rel.n2, rel.n1, Subspace(rel.n1 + rel.n2, basis))
+    return LinearRelation(rel.n2, rel.n1, _signed_swap(rel.graph, rel.n1, None))
 
 
 def operator_part(rel: LinearRelation,
@@ -233,9 +232,7 @@ def operator_part(rel: LinearRelation,
     mul = _mul(rel, cfg)
     if mul.dim == 0:
         return rel
-    z = np.zeros((rel.n1 + rel.n2, mul.dim), dtype=complex)
-    z[rel.n1 :] = mul.basis
-    projected = rel.graph.basis - z @ (z.conj().T @ rel.graph.basis)
+    projected = _residual(rel.graph, oplus(Subspace.zero(rel.n1), mul))
     basis = orthonormal_columns(projected, cfg.rank_tol)
     return LinearRelation(rel.n1, rel.n2, Subspace(rel.n1 + rel.n2, basis))
 
@@ -389,16 +386,31 @@ def resolvent(rel: LinearRelation, lam: complex,
     if rel.n1 != rel.n2:
         raise DimensionMismatch("resolvent needs a square relation")
     n = rel.n1
-    pencil = rel.range_block - lam * rel.domain_block
     if rel.dim != n:
         raise SpectrumError(
             f"graph dimension {rel.dim} != {n}: (A - lambda)^(-1) cannot be "
             "an everywhere-defined operator"
         )
+    x = _pencil_solve(rel.range_block, rel.domain_block, lam,
+                      np.eye(n, dtype=complex), cfg.rank_tol,
+                      "a spectral point")
+    return rel.domain_block @ x
+
+
+def _pencil_solve(g_blk: np.ndarray, f_blk: np.ndarray, lam: complex,
+                  rhs: np.ndarray, rank_tol: float,
+                  spectral: str) -> np.ndarray:
+    """(G - lambda F)^{-1} rhs for a square pencil, after its spectral test.
+
+    The pencil is invertible exactly when a values-only SVD finds it of
+    full rank under the rank rule; otherwise SpectrumError says that
+    lambda is the given kind of spectral point.
+    """
+    pencil = g_blk - lam * f_blk
     s = np.linalg.svd(pencil, compute_uv=False)
-    if _numerical_rank(s, cfg.rank_tol) < n:
-        raise SpectrumError(f"lambda = {lam} is a spectral point")
-    return rel.domain_block @ np.linalg.inv(pencil)
+    if _numerical_rank(s, rank_tol) < pencil.shape[0]:
+        raise SpectrumError(f"lambda = {lam} is {spectral}")
+    return np.linalg.solve(pencil, rhs)
 
 
 def componentwise_sum(a: LinearRelation, b: LinearRelation,

@@ -5,15 +5,19 @@ columns form an orthonormal basis.  The zero subspace (an ``(n, 0)`` basis
 matrix) is a first-class value so that kernel and multivalued-part
 computations never need special casing.
 
-Every basis is checked when its Subspace is built.  A basis that comes
-from a factorization, from user input or from a product of bases must
-pass the Gram test |B^H B - I| <= 1e-8 off the diagonal and <= 1e-8 +
+Every basis is checked when its Subspace is built, and the rule has no
+exceptions: a basis is Gram-tested if and only if it comes from a
+factorization, from user input or from a product of bases.  Such a
+basis must pass |B^H B - I| <= 1e-8 off the diagonal and <= 1e-8 +
 1e-5 on it; an entry of modulus above 2, NaN or inf fails it before the
-product is formed.  A basis stacked from the bases of existing
-Subspaces (and identities) on pairwise disjoint rows, as oplus, full and
-the lifted relations of the extension module are, is accepted by that
-structure instead: its Gram matrix is block diagonal with the parts'
-Grams as its blocks, exactly, so the parts' own checks decide the same.
+product is formed.  The two exact rearrangements of checked bases are
+not tested.  A stack of existing Subspace bases (and identities) on
+pairwise disjoint rows, as oplus, full and the lifted relations of the
+extension module are, has a block diagonal Gram matrix with the parts'
+Grams as its blocks (_stack).  A signed swap [B[s:]; B[:s]] with one
+block negated, as the adjoint, the inverse and the boundary space G~
+are, has the Gram matrix of B itself (_signed_swap).  Either way the
+parts' own checks decide the same, exactly.
 """
 
 from __future__ import annotations
@@ -316,7 +320,9 @@ def oplus(u: Subspace, v: Subspace) -> Subspace:
 def _assembled(ambient_dim: int, basis: np.ndarray) -> Subspace:
     """A Subspace whose basis is orthonormal by construction: no Gram test.
 
-    Only _stack and Subspace.full build one; every other basis goes
+    Only _stack, _signed_swap and Subspace.full build one, each from
+    bases that were checked (or are identities); every basis from a
+    factorization, from user input or from a product of bases goes
     through Subspace.__post_init__.
     """
     out = object.__new__(Subspace)
@@ -366,3 +372,23 @@ def _stack(ambient_dim: int, blocks) -> Subspace:
             src += stop - start
         col += part.dim
     return _assembled(ambient_dim, basis)
+
+
+def _signed_swap(space: Subspace, split: int,
+                 negate: str | None) -> Subspace:
+    """[B[split:]; B[:split]] for the basis B of space, one block negated.
+
+    negate names the block that changes sign, "head" (B[:split]) or
+    "tail" (B[split:]), or is None.  On a graph, J(h, k) = (k, -h) is the
+    swap with "head" negated, -J the one with "tail" and the inverse
+    relation the one with None.  Rows only move and change sign, so the
+    Gram matrix is B's and space's own check decides.  np.vstack keeps
+    the slices' memory order and unary minus keeps signed zeros; later
+    factorizations and printed bases depend on both.
+    """
+    head, tail = space.basis[:split], space.basis[split:]
+    if negate == "head":
+        head = -head
+    elif negate == "tail":
+        tail = -tail
+    return _assembled(space.ambient_dim, np.vstack([tail, head]))

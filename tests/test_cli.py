@@ -367,6 +367,34 @@ class TestExtend:
         assert code == 3
         assert "selfadjoint" in capsys.readouterr().err
 
+    def test_nonnegative_theta_gets_the_krein_order(self, tmp_path, capsys):
+        # theta = +I makes A_theta nonnegative, so extend decides
+        # extremality and the resolvent sandwich
+        plus = write_spec(
+            tmp_path / "theta_plus_one.json",
+            {
+                "label": "plus identity",
+                "mode": "operator",
+                "n1": 2,
+                "n2": 2,
+                "matrices": {
+                    "operator": [
+                        [[1.0, 0.0], [0.0, 0.0]],
+                        [[0.0, 0.0], [1.0, 0.0]],
+                    ]
+                },
+            },
+        )
+        code = main(
+            ["extend", str(DATA / "halfline_embed.json"), "--theta", plus,
+             "--triplet", "basic"]
+        )
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["symmetry"]["is_nonnegative"]
+        assert report["extremal"] is False
+        assert report["krein_order"]["holds"] is True
+
     def test_dimension_mismatch_exits_2(
         self, halfline_spec, theta_spec, capsys
     ):
@@ -512,6 +540,17 @@ class TestErrorPaths:
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["analyze", "/no/such/file.json"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv", [["analyze", str(DATA / "graph_one.json")], ["semibound-demo"]]
+    )
+    def test_out_into_missing_directory_exits_2(self, argv, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.txt"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ")
+        assert str(out) in err and "No such file or directory" in err
+        assert not out.parent.exists()
 
     def test_wrong_operator_shape_exits_2(self, tmp_path, capsys):
         path = write_spec(

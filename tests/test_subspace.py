@@ -17,6 +17,7 @@ from linrel.subspace import (
     Subspace,
     Verdict,
     _is_orthonormal,
+    _signed_swap,
     _stack,
     complement,
     join,
@@ -284,6 +285,18 @@ def test_stack_rejects_rows_outside_and_wrong_lengths(rng):
         _stack(6, [(u, [(0, 2)])])
     with pytest.raises(ValueError, match="reversed"):
         _stack(8, [(u, [(2, 0), (3, 8)])])
+
+
+@pytest.mark.parametrize("negate, signs", [("head", (1, -1)),
+                                           ("tail", (-1, 1)),
+                                           (None, (1, 1))])
+def test_signed_swap_moves_and_negates_the_named_block(rng, negate, signs):
+    u = random_subspace(rng, 5, 3)
+    w = _signed_swap(u, 2, negate)
+    assert w.ambient_dim == 5 and w.dim == 3
+    assert np.array_equal(w.basis[:3], signs[0] * u.basis[2:])
+    assert np.array_equal(w.basis[3:], signs[1] * u.basis[:2])
+    assert _is_orthonormal(w.basis)
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,8 +6,11 @@ inside lift, factors the triplet kernels eagerly, or re-orthonormalizes a
 graph basis times a nullspace basis fails here, not only in the
 benchmark.  The kernels themselves are checked on first access.  Gram
 tests of Subspace bases are counted too, so a change that routes one of
-lift's stacked bases back through the Gram product fails here as well.
+lift's stacked or swapped bases back through the Gram product fails here
+as well.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,18 +29,24 @@ from linrel.config import ToleranceConfig
 from linrel.extension import friedrichs_generic, krein_generic, lift
 from linrel.oracle import random_relation, random_selfadjoint_relation
 from linrel.relation import classify, defect_relation, relation_equal
+from linrel.specio import load_relation_spec
 from linrel.subspace import Verdict, meet, span
 
 from conftest import assert_relation_equal
 
+DATA = Path(__file__).resolve().parents[1] / "data"
+
 N = 8
 LIFT_SVD_BUDGET = 9
-# Gram checks per lift, by rank: the bases lift factors or flips (G, R*,
-# dom R, ran R, mul R*, ker R*, and for G~ the multivalued and operator
-# parts of R* and G~ itself).  At ranks N and 3N/2, mul R* = ker R* = {0}
-# take no check and R* is its own operator part, hence 9/5/5.  The
-# relations lift stacks from these bases take no Gram product.
-LIFT_GRAM_CHECKS = {N // 2: 9, N: 5, 3 * N // 2: 5}
+# Gram checks per lift, by rank: the bases lift factors (G, dom R, ran R,
+# mul R*, ker R*, and for G~ the multivalued and operator parts of R*).
+# At ranks N and 3N/2, mul R* = ker R* = {0} take no check and R* is its
+# own operator part, hence 7/3/3.  R* and G~ are signed swaps of G and of
+# op R*, and the lifted relations are stacks: none takes a Gram product.
+LIFT_GRAM_CHECKS = {N // 2: 7, N: 3, 3 * N // 2: 3}
+# adjoint factors the complement of the graph and flips it; inverse only
+# swaps the graph's components
+RELATION_GRAM_CHECKS = {"adjoint": 1, "inverse": 0}
 
 
 @pytest.fixture
@@ -95,6 +104,44 @@ def test_lift_gram_checks_only_factored_bases(rank, gram_checks):
     assert len(gram_checks) == LIFT_GRAM_CHECKS[rank], gram_checks
     # no basis of C^{2n}, the lift's own graph space, is Gram-tested
     assert all(rows < 2 * bundle.n for rows, _ in gram_checks), gram_checks
+
+
+@pytest.mark.parametrize("name", list(RELATION_GRAM_CHECKS))
+@pytest.mark.parametrize("rank", [N // 2, N, 3 * N // 2])
+def test_adjoint_and_inverse_gram_checks(name, rank, gram_checks):
+    rel = random_relation(N, N, rank=rank, rng=5)
+    gram_checks.clear()
+    getattr(relation, name)(rel)
+    assert len(gram_checks) == RELATION_GRAM_CHECKS[name], gram_checks
+
+
+def _same_bits(got, want):
+    return (got.flags.f_contiguous == want.flags.f_contiguous
+            and got.flags.c_contiguous == want.flags.c_contiguous
+            and got.tobytes("A") == want.tobytes("A"))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_relation(N, N, rank=N // 2, rng=5),
+    lambda: random_relation(3, 5, rank=3, rng=5),
+    lambda: random_relation(5, 3, rank=6, rng=5),
+    # real entries and exact zeros: the signs of zeros must survive too
+    lambda: load_relation_spec(DATA / "halfline_embed.json").relation,
+], ids=["square", "wide", "tall", "halfline"])
+def test_flips_are_the_hand_built_signed_stacks(make):
+    # bit for bit and in the same memory order: later factorizations of
+    # these bases (and the printed G~) depend on both
+    rel = make()
+    n1 = rel.n1
+    bundle = lift(rel)
+    g = subspace.complement(rel.graph).basis
+    assert _same_bits(bundle.R_star.graph.basis,
+                      np.vstack([-g[n1:], g[:n1]]))
+    assert _same_bits(relation.inverse(rel).graph.basis,
+                      np.vstack([rel.range_block, rel.domain_block]))
+    op = relation.operator_part(bundle.R_star)
+    assert _same_bits(bundle.G_tilde.basis,
+                      np.vstack([op.range_block, -op.domain_block]))
 
 
 @pytest.mark.parametrize("rank", [N // 2, N, 3 * N // 2])

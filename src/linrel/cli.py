@@ -5,6 +5,11 @@ All commands read relation spec files (see specio), honor the shared
 tolerance and seed flags, and echo the effective configuration in every
 report so results are reproducible from the artifact alone.
 
+`main` owns tolerances, output and exit codes: it builds the
+ToleranceConfig once, rejects an unwritable --out before any work, and
+maps exceptions to exit codes; commands write through _emit_report (JSON),
+_emit_csv or _emit.
+
 Exit codes: 0 success, 1 verification failure, 2 input error,
 3 mathematical precondition violated, 4 internal error (any other
 exception, reported as one line on stderr).
@@ -14,9 +19,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
+import os
 import sys
 from typing import Iterator, Sequence
 
@@ -107,15 +114,6 @@ def _config_from_args(args: argparse.Namespace) -> ToleranceConfig:
         raise InputFormatError(str(exc)) from exc
 
 
-def _config_echo(cfg: ToleranceConfig, seed: int) -> dict:
-    return {
-        "rank_tol": cfg.rank_tol,
-        "angle_tol": cfg.angle_tol,
-        "psd_floor": cfg.psd_floor,
-        "seed": seed,
-    }
-
-
 def _input_echo(spec: LoadedSpec) -> dict:
     return {
         "path": spec.path,
@@ -129,6 +127,17 @@ def _input_echo(spec: LoadedSpec) -> dict:
     }
 
 
+def _check_out_path(out_path: str) -> None:
+    """Reject an --out path whose directory is missing or not writable.
+
+    Only the directory is tested, so a failing command creates no file.
+    """
+    parent = os.path.dirname(out_path) or "."
+    if not os.access(parent, os.W_OK | os.X_OK):
+        reason = errno.EACCES if os.path.exists(parent) else errno.ENOENT
+        raise InputFormatError(f"{out_path}: {os.strerror(reason)}")
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -140,6 +149,43 @@ def _emit(text: str, out_path: str | None) -> None:
                 fh.write(text)
         except OSError as exc:
             raise InputFormatError(f"{out_path}: {exc.strerror or exc}") from exc
+
+
+def _emit_report(args: argparse.Namespace, cfg: ToleranceConfig,
+                 spec: LoadedSpec, body: dict) -> None:
+    """Write a JSON report: the tool/config/input envelope, then body."""
+    report = {
+        "tool": {"name": "linrel", "version": __version__},
+        "config": {
+            "rank_tol": cfg.rank_tol,
+            "angle_tol": cfg.angle_tol,
+            "psd_floor": cfg.psd_floor,
+            "seed": args.seed,
+        },
+        "input": _input_echo(spec),
+        **body,
+    }
+    _emit(dump_report(report), args.out)
+
+
+def _emit_csv(header: list[str], rows: list[list],
+              out_path: str | None) -> None:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _emit(buf.getvalue(), out_path)
+
+
+def _json_list(text: str, flag: str) -> list:
+    """Parse a list flag: a non-empty JSON list; items are the caller's."""
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputFormatError(f"{flag}: invalid JSON: {exc.msg}") from exc
+    if not isinstance(raw, list) or not raw:
+        raise InputFormatError(f"{flag}: expected a non-empty JSON list")
+    return raw
 
 
 def _symmetry_echo(rel: LinearRelation, cfg: ToleranceConfig,
@@ -163,15 +209,11 @@ def _symmetry_echo(rel: LinearRelation, cfg: ToleranceConfig,
     }
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
+def cmd_analyze(args: argparse.Namespace, cfg: ToleranceConfig) -> int:
     spec = load_relation_spec(args.spec, cfg)
     rel = spec.relation
     p = parts(rel, cfg)
-    report = {
-        "tool": {"name": "linrel", "version": __version__},
-        "config": _config_echo(cfg, args.seed),
-        "input": _input_echo(spec),
+    _emit_report(args, cfg, spec, {
         "parts": {
             "dom": encode_subspace(p.dom),
             "ran": encode_subspace(p.ran),
@@ -180,8 +222,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         },
         "symmetry": _symmetry_echo(rel, cfg, args.seed),
         "adjoint": encode_relation(adjoint(rel, cfg)),
-    }
-    _emit(dump_report(report), args.out)
+    })
     return 0
 
 
@@ -243,12 +284,11 @@ def _worst_krein_margin(bundle: LiftBundle,
     return worst
 
 
-def _check(name: str, passed: bool, residual: float) -> dict:
+def _check(name: str, passed: bool, residual: float | None) -> dict:
     return {"name": name, "passed": bool(passed), "residual": residual}
 
 
-def cmd_extensions(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
+def cmd_extensions(args: argparse.Namespace, cfg: ToleranceConfig) -> int:
     spec = load_relation_spec(args.spec, cfg)
     rel = spec.relation
     bundle = lift(rel, cfg)
@@ -298,10 +338,7 @@ def cmd_extensions(args: argparse.Namespace) -> int:
             }
         )
 
-    report = {
-        "tool": {"name": "linrel", "version": __version__},
-        "config": _config_echo(cfg, args.seed),
-        "input": _input_echo(spec),
+    _emit_report(args, cfg, spec, {
         "parts_summary": {
             "dom_dim": bundle.dom_R.dim,
             "ran_dim": bundle.ran_R.dim,
@@ -333,20 +370,13 @@ def cmd_extensions(args: argparse.Namespace) -> int:
         },
         "extremal_family": family,
         "checks": checks,
-    }
-    _emit(dump_report(report), args.out)
+    })
     return 0 if all(c["passed"] for c in checks) else 1
 
 
 def _parse_lambda_grid(text: str) -> list[complex]:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"--grid: invalid JSON: {exc.msg}") from exc
-    if not isinstance(raw, list) or not raw:
-        raise InputFormatError("--grid: expected a non-empty JSON list")
     grid = []
-    for i, item in enumerate(raw):
+    for i, item in enumerate(_json_list(text, "--grid")):
         where = f"--grid[{i}]"
         pair = isinstance(item, list) and len(item) == 2
         re_, im = item if pair else (item, 0)
@@ -354,22 +384,19 @@ def _parse_lambda_grid(text: str) -> list[complex]:
     return grid
 
 
-def cmd_weyl(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
+def cmd_weyl(args: argparse.Namespace, cfg: ToleranceConfig) -> int:
     spec = load_relation_spec(args.spec, cfg)
     grid = _parse_lambda_grid(args.grid)
     bundle = lift(spec.relation, cfg)
     trip = _TRIPLET_BUILDERS[args.triplet](bundle)
     g = trip.g
 
-    buf = io.StringIO()
-    writer = csv.writer(buf)
     header = ["re_lambda", "im_lambda"]
     for i in range(g):
         for j in range(g):
             header += [f"m{i}{j}_re", f"m{i}{j}_im"]
     header.append("status")
-    writer.writerow(header)
+    rows = []
     for lam in grid:
         row = [repr(lam.real), repr(lam.imag)]
         try:
@@ -384,13 +411,12 @@ def cmd_weyl(args: argparse.Namespace) -> int:
                         repr(float(m_lam[i, j].imag)),
                     ]
             row.append("ok")
-        writer.writerow(row)
-    _emit(buf.getvalue(), args.out)
+        rows.append(row)
+    _emit_csv(header, rows, args.out)
     return 0
 
 
-def cmd_extend(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
+def cmd_extend(args: argparse.Namespace, cfg: ToleranceConfig) -> int:
     spec = load_relation_spec(args.spec, cfg)
     theta_spec = load_relation_spec(args.theta, cfg)
     theta = theta_spec.relation
@@ -413,10 +439,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
     if symmetry["is_nonnegative"]:
         extremal = is_extremal(a_theta, bundle)
         margin = krein_order_margin(a_theta, bundle)
-    report = {
-        "tool": {"name": "linrel", "version": __version__},
-        "config": _config_echo(cfg, args.seed),
-        "input": _input_echo(spec),
+    _emit_report(args, cfg, spec, {
         "theta": _input_echo(theta_spec),
         "triplet": {
             "kind": trip.kind,
@@ -430,44 +453,26 @@ def cmd_extend(args: argparse.Namespace) -> int:
             "margin": encode_float(margin),
             "holds": None if margin is None else margin >= cfg.psd_floor,
         },
-    }
-    _emit(dump_report(report), args.out)
+    })
     return 0
 
 
-def cmd_semibound_demo(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
-    try:
-        raw = json.loads(args.c_list)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"--c-list: invalid JSON: {exc.msg}") from exc
-    if not isinstance(raw, list) or not raw:
-        raise InputFormatError("--c-list: expected a non-empty list of reals")
-    c_list = [_finite(c, f"--c-list[{i}]") for i, c in enumerate(raw)]
+def cmd_semibound_demo(args: argparse.Namespace,
+                       cfg: ToleranceConfig) -> int:
+    c_list = [_finite(c, f"--c-list[{i}]")
+              for i, c in enumerate(_json_list(args.c_list, "--c-list"))]
     delta = _finite(args.delta, "--delta")
 
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        [
-            "c",
-            "lower_bound",
-            "closed_form_bound",
-            "abs_gap",
-            "sufficient_bound",
-            "sufficient_bound_holds",
-            "criterion_agrees",
-        ]
-    )
     results = []
     gap_failed = []
+    rows = []
     for c in c_list:
         exp = alternative_experiment(c, delta, cfg)
         results.append(exp)
         gap = abs(float(exp.computed_bound - exp.closed_form_bound))
         if gap > cfg.angle_tol * max(1.0, abs(exp.closed_form_bound)):
             gap_failed.append(exp.c)
-        writer.writerow(
+        rows.append(
             [
                 repr(float(exp.c)),
                 repr(float(exp.computed_bound)),
@@ -478,7 +483,9 @@ def cmd_semibound_demo(args: argparse.Namespace) -> int:
                 exp.criterion_agrees,
             ]
         )
-    _emit(buf.getvalue(), args.out)
+    header = ["c", "lower_bound", "closed_form_bound", "abs_gap",
+              "sufficient_bound", "sufficient_bound_holds", "criterion_agrees"]
+    _emit_csv(header, rows, args.out)
 
     bounded = sum(r.sufficient_bound_holds for r in results)
     agreeing = sum(r.criterion_agrees for r in results)
@@ -499,53 +506,33 @@ def cmd_semibound_demo(args: argparse.Namespace) -> int:
 
 
 def _verify_checks(spec: LoadedSpec, cfg: ToleranceConfig,
-                   seed: int) -> list[tuple[str, bool, float | None]]:
+                   seed: int) -> list[dict]:
     rel = spec.relation
-    checks: list[tuple[str, bool, float | None]] = []
-
-    checks.append(
-        ("input_graph_orthonormal", not spec.was_orthonormalized, None)
-    )
-
     adj = adjoint(rel, cfg)
     r_o = relation_equal(adj, adjoint_definitional(rel, cfg), cfg)
-    checks.append(("adjoint_matches_oracle", _equal(r_o), r_o.angle))
     r_i = relation_equal(adjoint(adj, cfg), rel, cfg)
-    checks.append(("adjoint_involution", _equal(r_i), r_i.angle))
-
     p = parts(rel, cfg)
     p_adj = parts(adj, cfg)
     a_mul = relate(p_adj.mul, complement(p.dom, cfg), cfg)
     a_ker = relate(p_adj.ker, complement(p.ran, cfg), cfg)
-    checks.append(
-        (
-            "adjoint_parts_duality",
-            _equal(a_mul, a_ker),
-            max(a_mul.angle, a_ker.angle),
-        )
-    )
-
     bundle = lift(rel, cfg)
-    checks.append(
-        (
-            "lift_decompositions",
-            s0_adjoint_decomposition_check(bundle),
-            None,
-        )
-    )
     r_f, r_k = _extreme_closed_forms(bundle)
-    checks.append(
-        (
-            "extreme_extensions_closed_forms",
-            _equal(r_f, r_k),
-            max(r_f.angle, r_k.angle),
-        )
-    )
+    checks = [
+        _check("input_graph_orthonormal", not spec.was_orthonormalized, None),
+        _check("adjoint_matches_oracle", _equal(r_o), r_o.angle),
+        _check("adjoint_involution", _equal(r_i), r_i.angle),
+        _check("adjoint_parts_duality", _equal(a_mul, a_ker),
+               max(a_mul.angle, a_ker.angle)),
+        _check("lift_decompositions", s0_adjoint_decomposition_check(bundle),
+               None),
+        _check("extreme_extensions_closed_forms", _equal(r_f, r_k),
+               max(r_f.angle, r_k.angle)),
+    ]
 
     for kind, trip, green, surjective, k0, k1 in _triplet_results(bundle):
         ok = green < cfg.rank_tol and surjective and _equal(k0, k1)
         checks.append(
-            (f"triplet_{kind}", ok, max(green, k0.angle, k1.angle))
+            _check(f"triplet_{kind}", ok, max(green, k0.angle, k1.angle))
         )
         worst = 0.0
         for lam in (-1.0, 1j):
@@ -553,42 +540,32 @@ def _verify_checks(spec: LoadedSpec, cfg: ToleranceConfig,
             if diff.size:
                 worst = max(worst, float(np.max(np.abs(diff))))
         weyl_ok = worst < _WEYL_SLACK * cfg.rank_tol
-        checks.append((f"weyl_{kind}_closed_form", weyl_ok, worst))
+        checks.append(_check(f"weyl_{kind}_closed_form", weyl_ok, worst))
 
     # the Krein-order samples continue the stream after the sweep's draws
     rng = np.random.default_rng(seed)
     g = bundle.G.dim
     thetas = [random_selfadjoint_relation(g, rng=rng) for _ in range(5)]
     sweep = extension_sweep(bundle, thetas)
-    checks.append(
-        (
-            "extension_sweep",
-            sweep.all_consistent and sweep.injective,
-            None,
-        )
-    )
-
     worst_margin = _worst_krein_margin(bundle, rng)
-    checks.append(
-        (
-            "krein_order_sampled",
-            worst_margin >= cfg.psd_floor,
-            None if math.isinf(worst_margin) else max(0.0, -worst_margin),
-        )
-    )
-    return checks
+    return checks + [
+        _check("extension_sweep", sweep.all_consistent and sweep.injective,
+               None),
+        _check("krein_order_sampled", worst_margin >= cfg.psd_floor,
+               None if math.isinf(worst_margin) else max(0.0, -worst_margin)),
+    ]
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _config_from_args(args)
+def cmd_verify(args: argparse.Namespace, cfg: ToleranceConfig) -> int:
     spec = load_relation_spec(args.spec, cfg)
     checks = _verify_checks(spec, cfg, args.seed)
     lines = []
-    for name, passed, residual in checks:
-        status = "ok" if passed else "FAIL"
+    for check in checks:
+        status = "ok" if check["passed"] else "FAIL"
+        residual = check["residual"]
         tail = "" if residual is None else f" (residual={residual:.3e})"
-        lines.append(f"{status:4s} {name}{tail}")
-    passed_count = sum(ok for _, ok, _ in checks)
+        lines.append(f"{status:4s} {check['name']}{tail}")
+    passed_count = sum(check["passed"] for check in checks)
     verdict = "PASS" if passed_count == len(checks) else "FAIL"
     lines.append(f"verify: {verdict} ({passed_count}/{len(checks)})")
     _emit("\n".join(lines) + "\n", args.out)
@@ -628,6 +605,15 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the report to PATH instead of stdout",
     )
+    spec = argparse.ArgumentParser(add_help=False)
+    spec.add_argument("spec", help="relation spec file (JSON)")
+    triplet = argparse.ArgumentParser(add_help=False)
+    triplet.add_argument(
+        "--triplet",
+        choices=tuple(_TRIPLET_BUILDERS),
+        default="main",
+        help="which boundary triplet to use (default %(default)s)",
+    )
 
     parser = argparse.ArgumentParser(
         prog="linrel",
@@ -638,67 +624,35 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "analyze",
-        parents=[common],
-        help="parts, symmetry report, and adjoint of one relation",
-    )
-    p.add_argument("spec", help="relation spec file (JSON)")
-    p.set_defaults(func=cmd_analyze)
+    def command(name, func, help_text, *parents):
+        p = sub.add_parser(name, parents=[common, *parents], help=help_text)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser(
-        "extensions",
-        parents=[common],
-        help="lift a relation and report its distinguished extensions",
-    )
-    p.add_argument("spec", help="relation spec file (JSON)")
-    p.set_defaults(func=cmd_extensions)
-
-    p = sub.add_parser(
-        "weyl",
-        parents=[common],
-        help="evaluate a Weyl function on a lambda grid, as CSV",
-    )
-    p.add_argument("spec", help="relation spec file (JSON)")
-    p.add_argument(
-        "--triplet",
-        choices=tuple(_TRIPLET_BUILDERS),
-        default="main",
-        help="which boundary triplet to use (default %(default)s)",
-    )
-    p.add_argument(
+    command("analyze", cmd_analyze,
+            "parts, symmetry report, and adjoint of one relation", spec)
+    command("extensions", cmd_extensions,
+            "lift a relation and report its distinguished extensions", spec)
+    command(
+        "weyl", cmd_weyl,
+        "evaluate a Weyl function on a lambda grid, as CSV", spec, triplet,
+    ).add_argument(
         "--grid",
         required=True,
         help="JSON list of lambda values; entries are numbers or "
         "[re, im] pairs",
     )
-    p.set_defaults(func=cmd_weyl)
-
-    p = sub.add_parser(
-        "extend",
-        parents=[common],
-        help="build the extension attached to a boundary parameter",
-    )
-    p.add_argument("spec", help="relation spec file (JSON)")
-    p.add_argument(
+    command(
+        "extend", cmd_extend,
+        "build the extension attached to a boundary parameter", spec, triplet,
+    ).add_argument(
         "--theta",
         required=True,
         help="boundary parameter spec file (JSON relation in the "
         "parameter space)",
     )
-    p.add_argument(
-        "--triplet",
-        choices=tuple(_TRIPLET_BUILDERS),
-        default="main",
-        help="which boundary triplet to use (default %(default)s)",
-    )
-    p.set_defaults(func=cmd_extend)
-
-    p = sub.add_parser(
-        "semibound-demo",
-        parents=[common],
-        help="lower bounds of the scalar extension family, as CSV",
-    )
+    p = command("semibound-demo", cmd_semibound_demo,
+                "lower bounds of the scalar extension family, as CSV")
     p.add_argument(
         "--delta",
         type=float,
@@ -711,15 +665,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default="[0.0, 1.0, 2.0, 10.0]",
         help="JSON list of slopes c (default %(default)s)",
     )
-    p.set_defaults(func=cmd_semibound_demo)
-
-    p = sub.add_parser(
-        "verify",
-        parents=[common],
-        help="run the oracle-backed property battery on one relation",
-    )
-    p.add_argument("spec", help="relation spec file (JSON)")
-    p.set_defaults(func=cmd_verify)
+    command("verify", cmd_verify,
+            "run the oracle-backed property battery on one relation", spec)
 
     return parser
 
@@ -728,7 +675,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _config_from_args(args)
+        if args.out is not None:
+            _check_out_path(args.out)
+        return args.func(args, cfg)
     except (InputFormatError, DimensionMismatch) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

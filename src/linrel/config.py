@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = ["ToleranceConfig", "DEFAULT_TOLERANCES"]
+
+_EPS = sys.float_info.epsilon  # == np.finfo(float).eps, about 2.2e-16
 
 
 @dataclass(frozen=True)
@@ -24,6 +27,12 @@ class ToleranceConfig:
     psd_floor
         Eigenvalue floor for positive-semidefinite verdicts: a Hermitian
         matrix counts as PSD when its smallest eigenvalue is >= psd_floor.
+
+    rank_tol and angle_tol may not lie below machine epsilon
+    (``np.finfo(float).eps``, about 2.2e-16); such a value raises
+    ``ValueError``.  Below round-off the rank rule counts noise as rank
+    and no computed angle between equal subspaces is small enough, so the
+    verdicts would report round-off, not the input.
     """
 
     rank_tol: float = 1e-10
@@ -35,10 +44,15 @@ class ToleranceConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.rank_tol <= 0:
-            raise ValueError(f"rank_tol must be positive, got {self.rank_tol!r}")
-        if self.angle_tol <= 0:
-            raise ValueError(f"angle_tol must be positive, got {self.angle_tol!r}")
+        for name in ("rank_tol", "angle_tol"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value!r}")
+            if value < _EPS:
+                raise ValueError(
+                    f"{name} must be at least machine epsilon {_EPS!r}, "
+                    f"got {value!r}"
+                )
         if self.psd_floor > 0:
             raise ValueError(f"psd_floor must be <= 0, got {self.psd_floor!r}")
 

@@ -11,6 +11,7 @@ import pytest
 
 from linrel import boundary, cli
 from linrel.cli import main
+from linrel.config import ToleranceConfig
 from linrel.errors import InputFormatError
 from linrel.relation import LinearRelation, numerical_range_hull, relation_equal
 from linrel.specio import (
@@ -552,6 +553,23 @@ class TestErrorPaths:
         assert str(out) in err and "No such file or directory" in err
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("command", ["verify", "extensions"])
+    def test_out_is_checked_before_any_work(self, command, tmp_path,
+                                            monkeypatch, capsys):
+        def no_lift(rel, cfg=None):
+            pytest.fail("the command ran before --out was checked")
+
+        monkeypatch.setattr(cli, "lift", no_lift)
+        out = tmp_path / "missing" / "x.txt"
+        path = str(DATA / "halfline_embed.json")
+        assert main([command, path, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"input error: {out}: No such file or directory\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_wrong_operator_shape_exits_2(self, tmp_path, capsys):
         path = write_spec(
             tmp_path / "shape.json",
@@ -594,16 +612,36 @@ class TestErrorPaths:
             ("--tol-angle", "nan"),
             ("--tol-angle", "0"),
             ("--psd-floor", "1"),
+            # below machine epsilon: these used to exit 4, 4 and 3
+            ("--tol-angle", "1e-20"),
+            ("--tol-rank", "1e-16"),
+            ("--tol-rank", "4e-17"),
         ],
     )
     def test_bad_tolerance_exits_2(self, operator_spec, flag, value, capsys):
-        assert main(["analyze", operator_spec, flag, value]) == 2
-        assert "input error" in capsys.readouterr().err
+        halfline = str(DATA / "halfline_embed.json")
+        for argv in (["analyze", operator_spec], ["extensions", halfline],
+                     ["verify", halfline]):
+            assert main([*argv, flag, value]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("input error: ")
+            assert captured.out == ""
 
-    def test_internal_error_exits_4(self, capsys):
-        # no floating-point angle passes lift's S* check at this tolerance
+    def test_tolerances_at_machine_epsilon_are_accepted(self):
+        eps = np.finfo(float).eps
+        cfg = ToleranceConfig(rank_tol=eps, angle_tol=eps)
+        assert cfg.rank_tol == cfg.angle_tol == eps
+        with pytest.raises(ValueError, match="machine epsilon"):
+            ToleranceConfig(rank_tol=np.nextafter(eps, 0))
+
+    def test_internal_error_exits_4(self, monkeypatch, capsys):
+        # an exception outside the typed errors is an internal error
+        def broken_lift(rel, cfg=None):
+            raise ArithmeticError("closed-form S* disagrees with adjoint(S)")
+
+        monkeypatch.setattr(cli, "lift", broken_lift)
         path = str(DATA / "halfline_embed.json")
-        assert main(["extensions", path, "--tol-angle", "1e-20"]) == 4
+        assert main(["extensions", path]) == 4
         err = capsys.readouterr().err
         assert err.startswith("internal error: ArithmeticError: ")
         assert err.count("\n") == 1
@@ -616,3 +654,41 @@ class TestErrorPaths:
         capsys.readouterr()
         assert main(["analyze", operator_spec, "--psd-floor=-1e-6"]) == 0
         assert json.loads(capsys.readouterr().out)["config"]["psd_floor"] == -1e-6
+
+
+class TestShippedSpecs:
+    """The commands of CI's console-script step, in process, on data/*.json."""
+
+    ENVELOPE = ["tool", "config", "input"]
+
+    @staticmethod
+    def runs():
+        for spec in sorted(str(p) for p in DATA.glob("*.json")):
+            yield "json", ["analyze", spec]
+            yield "text", ["verify", spec]
+            yield "json", ["extensions", spec]
+            for kind in ("main", "basic", "tilde"):
+                yield "csv", ["weyl", spec, "--triplet", kind,
+                              "--grid", "[-1.0, [0.0, 1.0]]"]
+        yield "json", ["extend", str(DATA / "halfline_embed.json"),
+                       "--theta", str(DATA / "theta_minus_one.json"),
+                       "--triplet", "basic"]
+        yield "csv", ["semibound-demo"]
+
+    def test_every_command_exits_0_through_one_output_path(self, capsys):
+        envelopes = []
+        for kind, argv in self.runs():
+            assert main(argv) == 0, argv
+            out = capsys.readouterr().out
+            if kind == "json":
+                report = json.loads(out)
+                assert set(self.ENVELOPE) <= set(report), argv
+                envelopes.append({k: sorted(report[k]) for k in self.ENVELOPE})
+            elif kind == "csv":
+                header = out.splitlines()[0]
+                first = "re_lambda,im_lambda," if argv[0] == "weyl" else "c,"
+                assert header.startswith(first), argv
+            else:
+                assert out.splitlines()[-1].startswith("verify: PASS"), argv
+        assert len(envelopes) > 1
+        assert all(e == envelopes[0] for e in envelopes)

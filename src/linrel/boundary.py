@@ -40,7 +40,6 @@ from .errors import (
 from .extension import LiftBundle, lift
 from .relation import (
     LinearRelation,
-    _pencil_solve,
     _sub_relation,
     classify,
     from_operator,
@@ -50,6 +49,7 @@ from .relation import (
 from .subspace import (
     Subspace,
     Verdict,
+    _is_orthonormal,
     _numerical_rank,
     complement,
     span,
@@ -80,19 +80,100 @@ __all__ = [
 WEYL_ORIGIN_RADIUS = 1e-6
 
 
+# Eigenvalues of a Hermitian part of C closer than this form one cluster,
+# which the next Hermitian part splits.  Vectors split across a gap of at
+# least this size mix by O(eps / width), and the last split of a cluster
+# works at full resolution, so the width sits far above rounding.
+_CAYLEY_CLUSTER_WIDTH = 1e-4
+# A cluster whose restriction of C is within this (entrywise) of a
+# multiple of the identity is one eigenvalue up to rounding, and any basis
+# of it is an eigenbasis: the eigenvalues 0 and infinity of the kernels of
+# lifted triplets give such clusters at C = -1 and C = +1.
+_CAYLEY_POINT_ATOL = 1e-13
+
+
+def _clusters(values: np.ndarray) -> list[slice]:
+    """Runs of two or more ascending values with gaps up to the width."""
+    cuts = np.flatnonzero(np.diff(values) > _CAYLEY_CLUSTER_WIDTH) + 1
+    bounds = [0, *cuts.tolist(), values.size]
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])
+            if hi - lo > 1]
+
+
+def _imag_part(c: np.ndarray, z: complex = 1.0) -> np.ndarray:
+    """The Hermitian matrix Im(conj(z) C) = (conj(z) C - z C^H) / (2i)."""
+    zc = np.conj(z) * c
+    return (zc - zc.conj().T) / 2j
+
+
+def _split_cluster(c_k: np.ndarray) -> np.ndarray:
+    """Unitary R with R^H C_k R diagonal, for a normal C_k whose
+    eigenvalues share their real part up to the cluster width.
+
+    Im C_k splits conjugate points.  Each cluster of it left lies on a
+    short arc around z = tr C_arc / |tr C_arc| and is split by
+    Im(conj(z) C_arc), whose eigenvalues are the sines of the angles to z.
+    """
+    im_values, rot = np.linalg.eigh(_imag_part(c_k))
+    c_k = rot.conj().T @ c_k @ rot
+    for sub in _clusters(im_values):
+        c_arc = c_k[sub, sub]
+        z = np.trace(c_arc)
+        _, arc_rot = np.linalg.eigh(_imag_part(c_arc, z / abs(z)))
+        rot[:, sub] = rot[:, sub] @ arc_rot
+    return rot
+
+
+def _unitary_eig(v: np.ndarray, w: np.ndarray,
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Y unitary and e with C Y = Y diag(e), for C = V^H W, V and W unitary.
+
+    C may have large eigenvalue clusters (C = +-1 for the main triplet),
+    where np.linalg.eig need not return orthonormal vectors, so Y comes
+    from eigh of Hermitian parts: (C + C^H)/2 orders the eigenvalues by
+    real part, and _split_cluster splits each of its clusters in the
+    cluster's own coordinates C_k = (V Y_k)^H (W Y_k), unless C_k is one
+    point.  Returns Y, V Y, W Y and e, the Rayleigh quotients
+    (V y_k)^H (W y_k).
+    """
+    c = v.conj().T @ w
+    re_values, y = np.linalg.eigh((c + c.conj().T) / 2)
+    vy, wy = v @ y, w @ y
+    for cluster in _clusters(re_values):
+        c_k = vy[:, cluster].conj().T @ wy[:, cluster]
+        point = np.trace(c_k) / len(c_k) * np.eye(len(c_k))
+        if np.abs(c_k - point).max() <= _CAYLEY_POINT_ATOL:
+            continue
+        rot = _split_cluster(c_k)
+        for mat in (y, vy, wy):
+            mat[:, cluster] = mat[:, cluster] @ rot
+    return y, vy, wy, np.einsum("ij,ij->j", vy.conj(), wy)
+
+
 class _ResolventBlocks(NamedTuple):
     """The blocks of the Krein resolvent formula that depend on no lambda.
 
     With Q0 an orthonormal basis of ker Gamma0 and Q1 = Gamma0^+, the
     graph basis W = [F; G] of the adjoint gives [f0; g0] = W Q0 and
-    [f1; g1] = W Q1; the other two blocks are Gamma1 Q0 and Gamma1 Q1.
+    [f1; g1] = W Q1.  ker Gamma0 is selfadjoint, so V = g0 + i f0 is
+    unitary and so is its Cayley transform C = V^H (g0 - i f0) = Y diag(e) Y^H.
+    Then g0 - lambda f0 = V Y diag(d(lambda)) Y^H with
+
+        d(lambda) = d_const + lambda d_slope = (1 + e)/2 + i lambda (1 - e)/2,
+
+    and (g0 - lambda f0)^{-1} (g1 - lambda f1) = Y diag(1/d) (rhs_const -
+    lambda rhs_slope), rhs_const = (V Y)^H g1, rhs_slope = (V Y)^H f1.
+    f0_y = f0 Y, gamma1_q0_y = Gamma1 Q0 Y, and f1, gamma1_q1 = Gamma1 Q1
+    are the outer factors of gamma_field and weyl.
     """
 
-    f0: np.ndarray
-    g0: np.ndarray
+    d_const: np.ndarray
+    d_slope: np.ndarray
+    f0_y: np.ndarray
     f1: np.ndarray
-    g1: np.ndarray
-    gamma1_q0: np.ndarray
+    gamma1_q0_y: np.ndarray
+    rhs_const: np.ndarray
+    rhs_slope: np.ndarray
     gamma1_q1: np.ndarray
 
 
@@ -110,8 +191,8 @@ class BoundaryTriplet:
     ker_gamma0 and ker_gamma1 are computed on first access, and so is
     ker_gamma0_is_friedrichs, which records whether ker Gamma0 equals S_F;
     the semiboundedness criterion is only valid for such triplets.  So
-    are resolvent_blocks, the one factorization of Gamma0 that weyl and
-    gamma_field read at every lambda.
+    are resolvent_blocks, the factorizations of Gamma0 and of the Cayley
+    transform of its kernel that weyl and gamma_field read at every lambda.
     """
 
     kind: str
@@ -141,11 +222,35 @@ class BoundaryTriplet:
 
     @cached_property
     def resolvent_blocks(self) -> _ResolventBlocks:
+        """The Krein resolvent blocks, with the pencil of ker Gamma0 diagonal.
+
+        A hand-built triplet whose Gamma0-kernel is not selfadjoint (V
+        fails the Gram test) is refused, since the diagonal form would give
+        a wrong M(lambda).  V, W and C are not kept.
+        """
+        v, w, f1, g1, gamma1_q0, gamma1_q1 = self._split_by_gamma0()
+        if not _is_orthonormal(v):
+            raise PreconditionViolated(
+                "ker Gamma0 is not selfadjoint: G0 + i F0 is not unitary"
+            )
+        y, vy, wy, e = _unitary_eig(v, w)
+        del v, w
+        vy_h = vy.conj().T
+        return _ResolventBlocks(
+            (1 + e) / 2, 0.5j * (1 - e),
+            (vy - wy) / 2j, f1, gamma1_q0 @ y,
+            vy_h @ g1, vy_h @ f1,
+            gamma1_q1,
+        )
+
+    def _split_by_gamma0(self) -> tuple[np.ndarray, ...]:
         """Split the graph coefficients as c = Q0 a + Q1 b, with b = Gamma0 c.
 
         One full SVD of Gamma0 gives both Q0 (its trailing right singular
         vectors) and Q1 = Gamma0^+.  A Gamma0 that is not surjective, or
         whose kernel is not n-dimensional, has no Weyl function at all.
+        Returns V = g0 + i f0, W = g0 - i f0, f1, g1, Gamma1 Q0 and
+        Gamma1 Q1; Q0, Q1 and the factors of Gamma0 are freed on return.
         """
         n, g = self.star.n1, self.g
         u, s, vh = np.linalg.svd(self.gamma0)
@@ -155,12 +260,11 @@ class BoundaryTriplet:
             )
         q0 = vh[g:].conj().T
         q1 = vh[:g].conj().T @ (u.conj().T / s[:, None])
+        del u, vh  # the full d x d factor is the largest array here
         w = self.star.graph.basis
-        wq0, wq1 = w @ q0, w @ q1
-        return _ResolventBlocks(
-            wq0[:n], wq0[n:], wq1[:n], wq1[n:],
-            self.gamma1 @ q0, self.gamma1 @ q1,
-        )
+        f0, g0 = w[:n] @ q0, w[n:] @ q0
+        return (g0 + 1j * f0, g0 - 1j * f0, w[:n] @ q1, w[n:] @ q1,
+                self.gamma1 @ q0, self.gamma1 @ q1)
 
     @property
     def is_degenerate(self) -> bool:
@@ -253,20 +357,23 @@ def _outside_origin_disk(lam: complex) -> None:
         )
 
 
-def _resolvent_solve(trip: BoundaryTriplet, lam: complex,
-                     rank_tol: float) -> np.ndarray:
-    """X = (g0 - lambda f0)^{-1} (g1 - lambda f1) from the cached blocks.
+def _resolvent_solve(trip: BoundaryTriplet, lam: complex, rank_tol: float,
+                     ) -> tuple[_ResolventBlocks, np.ndarray]:
+    """The cached blocks and X = Y^H (g0 - lambda f0)^{-1} (g1 - lambda f1).
 
-    The defect element with Gamma0-value b has coefficients (Q1 - Q0 X) b.
+    The defect element with Gamma0-value b has coefficients (Q1 - Q0 Y X) b.
     T* = ker Gamma0 (+) N_lambda exactly when the n x n pencil
     g0 - lambda f0 is invertible, so the rank rule applied to it is the one
     spectral test: below full rank, lambda is an eigenvalue of ker Gamma0.
+    V Y is unitary, so the pencil's singular values are exactly the
+    |d_k(lambda)|, and the test needs no factorization.
     """
     _outside_origin_disk(lam)
     blocks = trip.resolvent_blocks
-    return _pencil_solve(blocks.g0, blocks.f0, lam,
-                         blocks.g1 - lam * blocks.f1, rank_tol,
-                         "an eigenvalue of ker Gamma0")
+    d = blocks.d_const + lam * blocks.d_slope
+    if _numerical_rank(np.sort(np.abs(d))[::-1], rank_tol) < d.size:
+        raise SpectrumError(f"lambda = {lam} is an eigenvalue of ker Gamma0")
+    return blocks, (blocks.rhs_const - lam * blocks.rhs_slope) / d[:, None]
 
 
 def weyl(trip: BoundaryTriplet, lam: complex,
@@ -277,28 +384,27 @@ def weyl(trip: BoundaryTriplet, lam: complex,
 
         M(lambda) = Gamma1 Q1 - Gamma1 Q0 (g0 - lambda f0)^{-1} (g1 - lambda f1)
 
-    on the triplet's cached resolvent_blocks: after the first call each
-    lambda costs one values-only SVD of the n x n pencil g0 - lambda f0,
-    whose rank under the rank rule decides whether lambda is a spectral
-    point (SpectrumError), and one solve.  A cfg given here replaces the
-    triplet's rank_tol for that decision only; the cached factorization
-    is kept.  weyl is the one triplet function that keeps an optional
-    cfg, because bench/test_smoke.py passes one.
+    on the triplet's cached resolvent_blocks, where the pencil
+    g0 - lambda f0 is diagonal in a fixed unitary basis: after the first
+    call each lambda costs O(n g^2) products and no factorization.  The
+    rank rule applied to the pencil's singular values |d_k(lambda)|
+    decides whether lambda is a spectral point (SpectrumError).  A cfg
+    given here replaces the triplet's rank_tol for that decision only;
+    the cached blocks are kept.  weyl is the one triplet function that
+    keeps an optional cfg, because bench/test_smoke.py passes one.
     """
-    x = _resolvent_solve(trip, lam, (cfg or trip.cfg).rank_tol)
-    blocks = trip.resolvent_blocks
-    return blocks.gamma1_q1 - blocks.gamma1_q0 @ x
+    blocks, x = _resolvent_solve(trip, lam, (cfg or trip.cfg).rank_tol)
+    return blocks.gamma1_q1 - blocks.gamma1_q0_y @ x
 
 
 def gamma_field(trip: BoundaryTriplet, lam: complex) -> np.ndarray:
     """gamma(lambda): boundary coordinates -> defect element of H, n x g.
 
     gamma(lambda) = f1 - f0 (g0 - lambda f0)^{-1} (g1 - lambda f1), from the
-    same cached blocks, rank rule and solve as weyl.
+    same cached blocks and rank rule as weyl, with no factorization.
     """
-    x = _resolvent_solve(trip, lam, trip.cfg.rank_tol)
-    blocks = trip.resolvent_blocks
-    return blocks.f1 - blocks.f0 @ x
+    blocks, x = _resolvent_solve(trip, lam, trip.cfg.rank_tol)
+    return blocks.f1 - blocks.f0_y @ x
 
 
 def _origin_scaling(n1: int, n2: int, lam: complex) -> np.ndarray:

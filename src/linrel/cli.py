@@ -128,10 +128,13 @@ def _input_echo(spec: LoadedSpec) -> dict:
 
 
 def _check_out_path(out_path: str) -> None:
-    """Reject an --out path whose directory is missing or not writable.
+    """Reject an --out path that is a directory, or whose directory is
+    missing or not writable.
 
-    Only the directory is tested, so a failing command creates no file.
+    Nothing is opened, so a failing command creates no file.
     """
+    if os.path.isdir(out_path):
+        raise InputFormatError(f"{out_path}: {os.strerror(errno.EISDIR)}")
     parent = os.path.dirname(out_path) or "."
     if not os.access(parent, os.W_OK | os.X_OK):
         reason = errno.EACCES if os.path.exists(parent) else errno.ENOENT

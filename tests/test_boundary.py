@@ -6,10 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linrel.boundary import (
     WEYL_ORIGIN_RADIUS,
     BoundaryTriplet,
+    _unitary_eig,
     alternative_experiment,
     boundary_map_rank,
     closed_form_gamma,
@@ -33,6 +36,7 @@ from linrel.oracle import (
     weyl_definitional,
 )
 from linrel.relation import (
+    LinearRelation,
     classify,
     from_operator,
     from_product,
@@ -276,6 +280,129 @@ class TestResolventRoute:
         strict = ToleranceConfig(rank_tol=1e-14)
         np.testing.assert_array_equal(weyl(trip_main, lam, strict), m)
         assert trip_main.resolvent_blocks is blocks
+
+
+def cayley(rel):
+    """C = V^H (G - iF) with V = G + iF, for the graph basis [F; G] of rel."""
+    n = rel.n1
+    f_blk, g_blk = rel.graph.basis[:n], rel.graph.basis[n:]
+    return (g_blk + 1j * f_blk).conj().T @ (g_blk - 1j * f_blk)
+
+
+def from_cayley(c):
+    """The selfadjoint relation with graph basis [(I - C)/(2i); (I + C)/2].
+
+    That basis is orthonormal for every unitary C, and its Cayley
+    transform is C itself (V = I).
+    """
+    n = len(c)
+    eye = np.eye(n)
+    basis = np.vstack([(eye - c) / 2j, (eye + c) / 2])
+    return LinearRelation(n, n, Subspace(2 * n, basis))
+
+
+class TestCayleyDiagonalization:
+    """The unitary eigenbasis behind weyl on clustered spectra."""
+
+    LAMBDAS = (-2.0, 0.7, 1j, 1.5 - 0.5j)
+
+    def check(self, c, trip):
+        """Y unitary, C Y = Y diag(e), and the cached |d_k| are the
+        singular values of the pencil of ker Gamma0."""
+        y, _, _, e = _unitary_eig(np.eye(len(c)), c)
+        assert np.abs(y.conj().T @ y - np.eye(len(e))).max() <= 1e-12
+        assert np.abs(c @ y - y * e).max() <= 1e-12
+        blocks = trip.resolvent_blocks
+        n = trip.star.n1
+        w = trip.ker_gamma0.graph.basis
+        for lam in self.LAMBDAS:
+            d = np.abs(blocks.d_const + lam * blocks.d_slope)
+            s = np.linalg.svd(w[n:] - lam * w[:n], compute_uv=False)
+            np.testing.assert_allclose(np.sort(d)[::-1], s, rtol=0, atol=1e-12)
+        return e
+
+    def test_main_triplet_splits_two_half_size_clusters(self):
+        trip = triplet_main(lift(random_relation(16, 16, rank=16, rng=5)))
+        e = self.check(cayley(trip.ker_gamma0), trip)
+        # ker Gamma0 = H has only the eigenvalues 0 and infinity: C = -1, +1
+        n = trip.star.n1
+        assert np.sum(np.abs(e - 1) < 1e-12) == n // 2
+        assert np.sum(np.abs(e + 1) < 1e-12) == n // 2
+
+    @pytest.mark.parametrize("rank", [8, 16, 24])
+    @pytest.mark.parametrize("build", [triplet_main, triplet_basic, triplet_tilde])
+    def test_swapped_triplets(self, build, rank):
+        trip = swapped(build(lift(random_relation(16, 16, rank=rank, rng=5))))
+        e = self.check(cayley(trip.ker_gamma0), trip)
+        if build is triplet_main:
+            # ker Gamma0 is K: an eigenvalue mu sits at (mu - i)/(mu + i),
+            # and the nonzero ones lie off the points +-1
+            assert np.sum(np.minimum(np.abs(e - 1), np.abs(e + 1)) > 1e-3) >= 8
+
+    @pytest.mark.parametrize("phases", [
+        # an exactly repeated non-real eigenvalue next to its conjugate
+        [0.7] * 3 + [-0.7] * 2 + [0.0, 0.0, np.pi, 2.0],
+        # two eigenvalues 5e-7 apart next to -i, where the sines are flat
+        [-np.pi / 2 + 3e-7, -np.pi / 2 - 2e-7, 0.3, 1.0, np.pi],
+    ], ids=["repeated_nonreal", "near_minus_i"])
+    def test_clustered_cayley_transform(self, phases, rng):
+        phases = np.array(phases)
+        n = phases.size
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        q = np.linalg.qr(z)[0]
+        c = q @ np.diag(np.exp(1j * phases)) @ q.conj().T
+        rel = from_cayley(c)
+        np.testing.assert_allclose(cayley(rel), c, atol=1e-14)
+        trip = BoundaryTriplet(
+            "basic", rel, Subspace.zero(n), np.zeros((0, n)),
+            np.zeros((0, n)), rel, DEFAULT_TOLERANCES,
+        )
+        e = self.check(c, trip)
+        for phase in np.unique(phases):
+            count = np.sum(np.abs(e - np.exp(1j * phase)) < 1e-12)
+            assert count == np.sum(phases == phase), phase
+
+    def test_kernel_that_is_not_selfadjoint_is_refused(self):
+        # ker Gamma0 = span (-i, 1): V = G0 + i F0 = sqrt(2), not unitary
+        star = from_product(Subspace.full(1), Subspace.full(1))
+        trip = BoundaryTriplet(
+            "main", star, Subspace.full(1),
+            np.array([[1.0, 1j]]), np.array([[0.0, 1.0]]),
+            star, DEFAULT_TOLERANCES,
+        )
+        for route in (weyl, gamma_field):
+            with pytest.raises(PreconditionViolated, match="not selfadjoint"):
+                route(trip, -1.0)
+
+
+def _weyl_or_spectral(route, trip, lam):
+    try:
+        return route(trip, lam)
+    except SpectrumError:
+        return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(1, 6),
+    rank_class=st.sampled_from(["below", "equal", "above"]),
+    lam=st.complex_numbers(max_magnitude=4.0).filter(lambda z: abs(z) >= 0.05),
+)
+def test_weyl_matches_definitional_route(seed, n, rank_class, lam):
+    # rank below, at and above n: every kind of lift and triplet kernel
+    rng = np.random.default_rng(seed)
+    rank = {"below": int(rng.integers(0, n)), "equal": n,
+            "above": int(rng.integers(n + 1, 2 * n + 1))}[rank_class]
+    bundle = lift(random_relation(n, n, rank=rank, rng=rng))
+    for build in (triplet_main, triplet_basic, triplet_tilde):
+        for trip in (build(bundle), swapped(build(bundle))):
+            m = _weyl_or_spectral(weyl, trip, lam)
+            want = _weyl_or_spectral(weyl_definitional, trip, lam)
+            assert (m is None) == (want is None), (trip.kind, lam)
+            if m is not None:
+                scale = max(1.0, float(np.abs(want).max(initial=0.0)))
+                np.testing.assert_allclose(m, want, rtol=0, atol=1e-9 * scale)
 
 
 class TestExtensionFromBoundary:

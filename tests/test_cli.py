@@ -570,6 +570,20 @@ class TestErrorPaths:
         )
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["verify", "extensions"])
+    def test_out_directory_is_rejected_before_any_work(self, command, tmp_path,
+                                                       monkeypatch, capsys):
+        def no_lift(rel, cfg=None):
+            pytest.fail("the command ran before --out was checked")
+
+        monkeypatch.setattr(cli, "lift", no_lift)
+        path = str(DATA / "halfline_embed.json")
+        assert main([command, path, "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {tmp_path}: Is a directory\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_wrong_operator_shape_exits_2(self, tmp_path, capsys):
         path = write_spec(
             tmp_path / "shape.json",

@@ -52,6 +52,7 @@ from .subspace import (
     _is_orthonormal,
     _numerical_rank,
     complement,
+    nullspace_columns,
     span,
 )
 
@@ -124,30 +125,68 @@ def _split_cluster(c_k: np.ndarray) -> np.ndarray:
     return rot
 
 
-def _unitary_eig(v: np.ndarray, w: np.ndarray,
+def _unitary_eig(v: np.ndarray, w: np.ndarray, outer: np.ndarray,
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Y unitary and e with C Y = Y diag(e), for C = V^H W, V and W unitary.
+    """V Y, W Y, outer Y and e, for a unitary Y with C Y = Y diag(e),
+    C = V^H W, V and W unitary.
 
-    C may have large eigenvalue clusters (C = +-1 for the main triplet),
-    where np.linalg.eig need not return orthonormal vectors, so Y comes
-    from eigh of Hermitian parts: (C + C^H)/2 orders the eigenvalues by
-    real part, and _split_cluster splits each of its clusters in the
-    cluster's own coordinates C_k = (V Y_k)^H (W Y_k), unless C_k is one
-    point.  Returns Y, V Y, W Y and e, the Rayleigh quotients
+    A C whose off-diagonal is within _CAYLEY_POINT_ATOL entrywise is
+    diagonal up to rounding, so Y = I and e = diag(C): the point rule of
+    the clusters below, applied first to C as a whole.  The kernels of the
+    lifted triplets, in the basis of dead axes and live nullspace that
+    _split_by_gamma0 builds, give such C.  Otherwise C may have large
+    eigenvalue clusters, where np.linalg.eig need not return orthonormal
+    vectors, so Y comes from eigh of Hermitian parts: (C + C^H)/2 orders
+    the eigenvalues by real part, and _split_cluster splits each of its
+    clusters in the cluster's own coordinates C_k = (V Y_k)^H (W Y_k),
+    unless C_k is one point.  e holds the Rayleigh quotients
     (V y_k)^H (W y_k).
     """
     c = v.conj().T @ w
+    off = np.abs(c)
+    off.reshape(-1)[:: len(c) + 1] = 0.0
+    if off.max(initial=0.0) <= _CAYLEY_POINT_ATOL:
+        return v, w, outer, c.diagonal().copy()
+    del off
     re_values, y = np.linalg.eigh((c + c.conj().T) / 2)
-    vy, wy = v @ y, w @ y
+    vy, wy, outer_y = v @ y, w @ y, outer @ y
     for cluster in _clusters(re_values):
         c_k = vy[:, cluster].conj().T @ wy[:, cluster]
         point = np.trace(c_k) / len(c_k) * np.eye(len(c_k))
         if np.abs(c_k - point).max() <= _CAYLEY_POINT_ATOL:
             continue
         rot = _split_cluster(c_k)
-        for mat in (y, vy, wy):
+        for mat in (vy, wy, outer_y):
             mat[:, cluster] = mat[:, cluster] @ rot
-    return y, vy, wy, np.einsum("ij,ij->j", vy.conj(), wy)
+    return vy, wy, outer_y, np.einsum("ij,ij->j", vy.conj(), wy)
+
+
+def _column_index(mask: np.ndarray) -> slice | np.ndarray:
+    """The columns where mask holds: a slice when they are contiguous, so
+    that a basis indexed by it is a view and not a copy."""
+    idx = np.flatnonzero(mask)
+    if idx.size == 0:
+        return slice(0, 0)
+    if idx[-1] - idx[0] == idx.size - 1:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
+def _live_columns(mat: np.ndarray,
+                  ) -> tuple[slice | np.ndarray, slice | np.ndarray]:
+    """Indices of the exactly-zero (dead) columns of mat and of the rest.
+
+    Every dead column is a kernel axis as it stands, so only the live
+    block mat[:, live] needs a factorization.  In the lifted triplets each
+    index is one or two runs of columns.
+    """
+    live = mat.any(axis=0)
+    return _column_index(~live), _column_index(live)
+
+
+def _times_kernel(mat: np.ndarray, dead, live, null: np.ndarray) -> np.ndarray:
+    """mat Q0 for the orthonormal kernel basis Q0 = [E_dead, E_live null]."""
+    return np.hstack([mat[:, dead], mat[:, live] @ null])
 
 
 class _ResolventBlocks(NamedTuple):
@@ -209,11 +248,24 @@ class BoundaryTriplet:
 
     @cached_property
     def ker_gamma0(self) -> LinearRelation:
-        return _sub_relation(self.star, self.gamma0, self.cfg)
+        return self._kernel(self.gamma0)
 
     @cached_property
     def ker_gamma1(self) -> LinearRelation:
-        return _sub_relation(self.star, self.gamma1, self.cfg)
+        return self._kernel(self.gamma1)
+
+    def _kernel(self, gamma: np.ndarray) -> LinearRelation:
+        """{W c : gamma c = 0}: the dead axes of gamma and the nullspace of
+        its live block, at rank_tol.  W and [E_dead, E_live null] are
+        orthonormal, so their product is a basis as it stands."""
+        dead, live = _live_columns(gamma)
+        null = nullspace_columns(gamma[:, live], self.cfg.rank_tol)
+        graph = self.star.graph
+        return LinearRelation(
+            self.star.n1, self.star.n2,
+            Subspace(graph.ambient_dim,
+                     _times_kernel(graph.basis, dead, live, null)),
+        )
 
     @cached_property
     def ker_gamma0_is_friedrichs(self) -> bool:
@@ -233,12 +285,12 @@ class BoundaryTriplet:
             raise PreconditionViolated(
                 "ker Gamma0 is not selfadjoint: G0 + i F0 is not unitary"
             )
-        y, vy, wy, e = _unitary_eig(v, w)
-        del v, w
+        vy, wy, gamma1_q0_y, e = _unitary_eig(v, w, gamma1_q0)
+        del v, w, gamma1_q0
         vy_h = vy.conj().T
         return _ResolventBlocks(
             (1 + e) / 2, 0.5j * (1 - e),
-            (vy - wy) / 2j, f1, gamma1_q0 @ y,
+            (vy - wy) / 2j, f1, gamma1_q0_y,
             vy_h @ g1, vy_h @ f1,
             gamma1_q1,
         )
@@ -246,25 +298,36 @@ class BoundaryTriplet:
     def _split_by_gamma0(self) -> tuple[np.ndarray, ...]:
         """Split the graph coefficients as c = Q0 a + Q1 b, with b = Gamma0 c.
 
-        One full SVD of Gamma0 gives both Q0 (its trailing right singular
-        vectors) and Q1 = Gamma0^+.  A Gamma0 that is not surjective, or
+        Only the live block A = Gamma0[:, live] is factored: the dead
+        (exactly zero) columns of Gamma0 are kernel axes as they stand, so
+        Q0 = [E_dead, E_live N] with N the nullspace of A, and
+        Q1 = E_live A^+.  A's singular values are Gamma0's nonzero ones,
+        so the rank rule reads them: a Gamma0 that is not surjective, or
         whose kernel is not n-dimensional, has no Weyl function at all.
+        An empty live block (g = 0, every column dead) needs no SVD.
         Returns V = g0 + i f0, W = g0 - i f0, f1, g1, Gamma1 Q0 and
-        Gamma1 Q1; Q0, Q1 and the factors of Gamma0 are freed on return.
+        Gamma1 Q1, formed from column slices and the small factors of A.
         """
         n, g = self.star.n1, self.g
-        u, s, vh = np.linalg.svd(self.gamma0)
+        dead, live = _live_columns(self.gamma0)
+        a = self.gamma0[:, live]
+        u, s, vh = (np.linalg.svd(a) if a.size
+                    else (a, np.zeros(0), np.eye(a.shape[1], dtype=complex)))
         if self.star.dim != n + g or _numerical_rank(s, self.cfg.rank_tol) < g:
             raise SpectrumError(
                 "Gamma0 is not surjective with an n-dimensional kernel"
             )
-        q0 = vh[g:].conj().T
-        q1 = vh[:g].conj().T @ (u.conj().T / s[:, None])
-        del u, vh  # the full d x d factor is the largest array here
+        null = vh[g:].conj().T
+        pinv = vh[:g].conj().T @ (u.conj().T / s[:, None])
         w = self.star.graph.basis
-        f0, g0 = w[:n] @ q0, w[n:] @ q0
-        return (g0 + 1j * f0, g0 - 1j * f0, w[:n] @ q1, w[n:] @ q1,
-                self.gamma1 @ q0, self.gamma1 @ q1)
+        w_q0 = _times_kernel(w, dead, live, null)
+        f0, g0 = w_q0[:n], w_q0[n:]
+        # f1 is cached: a product of its own, not a view that would keep
+        # all of W Q1 alive
+        return (g0 + 1j * f0, g0 - 1j * f0,
+                w[:n, live] @ pinv, w[n:, live] @ pinv,
+                _times_kernel(self.gamma1, dead, live, null),
+                self.gamma1[:, live] @ pinv)
 
     @property
     def is_degenerate(self) -> bool:

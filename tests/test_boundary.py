@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linrel.boundary import (
+    _CAYLEY_POINT_ATOL,
     WEYL_ORIGIN_RADIUS,
     BoundaryTriplet,
     _unitary_eig,
@@ -308,8 +309,9 @@ class TestCayleyDiagonalization:
 
     def check(self, c, trip):
         """Y unitary, C Y = Y diag(e), and the cached |d_k| are the
-        singular values of the pencil of ker Gamma0."""
-        y, _, _, e = _unitary_eig(np.eye(len(c)), c)
+        singular values of the pencil of ker Gamma0.  With V = I, the
+        first factor _unitary_eig returns, V Y, is Y itself."""
+        y, _, _, e = _unitary_eig(np.eye(len(c)), c, np.eye(len(c)))
         assert np.abs(y.conj().T @ y - np.eye(len(e))).max() <= 1e-12
         assert np.abs(c @ y - y * e).max() <= 1e-12
         blocks = trip.resolvent_blocks
@@ -362,6 +364,35 @@ class TestCayleyDiagonalization:
             count = np.sum(np.abs(e - np.exp(1j * phase)) < 1e-12)
             assert count == np.sum(phases == phase), phase
 
+    def test_nearly_diagonal_cayley_transform_is_rotated(self, monkeypatch):
+        # an off-diagonal entry of 1e-12 sits above _CAYLEY_POINT_ATOL, so
+        # C is not taken as diagonal: eigh diagonalizes it
+        phases = np.array([0.3, 1.0, 2.0, -2.5])
+        e0 = np.exp(1j * phases)
+        t = 1e-12 / abs(e0[0] - e0[1])
+        rot = np.eye(4, dtype=complex)
+        rot[:2, :2] = [[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]]
+        c = rot @ np.diag(e0) @ rot.conj().T
+        assert np.abs(c[0, 1]) > _CAYLEY_POINT_ATOL
+        calls = []
+        real_eigh = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return real_eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        rel = from_cayley(c)
+        trip = BoundaryTriplet(
+            "basic", rel, Subspace.zero(4), np.zeros((0, 4)),
+            np.zeros((0, 4)), rel, DEFAULT_TOLERANCES,
+        )
+        assert trip.resolvent_blocks.d_const.size == 4
+        assert calls
+        e = self.check(c, trip)
+        np.testing.assert_allclose(np.sort(np.angle(e)), np.sort(phases),
+                                   rtol=0, atol=1e-12)
+
     def test_kernel_that_is_not_selfadjoint_is_refused(self):
         # ker Gamma0 = span (-i, 1): V = G0 + i F0 = sqrt(2), not unitary
         star = from_product(Subspace.full(1), Subspace.full(1))
@@ -373,6 +404,76 @@ class TestCayleyDiagonalization:
         for route in (weyl, gamma_field):
             with pytest.raises(PreconditionViolated, match="not selfadjoint"):
                 route(trip, -1.0)
+
+
+def recoordinatized(trip, q):
+    """trip on the graph basis W q with maps Gamma0 q and Gamma1 q.
+
+    For a unitary q this is the same triplet in other graph coefficients,
+    so it has the same Weyl function and gamma field.
+    """
+    star = trip.star
+    graph = Subspace(star.graph.ambient_dim, star.graph.basis @ q)
+    return BoundaryTriplet(
+        trip.kind, LinearRelation(star.n1, star.n2, graph), trip.boundary,
+        trip.gamma0 @ q, trip.gamma1 @ q, trip.friedrichs, trip.cfg,
+    )
+
+
+def haar_unitary(rng, k):
+    z = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    return np.linalg.qr(z)[0]
+
+
+def gamma_definitional(trip, lam):
+    """gamma(lambda) from the oracle's defect space: f (Gamma0 | N)^-1."""
+    ns = defect_coefficients(trip, lam)
+    f_blk = trip.star.graph.basis[: trip.star.n1]
+    return (f_blk @ ns) @ np.linalg.inv(trip.gamma0 @ ns)
+
+
+class TestLiveColumns:
+    """Gamma0's exactly-zero columns are kernel axes as they stand."""
+
+    LAMBDAS = (-2.0, 0.5, 1j, 1.5 - 0.5j)
+
+    @pytest.mark.parametrize("build", [triplet_basic, triplet_tilde])
+    def test_mixed_kernel_matches_oracle(self, build, rng):
+        # random unitaries on the dead and on the live columns keep the
+        # dead ones exactly zero, while the kernel of the live block now
+        # mixes every live column and the dead axes give a Cayley
+        # transform that is not diagonal
+        trip = build(lift(random_relation(6, 6, rank=3, rng=5)))
+        dead = ~trip.gamma0.any(axis=0)
+        q = np.zeros((dead.size, dead.size), dtype=complex)
+        q[np.ix_(dead, dead)] = haar_unitary(rng, int(dead.sum()))
+        q[np.ix_(~dead, ~dead)] = haar_unitary(rng, int((~dead).sum()))
+        mixed = recoordinatized(trip, q)
+        assert not mixed.gamma0[:, dead].any()
+        assert mixed.gamma0[:, ~dead].all()
+        assert int((~dead).sum()) > mixed.g  # a live nullspace exists
+        assert green_identity_defect(mixed) < 1e-12
+        for lam in self.LAMBDAS:
+            np.testing.assert_allclose(
+                weyl(mixed, lam), weyl_definitional(mixed, lam), atol=1e-9
+            )
+            np.testing.assert_allclose(
+                gamma_field(mixed, lam), gamma_definitional(mixed, lam),
+                atol=1e-9,
+            )
+
+    @pytest.mark.parametrize("build", [triplet_main, triplet_basic, triplet_tilde])
+    def test_permuted_columns_give_the_same_weyl_function(self, build, rng):
+        trip = build(lift(random_relation(8, 8, rank=5, rng=5)))
+        perm = rng.permutation(trip.star.dim)
+        permuted = recoordinatized(trip, np.eye(trip.star.dim)[:, perm])
+        # the dead columns are scattered, not one or two runs
+        dead = np.flatnonzero(~permuted.gamma0.any(axis=0))
+        assert np.count_nonzero(np.diff(dead) > 1) > 1
+        for lam in self.LAMBDAS:
+            np.testing.assert_allclose(
+                weyl(permuted, lam), weyl(trip, lam), rtol=0, atol=1e-12
+            )
 
 
 def _weyl_or_spectral(route, trip, lam):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linrel import extension, subspace
 from linrel.config import ToleranceConfig
@@ -308,6 +310,31 @@ class TestExtremalFamily:
             a_l = extremal_family(dense, l_space)
             assert_relation_equal(a_l, dense.S0)
             assert_relation_equal(a_l, dense.S_K)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n1=st.integers(1, 6),
+    n2=st.integers(1, 6),
+)
+def test_paper_characterizations_on_random_lifts(seed, n1, n2):
+    # rank below max(n1, n2) leaves dom R or ran R proper, so G0 != {0}
+    rng = np.random.default_rng(seed)
+    rank = int(rng.integers(0, max(n1, n2)))
+    bundle = lift(random_relation(n1, n2, rank=rank, rng=rng))
+    g0 = bundle.G0.dim
+    assert g0 >= 1
+    # every nonnegative theta lands between S_F and S_K in resolvent order
+    theta = random_selfadjoint_relation(g0, rng=rng, nonneg=True)
+    assert krein_order_check(nonneg_extension(bundle, theta), bundle)
+    # a product parameter L x (G0 (-) L) gives an extremal extension,
+    # which is the one whose domain is orthogonal to its range
+    k = int(rng.integers(0, g0 + 1))
+    raw = rng.normal(size=(g0, k)) + 1j * rng.normal(size=(g0, k))
+    a_l = extremal_family(bundle, span(raw, g0))
+    assert is_extremal(a_l, bundle)
+    assert classify(a_l, bundle.cfg).dom_perp_ran
 
 
 class TestNamedExamples:

@@ -8,7 +8,8 @@ benchmark.  The kernels themselves are checked on first access.  Gram
 tests of Subspace bases are counted too, so a change that routes one of
 lift's stacked or swapped bases back through the Gram product fails here
 as well.  A Weyl function evaluated again on a triplet may call no
-numpy.linalg factorization or solver at all.
+numpy.linalg factorization or solver at all, and its first call factors
+only the live (not exactly zero) columns of Gamma0.
 """
 
 from pathlib import Path
@@ -33,7 +34,7 @@ from linrel.relation import classify, defect_relation, relation_equal
 from linrel.specio import load_relation_spec
 from linrel.subspace import Verdict, meet, span
 
-from conftest import assert_relation_equal
+from conftest import assert_relation_equal, swapped
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -184,17 +185,34 @@ def linalg_calls(monkeypatch):
     return calls
 
 
+def _live_width(trip, bundle):
+    """Columns of Gamma0 that are not exactly zero, by triplet kind."""
+    return {
+        "main": trip.g,
+        "basic": bundle.n1 + bundle.ker_R_star.dim,
+        "tilde": bundle.R_star.dim,
+    }[trip.kind]
+
+
 @pytest.mark.parametrize("rank", [N // 2, N, 3 * N // 2])
 @pytest.mark.parametrize("build", [triplet_main, triplet_basic, triplet_tilde])
 def test_weyl_factors_gamma0_once_per_triplet(build, rank, linalg_calls):
-    # one SVD of Gamma0 on the first call, next to the eigh calls that
-    # diagonalize the Cayley transform of ker Gamma0; then each lambda
-    # costs products only, whatever cfg weyl is given
-    trip = build(lift(random_relation(N, N, rank=rank, rng=5)))
+    # one SVD on the first call, of Gamma0's live block only, and no eigh:
+    # the Cayley transform of a lifted ker Gamma0 is diagonal in the basis
+    # of dead axes and live nullspace.  A degenerate triplet factors
+    # nothing.  Then each lambda costs products only, whatever cfg weyl
+    # is given
+    bundle = lift(random_relation(N, N, rank=rank, rng=5))
+    trip = build(bundle)
     linalg_calls.clear()
     weyl(trip, -1.0)
-    svds = [shape for name, shape in linalg_calls if name == "svd"]
-    assert svds == [trip.gamma0.shape], linalg_calls
+    g, d = trip.gamma0.shape
+    if trip.is_degenerate:
+        assert linalg_calls == []
+    else:
+        live = _live_width(trip, bundle)
+        assert live < d
+        assert linalg_calls == [("svd", (g, live))], linalg_calls
     later = (
         lambda: weyl(trip, 1j),
         lambda: gamma_field(trip, -0.5),
@@ -204,6 +222,19 @@ def test_weyl_factors_gamma0_once_per_triplet(build, rank, linalg_calls):
         linalg_calls.clear()
         call()
         assert linalg_calls == []
+
+
+@pytest.mark.parametrize("rank", [N // 2, N, 3 * N // 2])
+@pytest.mark.parametrize("build", [triplet_main, triplet_tilde])
+def test_swapped_triplets_still_rotate(build, rank, linalg_calls):
+    # ker Gamma0 of the swapped main and tilde triplets is K, whose
+    # nonzero eigenvalues leave the Cayley transform off-diagonal, so it
+    # is diagonalized by eigh.  (swapped basic has ker Gamma0 = S_K, with
+    # only the eigenvalues 0 and infinity: diagonal as it stands.)
+    trip = swapped(build(lift(random_relation(N, N, rank=rank, rng=5))))
+    linalg_calls.clear()
+    weyl(trip, 1j)
+    assert any(name == "eigh" for name, _ in linalg_calls), linalg_calls
 
 
 # {W c : M c = 0} needs the factorizations that find M and its nullspace,

@@ -40,7 +40,7 @@ from .errors import (
 from .extension import LiftBundle, lift
 from .relation import (
     LinearRelation,
-    _sub_relation,
+    _is_selfadjoint,
     classify,
     from_operator,
     lower_bound,
@@ -51,7 +51,6 @@ from .subspace import (
     Verdict,
     _is_orthonormal,
     _numerical_rank,
-    complement,
     nullspace_columns,
     span,
 )
@@ -126,8 +125,8 @@ def _split_cluster(c_k: np.ndarray) -> np.ndarray:
 
 
 def _unitary_eig(v: np.ndarray, w: np.ndarray, outer: np.ndarray,
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """V Y, W Y, outer Y and e, for a unitary Y with C Y = Y diag(e),
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """V Y, outer Y and e, for a unitary Y with C Y = Y diag(e),
     C = V^H W, V and W unitary.
 
     A C whose off-diagonal is within _CAYLEY_POINT_ATOL entrywise is
@@ -146,7 +145,7 @@ def _unitary_eig(v: np.ndarray, w: np.ndarray, outer: np.ndarray,
     off = np.abs(c)
     off.reshape(-1)[:: len(c) + 1] = 0.0
     if off.max(initial=0.0) <= _CAYLEY_POINT_ATOL:
-        return v, w, outer, c.diagonal().copy()
+        return v, outer, c.diagonal().copy()
     del off
     re_values, y = np.linalg.eigh((c + c.conj().T) / 2)
     vy, wy, outer_y = v @ y, w @ y, outer @ y
@@ -158,7 +157,7 @@ def _unitary_eig(v: np.ndarray, w: np.ndarray, outer: np.ndarray,
         rot = _split_cluster(c_k)
         for mat in (vy, wy, outer_y):
             mat[:, cluster] = mat[:, cluster] @ rot
-    return vy, wy, outer_y, np.einsum("ij,ij->j", vy.conj(), wy)
+    return vy, outer_y, np.einsum("ij,ij->j", vy.conj(), wy)
 
 
 def _column_index(mask: np.ndarray) -> slice | np.ndarray:
@@ -196,19 +195,23 @@ class _ResolventBlocks(NamedTuple):
     graph basis W = [F; G] of the adjoint gives [f0; g0] = W Q0 and
     [f1; g1] = W Q1.  ker Gamma0 is selfadjoint, so V = g0 + i f0 is
     unitary and so is its Cayley transform C = V^H (g0 - i f0) = Y diag(e) Y^H.
-    Then g0 - lambda f0 = V Y diag(d(lambda)) Y^H with
+    Then g0 - lambda f0 = V Y diag(d(lambda)) Y^H and f0 Y = -V Y diag(d_slope)
+    with
 
         d(lambda) = d_const + lambda d_slope = (1 + e)/2 + i lambda (1 - e)/2,
 
-    and (g0 - lambda f0)^{-1} (g1 - lambda f1) = Y diag(1/d) (rhs_const -
-    lambda rhs_slope), rhs_const = (V Y)^H g1, rhs_slope = (V Y)^H f1.
-    f0_y = f0 Y, gamma1_q0_y = Gamma1 Q0 Y, and f1, gamma1_q1 = Gamma1 Q1
-    are the outer factors of gamma_field and weyl.
+    so (g0 - lambda f0)^{-1} (g1 - lambda f1) = Y diag(1/d) (rhs_const -
+    lambda rhs_slope), rhs_const = (V Y)^H g1, rhs_slope = (V Y)^H f1, and
+    (ker Gamma0 - lambda)^{-1} = f0 (g0 - lambda f0)^{-1} =
+    -V Y diag(d_slope/d) (V Y)^H.  vy = V Y, gamma1_q0_y = Gamma1 Q0 Y, and
+    f1, gamma1_q1 = Gamma1 Q1 are the outer factors of gamma_field, weyl
+    and extension_from_boundary.  V Y is kept rather than f0 Y, since
+    recovering it from f0 Y divides by 1 - e, which vanishes at e = 1.
     """
 
     d_const: np.ndarray
     d_slope: np.ndarray
-    f0_y: np.ndarray
+    vy: np.ndarray
     f1: np.ndarray
     gamma1_q0_y: np.ndarray
     rhs_const: np.ndarray
@@ -285,12 +288,12 @@ class BoundaryTriplet:
             raise PreconditionViolated(
                 "ker Gamma0 is not selfadjoint: G0 + i F0 is not unitary"
             )
-        vy, wy, gamma1_q0_y, e = _unitary_eig(v, w, gamma1_q0)
+        vy, gamma1_q0_y, e = _unitary_eig(v, w, gamma1_q0)
         del v, w, gamma1_q0
         vy_h = vy.conj().T
         return _ResolventBlocks(
             (1 + e) / 2, 0.5j * (1 - e),
-            (vy - wy) / 2j, f1, gamma1_q0_y,
+            vy, f1, gamma1_q0_y,
             vy_h @ g1, vy_h @ f1,
             gamma1_q1,
         )
@@ -457,7 +460,7 @@ def weyl(trip: BoundaryTriplet, lam: complex,
     keeps an optional cfg, because bench/test_smoke.py passes one.
     """
     blocks, x = _resolvent_solve(trip, lam, (cfg or trip.cfg).rank_tol)
-    return blocks.gamma1_q1 - blocks.gamma1_q0_y @ x
+    return _weyl_value(blocks, x)
 
 
 def gamma_field(trip: BoundaryTriplet, lam: complex) -> np.ndarray:
@@ -466,8 +469,22 @@ def gamma_field(trip: BoundaryTriplet, lam: complex) -> np.ndarray:
     gamma(lambda) = f1 - f0 (g0 - lambda f0)^{-1} (g1 - lambda f1), from the
     same cached blocks and rank rule as weyl, with no factorization.
     """
-    blocks, x = _resolvent_solve(trip, lam, trip.cfg.rank_tol)
-    return blocks.f1 - blocks.f0_y @ x
+    return _gamma_value(*_resolvent_solve(trip, lam, trip.cfg.rank_tol))
+
+
+def _weyl_value(blocks: _ResolventBlocks, x: np.ndarray) -> np.ndarray:
+    """M(lambda) = Gamma1 Q1 - Gamma1 Q0 Y X for X from _resolvent_solve."""
+    return blocks.gamma1_q1 - blocks.gamma1_q0_y @ x
+
+
+def _gamma_value(blocks: _ResolventBlocks, x: np.ndarray) -> np.ndarray:
+    """gamma(lambda) = f1 - f0 Y X = f1 + V Y diag(d_slope) X.
+
+    Only the columns where d_slope is nonzero are multiplied: the others
+    (e = 1, half of them on a lifted triplet) add exact zeros.
+    """
+    k = _column_index(blocks.d_slope != 0)
+    return blocks.f1 + blocks.vy[:, k] @ (blocks.d_slope[k, None] * x[k])
 
 
 def _origin_scaling(n1: int, n2: int, lam: complex) -> np.ndarray:
@@ -519,11 +536,23 @@ def closed_form_gamma(bundle: LiftBundle, kind: str, lam: complex) -> np.ndarray
 
 def extension_from_boundary(trip: BoundaryTriplet,
                             theta: LinearRelation) -> LinearRelation:
-    """A_theta = {fhat in star : (Gamma0 fhat, Gamma1 fhat) in theta}.
+    """A_theta = {fhat in star : (Gamma0 fhat, Gamma1 fhat) in theta} for a
+    selfadjoint theta, by Krein's resolvent formula.
 
-    The membership constraint is expressed against a basis of the
-    orthogonal complement of theta's graph, so theta may be any relation
-    in the parameter space; multivalued parameters need no special case.
+    With [X; Y] the graph basis of theta and A0 = ker Gamma0,
+
+        R = (A_theta - i)^{-1}
+          = (A0 - i)^{-1} + gamma(i) X (Y - M(i) X)^{-1} gamma(-i)^H,
+
+    and A_theta is the graph {(R h, h + i R h)}.  Every factor comes from
+    the triplet's cached resolvent_blocks, where d(i) = e and d(-i) = 1,
+    and the one solve is g x g: Y - M(i) X is invertible because
+    Im M(i) = gamma(i)^H gamma(i) > 0.  Multivalued parameters (dim of
+    theta's domain below g) need no special case.  The Cayley basis
+    [R; I + i R] is orthonormal because A_theta is selfadjoint, and the
+    Gram test of Subspace checks it.  A theta that is not selfadjoint
+    raises PreconditionViolated; oracle.extension_definitional takes any
+    theta.
     """
     cfg = trip.cfg
     if theta.n1 != trip.g or theta.n2 != trip.g:
@@ -531,13 +560,25 @@ def extension_from_boundary(trip: BoundaryTriplet,
             f"theta acts on C^{theta.n1} x C^{theta.n2}, parameter space "
             f"has dimension {trip.g}"
         )
-    # one expression: neither the complement basis nor the stacked maps
-    # stays alive through the factorization in _sub_relation, which is
-    # where a chain holding cached resolvent blocks peaks in memory
-    constraint = complement(theta.graph, cfg).basis.conj().T @ np.vstack(
-        [trip.gamma0, trip.gamma1]
-    )
-    return _sub_relation(trip.star, constraint, cfg)
+    if not _is_selfadjoint(theta, cfg):
+        raise PreconditionViolated("theta is not selfadjoint")
+    blocks, x_i = _resolvent_solve(trip, 1j, cfg.rank_tol)
+    _, x_conj = _resolvent_solve(trip, -1j, cfg.rank_tol)
+    t_dom = theta.domain_block
+    # X (Y - M(i) X)^{-1}, solved transposed: g right-hand sides, not n
+    coupling = np.linalg.solve(
+        (theta.range_block - _weyl_value(blocks, x_i) @ t_dom).T, t_dom.T
+    ).T
+    res = (_gamma_value(blocks, x_i) @ coupling) @ _gamma_value(
+        blocks, x_conj).conj().T
+    # (A0 - i)^{-1} = -V Y diag(d_slope / d(i)) (V Y)^H, over the columns
+    # where d_slope is nonzero, as in _gamma_value
+    k = _column_index(blocks.d_slope != 0)
+    vy, slope = blocks.vy[:, k], blocks.d_slope[k]
+    res -= (vy * (slope / (blocks.d_const[k] + 1j * slope))) @ vy.conj().T
+    n = trip.star.n1
+    cayley = np.vstack([res, np.eye(n) + 1j * res])
+    return LinearRelation(n, trip.star.n2, Subspace(2 * n, cayley))
 
 
 @dataclass(frozen=True)
@@ -581,8 +622,6 @@ def semibound_criterion(trip: BoundaryTriplet, theta: LinearRelation,
         raise PreconditionViolated(f"threshold must be negative, got {x}")
     if trip.is_degenerate:
         raise PreconditionViolated("parameter space is trivial")
-    if not classify(theta, cfg).is_selfadjoint:
-        raise PreconditionViolated("theta is not selfadjoint")
 
     bound = lower_bound(extension_from_boundary(trip, theta), cfg)
     if bound is None:

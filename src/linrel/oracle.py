@@ -2,10 +2,12 @@
 
 The verifiers here deliberately avoid the main modules' algorithms:
 adjoint_definitional solves the defining pairing equations as one dense
-nullspace problem with its own SVD helper, and weyl_definitional builds
+nullspace problem with its own SVD helper, weyl_definitional builds
 the Weyl function straight from its definition, one defect-space
-nullspace per lambda.  They are allowed to be slower; they exist to
-disagree loudly when the fast paths are wrong.
+nullspace per lambda, and extension_definitional builds A_theta by
+membership instead of by Krein's resolvent formula.  They are allowed
+to be slower; they exist to disagree loudly when the fast paths are
+wrong.
 
 The random_* generators are input factories for property tests, not
 verifiers, so they may lean on plain QR factorizations.
@@ -25,15 +27,16 @@ from .boundary import (
     triplet_main,
 )
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
-from .errors import SpectrumError
+from .errors import DimensionMismatch, SpectrumError
 from .extension import LiftBundle
-from .relation import LinearRelation, classify, relation_equal
-from .subspace import Subspace, Verdict, relate
+from .relation import LinearRelation, _sub_relation, classify, relation_equal
+from .subspace import Subspace, Verdict, complement, relate
 
 __all__ = [
     "adjoint_definitional",
     "defect_coefficients",
     "weyl_definitional",
+    "extension_definitional",
     "SweepRecord",
     "SweepReport",
     "extension_sweep",
@@ -104,22 +107,50 @@ def weyl_definitional(trip: BoundaryTriplet, lam: complex) -> np.ndarray:
     return (trip.gamma1 @ ns) @ np.linalg.inv(a0)
 
 
+def extension_definitional(trip: BoundaryTriplet,
+                           theta: LinearRelation) -> LinearRelation:
+    """A_theta = {fhat in star : (Gamma0 fhat, Gamma1 fhat) in theta}.
+
+    The membership constraint is expressed against a basis of the
+    orthogonal complement of theta's graph, so theta may be any relation
+    in the parameter space, selfadjoint or not.
+    """
+    cfg = trip.cfg
+    if theta.n1 != trip.g or theta.n2 != trip.g:
+        raise DimensionMismatch(
+            f"theta acts on C^{theta.n1} x C^{theta.n2}, parameter space "
+            f"has dimension {trip.g}"
+        )
+    constraint = complement(theta.graph, cfg).basis.conj().T @ np.vstack(
+        [trip.gamma0, trip.gamma1]
+    )
+    return _sub_relation(trip.star, constraint, cfg)
+
+
 @dataclass(frozen=True)
 class SweepRecord:
-    """Verdicts for one boundary parameter in an extension sweep."""
+    """Verdicts for one boundary parameter in an extension sweep.
+
+    matches_definitional: the Krein-formula A_theta of a selfadjoint theta
+    equals extension_definitional's (True for the others, which are built
+    by that route alone).
+    """
 
     theta_selfadjoint: bool
     extension: LinearRelation
     extension_selfadjoint: bool
     extends_s: bool
     inside_s_star: bool
+    matches_definitional: bool
 
     @property
     def consistent(self) -> bool:
-        """Selfadjoint parameters must give selfadjoint extensions of S."""
+        """Selfadjoint parameters must give selfadjoint extensions of S,
+        the same by both routes."""
         if not self.theta_selfadjoint:
             return True
-        return self.extension_selfadjoint and self.extends_s and self.inside_s_star
+        return (self.extension_selfadjoint and self.extends_s
+                and self.inside_s_star and self.matches_definitional)
 
 
 @dataclass(frozen=True)
@@ -138,23 +169,33 @@ def extension_sweep(bundle: LiftBundle,
 
     Every selfadjoint theta must produce a selfadjoint relation between
     S and S*, and distinct parameters must produce distinct extensions
-    (the parametrization is a bijection).  Non-selfadjoint parameters are
-    expected to fail selfadjointness and are only recorded.
+    (the parametrization is a bijection).  Selfadjoint parameters go
+    through extension_from_boundary, checked against the membership route
+    of extension_definitional; non-selfadjoint parameters take the
+    membership route only, are expected to fail selfadjointness, and are
+    only recorded.
     """
     cfg = bundle.cfg
     trip = triplet_main(bundle)
     records = []
     for theta in thetas:
-        a_theta = extension_from_boundary(trip, theta)
+        theta_selfadjoint = classify(theta, cfg).is_selfadjoint
+        definitional = extension_definitional(trip, theta)
+        a_theta, matches = definitional, True
+        if theta_selfadjoint:
+            a_theta = extension_from_boundary(trip, theta)
+            matches = (relation_equal(a_theta, definitional, cfg).verdict
+                       is Verdict.EQUAL)
         fwd = relate(bundle.S.graph, a_theta.graph, cfg).verdict
         bwd = relate(a_theta.graph, bundle.S_star.graph, cfg).verdict
         records.append(
             SweepRecord(
-                theta_selfadjoint=classify(theta, cfg).is_selfadjoint,
+                theta_selfadjoint=theta_selfadjoint,
                 extension=a_theta,
                 extension_selfadjoint=classify(a_theta, cfg).is_selfadjoint,
                 extends_s=fwd in (Verdict.EQUAL, Verdict.SUBSET),
                 inside_s_star=bwd in (Verdict.EQUAL, Verdict.SUBSET),
+                matches_definitional=matches,
             )
         )
 

@@ -252,6 +252,12 @@ def _symmetry(rel: LinearRelation,
     return cross, rel.dim <= rel.n1 and _sine_angle(skew) < cfg.angle_tol
 
 
+def _is_selfadjoint(rel: LinearRelation, cfg: ToleranceConfig) -> bool:
+    """classify's is_selfadjoint verdict alone, with no nonnegativity test."""
+    sym = _symmetry(rel, cfg)
+    return sym is not None and sym[1] and rel.dim == rel.n1
+
+
 def lower_bound(rel: LinearRelation,
                 cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float | None:
     """Greatest lower bound of the operator part on its domain.

@@ -28,10 +28,11 @@ from linrel.boundary import (
     weyl,
 )
 from linrel.config import DEFAULT_TOLERANCES, ToleranceConfig
-from linrel.errors import PreconditionViolated, SpectrumError
+from linrel.errors import DimensionMismatch, PreconditionViolated, SpectrumError
 from linrel.extension import lift
 from linrel.oracle import (
     defect_coefficients,
+    extension_definitional,
     random_relation,
     random_selfadjoint_relation,
     weyl_definitional,
@@ -43,6 +44,7 @@ from linrel.relation import (
     from_product,
     operator_part,
     relation_equal,
+    resolvent,
 )
 from linrel.subspace import Subspace, Verdict
 
@@ -311,7 +313,7 @@ class TestCayleyDiagonalization:
         """Y unitary, C Y = Y diag(e), and the cached |d_k| are the
         singular values of the pencil of ker Gamma0.  With V = I, the
         first factor _unitary_eig returns, V Y, is Y itself."""
-        y, _, _, e = _unitary_eig(np.eye(len(c)), c, np.eye(len(c)))
+        y, _, e = _unitary_eig(np.eye(len(c)), c, np.eye(len(c)))
         assert np.abs(y.conj().T @ y - np.eye(len(e))).max() <= 1e-12
         assert np.abs(c @ y - y * e).max() <= 1e-12
         blocks = trip.resolvent_blocks
@@ -532,19 +534,74 @@ class TestExtensionFromBoundary:
             Verdict.EQUAL, Verdict.SUBSET,
         )
 
-    def test_symmetric_parameter_gives_symmetric_extension(
-        self, bundle, trip_main
-    ):
-        g = trip_main.g
-        # a 1-dim restriction of a Hermitian parameter stays symmetric
+    @staticmethod
+    def _symmetric_theta(g):
+        # a 1-dim restriction of a Hermitian parameter: symmetric, and not
+        # selfadjoint for g > 1
         basis = np.zeros((2 * g, 1), dtype=complex)
         basis[0, 0] = 1 / math.sqrt(2)
         basis[g, 0] = 1 / math.sqrt(2)
-        from linrel.relation import LinearRelation
+        return LinearRelation(g, g, Subspace(2 * g, basis))
 
-        theta = LinearRelation(g, g, Subspace(2 * g, basis))
-        ext = extension_from_boundary(trip_main, theta)
+    def test_symmetric_parameter_gives_symmetric_extension(
+        self, bundle, trip_main
+    ):
+        theta = self._symmetric_theta(trip_main.g)
+        ext = extension_definitional(trip_main, theta)
         assert classify(ext).is_symmetric
+
+    def test_symmetric_parameter_is_refused_by_the_krein_route(
+        self, trip_main
+    ):
+        # the resolvent formula needs a selfadjoint theta; the membership
+        # route of the oracle takes both of these
+        g = trip_main.g
+        assert g > 1
+        for theta in (self._symmetric_theta(g), from_operator(1j * np.eye(g))):
+            with pytest.raises(PreconditionViolated,
+                               match="theta is not selfadjoint"):
+                extension_from_boundary(trip_main, theta)
+
+    def test_wrong_parameter_dimension_is_refused(self, trip_main):
+        theta = from_operator(np.eye(trip_main.g + 1))
+        for route in (extension_from_boundary, extension_definitional):
+            with pytest.raises(DimensionMismatch, match="parameter space"):
+                route(trip_main, theta)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n1=st.integers(1, 6),
+    n2=st.integers(1, 6),
+    data=st.data(),
+)
+def test_krein_extension_matches_definitional_route(seed, n1, n2, data):
+    # random lifts of every rank, all three triplets and their swapped
+    # forms, and selfadjoint theta of every domain dimension: dom_dim < g
+    # is a multivalued parameter
+    rng = np.random.default_rng(seed)
+    rank = data.draw(st.integers(0, n1 + n2), label="rank")
+    bundle = lift(random_relation(n1, n2, rank=rank, rng=rng))
+    for build in (triplet_main, triplet_basic, triplet_tilde):
+        for trip in (build(bundle), swapped(build(bundle))):
+            if trip.is_degenerate:
+                continue
+            dom_dim = data.draw(st.integers(0, trip.g), label="dom_dim")
+            theta = random_selfadjoint_relation(trip.g, rng=rng,
+                                                dom_dim=dom_dim)
+            ext = extension_from_boundary(trip, theta)
+            want = extension_definitional(trip, theta)
+            assert_relation_equal(ext, want, msg=trip.kind)
+            # the basis is the Cayley graph: column j is
+            # ((A - i)^{-1} e_j, e_j + i (A - i)^{-1} e_j)
+            n = ext.n1
+            basis = ext.graph.basis
+            for rel in (ext, want):
+                res = resolvent(rel, 1j)
+                np.testing.assert_allclose(basis[:n], res, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(basis[n:], np.eye(n) + 1j * res,
+                                           rtol=0, atol=1e-12)
 
 
 class TestSemiboundCriterion:

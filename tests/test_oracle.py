@@ -116,6 +116,23 @@ class TestExtensionSweep:
         assert report.all_consistent
         assert report.injective
         assert all(r.theta_selfadjoint for r in report.records)
+        assert all(r.matches_definitional for r in report.records)
+
+    def test_krein_route_is_checked_against_membership(self, rng,
+                                                       monkeypatch):
+        # a Krein route that returned another selfadjoint extension of S
+        # would pass every other check of the record
+        from linrel import oracle
+        from linrel.extension import lift
+
+        bundle = lift(random_relation(2, 2, rank=2, rng=rng))
+        thetas = [random_selfadjoint_relation(bundle.G.dim, rng=rng)]
+        monkeypatch.setattr(oracle, "extension_from_boundary",
+                            lambda trip, theta: bundle.K)
+        rec = extension_sweep(bundle, thetas).records[0]
+        assert rec.extension_selfadjoint and rec.extends_s
+        assert not rec.matches_definitional
+        assert not rec.consistent
 
     def test_non_selfadjoint_parameter_is_flagged_not_failed(self, rng):
         rel = random_relation(2, 2, rank=2, rng=rng)

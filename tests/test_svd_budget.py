@@ -1,5 +1,6 @@
 """SVD budget of classify, lift, the triplet builders, the Weyl function,
-the sub-relation builders and the block calculus, at a fixed seed.
+the Krein-formula extension, the sub-relation builders and the block
+calculus, at a fixed seed.
 
 numpy.linalg.svd calls are counted, so a change that re-forms an adjoint
 inside lift, factors the triplet kernels eagerly, or re-orthonormalizes a
@@ -240,7 +241,6 @@ def test_swapped_triplets_still_rotate(build, rank, linalg_calls):
 # {W c : M c = 0} needs the factorizations that find M and its nullspace,
 # and none after: W c is orthonormal when W and c are
 SUB_RELATION_BUDGETS = {
-    "extension_from_boundary": 2,
     "friedrichs_generic": 4,
     "krein_generic": 4,
     "defect_relation": 1,
@@ -248,10 +248,6 @@ SUB_RELATION_BUDGETS = {
 
 
 def _build_sub_relation(name, bundle):
-    if name == "extension_from_boundary":
-        trip = triplet_main(bundle)
-        theta = random_selfadjoint_relation(trip.g, rng=3)
-        return lambda: extension_from_boundary(trip, theta)
     if name == "defect_relation":
         return lambda: defect_relation(bundle.S_star, 1j)
     generic = {"friedrichs_generic": friedrichs_generic,
@@ -268,6 +264,40 @@ def test_sub_relation_builders_factor_no_product(name, rank, svd_calls):
     assert len(svd_calls) <= SUB_RELATION_BUDGETS[name], svd_calls
     basis = rel.graph.basis
     gram_err = np.abs(basis.conj().T @ basis - np.eye(rel.dim))
+    assert np.max(gram_err, initial=0.0) < 1e-12
+
+
+# basic at ranks N and 3N/2 has G0 = {0}: no parameter to extend by
+EXTENSION_CASES = [
+    (build, rank)
+    for build in (triplet_main, triplet_basic, triplet_tilde)
+    for rank in (N // 2, N, 3 * N // 2)
+    if build is not triplet_basic or rank == N // 2
+]
+
+
+@pytest.mark.parametrize("fresh", [False, True], ids=["set-up-paid", "fresh"])
+@pytest.mark.parametrize("build, rank", EXTENSION_CASES)
+def test_krein_extension_solves_once(build, rank, fresh, svd_calls,
+                                     linalg_calls):
+    # Krein's formula on the cached blocks: the selfadjointness test of
+    # theta (one values-only g x g SVD) and one g x g solve, and on a
+    # fresh triplet the set-up's one SVD of Gamma0's live block between
+    bundle = lift(random_relation(N, N, rank=rank, rng=5))
+    trip = build(bundle)
+    theta = random_selfadjoint_relation(trip.g, rng=3)
+    if not fresh:
+        weyl(trip, -1.0)
+    svd_calls.clear()
+    linalg_calls.clear()
+    ext = extension_from_boundary(trip, theta)
+    g = trip.g
+    set_up = [("svd", (g, _live_width(trip, bundle)))] if fresh else []
+    assert linalg_calls == [("svd", (g, g)), *set_up, ("solve", (g, g))], (
+        linalg_calls)
+    assert svd_calls[0] == ((g, g), False), svd_calls
+    basis = ext.graph.basis
+    gram_err = np.abs(basis.conj().T @ basis - np.eye(ext.dim))
     assert np.max(gram_err, initial=0.0) < 1e-12
 
 

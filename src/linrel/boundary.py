@@ -41,6 +41,7 @@ from .extension import LiftBundle, lift
 from .relation import (
     LinearRelation,
     _is_selfadjoint,
+    _pencil_solve,
     classify,
     from_operator,
     lower_bound,
@@ -80,84 +81,10 @@ __all__ = [
 WEYL_ORIGIN_RADIUS = 1e-6
 
 
-# Eigenvalues of a Hermitian part of C closer than this form one cluster,
-# which the next Hermitian part splits.  Vectors split across a gap of at
-# least this size mix by O(eps / width), and the last split of a cluster
-# works at full resolution, so the width sits far above rounding.
-_CAYLEY_CLUSTER_WIDTH = 1e-4
-# A cluster whose restriction of C is within this (entrywise) of a
-# multiple of the identity is one eigenvalue up to rounding, and any basis
-# of it is an eigenbasis: the eigenvalues 0 and infinity of the kernels of
-# lifted triplets give such clusters at C = -1 and C = +1.
+# A Cayley transform whose off-diagonal is within this (entrywise) is
+# diagonal up to rounding, as on lifted triplets: their kernels have only
+# the eigenvalues 0 and infinity, so C = -1 or +1 on each axis.
 _CAYLEY_POINT_ATOL = 1e-13
-
-
-def _clusters(values: np.ndarray) -> list[slice]:
-    """Runs of two or more ascending values with gaps up to the width."""
-    cuts = np.flatnonzero(np.diff(values) > _CAYLEY_CLUSTER_WIDTH) + 1
-    bounds = [0, *cuts.tolist(), values.size]
-    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi - lo > 1]
-
-
-def _imag_part(c: np.ndarray, z: complex = 1.0) -> np.ndarray:
-    """The Hermitian matrix Im(conj(z) C) = (conj(z) C - z C^H) / (2i)."""
-    zc = np.conj(z) * c
-    return (zc - zc.conj().T) / 2j
-
-
-def _split_cluster(c_k: np.ndarray) -> np.ndarray:
-    """Unitary R with R^H C_k R diagonal, for a normal C_k whose
-    eigenvalues share their real part up to the cluster width.
-
-    Im C_k splits conjugate points.  Each cluster of it left lies on a
-    short arc around z = tr C_arc / |tr C_arc| and is split by
-    Im(conj(z) C_arc), whose eigenvalues are the sines of the angles to z.
-    """
-    im_values, rot = np.linalg.eigh(_imag_part(c_k))
-    c_k = rot.conj().T @ c_k @ rot
-    for sub in _clusters(im_values):
-        c_arc = c_k[sub, sub]
-        z = np.trace(c_arc)
-        _, arc_rot = np.linalg.eigh(_imag_part(c_arc, z / abs(z)))
-        rot[:, sub] = rot[:, sub] @ arc_rot
-    return rot
-
-
-def _unitary_eig(v: np.ndarray, w: np.ndarray, outer: np.ndarray,
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """V Y, outer Y and e, for a unitary Y with C Y = Y diag(e),
-    C = V^H W, V and W unitary.
-
-    A C whose off-diagonal is within _CAYLEY_POINT_ATOL entrywise is
-    diagonal up to rounding, so Y = I and e = diag(C): the point rule of
-    the clusters below, applied first to C as a whole.  The kernels of the
-    lifted triplets, in the basis of dead axes and live nullspace that
-    _split_by_gamma0 builds, give such C.  Otherwise C may have large
-    eigenvalue clusters, where np.linalg.eig need not return orthonormal
-    vectors, so Y comes from eigh of Hermitian parts: (C + C^H)/2 orders
-    the eigenvalues by real part, and _split_cluster splits each of its
-    clusters in the cluster's own coordinates C_k = (V Y_k)^H (W Y_k),
-    unless C_k is one point.  e holds the Rayleigh quotients
-    (V y_k)^H (W y_k).
-    """
-    c = v.conj().T @ w
-    off = np.abs(c)
-    off.reshape(-1)[:: len(c) + 1] = 0.0
-    if off.max(initial=0.0) <= _CAYLEY_POINT_ATOL:
-        return v, outer, c.diagonal().copy()
-    del off
-    re_values, y = np.linalg.eigh((c + c.conj().T) / 2)
-    vy, wy, outer_y = v @ y, w @ y, outer @ y
-    for cluster in _clusters(re_values):
-        c_k = vy[:, cluster].conj().T @ wy[:, cluster]
-        point = np.trace(c_k) / len(c_k) * np.eye(len(c_k))
-        if np.abs(c_k - point).max() <= _CAYLEY_POINT_ATOL:
-            continue
-        rot = _split_cluster(c_k)
-        for mat in (vy, wy, outer_y):
-            mat[:, cluster] = mat[:, cluster] @ rot
-    return vy, outer_y, np.einsum("ij,ij->j", vy.conj(), wy)
 
 
 def _column_index(mask: np.ndarray) -> slice | np.ndarray:
@@ -194,26 +121,27 @@ class _ResolventBlocks(NamedTuple):
     With Q0 an orthonormal basis of ker Gamma0 and Q1 = Gamma0^+, the
     graph basis W = [F; G] of the adjoint gives [f0; g0] = W Q0 and
     [f1; g1] = W Q1.  ker Gamma0 is selfadjoint, so V = g0 + i f0 is
-    unitary and so is its Cayley transform C = V^H (g0 - i f0) = Y diag(e) Y^H.
-    Then g0 - lambda f0 = V Y diag(d(lambda)) Y^H and f0 Y = -V Y diag(d_slope)
-    with
+    unitary and so is its Cayley transform C = V^H (g0 - i f0).  Then
+    g0 - lambda f0 = V D(lambda) and f0 = -V d_slope with
 
-        d(lambda) = d_const + lambda d_slope = (1 + e)/2 + i lambda (1 - e)/2,
+        D(lambda) = d_const + lambda d_slope = (I + C)/2 + i lambda (I - C)/2,
 
-    so (g0 - lambda f0)^{-1} (g1 - lambda f1) = Y diag(1/d) (rhs_const -
-    lambda rhs_slope), rhs_const = (V Y)^H g1, rhs_slope = (V Y)^H f1, and
+    so (g0 - lambda f0)^{-1} (g1 - lambda f1) = D^{-1} (rhs_const -
+    lambda rhs_slope), rhs_const = V^H g1, rhs_slope = V^H f1, and
     (ker Gamma0 - lambda)^{-1} = f0 (g0 - lambda f0)^{-1} =
-    -V Y diag(d_slope/d) (V Y)^H.  vy = V Y, gamma1_q0_y = Gamma1 Q0 Y, and
-    f1, gamma1_q1 = Gamma1 Q1 are the outer factors of gamma_field, weyl
-    and extension_from_boundary.  V Y is kept rather than f0 Y, since
-    recovering it from f0 Y divides by 1 - e, which vanishes at e = 1.
+    -V d_slope D^{-1} V^H.  A diagonal C is stored as the vector of its
+    diagonal e, and d_const, d_slope are vectors; otherwise they are
+    n x n matrices.  v, gamma1_q0 = Gamma1 Q0, f1 and gamma1_q1 =
+    Gamma1 Q1 are the outer factors of gamma_field, weyl and
+    extension_from_boundary.  V is kept rather than f0, since recovering
+    it from f0 divides by I - C, singular where C has the eigenvalue 1.
     """
 
     d_const: np.ndarray
     d_slope: np.ndarray
-    vy: np.ndarray
+    v: np.ndarray
     f1: np.ndarray
-    gamma1_q0_y: np.ndarray
+    gamma1_q0: np.ndarray
     rhs_const: np.ndarray
     rhs_slope: np.ndarray
     gamma1_q1: np.ndarray
@@ -233,7 +161,7 @@ class BoundaryTriplet:
     ker_gamma0 and ker_gamma1 are computed on first access, and so is
     ker_gamma0_is_friedrichs, which records whether ker Gamma0 equals S_F;
     the semiboundedness criterion is only valid for such triplets.  So
-    are resolvent_blocks, the factorizations of Gamma0 and of the Cayley
+    are resolvent_blocks, the factorization of Gamma0 and the Cayley
     transform of its kernel that weyl and gamma_field read at every lambda.
     """
 
@@ -277,24 +205,29 @@ class BoundaryTriplet:
 
     @cached_property
     def resolvent_blocks(self) -> _ResolventBlocks:
-        """The Krein resolvent blocks, with the pencil of ker Gamma0 diagonal.
+        """The Krein resolvent blocks, with the Cayley transform C of
+        ker Gamma0 as a vector when it is diagonal and as a matrix if not.
 
         A hand-built triplet whose Gamma0-kernel is not selfadjoint (V
-        fails the Gram test) is refused, since the diagonal form would give
-        a wrong M(lambda).  V, W and C are not kept.
+        fails the Gram test) is refused, since the Cayley form would give
+        a wrong M(lambda).
         """
         v, w, f1, g1, gamma1_q0, gamma1_q1 = self._split_by_gamma0()
         if not _is_orthonormal(v):
             raise PreconditionViolated(
                 "ker Gamma0 is not selfadjoint: G0 + i F0 is not unitary"
             )
-        vy, gamma1_q0_y, e = _unitary_eig(v, w, gamma1_q0)
-        del v, w, gamma1_q0
-        vy_h = vy.conj().T
+        v_h = v.conj().T
+        c = v_h @ w
+        off = c - np.diag(c.diagonal())
+        if np.abs(off).max(initial=0.0) <= _CAYLEY_POINT_ATOL:
+            c, eye = c.diagonal().copy(), 1.0
+        else:
+            eye = np.eye(len(c))
         return _ResolventBlocks(
-            (1 + e) / 2, 0.5j * (1 - e),
-            vy, f1, gamma1_q0_y,
-            vy_h @ g1, vy_h @ f1,
+            (eye + c) / 2, 0.5j * (eye - c),
+            v, f1, gamma1_q0,
+            v_h @ g1, v_h @ f1,
             gamma1_q1,
         )
 
@@ -425,21 +358,28 @@ def _outside_origin_disk(lam: complex) -> None:
 
 def _resolvent_solve(trip: BoundaryTriplet, lam: complex, rank_tol: float,
                      ) -> tuple[_ResolventBlocks, np.ndarray]:
-    """The cached blocks and X = Y^H (g0 - lambda f0)^{-1} (g1 - lambda f1).
+    """The cached blocks and X = (g0 - lambda f0)^{-1} (g1 - lambda f1).
 
-    The defect element with Gamma0-value b has coefficients (Q1 - Q0 Y X) b.
+    The defect element with Gamma0-value b has coefficients (Q1 - Q0 X) b.
     T* = ker Gamma0 (+) N_lambda exactly when the n x n pencil
-    g0 - lambda f0 is invertible, so the rank rule applied to it is the one
-    spectral test: below full rank, lambda is an eigenvalue of ker Gamma0.
-    V Y is unitary, so the pencil's singular values are exactly the
-    |d_k(lambda)|, and the test needs no factorization.
+    g0 - lambda f0 = V D(lambda) is invertible, so the rank rule applied
+    to it is the one spectral test: below full rank, lambda is an
+    eigenvalue of ker Gamma0.  V is unitary, so D(lambda) has the
+    pencil's singular values: for a diagonal C they are the |d_k(lambda)|
+    and need no factorization; otherwise D(lambda) goes through
+    _pencil_solve, one values-only SVD and one solve.
     """
     _outside_origin_disk(lam)
     blocks = trip.resolvent_blocks
+    rhs = blocks.rhs_const - lam * blocks.rhs_slope
+    spectral = "an eigenvalue of ker Gamma0"
+    if blocks.d_slope.ndim == 2:
+        return blocks, _pencil_solve(blocks.d_const, -blocks.d_slope, lam,
+                                     rhs, rank_tol, spectral)
     d = blocks.d_const + lam * blocks.d_slope
     if _numerical_rank(np.sort(np.abs(d))[::-1], rank_tol) < d.size:
-        raise SpectrumError(f"lambda = {lam} is an eigenvalue of ker Gamma0")
-    return blocks, (blocks.rhs_const - lam * blocks.rhs_slope) / d[:, None]
+        raise SpectrumError(f"lambda = {lam} is {spectral}")
+    return blocks, rhs / d[:, None]
 
 
 def weyl(trip: BoundaryTriplet, lam: complex,
@@ -450,14 +390,15 @@ def weyl(trip: BoundaryTriplet, lam: complex,
 
         M(lambda) = Gamma1 Q1 - Gamma1 Q0 (g0 - lambda f0)^{-1} (g1 - lambda f1)
 
-    on the triplet's cached resolvent_blocks, where the pencil
-    g0 - lambda f0 is diagonal in a fixed unitary basis: after the first
-    call each lambda costs O(n g^2) products and no factorization.  The
-    rank rule applied to the pencil's singular values |d_k(lambda)|
-    decides whether lambda is a spectral point (SpectrumError).  A cfg
-    given here replaces the triplet's rank_tol for that decision only;
-    the cached blocks are kept.  weyl is the one triplet function that
-    keeps an optional cfg, because bench/test_smoke.py passes one.
+    on the triplet's cached resolvent_blocks.  After the first call each
+    lambda costs O(n g^2) products and no factorization when the Cayley
+    transform of ker Gamma0 is diagonal (every lifted triplet), and one
+    values-only SVD and one n x n solve when it is not.  The rank rule
+    applied to the pencil's singular values decides whether lambda is a
+    spectral point (SpectrumError).  A cfg given here replaces the
+    triplet's rank_tol for that decision only; the cached blocks are
+    kept.  weyl is the one triplet function that keeps an optional cfg,
+    because bench/test_smoke.py passes one.
     """
     blocks, x = _resolvent_solve(trip, lam, (cfg or trip.cfg).rank_tol)
     return _weyl_value(blocks, x)
@@ -467,24 +408,27 @@ def gamma_field(trip: BoundaryTriplet, lam: complex) -> np.ndarray:
     """gamma(lambda): boundary coordinates -> defect element of H, n x g.
 
     gamma(lambda) = f1 - f0 (g0 - lambda f0)^{-1} (g1 - lambda f1), from the
-    same cached blocks and rank rule as weyl, with no factorization.
+    same cached blocks and rank rule as weyl.
     """
     return _gamma_value(*_resolvent_solve(trip, lam, trip.cfg.rank_tol))
 
 
 def _weyl_value(blocks: _ResolventBlocks, x: np.ndarray) -> np.ndarray:
-    """M(lambda) = Gamma1 Q1 - Gamma1 Q0 Y X for X from _resolvent_solve."""
-    return blocks.gamma1_q1 - blocks.gamma1_q0_y @ x
+    """M(lambda) = Gamma1 Q1 - Gamma1 Q0 X for X from _resolvent_solve."""
+    return blocks.gamma1_q1 - blocks.gamma1_q0 @ x
 
 
 def _gamma_value(blocks: _ResolventBlocks, x: np.ndarray) -> np.ndarray:
-    """gamma(lambda) = f1 - f0 Y X = f1 + V Y diag(d_slope) X.
+    """gamma(lambda) = f1 - f0 X = f1 + V d_slope X.
 
-    Only the columns where d_slope is nonzero are multiplied: the others
-    (e = 1, half of them on a lifted triplet) add exact zeros.
+    For a diagonal C only the columns where d_slope is nonzero are
+    multiplied: the others (e = 1, half of them on a lifted triplet) add
+    exact zeros.
     """
+    if blocks.d_slope.ndim == 2:
+        return blocks.f1 + blocks.v @ (blocks.d_slope @ x)
     k = _column_index(blocks.d_slope != 0)
-    return blocks.f1 + blocks.vy[:, k] @ (blocks.d_slope[k, None] * x[k])
+    return blocks.f1 + blocks.v[:, k] @ (blocks.d_slope[k, None] * x[k])
 
 
 def _origin_scaling(n1: int, n2: int, lam: complex) -> np.ndarray:
@@ -545,8 +489,9 @@ def extension_from_boundary(trip: BoundaryTriplet,
           = (A0 - i)^{-1} + gamma(i) X (Y - M(i) X)^{-1} gamma(-i)^H,
 
     and A_theta is the graph {(R h, h + i R h)}.  Every factor comes from
-    the triplet's cached resolvent_blocks, where d(i) = e and d(-i) = 1,
-    and the one solve is g x g: Y - M(i) X is invertible because
+    the triplet's cached resolvent_blocks, where D(i) = C and D(-i) = I.
+    For a diagonal C the one solve is g x g (any other C adds the pencil
+    solves at +-i): Y - M(i) X is invertible because
     Im M(i) = gamma(i)^H gamma(i) > 0.  Multivalued parameters (dim of
     theta's domain below g) need no special case.  The Cayley basis
     [R; I + i R] is orthonormal because A_theta is selfadjoint, and the
@@ -571,11 +516,16 @@ def extension_from_boundary(trip: BoundaryTriplet,
     ).T
     res = (_gamma_value(blocks, x_i) @ coupling) @ _gamma_value(
         blocks, x_conj).conj().T
-    # (A0 - i)^{-1} = -V Y diag(d_slope / d(i)) (V Y)^H, over the columns
-    # where d_slope is nonzero, as in _gamma_value
-    k = _column_index(blocks.d_slope != 0)
-    vy, slope = blocks.vy[:, k], blocks.d_slope[k]
-    res -= (vy * (slope / (blocks.d_const[k] + 1j * slope))) @ vy.conj().T
+    # (A0 - i)^{-1} = -V d_slope C^H V^H, since D(i) = C; for a diagonal C
+    # only over the columns where d_slope is nonzero, as in _gamma_value
+    v, slope = blocks.v, blocks.d_slope
+    c = blocks.d_const + 1j * slope
+    if slope.ndim == 2:
+        res -= (v @ (slope @ c.conj().T)) @ v.conj().T
+    else:
+        k = _column_index(slope != 0)
+        v, slope = v[:, k], slope[k]
+        res -= (v * (slope / c[k])) @ v.conj().T
     n = trip.star.n1
     cayley = np.vstack([res, np.eye(n) + 1j * res])
     return LinearRelation(n, trip.star.n2, Subspace(2 * n, cayley))

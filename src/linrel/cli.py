@@ -425,17 +425,6 @@ def cmd_extend(args: argparse.Namespace, cfg: ToleranceConfig) -> int:
     theta = theta_spec.relation
     bundle = lift(spec.relation, cfg)
     trip = _TRIPLET_BUILDERS[args.triplet](bundle)
-    if theta.n1 != trip.g or theta.n2 != trip.g:
-        raise DimensionMismatch(
-            f"theta acts on C^{theta.n1} x C^{theta.n2}, but the "
-            f"{args.triplet} parameter space has dimension {trip.g}"
-        )
-    if not classify(theta, cfg).is_selfadjoint:
-        raise PreconditionViolated(
-            "theta is not selfadjoint; it does not parametrize a "
-            "selfadjoint extension"
-        )
-
     a_theta = extension_from_boundary(trip, theta)
     symmetry = _symmetry_echo(a_theta, cfg, args.seed)
     extremal = margin = None

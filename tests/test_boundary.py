@@ -13,7 +13,6 @@ from linrel.boundary import (
     _CAYLEY_POINT_ATOL,
     WEYL_ORIGIN_RADIUS,
     BoundaryTriplet,
-    _unitary_eig,
     alternative_experiment,
     boundary_map_rank,
     closed_form_gamma,
@@ -305,70 +304,73 @@ def from_cayley(c):
 
 
 class TestCayleyDiagonalization:
-    """The unitary eigenbasis behind weyl on clustered spectra."""
+    """weyl, gamma_field and extension_from_boundary against the oracle,
+    on kernels whose Cayley transform is diagonal and on kernels whose
+    Cayley transform is not, where the pencil is solved at each lambda."""
 
-    LAMBDAS = (-2.0, 0.7, 1j, 1.5 - 0.5j)
+    LAMBDAS = (-2.5, 0.5, 1j, 1.5 - 0.5j)
 
-    def check(self, c, trip):
-        """Y unitary, C Y = Y diag(e), and the cached |d_k| are the
-        singular values of the pencil of ker Gamma0.  With V = I, the
-        first factor _unitary_eig returns, V Y, is Y itself."""
-        y, _, e = _unitary_eig(np.eye(len(c)), c, np.eye(len(c)))
-        assert np.abs(y.conj().T @ y - np.eye(len(e))).max() <= 1e-12
-        assert np.abs(c @ y - y * e).max() <= 1e-12
-        blocks = trip.resolvent_blocks
-        n = trip.star.n1
-        w = trip.ker_gamma0.graph.basis
+    def check(self, trip):
+        """The Weyl function, the gamma field and a Krein-formula extension
+        agree with the definitional routes off the spectrum.  A
+        degenerate triplet (g = 0) has no parameter to extend by."""
         for lam in self.LAMBDAS:
-            d = np.abs(blocks.d_const + lam * blocks.d_slope)
-            s = np.linalg.svd(w[n:] - lam * w[:n], compute_uv=False)
-            np.testing.assert_allclose(np.sort(d)[::-1], s, rtol=0, atol=1e-12)
-        return e
+            np.testing.assert_allclose(
+                weyl(trip, lam), weyl_definitional(trip, lam), atol=1e-9
+            )
+            np.testing.assert_allclose(
+                gamma_field(trip, lam), gamma_definitional(trip, lam),
+                atol=1e-9,
+            )
+        if trip.is_degenerate:
+            return
+        theta = random_selfadjoint_relation(trip.g, rng=3)
+        assert_relation_equal(extension_from_boundary(trip, theta),
+                              extension_definitional(trip, theta))
 
-    def test_main_triplet_splits_two_half_size_clusters(self):
+    def test_main_triplet_has_a_diagonal_cayley_transform(self):
         trip = triplet_main(lift(random_relation(16, 16, rank=16, rng=5)))
-        e = self.check(cayley(trip.ker_gamma0), trip)
-        # ker Gamma0 = H has only the eigenvalues 0 and infinity: C = -1, +1
+        self.check(trip)
+        # ker Gamma0 = H has only the eigenvalues 0 and infinity: C = -1
+        # on half of the axes (d_slope = i) and C = +1 on the other half
+        slope = trip.resolvent_blocks.d_slope
         n = trip.star.n1
-        assert np.sum(np.abs(e - 1) < 1e-12) == n // 2
-        assert np.sum(np.abs(e + 1) < 1e-12) == n // 2
+        assert slope.shape == (n,)
+        assert np.sum(slope == 0) == n // 2
+        assert np.sum(np.abs(slope - 1j) < 1e-12) == n // 2
 
     @pytest.mark.parametrize("rank", [8, 16, 24])
     @pytest.mark.parametrize("build", [triplet_main, triplet_basic, triplet_tilde])
     def test_swapped_triplets(self, build, rank):
         trip = swapped(build(lift(random_relation(16, 16, rank=rank, rng=5))))
-        e = self.check(cayley(trip.ker_gamma0), trip)
-        if build is triplet_main:
-            # ker Gamma0 is K: an eigenvalue mu sits at (mu - i)/(mu + i),
-            # and the nonzero ones lie off the points +-1
-            assert np.sum(np.minimum(np.abs(e - 1), np.abs(e + 1)) > 1e-3) >= 8
+        self.check(trip)
+        if build is not triplet_basic:
+            # ker Gamma0 is K, whose nonzero eigenvalues are spectral points
+            eigs = nonzero_eigenvalues(trip.ker_gamma0)
+            assert eigs.size >= 4
+            for mu in eigs:
+                with pytest.raises(SpectrumError):
+                    weyl(trip, float(mu))
 
-    @pytest.mark.parametrize("phases", [
-        # an exactly repeated non-real eigenvalue next to its conjugate
-        [0.7] * 3 + [-0.7] * 2 + [0.0, 0.0, np.pi, 2.0],
-        # two eigenvalues 5e-7 apart next to -i, where the sines are flat
-        [-np.pi / 2 + 3e-7, -np.pi / 2 - 2e-7, 0.3, 1.0, np.pi],
+    @pytest.mark.parametrize("c", [
+        # ker Gamma0 = K has the eigenvalues +-c_j: +-0.7 three times and
+        # +-1.3 twice, each a repeated non-real Cayley eigenvalue
+        [0.7, 0.7, 0.7, 1.3, 1.3],
+        # two eigenvalues 5e-7 apart at the Cayley eigenvalue -i
+        [1.0, 1.0 + 5e-7, 0.3, 2.0],
     ], ids=["repeated_nonreal", "near_minus_i"])
-    def test_clustered_cayley_transform(self, phases, rng):
-        phases = np.array(phases)
-        n = phases.size
-        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        q = np.linalg.qr(z)[0]
-        c = q @ np.diag(np.exp(1j * phases)) @ q.conj().T
-        rel = from_cayley(c)
-        np.testing.assert_allclose(cayley(rel), c, atol=1e-14)
-        trip = BoundaryTriplet(
-            "basic", rel, Subspace.zero(n), np.zeros((0, n)),
-            np.zeros((0, n)), rel, DEFAULT_TOLERANCES,
-        )
-        e = self.check(c, trip)
-        for phase in np.unique(phases):
-            count = np.sum(np.abs(e - np.exp(1j * phase)) < 1e-12)
-            assert count == np.sum(phases == phase), phase
+    def test_clustered_cayley_transform(self, c):
+        trip = swapped(triplet_main(lift(from_operator(np.diag(c)))))
+        assert trip.g == len(c)
+        self.check(trip)
+        for mu in (*c, *(-x for x in c)):
+            for route in (weyl, weyl_definitional, gamma_field):
+                with pytest.raises(SpectrumError):
+                    route(trip, mu)
 
-    def test_nearly_diagonal_cayley_transform_is_rotated(self, monkeypatch):
+    def test_nearly_diagonal_cayley_transform_takes_pencil(self):
         # an off-diagonal entry of 1e-12 sits above _CAYLEY_POINT_ATOL, so
-        # C is not taken as diagonal: eigh diagonalizes it
+        # C is kept as a matrix, and its eigenvalues are still found
         phases = np.array([0.3, 1.0, 2.0, -2.5])
         e0 = np.exp(1j * phases)
         t = 1e-12 / abs(e0[0] - e0[1])
@@ -376,24 +378,19 @@ class TestCayleyDiagonalization:
         rot[:2, :2] = [[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]]
         c = rot @ np.diag(e0) @ rot.conj().T
         assert np.abs(c[0, 1]) > _CAYLEY_POINT_ATOL
-        calls = []
-        real_eigh = np.linalg.eigh
-
-        def counted(*args, **kwargs):
-            calls.append(np.shape(args[0]))
-            return real_eigh(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counted)
         rel = from_cayley(c)
+        np.testing.assert_allclose(cayley(rel), c, atol=1e-14)
         trip = BoundaryTriplet(
             "basic", rel, Subspace.zero(4), np.zeros((0, 4)),
             np.zeros((0, 4)), rel, DEFAULT_TOLERANCES,
         )
-        assert trip.resolvent_blocks.d_const.size == 4
-        assert calls
-        e = self.check(c, trip)
-        np.testing.assert_allclose(np.sort(np.angle(e)), np.sort(phases),
-                                   rtol=0, atol=1e-12)
+        assert trip.resolvent_blocks.d_slope.shape == (4, 4)
+        # C = e^{i phi} on an eigenvalue mu = -cot(phi / 2) of the kernel
+        for mu in -1 / np.tan(phases / 2):
+            with pytest.raises(SpectrumError):
+                gamma_field(trip, mu)
+        for lam in self.LAMBDAS:
+            assert gamma_field(trip, lam).shape == (4, 0)
 
     def test_kernel_that_is_not_selfadjoint_is_refused(self):
         # ker Gamma0 = span (-i, 1): V = G0 + i F0 = sqrt(2), not unitary

@@ -8,9 +8,11 @@ graph basis times a nullspace basis fails here, not only in the
 benchmark.  The kernels themselves are checked on first access.  Gram
 tests of Subspace bases are counted too, so a change that routes one of
 lift's stacked or swapped bases back through the Gram product fails here
-as well.  A Weyl function evaluated again on a triplet may call no
+as well.  A Weyl function evaluated again on a lifted triplet may call no
 numpy.linalg factorization or solver at all, and its first call factors
-only the live (not exactly zero) columns of Gamma0.
+only the live (not exactly zero) columns of Gamma0.  On a swapped
+triplet each lambda costs one values-only SVD and one solve of the
+n x n pencil, and no eigensolver runs.
 """
 
 from pathlib import Path
@@ -227,15 +229,32 @@ def test_weyl_factors_gamma0_once_per_triplet(build, rank, linalg_calls):
 
 @pytest.mark.parametrize("rank", [N // 2, N, 3 * N // 2])
 @pytest.mark.parametrize("build", [triplet_main, triplet_tilde])
-def test_swapped_triplets_still_rotate(build, rank, linalg_calls):
+def test_swapped_triplets_still_rotate(build, rank, svd_calls, linalg_calls):
     # ker Gamma0 of the swapped main and tilde triplets is K, whose
-    # nonzero eigenvalues leave the Cayley transform off-diagonal, so it
-    # is diagonalized by eigh.  (swapped basic has ker Gamma0 = S_K, with
-    # only the eigenvalues 0 and infinity: diagonal as it stands.)
+    # nonzero eigenvalues leave the Cayley transform off-diagonal.  It is
+    # not diagonalized: no eigh or eig runs at all, and each lambda after
+    # the set-up solves the rotated n x n pencil V^H (G0 - lambda F0) by
+    # one values-only SVD and one solve.  (swapped basic has
+    # ker Gamma0 = S_K, with only the eigenvalues 0 and infinity: diagonal
+    # as it stands.)
     trip = swapped(build(lift(random_relation(N, N, rank=rank, rng=5))))
+    n = trip.star.n1
     linalg_calls.clear()
-    weyl(trip, 1j)
-    assert any(name == "eigh" for name, _ in linalg_calls), linalg_calls
+    weyl(trip, -1.0)
+    assert {name for name, _ in linalg_calls} == {"svd", "solve"}, (
+        linalg_calls)
+    later = (
+        lambda: weyl(trip, 1j),
+        lambda: gamma_field(trip, -0.5),
+        lambda: weyl(trip, 2.0, ToleranceConfig(rank_tol=1e-12)),
+    )
+    for call in later:
+        svd_calls.clear()
+        linalg_calls.clear()
+        call()
+        assert linalg_calls == [("svd", (n, n)), ("solve", (n, n))], (
+            linalg_calls)
+        assert svd_calls == [((n, n), False)], svd_calls
 
 
 # {W c : M c = 0} needs the factorizations that find M and its nullspace,

@@ -72,7 +72,7 @@ from .relation import (
     adjoint,
     classify,
     lower_bound,
-    numerical_range_hull,
+    numerical_radius,
     parts,
     relation_equal,
 )
@@ -191,24 +191,17 @@ def _json_list(text: str, flag: str) -> list:
     return raw
 
 
-def _symmetry_echo(rel: LinearRelation, cfg: ToleranceConfig,
-                   seed: int) -> dict:
-    """classify's verdicts, the lower bound, and the sampled radius.
-
-    The radius is the largest modulus over 2048 seeded samples of the
-    numerical range; a rectangular relation has none.
-    """
+def _symmetry_echo(rel: LinearRelation, cfg: ToleranceConfig) -> dict:
+    """classify's verdicts, the lower bound and, if square, the radius."""
     rep = classify(rel, cfg)
-    radius = None
-    if rel.n1 == rel.n2:
-        radius = float(np.max(np.abs(numerical_range_hull(rel, 2048, seed))))
+    radius = numerical_radius(rel, cfg) if rel.n1 == rel.n2 else None
     return {
         "is_symmetric": rep.is_symmetric,
         "is_selfadjoint": rep.is_selfadjoint,
         "is_nonnegative": rep.is_nonnegative,
         "dom_perp_ran": rep.dom_perp_ran,
         "lower_bound": encode_float(lower_bound(rel, cfg)),
-        "numerical_range_radius": radius,
+        "numerical_range_radius": encode_float(radius),
     }
 
 
@@ -223,7 +216,7 @@ def cmd_analyze(args: argparse.Namespace, cfg: ToleranceConfig) -> int:
             "ker": encode_subspace(p.ker),
             "mul": encode_subspace(p.mul),
         },
-        "symmetry": _symmetry_echo(rel, cfg, args.seed),
+        "symmetry": _symmetry_echo(rel, cfg),
         "adjoint": encode_relation(adjoint(rel, cfg)),
     })
     return 0
@@ -426,7 +419,7 @@ def cmd_extend(args: argparse.Namespace, cfg: ToleranceConfig) -> int:
     bundle = lift(spec.relation, cfg)
     trip = _TRIPLET_BUILDERS[args.triplet](bundle)
     a_theta = extension_from_boundary(trip, theta)
-    symmetry = _symmetry_echo(a_theta, cfg, args.seed)
+    symmetry = _symmetry_echo(a_theta, cfg)
     extremal = margin = None
     if symmetry["is_nonnegative"]:
         extremal = is_extremal(a_theta, bundle)

@@ -13,7 +13,7 @@ from linrel import boundary, cli
 from linrel.cli import main
 from linrel.config import ToleranceConfig
 from linrel.errors import InputFormatError
-from linrel.relation import LinearRelation, numerical_range_hull, relation_equal
+from linrel.relation import LinearRelation, numerical_radius, relation_equal
 from linrel.specio import (
     decode_matrix,
     dump_report,
@@ -210,14 +210,40 @@ class TestAnalyze:
         assert not report["symmetry"]["is_symmetric"]
         assert report["parts"]["mul"]["dim"] == 1
 
-    def test_seed_picks_the_radius_samples(self, halfline_spec, capsys):
-        # --seed reaches analyze's report only through the sampled radius
-        assert main(["analyze", halfline_spec, "--seed", "7"]) == 0
-        report = json.loads(capsys.readouterr().out)
+    def test_seed_leaves_the_symmetry_block_alone(self, halfline_spec, capsys):
+        # the radius is exact: --seed reaches only the config echo
+        blocks = []
+        for seed in ("0", "7"):
+            assert main(["analyze", halfline_spec, "--seed", seed]) == 0
+            blocks.append(json.loads(capsys.readouterr().out)["symmetry"])
         rel = load_relation_spec(halfline_spec).relation
-        want = float(np.max(np.abs(numerical_range_hull(rel, 2048, 7))))
-        assert report["symmetry"]["numerical_range_radius"] == want
-        assert want != float(np.max(np.abs(numerical_range_hull(rel, 2048, 0))))
+        assert blocks[0] == blocks[1]
+        assert blocks[0]["numerical_range_radius"] == numerical_radius(rel)
+
+    def test_numerical_range_of_all_of_c_prints_inf(self, tmp_path, capsys):
+        # R = {(a e1, b e1)}: mul R = span e1 meets dom R, so <g, f> / ||f||^2
+        # = b / a takes every value; dump_report refuses a raw inf
+        path = write_spec(
+            tmp_path / "plane.json",
+            {
+                "label": "numerical range C",
+                "mode": "graph_basis",
+                "n1": 2,
+                "n2": 2,
+                "matrices": {
+                    "basis": [
+                        [[1.0, 0.0], [0.0, 0.0]],
+                        [[0.0, 0.0], [0.0, 0.0]],
+                        [[0.0, 0.0], [1.0, 0.0]],
+                        [[0.0, 0.0], [0.0, 0.0]],
+                    ]
+                },
+            },
+        )
+        assert main(["analyze", path]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["symmetry"]["numerical_range_radius"] == "inf"
+        assert report["parts"]["mul"]["dim"] == 1
 
     def test_adjoint_round_trip(self, operator_spec, tmp_path, capsys):
         # the emitted adjoint basis must re-ingest to the same relation
@@ -706,3 +732,35 @@ class TestShippedSpecs:
                 assert out.splitlines()[-1].startswith("verify: PASS"), argv
         assert len(envelopes) > 1
         assert all(e == envelopes[0] for e in envelopes)
+
+    @pytest.mark.parametrize(
+        "name", sorted(p.stem for p in DATA.glob("*.json"))
+    )
+    def test_radius_is_at_least_the_lower_bound(self, name, capsys):
+        # the unit f that attains lower_bound has |<g, f>| = |lower_bound|,
+        # in analyze and in extend on each triplet; a theta of the wrong
+        # dimension is an input error with no report
+        spec = str(DATA / f"{name}.json")
+        theta = str(DATA / "theta_minus_one.json")
+        runs = [["analyze", spec]] + [
+            ["extend", spec, "--theta", theta, "--triplet", kind]
+            for kind in ("main", "basic", "tilde")
+        ]
+        checked = 0
+        for argv in runs:
+            code = main(argv)
+            out, err = capsys.readouterr()
+            if code == 2:
+                assert "parameter space has dimension" in err, argv
+                continue
+            assert code == 0, argv
+            sym = json.loads(out)["symmetry"]
+            if not sym["is_symmetric"]:
+                continue
+            checked += 1
+            radius = sym["numerical_range_radius"]
+            if sym["lower_bound"] == "inf":  # dom R = {0}
+                assert radius == 0.0, argv
+            else:
+                assert radius >= abs(sym["lower_bound"]) - 1e-12, argv
+        assert checked, name

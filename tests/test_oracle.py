@@ -17,13 +17,9 @@ from linrel.relation import (
     adjoint,
     classify,
     from_operator,
-    from_product,
     identity_relation,
-    numerical_range_hull,
     parts,
-    relation_equal,
 )
-from linrel.subspace import Subspace, Verdict
 
 from conftest import assert_relation_equal
 
@@ -82,26 +78,6 @@ class TestAdjointOracle:
         for _ in range(20):
             rel = random_relation(3, 2, rng=rng)
             assert_relation_equal(adjoint(rel), adjoint_definitional(rel))
-
-
-class TestNumericalRangeHull:
-    def test_hermitian_matrix_range_is_real_interval(self):
-        vals = numerical_range_hull(from_operator(np.diag([1.0, 3.0])))
-        assert np.max(np.abs(vals.imag)) < 1e-12
-        assert vals.real.min() >= 1.0 - 1e-9
-        assert vals.real.max() <= 3.0 + 1e-9
-
-    def test_pure_multivalued_collapses_to_zero(self):
-        vals = numerical_range_hull(
-            from_product(Subspace.zero(2), Subspace.full(2))
-        )
-        assert vals.shape == (1,) and vals[0] == 0
-
-    def test_deterministic_for_fixed_seed(self):
-        rel = from_operator(np.array([[1.0, 2.0], [0.0, 1.0]]))
-        v1 = numerical_range_hull(rel, samples=64, seed=7)
-        v2 = numerical_range_hull(rel, samples=64, seed=7)
-        np.testing.assert_array_equal(v1, v2)
 
 
 class TestExtensionSweep:

@@ -12,6 +12,7 @@ from linrel.config import ToleranceConfig
 from linrel.errors import DimensionMismatch, SpectrumError
 from linrel.oracle import (
     adjoint_definitional,
+    random_hermitian,
     random_relation,
     random_selfadjoint_relation,
 )
@@ -28,7 +29,7 @@ from linrel.relation import (
     identity_relation,
     inverse,
     lower_bound,
-    numerical_range_hull,
+    numerical_radius,
     operator_norm,
     operator_part,
     orthogonal_componentwise_sum,
@@ -191,8 +192,7 @@ class TestClassify:
         assert lower_bound(rel) == math.inf
 
     def test_numerical_range_radius_of_identity(self):
-        radius = np.max(np.abs(numerical_range_hull(identity_relation(3), 2048)))
-        assert abs(radius - 1.0) < 1e-8
+        assert abs(numerical_radius(identity_relation(3)) - 1.0) < 1e-12
 
     def test_rectangular_relation_has_no_pairing_fields(self, rng):
         # the component pairing needs n1 == n2; everything that depends
@@ -203,7 +203,64 @@ class TestClassify:
         assert rep.dom_perp_ran is None
         assert lower_bound(rel) is None
         with pytest.raises(DimensionMismatch):
-            numerical_range_hull(rel)
+            numerical_radius(rel)
+
+
+def crandn(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def unitary(rng, n):
+    return np.linalg.qr(crandn(rng, n, n))[0]
+
+
+def radius_of(mat):
+    return numerical_radius(from_operator(np.asarray(mat, dtype=complex)))
+
+
+class TestNumericalRadius:
+    """Closed forms of w(A) = max |<A f, f>| over unit vectors f."""
+
+    def test_jordan_block_gives_one_half(self):
+        assert abs(radius_of([[0.0, 1.0], [0.0, 0.0]]) - 0.5) < 1e-12
+
+    @pytest.mark.parametrize(
+        "a, b", [(1.0, 1.0), (1 + 2j, 3 - 1j), (-0.5j, 4.0)]
+    )
+    def test_two_by_two_triangular_gives_disk_radius(self, a, b):
+        # the field of values of [[a, b], [0, a]] is the disk about a of
+        # radius |b| / 2
+        want = abs(a) + abs(b) / 2
+        assert abs(radius_of([[a, b], [0.0, a]]) - want) < 1e-12 * want
+
+    @pytest.mark.parametrize("eigs", [
+        [2.0, 3j, -1 + 1j, 0.5],
+        # the largest |eig| peaks halfway between two of the 65 coarse
+        # angles; a slightly smaller one peaks on a coarse angle and reads
+        # higher there
+        [(1 - 1e-5) * np.exp(-10j * np.pi / 65), np.exp(-40.5j * np.pi / 65)],
+    ])
+    def test_normal_matrix_gives_spectral_radius(self, rng, eigs):
+        q = unitary(rng, len(eigs))
+        mat = q @ np.diag(eigs) @ q.conj().T
+        want = max(abs(np.asarray(eigs)))
+        assert abs(radius_of(mat) - want) < 1e-12 * want
+
+    def test_hermitian_matrix_gives_largest_absolute_eigenvalue(self, rng):
+        for _ in range(5):
+            mat = random_hermitian(5, rng=rng)
+            want = np.max(np.abs(np.linalg.eigvalsh(mat)))
+            assert abs(radius_of(mat) - want) < 1e-12 * want
+
+    def test_purely_multivalued_relation_gives_zero(self):
+        assert numerical_radius(pure_multivalued(2, 2)) == 0.0
+
+    def test_multivalued_part_on_the_domain_gives_infinity(self):
+        # R = {(a e1, b e1)}: <g, f> / ||f||^2 = b / a sweeps all of C
+        basis = np.zeros((4, 2), dtype=complex)
+        basis[0, 0] = basis[2, 1] = 1.0
+        rel = LinearRelation(2, 2, Subspace(4, basis))
+        assert numerical_radius(rel) == math.inf
 
 
 def reference_symmetry(rel):
@@ -373,15 +430,96 @@ def test_adjoint_involution_property(seed, n1, n2):
     assert_relation_equal(adjoint(rel), adjoint_definitional(rel))
 
 
+def relation_with_mul(rng, n, dom_dim, mul_dim, tilt=0.0):
+    """{(D y, T y + m) : y, m in M} in a random basis, D and M orthonormal.
+
+    M is orthogonal to dom = span D except that its first vector is
+    turned by the angle tilt toward D's first one.  With tilt = 0 the
+    numerical range is the field of values of D^H T.
+    """
+    q = unitary(rng, n)
+    dom, mul = q[:, :dom_dim], q[:, dom_dim : dom_dim + mul_dim].copy()
+    if tilt and dom_dim and mul_dim:
+        mul[:, 0] = math.cos(tilt) * mul[:, 0] + math.sin(tilt) * dom[:, 0]
+    op = crandn(rng, n, dom_dim) * 10.0 ** rng.uniform(-1, 1)
+    cols = np.block([
+        [dom, np.zeros((n, mul_dim))],
+        [op, mul],
+    ])
+    mixed = cols @ crandn(rng, dom_dim + mul_dim, dom_dim + mul_dim)
+    return LinearRelation(n, n, Subspace(2 * n, np.linalg.qr(mixed)[0]))
+
+
+def reference_radius(rel):
+    """w from F^H F and F^H G alone: eigh whitening, then the largest
+    eigenvalue of Re(e^{it} B) on a dense grid of the full circle, each
+    local maximum polished by golden-section search."""
+    f_blk, g_blk = rel.domain_block, rel.range_block
+    mu, v = np.linalg.eigh(f_blk.conj().T @ f_blk)
+    live = mu > 1e-8
+    whitener = v[:, live] / np.sqrt(mu[live])
+    cross = f_blk.conj().T @ g_blk
+    if np.linalg.norm(whitener.conj().T @ cross @ v[:, ~live]) > 1e-6:
+        return math.inf
+    b = whitener.conj().T @ cross @ whitener
+    if not b.size:
+        return 0.0
+
+    def support(t):
+        turned = np.exp(1j * np.atleast_1d(t))[:, None, None] * b
+        herm = (turned + turned.conj().swapaxes(1, 2)) / 2.0
+        return np.linalg.eigvalsh(herm)[:, -1]
+
+    grid = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
+    vals = support(grid)
+    h = grid[1]
+    best = vals.max()
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    peaks = (vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1))
+    for t in grid[peaks]:
+        lo, hi = t - h, t + h
+        for _ in range(60):
+            left, right = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+            if support(left)[0] > support(right)[0]:
+                hi = right
+            else:
+                lo = left
+        best = max(best, support((lo + hi) / 2)[0])
+    return float(best)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(1, 6),
+    data=st.data(),
+)
+def test_numerical_radius_matches_reference_property(seed, n, data):
+    rng = np.random.default_rng(seed)
+    dom_dim = data.draw(st.integers(0, n))
+    mul_dim = data.draw(st.integers(0, n - dom_dim))
+    tilt = data.draw(st.sampled_from([0.0, 0.1, 1.0]))
+    rel = relation_with_mul(rng, n, dom_dim, mul_dim, tilt)
+    want = reference_radius(rel)
+    got = numerical_radius(rel)
+    if math.isinf(want) or want == 0.0:
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=1e-9)
+
+
 def test_numerical_range_radius_ignores_the_basis():
-    # the same relation under a second orthonormal basis W Q
+    # the same relation under a second graph basis W Q, and the relation
+    # {(U f, U g)} in unitarily changed coordinates U + U
     rng = np.random.default_rng(12)
-    for dim in (2, 4, 6):
-        rel = random_relation(4, 4, rank=dim, rng=rng)
-        q = np.linalg.qr(rng.normal(size=(dim, dim))
-                         + 1j * rng.normal(size=(dim, dim)))[0]
-        turned = LinearRelation(4, 4, Subspace(8, rel.graph.basis @ q))
-        for seed in (0, 7):
-            r1 = np.max(np.abs(numerical_range_hull(rel, 2048, seed)))
-            r2 = np.max(np.abs(numerical_range_hull(turned, 2048, seed)))
-            assert abs(r1 - r2) < 1e-12
+    for dom_dim, mul_dim in ((2, 0), (4, 0), (3, 1), (2, 2), (0, 2)):
+        rel = relation_with_mul(rng, 4, dom_dim, mul_dim)
+        basis, dim = rel.graph.basis, rel.dim
+        turned = LinearRelation(4, 4, Subspace(8, basis @ unitary(rng, dim)))
+        u = unitary(rng, 4)
+        moved = LinearRelation(4, 4, Subspace(8, np.vstack(
+            [u @ rel.domain_block, u @ rel.range_block]
+        )))
+        want = numerical_radius(rel)
+        for other in (turned, moved):
+            assert abs(numerical_radius(other) - want) < 1e-12 * max(want, 1.0)

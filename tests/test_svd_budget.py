@@ -12,7 +12,9 @@ as well.  A Weyl function evaluated again on a lifted triplet may call no
 numpy.linalg factorization or solver at all, and its first call factors
 only the live (not exactly zero) columns of Gamma0.  On a swapped
 triplet each lambda costs one values-only SVD and one solve of the
-n x n pencil, and no eigensolver runs.
+n x n pencil, and no eigensolver runs.  numerical_radius factors the
+domain block once however many angles it searches, with one batched
+eigvalsh per grid of angles.
 """
 
 from pathlib import Path
@@ -81,16 +83,47 @@ def gram_checks(monkeypatch):
 
 
 def test_classify_factors_once_and_samples_nothing(svd_calls, monkeypatch):
-    # verdicts only: no operator part, no lower bound, no numerical range
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("classify sampled the numerical range")
+    # verdicts only: no operator part, no lower bound, no numerical radius
+    def no_radius(*args, **kwargs):
+        raise AssertionError("classify computed the numerical radius")
 
-    monkeypatch.setattr(relation, "numerical_range_hull", no_sampling)
+    monkeypatch.setattr(relation, "numerical_radius", no_radius)
     rel = random_selfadjoint_relation(N, rng=0, dom_dim=5, nonneg=True)
     svd_calls.clear()
     rep = classify(rel)
     assert rep.is_selfadjoint and rep.is_nonnegative
     assert len(svd_calls) <= 1, svd_calls
+
+
+def test_numerical_radius_factors_once_at_any_angle_grid(svd_calls,
+                                                         monkeypatch):
+    # one SVD of F and one values-only SVD for the angle of mul R against
+    # dom R, whatever the grid; then one batched eigvalsh for the coarse
+    # grid and one per zoom, until the spacing h has h^2/8 <= eps
+    eig_calls = []
+    real_eigvalsh = np.linalg.eigvalsh
+
+    def counted(*args, **kwargs):
+        eig_calls.append(np.shape(args[0]))
+        return real_eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    rel = random_selfadjoint_relation(N, rng=0, dom_dim=5)
+    for angles, windows in ((65, 4), (17, 1), (257, 2)):
+        monkeypatch.setattr(relation, "_RADIUS_ANGLES", angles)
+        monkeypatch.setattr(relation, "_RADIUS_WINDOWS", windows)
+        zooms, step = 0, np.pi / angles
+        while step * step / 8.0 > np.finfo(float).eps:
+            zooms, step = zooms + 1, step * 2.0 / (angles - 1)
+        svd_calls.clear()
+        eig_calls.clear()
+        relation.numerical_radius(rel)
+        assert svd_calls == [((N, N), True), ((5, 3), False)], svd_calls
+        assert eig_calls[0] == (angles, 5, 5), eig_calls
+        assert len(eig_calls) == zooms + 1, eig_calls
+        for count, *tail in eig_calls[1:]:
+            assert count in range(angles, windows * angles + 1, angles)
+            assert tail == [5, 5], eig_calls
 
 
 @pytest.mark.parametrize("rank", [N // 2, N, 3 * N // 2])

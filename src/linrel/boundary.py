@@ -81,12 +81,6 @@ __all__ = [
 WEYL_ORIGIN_RADIUS = 1e-6
 
 
-# A Cayley transform whose off-diagonal is within this (entrywise) is
-# diagonal up to rounding, as on lifted triplets: their kernels have only
-# the eigenvalues 0 and infinity, so C = -1 or +1 on each axis.
-_CAYLEY_POINT_ATOL = 1e-13
-
-
 def _column_index(mask: np.ndarray) -> slice | np.ndarray:
     """The columns where mask holds: a slice when they are contiguous, so
     that a basis indexed by it is a view and not a copy."""
@@ -115,36 +109,32 @@ def _times_kernel(mat: np.ndarray, dead, live, null: np.ndarray) -> np.ndarray:
     return np.hstack([mat[:, dead], mat[:, live] @ null])
 
 
-class _ResolventBlocks(NamedTuple):
-    """The blocks of the Krein resolvent formula that depend on no lambda.
+class _KernelSplit(NamedTuple):
+    """[f0; g0] = W Q0 and [f1; g1] = W Q1 for the graph basis W = [F; G]
+    of the adjoint, Q0 an orthonormal basis of ker Gamma0 and
+    Q1 = Gamma0^+, with gamma1_q0 = Gamma1 Q0 and gamma1_q1 = Gamma1 Q1."""
 
-    With Q0 an orthonormal basis of ker Gamma0 and Q1 = Gamma0^+, the
-    graph basis W = [F; G] of the adjoint gives [f0; g0] = W Q0 and
-    [f1; g1] = W Q1.  ker Gamma0 is selfadjoint, so V = g0 + i f0 is
-    unitary and so is its Cayley transform C = V^H (g0 - i f0).  Then
-    g0 - lambda f0 = V D(lambda) and f0 = -V d_slope with
-
-        D(lambda) = d_const + lambda d_slope = (I + C)/2 + i lambda (I - C)/2,
-
-    so (g0 - lambda f0)^{-1} (g1 - lambda f1) = D^{-1} (rhs_const -
-    lambda rhs_slope), rhs_const = V^H g1, rhs_slope = V^H f1, and
-    (ker Gamma0 - lambda)^{-1} = f0 (g0 - lambda f0)^{-1} =
-    -V d_slope D^{-1} V^H.  A diagonal C is stored as the vector of its
-    diagonal e, and d_const, d_slope are vectors; otherwise they are
-    n x n matrices.  v, gamma1_q0 = Gamma1 Q0, f1 and gamma1_q1 =
-    Gamma1 Q1 are the outer factors of gamma_field, weyl and
-    extension_from_boundary.  V is kept rather than f0, since recovering
-    it from f0 divides by I - C, singular where C has the eigenvalue 1.
-    """
-
-    d_const: np.ndarray
-    d_slope: np.ndarray
-    v: np.ndarray
+    f0: np.ndarray
+    g0: np.ndarray
     f1: np.ndarray
+    g1: np.ndarray
     gamma1_q0: np.ndarray
-    rhs_const: np.ndarray
-    rhs_slope: np.ndarray
     gamma1_q1: np.ndarray
+
+
+class _LaurentBlocks(NamedTuple):
+    """M(lambda) = m0 + lambda m1 + m_inv / lambda, gamma(lambda) = gamma0 +
+    gamma_inv / lambda and (A0 - lambda)^{-1} = -f0 f0^H / lambda for an
+    extremal A0 = ker Gamma0, whose pencil g0 - lambda f0 has the
+    singular values 1 and |lambda|, the latter n_dom times."""
+
+    m0: np.ndarray
+    m1: np.ndarray
+    m_inv: np.ndarray
+    gamma0: np.ndarray
+    gamma_inv: np.ndarray
+    f0: np.ndarray
+    n_dom: int
 
 
 @dataclass(eq=False)
@@ -161,8 +151,8 @@ class BoundaryTriplet:
     ker_gamma0 and ker_gamma1 are computed on first access, and so is
     ker_gamma0_is_friedrichs, which records whether ker Gamma0 equals S_F;
     the semiboundedness criterion is only valid for such triplets.  So
-    are resolvent_blocks, the factorization of Gamma0 and the Cayley
-    transform of its kernel that weyl and gamma_field read at every lambda.
+    are resolvent_blocks, the factorization of Gamma0 and the lambda-free
+    blocks that weyl and gamma_field read at every lambda.
     """
 
     kind: str
@@ -204,34 +194,48 @@ class BoundaryTriplet:
         return res.verdict is Verdict.EQUAL
 
     @cached_property
-    def resolvent_blocks(self) -> _ResolventBlocks:
-        """The Krein resolvent blocks, with the Cayley transform C of
-        ker Gamma0 as a vector when it is diagonal and as a matrix if not.
+    def resolvent_blocks(self) -> _LaurentBlocks | _KernelSplit:
+        """The Krein resolvent blocks, which depend on no lambda.
 
-        A hand-built triplet whose Gamma0-kernel is not selfadjoint (V
-        fails the Gram test) is refused, since the Cayley form would give
-        a wrong M(lambda).
+        With X(lambda) = (g0 - lambda f0)^{-1} (g1 - lambda f1),
+        M(lambda) = Gamma1 Q1 - Gamma1 Q0 X, gamma(lambda) = f1 - f0 X and
+        (A0 - lambda)^{-1} = f0 (g0 - lambda f0)^{-1}.  When A0 = ker Gamma0
+        is extremal (classify's dom-perp-ran rule on f0^H g0, at rank_tol)
+        f0^H g0 = 0 = f0 g0^H, and [f0; g0] is orthonormal, so
+        (g0 - lambda f0)^{-1} = g0^H - f0^H / lambda and these are Laurent
+        polynomials; only the nonzero columns of f0 and of g0 enter them,
+        and dim dom A0 = ||f0||_F^2.  Any other A0 keeps the split and
+        solves the pencil at each lambda, after the Gram test of
+        g0 + i f0 (an extremal A0 of dimension n is selfadjoint as it
+        stands): a hand-built triplet whose Gamma0-kernel is not
+        selfadjoint would get a wrong M(lambda), and is refused.
         """
-        v, w, f1, g1, gamma1_q0, gamma1_q1 = self._split_by_gamma0()
-        if not _is_orthonormal(v):
-            raise PreconditionViolated(
-                "ker Gamma0 is not selfadjoint: G0 + i F0 is not unitary"
-            )
-        v_h = v.conj().T
-        c = v_h @ w
-        off = c - np.diag(c.diagonal())
-        if np.abs(off).max(initial=0.0) <= _CAYLEY_POINT_ATOL:
-            c, eye = c.diagonal().copy(), 1.0
-        else:
-            eye = np.eye(len(c))
-        return _ResolventBlocks(
-            (eye + c) / 2, 0.5j * (eye - c),
-            v, f1, gamma1_q0,
-            v_h @ g1, v_h @ f1,
-            gamma1_q1,
+        split = self._split_by_gamma0()
+        _, f_live = _live_columns(split.f0)
+        _, g_live = _live_columns(split.g0)
+        f0, g0 = split.f0[:, f_live], split.g0[:, g_live]
+        f0_h = f0.conj().T
+        if np.abs(f0_h @ g0).max(initial=0.0) > self.cfg.rank_tol:
+            if not _is_orthonormal(split.g0 + 1j * split.f0):
+                raise PreconditionViolated(
+                    "ker Gamma0 is not selfadjoint: G0 + i F0 is not unitary"
+                )
+            return split
+        g0_h = g0.conj().T
+        q0_f, q0_g = split.gamma1_q0[:, f_live], split.gamma1_q0[:, g_live]
+        f0_f1, f0_g1 = f0_h @ split.f1, f0_h @ split.g1
+        return _LaurentBlocks(
+            m0=split.gamma1_q1 - q0_g @ (g0_h @ split.g1) - q0_f @ f0_f1,
+            m1=q0_g @ (g0_h @ split.f1),
+            m_inv=q0_f @ f0_g1,
+            gamma0=split.f1 - f0 @ f0_f1,
+            gamma_inv=f0 @ f0_g1,
+            # a copy, not a view that would keep all of W Q0 alive
+            f0=f0.copy(),
+            n_dom=round(np.vdot(f0, f0).real),
         )
 
-    def _split_by_gamma0(self) -> tuple[np.ndarray, ...]:
+    def _split_by_gamma0(self) -> _KernelSplit:
         """Split the graph coefficients as c = Q0 a + Q1 b, with b = Gamma0 c.
 
         Only the live block A = Gamma0[:, live] is factored: the dead
@@ -241,8 +245,8 @@ class BoundaryTriplet:
         so the rank rule reads them: a Gamma0 that is not surjective, or
         whose kernel is not n-dimensional, has no Weyl function at all.
         An empty live block (g = 0, every column dead) needs no SVD.
-        Returns V = g0 + i f0, W = g0 - i f0, f1, g1, Gamma1 Q0 and
-        Gamma1 Q1, formed from column slices and the small factors of A.
+        The blocks are formed from column slices and the small factors
+        of A.
         """
         n, g = self.star.n1, self.g
         dead, live = _live_columns(self.gamma0)
@@ -257,13 +261,12 @@ class BoundaryTriplet:
         pinv = vh[:g].conj().T @ (u.conj().T / s[:, None])
         w = self.star.graph.basis
         w_q0 = _times_kernel(w, dead, live, null)
-        f0, g0 = w_q0[:n], w_q0[n:]
-        # f1 is cached: a product of its own, not a view that would keep
-        # all of W Q1 alive
-        return (g0 + 1j * f0, g0 - 1j * f0,
-                w[:n, live] @ pinv, w[n:, live] @ pinv,
-                _times_kernel(self.gamma1, dead, live, null),
-                self.gamma1[:, live] @ pinv)
+        return _KernelSplit(
+            w_q0[:n], w_q0[n:],
+            w[:n, live] @ pinv, w[n:, live] @ pinv,
+            _times_kernel(self.gamma1, dead, live, null),
+            self.gamma1[:, live] @ pinv,
+        )
 
     @property
     def is_degenerate(self) -> bool:
@@ -356,30 +359,39 @@ def _outside_origin_disk(lam: complex) -> None:
         )
 
 
-def _resolvent_solve(trip: BoundaryTriplet, lam: complex, rank_tol: float,
-                     ) -> tuple[_ResolventBlocks, np.ndarray]:
-    """The cached blocks and X = (g0 - lambda f0)^{-1} (g1 - lambda f1).
+def _boundary_values(
+    trip: BoundaryTriplet, lam: complex, rank_tol: float, gamma: bool,
+    resolvent: bool = False,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """M(lambda) and, if asked, gamma(lambda) and (A0 - lambda)^{-1}.
 
-    The defect element with Gamma0-value b has coefficients (Q1 - Q0 X) b.
     T* = ker Gamma0 (+) N_lambda exactly when the n x n pencil
-    g0 - lambda f0 = V D(lambda) is invertible, so the rank rule applied
-    to it is the one spectral test: below full rank, lambda is an
-    eigenvalue of ker Gamma0.  V is unitary, so D(lambda) has the
-    pencil's singular values: for a diagonal C they are the |d_k(lambda)|
-    and need no factorization; otherwise D(lambda) goes through
-    _pencil_solve, one values-only SVD and one solve.
+    g0 - lambda f0 is invertible, so the rank rule applied to its
+    singular values is the one spectral test: below full rank, lambda is
+    an eigenvalue of ker Gamma0.  An extremal kernel knows them (1 and
+    |lambda|); any other goes through _pencil_solve, with the identity
+    stacked onto the right-hand side when the resolvent is asked for.
     """
     _outside_origin_disk(lam)
     blocks = trip.resolvent_blocks
-    rhs = blocks.rhs_const - lam * blocks.rhs_slope
     spectral = "an eigenvalue of ker Gamma0"
-    if blocks.d_slope.ndim == 2:
-        return blocks, _pencil_solve(blocks.d_const, -blocks.d_slope, lam,
-                                     rhs, rank_tol, spectral)
-    d = blocks.d_const + lam * blocks.d_slope
-    if _numerical_rank(np.sort(np.abs(d))[::-1], rank_tol) < d.size:
-        raise SpectrumError(f"lambda = {lam} is {spectral}")
-    return blocks, rhs / d[:, None]
+    if isinstance(blocks, _LaurentBlocks):
+        s = np.ones(len(blocks.gamma0))
+        s[:blocks.n_dom] = abs(lam)
+        if _numerical_rank(np.sort(s)[::-1], rank_tol) < s.size:
+            raise SpectrumError(f"lambda = {lam} is {spectral}")
+        f0, inv = blocks.f0, 1.0 / lam
+        return (blocks.m0 + lam * blocks.m1 + inv * blocks.m_inv,
+                blocks.gamma0 + inv * blocks.gamma_inv if gamma else None,
+                (-inv * f0) @ f0.conj().T if resolvent else None)
+    f0, g = blocks.f0, trip.g
+    rhs = blocks.g1 - lam * blocks.f1
+    if resolvent:
+        rhs = np.hstack([rhs, np.eye(len(f0))])
+    x = _pencil_solve(blocks.g0, f0, lam, rhs, rank_tol, spectral)
+    return (blocks.gamma1_q1 - blocks.gamma1_q0 @ x[:, :g],
+            blocks.f1 - f0 @ x[:, :g] if gamma else None,
+            f0 @ x[:, g:] if resolvent else None)
 
 
 def weyl(trip: BoundaryTriplet, lam: complex,
@@ -391,17 +403,16 @@ def weyl(trip: BoundaryTriplet, lam: complex,
         M(lambda) = Gamma1 Q1 - Gamma1 Q0 (g0 - lambda f0)^{-1} (g1 - lambda f1)
 
     on the triplet's cached resolvent_blocks.  After the first call each
-    lambda costs O(n g^2) products and no factorization when the Cayley
-    transform of ker Gamma0 is diagonal (every lifted triplet), and one
-    values-only SVD and one n x n solve when it is not.  The rank rule
-    applied to the pencil's singular values decides whether lambda is a
-    spectral point (SpectrumError).  A cfg given here replaces the
-    triplet's rank_tol for that decision only; the cached blocks are
-    kept.  weyl is the one triplet function that keeps an optional cfg,
-    because bench/test_smoke.py passes one.
+    lambda costs O(n g) sums when ker Gamma0 is extremal (every lifted
+    triplet), and one values-only SVD and one n x n solve when it is not.
+    The rank rule applied to the pencil's singular values decides
+    whether lambda is a spectral point (SpectrumError).  A cfg given here
+    replaces the triplet's rank_tol for that decision only; the cached
+    blocks are kept.  weyl is the one triplet function that keeps an
+    optional cfg, because bench/test_smoke.py passes one.
     """
-    blocks, x = _resolvent_solve(trip, lam, (cfg or trip.cfg).rank_tol)
-    return _weyl_value(blocks, x)
+    return _boundary_values(trip, lam, (cfg or trip.cfg).rank_tol,
+                            gamma=False)[0]
 
 
 def gamma_field(trip: BoundaryTriplet, lam: complex) -> np.ndarray:
@@ -410,25 +421,7 @@ def gamma_field(trip: BoundaryTriplet, lam: complex) -> np.ndarray:
     gamma(lambda) = f1 - f0 (g0 - lambda f0)^{-1} (g1 - lambda f1), from the
     same cached blocks and rank rule as weyl.
     """
-    return _gamma_value(*_resolvent_solve(trip, lam, trip.cfg.rank_tol))
-
-
-def _weyl_value(blocks: _ResolventBlocks, x: np.ndarray) -> np.ndarray:
-    """M(lambda) = Gamma1 Q1 - Gamma1 Q0 X for X from _resolvent_solve."""
-    return blocks.gamma1_q1 - blocks.gamma1_q0 @ x
-
-
-def _gamma_value(blocks: _ResolventBlocks, x: np.ndarray) -> np.ndarray:
-    """gamma(lambda) = f1 - f0 X = f1 + V d_slope X.
-
-    For a diagonal C only the columns where d_slope is nonzero are
-    multiplied: the others (e = 1, half of them on a lifted triplet) add
-    exact zeros.
-    """
-    if blocks.d_slope.ndim == 2:
-        return blocks.f1 + blocks.v @ (blocks.d_slope @ x)
-    k = _column_index(blocks.d_slope != 0)
-    return blocks.f1 + blocks.v[:, k] @ (blocks.d_slope[k, None] * x[k])
+    return _boundary_values(trip, lam, trip.cfg.rank_tol, gamma=True)[1]
 
 
 def _origin_scaling(n1: int, n2: int, lam: complex) -> np.ndarray:
@@ -489,15 +482,16 @@ def extension_from_boundary(trip: BoundaryTriplet,
           = (A0 - i)^{-1} + gamma(i) X (Y - M(i) X)^{-1} gamma(-i)^H,
 
     and A_theta is the graph {(R h, h + i R h)}.  Every factor comes from
-    the triplet's cached resolvent_blocks, where D(i) = C and D(-i) = I.
-    For a diagonal C the one solve is g x g (any other C adds the pencil
-    solves at +-i): Y - M(i) X is invertible because
-    Im M(i) = gamma(i)^H gamma(i) > 0.  Multivalued parameters (dim of
-    theta's domain below g) need no special case.  The Cayley basis
-    [R; I + i R] is orthonormal because A_theta is selfadjoint, and the
-    Gram test of Subspace checks it.  A theta that is not selfadjoint
-    raises PreconditionViolated; oracle.extension_definitional takes any
-    theta.
+    the triplet's cached resolvent_blocks.  For an extremal ker Gamma0
+    (every lifted triplet) (A0 - i)^{-1} = i f0 f0^H, and the one solve
+    is g x g; any other kernel adds the pencil solves at +-i, the one at
+    +i with the identity stacked onto its right-hand side.
+    Y - M(i) X is invertible because Im M(i) = gamma(i)^H gamma(i) > 0.
+    Multivalued parameters (dim of theta's domain below g) need no
+    special case.  The Cayley basis [R; I + i R] is orthonormal because
+    A_theta is selfadjoint, and the Gram test of Subspace checks it.  A
+    theta that is not selfadjoint raises PreconditionViolated;
+    oracle.extension_definitional takes any theta.
     """
     cfg = trip.cfg
     if theta.n1 != trip.g or theta.n2 != trip.g:
@@ -507,25 +501,14 @@ def extension_from_boundary(trip: BoundaryTriplet,
         )
     if not _is_selfadjoint(theta, cfg):
         raise PreconditionViolated("theta is not selfadjoint")
-    blocks, x_i = _resolvent_solve(trip, 1j, cfg.rank_tol)
-    _, x_conj = _resolvent_solve(trip, -1j, cfg.rank_tol)
+    m_i, gamma_i, res = _boundary_values(trip, 1j, cfg.rank_tol,
+                                         gamma=True, resolvent=True)
+    gamma_conj = _boundary_values(trip, -1j, cfg.rank_tol, gamma=True)[1]
     t_dom = theta.domain_block
     # X (Y - M(i) X)^{-1}, solved transposed: g right-hand sides, not n
-    coupling = np.linalg.solve(
-        (theta.range_block - _weyl_value(blocks, x_i) @ t_dom).T, t_dom.T
-    ).T
-    res = (_gamma_value(blocks, x_i) @ coupling) @ _gamma_value(
-        blocks, x_conj).conj().T
-    # (A0 - i)^{-1} = -V d_slope C^H V^H, since D(i) = C; for a diagonal C
-    # only over the columns where d_slope is nonzero, as in _gamma_value
-    v, slope = blocks.v, blocks.d_slope
-    c = blocks.d_const + 1j * slope
-    if slope.ndim == 2:
-        res -= (v @ (slope @ c.conj().T)) @ v.conj().T
-    else:
-        k = _column_index(slope != 0)
-        v, slope = v[:, k], slope[k]
-        res -= (v * (slope / c[k])) @ v.conj().T
+    coupling = np.linalg.solve((theta.range_block - m_i @ t_dom).T,
+                               t_dom.T).T
+    res += (gamma_i @ coupling) @ gamma_conj.conj().T
     n = trip.star.n1
     cayley = np.vstack([res, np.eye(n) + 1j * res])
     return LinearRelation(n, trip.star.n2, Subspace(2 * n, cayley))

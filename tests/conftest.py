@@ -68,3 +68,34 @@ def swapped(trip):
         trip.kind, trip.star, trip.boundary, trip.gamma1, -trip.gamma0,
         trip.friedrichs, trip.cfg,
     )
+
+
+def recoordinatized(trip, q):
+    """trip on the graph basis W q with maps Gamma0 q and Gamma1 q.
+
+    For a unitary q this is the same triplet in other graph coefficients,
+    so it has the same Weyl function and gamma field.
+    """
+    star = trip.star
+    graph = Subspace(star.graph.ambient_dim, star.graph.basis @ q)
+    return BoundaryTriplet(
+        trip.kind, LinearRelation(star.n1, star.n2, graph), trip.boundary,
+        trip.gamma0 @ q, trip.gamma1 @ q, trip.friedrichs, trip.cfg,
+    )
+
+
+def haar_unitary(rng, k):
+    z = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    return np.linalg.qr(z)[0]
+
+
+def mixed_coordinates(trip, rng):
+    """trip recoordinatized by random unitaries on the exactly-zero columns
+    of Gamma0 and on the others: the dead columns stay dead, while every
+    column of ker Gamma0's basis mixes the axes of its domain and of its
+    range."""
+    dead = ~trip.gamma0.any(axis=0)
+    q = np.zeros((dead.size, dead.size), dtype=complex)
+    q[np.ix_(dead, dead)] = haar_unitary(rng, int(dead.sum()))
+    q[np.ix_(~dead, ~dead)] = haar_unitary(rng, int((~dead).sum()))
+    return recoordinatized(trip, q)

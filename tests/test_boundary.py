@@ -3,6 +3,7 @@ functions and gamma fields, extensions from boundary parameters, and the
 semiboundedness criterion."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linrel.boundary import (
-    _CAYLEY_POINT_ATOL,
     WEYL_ORIGIN_RADIUS,
     BoundaryTriplet,
+    _KernelSplit,
+    _LaurentBlocks,
     alternative_experiment,
     boundary_map_rank,
     closed_form_gamma,
@@ -45,9 +47,15 @@ from linrel.relation import (
     relation_equal,
     resolvent,
 )
-from linrel.subspace import Subspace, Verdict
+from linrel.specio import load_relation_spec
+from linrel.subspace import Subspace, Verdict, orthonormal_columns
 
-from conftest import assert_relation_equal, swapped
+from conftest import (
+    assert_relation_equal,
+    mixed_coordinates,
+    recoordinatized,
+    swapped,
+)
 
 
 @pytest.fixture
@@ -284,13 +292,6 @@ class TestResolventRoute:
         assert trip_main.resolvent_blocks is blocks
 
 
-def cayley(rel):
-    """C = V^H (G - iF) with V = G + iF, for the graph basis [F; G] of rel."""
-    n = rel.n1
-    f_blk, g_blk = rel.graph.basis[:n], rel.graph.basis[n:]
-    return (g_blk + 1j * f_blk).conj().T @ (g_blk - 1j * f_blk)
-
-
 def from_cayley(c):
     """The selfadjoint relation with graph basis [(I - C)/(2i); (I + C)/2].
 
@@ -305,8 +306,8 @@ def from_cayley(c):
 
 class TestCayleyDiagonalization:
     """weyl, gamma_field and extension_from_boundary against the oracle,
-    on kernels whose Cayley transform is diagonal and on kernels whose
-    Cayley transform is not, where the pencil is solved at each lambda."""
+    on extremal kernels (the Laurent route) and on kernels with nonzero
+    eigenvalues, where the pencil is solved at each lambda."""
 
     LAMBDAS = (-2.5, 0.5, 1j, 1.5 - 0.5j)
 
@@ -328,16 +329,18 @@ class TestCayleyDiagonalization:
         assert_relation_equal(extension_from_boundary(trip, theta),
                               extension_definitional(trip, theta))
 
-    def test_main_triplet_has_a_diagonal_cayley_transform(self):
+    def test_main_triplet_takes_the_laurent_route(self):
         trip = triplet_main(lift(random_relation(16, 16, rank=16, rng=5)))
         self.check(trip)
-        # ker Gamma0 = H has only the eigenvalues 0 and infinity: C = -1
-        # on half of the axes (d_slope = i) and C = +1 on the other half
-        slope = trip.resolvent_blocks.d_slope
+        # ker Gamma0 = H is extremal: dom H = H1 and ran H = H2 (each of
+        # dimension n/2), so M(lambda) is a Laurent polynomial and f0
+        # keeps only the n/2 columns that span dom H
+        blocks = trip.resolvent_blocks
         n = trip.star.n1
-        assert slope.shape == (n,)
-        assert np.sum(slope == 0) == n // 2
-        assert np.sum(np.abs(slope - 1j) < 1e-12) == n // 2
+        assert isinstance(blocks, _LaurentBlocks)
+        assert blocks.n_dom == n // 2
+        assert blocks.f0.shape == (n, n // 2)
+        assert not blocks.f0[n // 2:].any()
 
     @pytest.mark.parametrize("rank", [8, 16, 24])
     @pytest.mark.parametrize("build", [triplet_main, triplet_basic, triplet_tilde])
@@ -368,29 +371,33 @@ class TestCayleyDiagonalization:
                 with pytest.raises(SpectrumError):
                     route(trip, mu)
 
-    def test_nearly_diagonal_cayley_transform_takes_pencil(self):
-        # an off-diagonal entry of 1e-12 sits above _CAYLEY_POINT_ATOL, so
-        # C is kept as a matrix, and its eigenvalues are still found
-        phases = np.array([0.3, 1.0, 2.0, -2.5])
-        e0 = np.exp(1j * phases)
-        t = 1e-12 / abs(e0[0] - e0[1])
-        rot = np.eye(4, dtype=complex)
-        rot[:2, :2] = [[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]]
-        c = rot @ np.diag(e0) @ rot.conj().T
-        assert np.abs(c[0, 1]) > _CAYLEY_POINT_ATOL
-        rel = from_cayley(c)
-        np.testing.assert_allclose(cayley(rel), c, atol=1e-14)
-        trip = BoundaryTriplet(
-            "basic", rel, Subspace.zero(4), np.zeros((0, 4)),
-            np.zeros((0, 4)), rel, DEFAULT_TOLERANCES,
-        )
-        assert trip.resolvent_blocks.d_slope.shape == (4, 4)
-        # C = e^{i phi} on an eigenvalue mu = -cot(phi / 2) of the kernel
-        for mu in -1 / np.tan(phases / 2):
-            with pytest.raises(SpectrumError):
-                gamma_field(trip, mu)
-        for lam in self.LAMBDAS:
+    def test_nearly_extremal_kernel_takes_pencil(self):
+        # Cayley phases pi and 0 give an axis of dom and one of ran;
+        # pi - d and d, d = 1e-9, leave |f0^H g0| at d/2, above rank_tol:
+        # the pencil route is taken, and it finds the eigenvalue near
+        # -cot(d/2) = -2e9 that the Laurent rule would miss there
+        d = 1e-9
+        rel = from_cayley(np.diag(np.exp(1j * np.array([np.pi, np.pi - d,
+                                                         0.0, d]))))
+        no_maps = np.zeros((0, 4))
+
+        def trip_at(cfg):
+            return BoundaryTriplet("basic", rel, Subspace.zero(4), no_maps,
+                                   no_maps, rel, cfg)
+
+        trip = trip_at(DEFAULT_TOLERANCES)
+        assert isinstance(trip.resolvent_blocks, _KernelSplit)
+        with pytest.raises(SpectrumError, match="eigenvalue"):
+            gamma_field(trip, -1 / math.tan(d / 2))
+        for lam in (*self.LAMBDAS, -1e7):
             assert gamma_field(trip, lam).shape == (4, 0)
+        # at rank_tol = 1e-8 the same kernel counts as extremal, with two
+        # domain axes, and 1 <= 1e-8 * 2e9 refuses the same lambda
+        loose = trip_at(ToleranceConfig(rank_tol=1e-8))
+        assert isinstance(loose.resolvent_blocks, _LaurentBlocks)
+        assert loose.resolvent_blocks.n_dom == 2
+        with pytest.raises(SpectrumError, match="eigenvalue"):
+            gamma_field(loose, -1 / math.tan(d / 2))
 
     def test_kernel_that_is_not_selfadjoint_is_refused(self):
         # ker Gamma0 = span (-i, 1): V = G0 + i F0 = sqrt(2), not unitary
@@ -403,25 +410,6 @@ class TestCayleyDiagonalization:
         for route in (weyl, gamma_field):
             with pytest.raises(PreconditionViolated, match="not selfadjoint"):
                 route(trip, -1.0)
-
-
-def recoordinatized(trip, q):
-    """trip on the graph basis W q with maps Gamma0 q and Gamma1 q.
-
-    For a unitary q this is the same triplet in other graph coefficients,
-    so it has the same Weyl function and gamma field.
-    """
-    star = trip.star
-    graph = Subspace(star.graph.ambient_dim, star.graph.basis @ q)
-    return BoundaryTriplet(
-        trip.kind, LinearRelation(star.n1, star.n2, graph), trip.boundary,
-        trip.gamma0 @ q, trip.gamma1 @ q, trip.friedrichs, trip.cfg,
-    )
-
-
-def haar_unitary(rng, k):
-    z = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-    return np.linalg.qr(z)[0]
 
 
 def gamma_definitional(trip, lam):
@@ -438,16 +426,11 @@ class TestLiveColumns:
 
     @pytest.mark.parametrize("build", [triplet_basic, triplet_tilde])
     def test_mixed_kernel_matches_oracle(self, build, rng):
-        # random unitaries on the dead and on the live columns keep the
-        # dead ones exactly zero, while the kernel of the live block now
-        # mixes every live column and the dead axes give a Cayley
-        # transform that is not diagonal
+        # the dead columns stay exactly zero, while the kernel of the live
+        # block now mixes every live column
         trip = build(lift(random_relation(6, 6, rank=3, rng=5)))
         dead = ~trip.gamma0.any(axis=0)
-        q = np.zeros((dead.size, dead.size), dtype=complex)
-        q[np.ix_(dead, dead)] = haar_unitary(rng, int(dead.sum()))
-        q[np.ix_(~dead, ~dead)] = haar_unitary(rng, int((~dead).sum()))
-        mixed = recoordinatized(trip, q)
+        mixed = mixed_coordinates(trip, rng)
         assert not mixed.gamma0[:, dead].any()
         assert mixed.gamma0[:, ~dead].all()
         assert int((~dead).sum()) > mixed.g  # a live nullspace exists
@@ -503,6 +486,51 @@ def test_weyl_matches_definitional_route(seed, n, rank_class, lam):
             if m is not None:
                 scale = max(1.0, float(np.abs(want).max(initial=0.0)))
                 np.testing.assert_allclose(m, want, rtol=0, atol=1e-9 * scale)
+
+
+DATA = Path(__file__).resolve().parents[1] / "data"
+# the default grid crosses |lambda| = 1/rank_tol at 1e10; the one at
+# rank_tol = 1e-3 crosses |lambda| = rank_tol and |lambda| = 1/rank_tol
+SPECTRAL_GRIDS = {
+    1e-10: (-2.0, -0.5, 1j, 1.5 - 0.5j, 1e-3, 1e3, 1e10, 1e11, -1e11),
+    1e-3: (1e-4, 9e-4, 1.1e-3, 1e-3j, 999.0, 1001.0, -1001.0),
+}
+
+
+class TestLaurentRoute:
+    """Every lifted ker Gamma0 is extremal, so M(lambda) is evaluated as
+    m0 + lambda m1 + m_inv / lambda."""
+
+    @pytest.mark.parametrize("rank_tol", list(SPECTRAL_GRIDS))
+    @pytest.mark.parametrize("spec", sorted(DATA.glob("*.json")),
+                             ids=lambda path: path.stem)
+    def test_spectral_decisions_on_shipped_specs(self, spec, rank_tol):
+        # the pencil's singular values are 1 and |lambda|, the latter
+        # dim dom ker Gamma0 times: lambda is refused iff that dimension
+        # is positive and min(1, |lambda|) <= rank_tol * max(1, |lambda|)
+        cfg = ToleranceConfig(rank_tol=rank_tol)
+        bundle = lift(load_relation_spec(str(spec), cfg).relation, cfg)
+        for build in (triplet_main, triplet_basic, triplet_tilde):
+            trip = build(bundle)
+            n_dom = orthonormal_columns(trip.ker_gamma0.domain_block,
+                                        rank_tol).shape[1]
+            assert n_dom < trip.star.n1  # some singular value is 1
+            for lam in SPECTRAL_GRIDS[rank_tol]:
+                r = abs(lam)
+                singular = n_dom > 0 and min(1.0, r) <= rank_tol * max(1.0, r)
+                m = _weyl_or_spectral(weyl, trip, lam)
+                assert (m is None) == singular, (trip.kind, lam)
+
+    @pytest.mark.parametrize("build", [triplet_main, triplet_basic,
+                                       triplet_tilde])
+    def test_accurate_far_from_unit_scale(self, build):
+        bundle = lift(
+            load_relation_spec(str(DATA / "halfline_embed.json")).relation)
+        trip = build(bundle)
+        for lam in (1e-3, 1e3):
+            want = closed_form_weyl(bundle, trip.kind, lam)
+            err = np.abs(weyl(trip, lam) - want).max()
+            assert err <= 1e-14 * max(1.0, np.abs(want).max()), (lam, err)
 
 
 class TestExtensionFromBoundary:

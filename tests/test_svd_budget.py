@@ -8,10 +8,11 @@ graph basis times a nullspace basis fails here, not only in the
 benchmark.  The kernels themselves are checked on first access.  Gram
 tests of Subspace bases are counted too, so a change that routes one of
 lift's stacked or swapped bases back through the Gram product fails here
-as well.  A Weyl function evaluated again on a lifted triplet may call no
-numpy.linalg factorization or solver at all, and its first call factors
-only the live (not exactly zero) columns of Gamma0.  On a swapped
-triplet each lambda costs one values-only SVD and one solve of the
+as well.  A Weyl function evaluated again on a triplet with an extremal
+ker Gamma0 (every lifted one, in any graph coordinates) may call no
+numpy.linalg function at all, and its first call factors only the live
+(not exactly zero) columns of Gamma0.  On the swapped main and tilde
+triplets each lambda costs one values-only SVD and one solve of the
 n x n pencil, and no eigensolver runs.  numerical_radius factors the
 domain block once however many angles it searches, with one batched
 eigvalsh per grid of angles.
@@ -39,7 +40,7 @@ from linrel.relation import classify, defect_relation, relation_equal
 from linrel.specio import load_relation_spec
 from linrel.subspace import Verdict, meet, span
 
-from conftest import assert_relation_equal, swapped
+from conftest import assert_relation_equal, mixed_coordinates, swapped
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -234,10 +235,9 @@ def _live_width(trip, bundle):
 @pytest.mark.parametrize("build", [triplet_main, triplet_basic, triplet_tilde])
 def test_weyl_factors_gamma0_once_per_triplet(build, rank, linalg_calls):
     # one SVD on the first call, of Gamma0's live block only, and no eigh:
-    # the Cayley transform of a lifted ker Gamma0 is diagonal in the basis
-    # of dead axes and live nullspace.  A degenerate triplet factors
-    # nothing.  Then each lambda costs products only, whatever cfg weyl
-    # is given
+    # a lifted ker Gamma0 is extremal, so M(lambda) is a Laurent
+    # polynomial.  A degenerate triplet factors nothing.  Then each lambda
+    # costs sums only, whatever cfg weyl is given
     bundle = lift(random_relation(N, N, rank=rank, rng=5))
     trip = build(bundle)
     linalg_calls.clear()
@@ -264,12 +264,10 @@ def test_weyl_factors_gamma0_once_per_triplet(build, rank, linalg_calls):
 @pytest.mark.parametrize("build", [triplet_main, triplet_tilde])
 def test_swapped_triplets_still_rotate(build, rank, svd_calls, linalg_calls):
     # ker Gamma0 of the swapped main and tilde triplets is K, whose
-    # nonzero eigenvalues leave the Cayley transform off-diagonal.  It is
-    # not diagonalized: no eigh or eig runs at all, and each lambda after
-    # the set-up solves the rotated n x n pencil V^H (G0 - lambda F0) by
-    # one values-only SVD and one solve.  (swapped basic has
-    # ker Gamma0 = S_K, with only the eigenvalues 0 and infinity: diagonal
-    # as it stands.)
+    # nonzero eigenvalues make it not extremal.  No eigh or eig runs at
+    # all, and each lambda after the set-up solves the n x n pencil
+    # G0 - lambda F0 by one values-only SVD and one solve.  (swapped basic
+    # has the extremal ker Gamma0 = S_K and takes the Laurent route.)
     trip = swapped(build(lift(random_relation(N, N, rank=rank, rng=5))))
     n = trip.star.n1
     linalg_calls.clear()
@@ -288,6 +286,50 @@ def test_swapped_triplets_still_rotate(build, rank, svd_calls, linalg_calls):
         assert linalg_calls == [("svd", (n, n)), ("solve", (n, n))], (
             linalg_calls)
         assert svd_calls == [((n, n), False)], svd_calls
+
+
+@pytest.fixture
+def every_linalg_call(monkeypatch):
+    calls = []
+    for name in np.linalg.__all__:
+        real = getattr(np.linalg, name)
+        if not callable(real) or isinstance(real, type):
+            continue
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("build, rank, coordinates", [
+    (triplet_basic, N // 2, mixed_coordinates),
+    (triplet_basic, N, mixed_coordinates),
+    (triplet_tilde, N // 2, mixed_coordinates),
+    (triplet_basic, N // 2, lambda trip, rng: swapped(trip)),
+], ids=["mixed_basic", "mixed_basic_degenerate", "mixed_tilde",
+        "swapped_basic"])
+def test_laurent_route_does_not_depend_on_coordinates(build, rank,
+                                                      coordinates, rng,
+                                                      every_linalg_call):
+    # the route is chosen by dom ker Gamma0 perp ran ker Gamma0, which a
+    # unitary change of graph coordinates keeps: the mixed kernels of
+    # basic and tilde (S_F) and swapped basic's S_K are extremal, so
+    # after the set-up no lambda calls numpy.linalg at all
+    trip = coordinates(build(lift(random_relation(N, N, rank=rank, rng=5))),
+                       rng)
+    weyl(trip, -1.0)
+    later = (
+        lambda: weyl(trip, 1j),
+        lambda: gamma_field(trip, -0.5),
+        lambda: weyl(trip, 1e3, ToleranceConfig(rank_tol=1e-12)),
+    )
+    for call in later:
+        every_linalg_call.clear()
+        call()
+        assert every_linalg_call == []
 
 
 # {W c : M c = 0} needs the factorizations that find M and its nullspace,
@@ -351,6 +393,25 @@ def test_krein_extension_solves_once(build, rank, fresh, svd_calls,
     basis = ext.graph.basis
     gram_err = np.abs(basis.conj().T @ basis - np.eye(ext.dim))
     assert np.max(gram_err, initial=0.0) < 1e-12
+
+
+@pytest.mark.parametrize("build", [triplet_main, triplet_tilde])
+def test_krein_extension_on_a_pencil_kernel(build, svd_calls, linalg_calls):
+    # ker Gamma0 = K of the swapped main and tilde triplets is not
+    # extremal: besides theta's test and the g x g solve, one values-only
+    # SVD and one solve of the n x n pencil at +i, whose right-hand side
+    # also yields (A0 - i)^{-1}, and the same at -i
+    trip = swapped(build(lift(random_relation(N, N, rank=N // 2, rng=5))))
+    theta = random_selfadjoint_relation(trip.g, rng=3)
+    weyl(trip, -1.0)
+    svd_calls.clear()
+    linalg_calls.clear()
+    extension_from_boundary(trip, theta)
+    g, n = trip.g, trip.star.n1
+    pencil = [("svd", (n, n)), ("solve", (n, n))]
+    assert linalg_calls == [("svd", (g, g)), *pencil, *pencil,
+                            ("solve", (g, g))], linalg_calls
+    assert all(not uv for _, uv in svd_calls), svd_calls
 
 
 # row and column are images of their entries' graph coefficients, and meet

@@ -60,7 +60,6 @@ __all__ = [
     "BoundaryTriplet",
     "SemiboundResult",
     "AlternativeExperiment",
-    "WEYL_ORIGIN_RADIUS",
     "triplet_main",
     "triplet_basic",
     "triplet_tilde",
@@ -74,12 +73,6 @@ __all__ = [
     "semibound_criterion",
     "alternative_experiment",
 ]
-
-# The Weyl functions built here all have a pole (or a defect-dimension
-# jump) at lambda = 0, so a small disk around the origin is refused
-# outright instead of letting the generic route return garbage.
-WEYL_ORIGIN_RADIUS = 1e-6
-
 
 def _column_index(mask: np.ndarray) -> slice | np.ndarray:
     """The columns where mask holds: a slice when they are contiguous, so
@@ -204,10 +197,12 @@ class BoundaryTriplet:
         f0^H g0 = 0 = f0 g0^H, and [f0; g0] is orthonormal, so
         (g0 - lambda f0)^{-1} = g0^H - f0^H / lambda and these are Laurent
         polynomials; only the nonzero columns of f0 and of g0 enter them,
-        and dim dom A0 = ||f0||_F^2.  Any other A0 keeps the split and
-        solves the pencil at each lambda, after the Gram test of
-        g0 + i f0 (an extremal A0 of dimension n is selfadjoint as it
-        stands): a hand-built triplet whose Gamma0-kernel is not
+        and dim dom A0 = ||f0||_F^2.  Their constant term is Gamma1 Q1: the
+        rest of it, Gamma1 Q0 (g0^H g1 + f0^H f1) = Gamma1 Q0 Q0^H Q1, is
+        zero because Q1 = Gamma0^+ is orthogonal to ker Gamma0.  Any other
+        A0 keeps the split and solves the pencil at each lambda, after the
+        Gram test of g0 + i f0 (an extremal A0 of dimension n is selfadjoint
+        as it stands): a hand-built triplet whose Gamma0-kernel is not
         selfadjoint would get a wrong M(lambda), and is refused.
         """
         split = self._split_by_gamma0()
@@ -221,14 +216,13 @@ class BoundaryTriplet:
                     "ker Gamma0 is not selfadjoint: G0 + i F0 is not unitary"
                 )
             return split
-        g0_h = g0.conj().T
         q0_f, q0_g = split.gamma1_q0[:, f_live], split.gamma1_q0[:, g_live]
-        f0_f1, f0_g1 = f0_h @ split.f1, f0_h @ split.g1
+        f0_g1 = f0_h @ split.g1
         return _LaurentBlocks(
-            m0=split.gamma1_q1 - q0_g @ (g0_h @ split.g1) - q0_f @ f0_f1,
-            m1=q0_g @ (g0_h @ split.f1),
+            m0=split.gamma1_q1,
+            m1=q0_g @ (g0.conj().T @ split.f1),
             m_inv=q0_f @ f0_g1,
-            gamma0=split.f1 - f0 @ f0_f1,
+            gamma0=split.f1 - f0 @ (f0_h @ split.f1),
             gamma_inv=f0 @ f0_g1,
             # a copy, not a view that would keep all of W Q0 alive
             f0=f0.copy(),
@@ -351,14 +345,6 @@ def boundary_map_rank(trip: BoundaryTriplet) -> int:
     return _numerical_rank(s, trip.cfg.rank_tol)
 
 
-def _outside_origin_disk(lam: complex) -> None:
-    """Refuse lambda within WEYL_ORIGIN_RADIUS of the origin."""
-    if abs(lam) <= WEYL_ORIGIN_RADIUS:
-        raise SpectrumError(
-            f"lambda = {lam} is inside the excluded disk around the origin"
-        )
-
-
 def _boundary_values(
     trip: BoundaryTriplet, lam: complex, rank_tol: float, gamma: bool,
     resolvent: bool = False,
@@ -371,8 +357,9 @@ def _boundary_values(
     an eigenvalue of ker Gamma0.  An extremal kernel knows them (1 and
     |lambda|); any other goes through _pencil_solve, with the identity
     stacked onto the right-hand side when the resolvent is asked for.
+    The 1/lambda terms vanish with n_dom, so lambda = 0 gets past the rank
+    rule only when they are absent.
     """
-    _outside_origin_disk(lam)
     blocks = trip.resolvent_blocks
     spectral = "an eigenvalue of ker Gamma0"
     if isinstance(blocks, _LaurentBlocks):
@@ -380,7 +367,7 @@ def _boundary_values(
         s[:blocks.n_dom] = abs(lam)
         if _numerical_rank(np.sort(s)[::-1], rank_tol) < s.size:
             raise SpectrumError(f"lambda = {lam} is {spectral}")
-        f0, inv = blocks.f0, 1.0 / lam
+        f0, inv = blocks.f0, 1.0 / lam if lam else 0.0
         return (blocks.m0 + lam * blocks.m1 + inv * blocks.m_inv,
                 blocks.gamma0 + inv * blocks.gamma_inv if gamma else None,
                 (-inv * f0) @ f0.conj().T if resolvent else None)
@@ -424,10 +411,12 @@ def gamma_field(trip: BoundaryTriplet, lam: complex) -> np.ndarray:
     return _boundary_values(trip, lam, trip.cfg.rank_tol, gamma=True)[1]
 
 
-def _origin_scaling(n1: int, n2: int, lam: complex) -> np.ndarray:
-    return np.concatenate(
-        [np.full(n1, -1.0 / lam, dtype=complex), np.full(n2, lam, dtype=complex)]
-    )
+def _pole_factor(lam: complex) -> complex:
+    """-1/lambda, the first-component factor of the main and tilde closed
+    forms; their one pole, lambda = 0, raises SpectrumError."""
+    if not lam:
+        raise SpectrumError(f"lambda = {lam} is a pole of the closed form")
+    return -1.0 / lam
 
 
 def closed_form_weyl(bundle: LiftBundle, kind: str, lam: complex) -> np.ndarray:
@@ -437,7 +426,6 @@ def closed_form_weyl(bundle: LiftBundle, kind: str, lam: complex) -> np.ndarray:
     component, lambda on the second) onto their parameter spaces; basic
     is lambda times the identity.
     """
-    _outside_origin_disk(lam)
     if kind == "basic":
         return lam * np.eye(bundle.G0.dim, dtype=complex)
     if kind == "main":
@@ -446,7 +434,8 @@ def closed_form_weyl(bundle: LiftBundle, kind: str, lam: complex) -> np.ndarray:
         p = bundle.G_tilde.basis
     else:
         raise ValueError(f"unknown triplet kind {kind!r}")
-    d = _origin_scaling(bundle.n1, bundle.n2, lam)
+    d = np.concatenate([np.full(bundle.n1, _pole_factor(lam), dtype=complex),
+                        np.full(bundle.n2, lam, dtype=complex)])
     return p.conj().T @ (d[:, None] * p)
 
 
@@ -456,7 +445,6 @@ def closed_form_gamma(bundle: LiftBundle, kind: str, lam: complex) -> np.ndarray
     basic has the constant inclusion of G0; main rescales the first
     component of the parameter space by -1/lambda.
     """
-    _outside_origin_disk(lam)
     if kind == "basic":
         return bundle.G0.basis.copy()
     if kind != "main":
@@ -464,7 +452,7 @@ def closed_form_gamma(bundle: LiftBundle, kind: str, lam: complex) -> np.ndarray
     p = bundle.G.basis
     d = np.concatenate(
         [
-            np.full(bundle.n1, -1.0 / lam, dtype=complex),
+            np.full(bundle.n1, _pole_factor(lam), dtype=complex),
             np.ones(bundle.n2, dtype=complex),
         ]
     )
@@ -626,7 +614,8 @@ def alternative_experiment(c: float, delta: float,
     norm_bound = abs(c)
     x0 = min(-norm_bound**2, -1.0 - delta * (1.0 + norm_bound**2)) - 1.0
 
-    # probes next to zero say nothing and collide with the excluded disk
+    # probes next to zero say nothing, and at c = 0 bound + 1 lands on
+    # round-off, where the criterion and the rank rule both refuse
     probes = tuple(
         x for x in (bound - 1.0, bound - 1e-3, bound + 1e-3, bound + 1.0)
         if x < -1e-3

@@ -174,7 +174,7 @@ def _emit_report(args: argparse.Namespace, cfg: ToleranceConfig,
 def _emit_csv(header: list[str], rows: list[list],
               out_path: str | None) -> None:
     buf = io.StringIO()
-    writer = csv.writer(buf)
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
     _emit(buf.getvalue(), out_path)

@@ -22,7 +22,6 @@ import numpy as np
 
 from .boundary import (
     BoundaryTriplet,
-    _outside_origin_disk,
     extension_from_boundary,
     triplet_main,
 )
@@ -92,7 +91,6 @@ def weyl_definitional(trip: BoundaryTriplet, lam: complex) -> np.ndarray:
     lambda is a spectral point (SpectrumError) when the defect space does
     not have dimension g or Gamma0 has a kernel on it.
     """
-    _outside_origin_disk(lam)
     ns = defect_coefficients(trip, lam)
     if ns.shape[1] != trip.g:
         raise SpectrumError(

@@ -281,19 +281,19 @@ def lower_bound(rel: LinearRelation,
     None when the relation is rectangular or not symmetric by classify's
     rule; +inf when the domain is trivial (every bound holds vacuously).
     A single finite relation is never unbounded below.  The bound is the
-    least eigenvalue of the Hermitian part of F^H G, for the graph basis
-    [F; G] of the operator part, whitened by _domain_form.
+    least eigenvalue of Re B = (B + B^H)/2 for B = U_r^H G W, with U_r and
+    W of _domain_form: mul R is orthogonal to dom R in a symmetric R, so B
+    is the form of the operator part.  numerical_radius reads the same B
+    at t = 0, so it is never below |lower_bound|.
     """
     sym = _symmetry(rel, cfg)
     if sym is None or not sym[1]:
         return None
-    op = operator_part(rel, cfg)
-    _, whitener, _ = _domain_form(op, cfg)
+    dom, whitener, _ = _domain_form(rel, cfg)
     if not whitener.shape[1]:
         return math.inf
-    a = op.domain_block.conj().T @ op.range_block
-    a = (a + a.conj().T) / 2.0
-    return float(np.linalg.eigvalsh(whitener.conj().T @ a @ whitener)[0])
+    b = (dom.conj().T @ rel.range_block) @ whitener
+    return float(np.linalg.eigvalsh((b + b.conj().T) / 2.0)[0])
 
 
 def numerical_radius(rel: LinearRelation,

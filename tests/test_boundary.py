@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linrel.boundary import (
-    WEYL_ORIGIN_RADIUS,
     BoundaryTriplet,
     _KernelSplit,
     _LaurentBlocks,
@@ -172,23 +171,35 @@ class TestWeyl:
         assert abs(lhs - rhs) < 1e-10
 
     def test_origin_is_excluded(self, trip_main):
-        with pytest.raises(SpectrumError, match="excluded"):
-            weyl(trip_main, 0.0)
-        with pytest.raises(SpectrumError):
-            weyl(trip_main, WEYL_ORIGIN_RADIUS / 2)
+        # dom H is not {0}, so the pencil has the singular value |lambda|:
+        # the rank rule refuses |lambda| <= rank_tol and lets 1e-8 through
+        for lam in (0.0, DEFAULT_TOLERANCES.rank_tol / 2):
+            with pytest.raises(SpectrumError, match="eigenvalue of ker Gamma0"):
+                weyl(trip_main, lam)
+        assert np.all(np.isfinite(weyl(trip_main, 1e-8)))
 
     def test_origin_guard_is_shared(self, bundle, trip_main):
-        lam = WEYL_ORIGIN_RADIUS / 2
-        want = f"lambda = {lam} is inside the excluded disk around the origin"
+        lam = DEFAULT_TOLERANCES.rank_tol / 2
+        want = f"lambda = {lam} is an eigenvalue of ker Gamma0"
         for call in (
             lambda: weyl(trip_main, lam),
             lambda: gamma_field(trip_main, lam),
-            lambda: closed_form_weyl(bundle, "main", lam),
-            lambda: closed_form_gamma(bundle, "basic", lam),
         ):
             with pytest.raises(SpectrumError) as exc:
                 call()
             assert str(exc.value) == want
+        # the closed forms refuse only their pole, and basic has none
+        for call in (
+            lambda: closed_form_weyl(bundle, "main", 0.0),
+            lambda: closed_form_weyl(bundle, "tilde", 0.0),
+            lambda: closed_form_gamma(bundle, "main", 0.0),
+        ):
+            with pytest.raises(SpectrumError) as exc:
+                call()
+            assert str(exc.value) == "lambda = 0.0 is a pole of the closed form"
+        assert np.all(closed_form_weyl(bundle, "basic", 0.0) == 0.0)
+        np.testing.assert_array_equal(closed_form_gamma(bundle, "basic", 0.0),
+                                      bundle.G0.basis)
 
     def test_defect_dimension_constant(self, trip_main):
         for lam in (-3.0, 0.5j, 1 + 2j):
@@ -489,10 +500,12 @@ def test_weyl_matches_definitional_route(seed, n, rank_class, lam):
 
 
 DATA = Path(__file__).resolve().parents[1] / "data"
-# the default grid crosses |lambda| = 1/rank_tol at 1e10; the one at
+# the default grid crosses |lambda| = rank_tol next to 0 (no disk around
+# 0 is refused) and |lambda| = 1/rank_tol at 1e10; the one at
 # rank_tol = 1e-3 crosses |lambda| = rank_tol and |lambda| = 1/rank_tol
 SPECTRAL_GRIDS = {
-    1e-10: (-2.0, -0.5, 1j, 1.5 - 0.5j, 1e-3, 1e3, 1e10, 1e11, -1e11),
+    1e-10: (-2.0, -0.5, 1j, 1.5 - 0.5j, 1e-3, 1e3, 1e10, 1e11, -1e11,
+            0.0, 1e-12, 1e-9, 5e-7, 1e-7j),
     1e-3: (1e-4, 9e-4, 1.1e-3, 1e-3j, 999.0, 1001.0, -1001.0),
 }
 
@@ -527,7 +540,7 @@ class TestLaurentRoute:
         bundle = lift(
             load_relation_spec(str(DATA / "halfline_embed.json")).relation)
         trip = build(bundle)
-        for lam in (1e-3, 1e3):
+        for lam in (1e-9, 5e-7, 1e-7j, 1e-3, 1e3):
             want = closed_form_weyl(bundle, trip.kind, lam)
             err = np.abs(weyl(trip, lam) - want).max()
             assert err <= 1e-14 * max(1.0, np.abs(want).max()), (lam, err)

@@ -344,6 +344,19 @@ class TestWeyl:
         assert [r[-1] for r in body] == ["singular", "singular", "ok"]
         assert abs(float(body[2][header.index("m00_re")]) + 4 / 3) < 1e-12
 
+    def test_rows_end_in_lf(self, halfline_spec, tmp_path, capsys):
+        # a row must end in its last cell for line-anchored tools such as
+        # grep ',ok$', on stdout and in an --out file alike
+        out = tmp_path / "rows.csv"
+        for argv in (["weyl", halfline_spec, "--grid", "[-1.0, 0.0]"],
+                     ["semibound-demo"]):
+            assert main(argv) == 0
+            assert main(argv + ["--out", str(out)]) == 0
+            for text in (capsys.readouterr().out, out.read_bytes().decode()):
+                assert "\r" not in text, argv
+                assert text.splitlines()[1].endswith((",ok", ",singular",
+                                                      ",True", ",False"))
+
     def test_bad_grid_exits_2(self, halfline_spec, capsys):
         assert main(["weyl", halfline_spec, "--grid", "nope"]) == 2
         assert "grid" in capsys.readouterr().err
@@ -762,5 +775,5 @@ class TestShippedSpecs:
             if sym["lower_bound"] == "inf":  # dom R = {0}
                 assert radius == 0.0, argv
             else:
-                assert radius >= abs(sym["lower_bound"]) - 1e-12, argv
+                assert radius >= abs(sym["lower_bound"]), argv
         assert checked, name

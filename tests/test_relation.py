@@ -8,8 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linrel.boundary import (
+    extension_from_boundary,
+    triplet_basic,
+    triplet_main,
+    triplet_tilde,
+)
 from linrel.config import ToleranceConfig
 from linrel.errors import DimensionMismatch, SpectrumError
+from linrel.extension import lift
 from linrel.oracle import (
     adjoint_definitional,
     random_hermitian,
@@ -523,3 +530,43 @@ def test_numerical_range_radius_ignores_the_basis():
         want = numerical_radius(rel)
         for other in (turned, moved):
             assert abs(numerical_radius(other) - want) < 1e-12 * max(want, 1.0)
+
+
+def negated(rel):
+    """-R = {(f, -g)}: the same basis with its range block negated."""
+    basis = np.vstack([rel.domain_block, -rel.range_block])
+    return LinearRelation(rel.n1, rel.n2, Subspace(rel.n1 + rel.n2, basis))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(1, 7),
+    data=st.data(),
+)
+def test_radius_is_never_below_the_lower_bound_property(seed, n, data):
+    # lower_bound is the least eigenvalue of Re B, and numerical_radius
+    # reads ||Re B||_2 at its grid angle t = 0 from the same B: no slack
+    # (the shipped-spec case is in test_cli's TestShippedSpecs)
+    rng = np.random.default_rng(seed)
+    dom_dim = data.draw(st.integers(1, n), label="dom_dim")
+    nonneg = data.draw(st.booleans(), label="nonneg")
+    sa = random_selfadjoint_relation(n, rng=rng, dom_dim=dom_dim,
+                                     nonneg=nonneg)
+    rels = [sa, negated(sa)]
+    n1 = data.draw(st.integers(1, 4), label="n1")
+    n2 = data.draw(st.integers(1, 4), label="n2")
+    rank = data.draw(st.integers(0, n1 + n2), label="rank")
+    bundle = lift(random_relation(n1, n2, rank=rank, rng=rng))
+    for build in (triplet_main, triplet_basic, triplet_tilde):
+        trip = build(bundle)
+        if not trip.is_degenerate:
+            theta = random_selfadjoint_relation(
+                trip.g, rng=rng,
+                dom_dim=data.draw(st.integers(0, trip.g), label="theta_dom"))
+            rels.append(extension_from_boundary(trip, theta))
+    for rel in rels:
+        bound = lower_bound(rel)
+        assert bound is not None
+        if math.isfinite(bound):
+            assert numerical_radius(rel) >= abs(bound)

@@ -222,6 +222,24 @@ def linalg_calls(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("dom_dim", [N, 5])
+def test_lower_bound_reads_the_whitened_form(dom_dim, linalg_calls,
+                                             monkeypatch):
+    # _symmetry's values-only SVD, the SVD of the domain block and one
+    # eigvalsh of Re B, single-valued (dom_dim = N) or not; no operator
+    # part and no second factorization of mul R
+    def refused(*args, **kwargs):
+        raise AssertionError("lower_bound rebuilt the operator part")
+
+    monkeypatch.setattr(relation, "operator_part", refused)
+    monkeypatch.setattr(relation, "_mul", refused)
+    rel = random_selfadjoint_relation(N, rng=0, dom_dim=dom_dim)
+    linalg_calls.clear()
+    assert np.isfinite(relation.lower_bound(rel))
+    assert linalg_calls == [("svd", (N, N)), ("svd", (N, N)),
+                            ("eigvalsh", (dom_dim, dom_dim))], linalg_calls
+
+
 def _live_width(trip, bundle):
     """Columns of Gamma0 that are not exactly zero, by triplet kind."""
     return {

@@ -50,6 +50,7 @@ from .relation import (
 from .subspace import (
     Subspace,
     Verdict,
+    _higham_gamma,
     _is_orthonormal,
     _numerical_rank,
     nullspace_columns,
@@ -100,6 +101,18 @@ def _live_columns(mat: np.ndarray,
 def _times_kernel(mat: np.ndarray, dead, live, null: np.ndarray) -> np.ndarray:
     """mat Q0 for the orthonormal kernel basis Q0 = [E_dead, E_live null]."""
     return np.hstack([mat[:, dead], mat[:, live] @ null])
+
+
+def _is_coisometric(a: np.ndarray, length: int) -> bool:
+    """A A^H = I within _higham_gamma(length) entrywise, at round-off.
+
+    length is that of the star's graph columns, 2n: A comes from bases of
+    C^{2n} and products over them, and a lifted Gamma0 misses A A^H = I by
+    at most n eps, half the bound.
+    """
+    dev = a @ a.conj().T
+    dev.reshape(-1)[:: len(dev) + 1] -= 1.0
+    return bool(np.abs(dev).max(initial=0.0) <= _higham_gamma(length))
 
 
 class _KernelSplit(NamedTuple):
@@ -232,27 +245,41 @@ class BoundaryTriplet:
     def _split_by_gamma0(self) -> _KernelSplit:
         """Split the graph coefficients as c = Q0 a + Q1 b, with b = Gamma0 c.
 
-        Only the live block A = Gamma0[:, live] is factored: the dead
-        (exactly zero) columns of Gamma0 are kernel axes as they stand, so
-        Q0 = [E_dead, E_live N] with N the nullspace of A, and
-        Q1 = E_live A^+.  A's singular values are Gamma0's nonzero ones,
-        so the rank rule reads them: a Gamma0 that is not surjective, or
-        whose kernel is not n-dimensional, has no Weyl function at all.
-        An empty live block (g = 0, every column dead) needs no SVD.
-        The blocks are formed from column slices and the small factors
-        of A.
+        Only the live block A = Gamma0[:, live], g x (g + k), is used: the
+        dead (exactly zero) columns of Gamma0 are kernel axes as they
+        stand, so Q0 = [E_dead, E_live N] with N an orthonormal basis of
+        ker A, and Q1 = E_live A^+.  Every lifted Gamma0 is a co-isometry,
+        and _is_coisometric tests A for it: then A^+ = A^H, A has rank g,
+        and N is the last k columns of one complete QR of A^H, with no
+        factorization at all when k = 0 (main always, tilde when
+        mul R* = {0}).  Any other A is factored by an SVD, whose singular
+        values are Gamma0's nonzero ones, and the rank rule reads them.
+        Either way a Gamma0 that is not surjective, or whose kernel is
+        not n-dimensional, has no Weyl function at all.  An empty live
+        block (g = 0, every column dead) needs no factorization.  The
+        blocks are formed from column slices and the small factors of A.
         """
         n, g = self.star.n1, self.g
         dead, live = _live_columns(self.gamma0)
         a = self.gamma0[:, live]
-        u, s, vh = (np.linalg.svd(a) if a.size
-                    else (a, np.zeros(0), np.eye(a.shape[1], dtype=complex)))
-        if self.star.dim != n + g or _numerical_rank(s, self.cfg.rank_tol) < g:
+        coisometric = _is_coisometric(a, self.star.graph.ambient_dim)
+        if coisometric:
+            rank = g
+        else:
+            u, s, vh = (np.linalg.svd(a) if a.size else
+                        (a, np.zeros(0), np.eye(a.shape[1], dtype=complex)))
+            rank = _numerical_rank(s, self.cfg.rank_tol)
+        if self.star.dim != n + g or rank < g:
             raise SpectrumError(
                 "Gamma0 is not surjective with an n-dimensional kernel"
             )
-        null = vh[g:].conj().T
-        pinv = vh[:g].conj().T @ (u.conj().T / s[:, None])
+        if coisometric:
+            pinv = a.conj().T
+            null = (np.linalg.qr(pinv, mode="complete")[0][:, g:]
+                    if a.shape[1] > g else np.zeros((g, 0), dtype=complex))
+        else:
+            null = vh[g:].conj().T
+            pinv = vh[:g].conj().T @ (u.conj().T / s[:, None])
         w = self.star.graph.basis
         w_q0 = _times_kernel(w, dead, live, null)
         return _KernelSplit(

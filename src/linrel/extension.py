@@ -17,8 +17,10 @@ ker R* and identities on disjoint rows of C^{2n}, so it needs no Gram
 test of its own (subspace._stack); R* and G~ are signed swaps of the
 checked G and op R* (subspace._signed_swap), untested too.  lift checks
 the closed-form S* against adjoint(S) by a Gram-norm angle, with no
-second factorization; the generic Friedrichs/Krein routes stay
-independent of the closed forms so tests can compare them.
+second factorization and, unless the check fails or the Frobenius
+bracket of subspace._sine_below cannot decide it, no SVD; the generic
+Friedrichs/Krein routes stay independent of the closed forms so tests
+can compare them.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .subspace import (
     Verdict,
     _signed_swap,
     _sine_angle,
+    _sine_below,
     _stack,
     complement,
     oplus,
@@ -123,19 +126,25 @@ class LiftBundle:
         return self.R.n1 + self.R.n2
 
 
-def _adjoint_angle(t: LinearRelation, sym: LinearRelation) -> float:
-    """Largest principal angle between t and adjoint(sym), for square sym.
+def _adjoint_sines(t: LinearRelation, sym: LinearRelation) -> np.ndarray:
+    """A matrix whose spectral norm is the sine of the largest principal
+    angle between t and adjoint(sym), for square sym.
 
     adjoint(sym) is the orthogonal complement of J sym, J(h, k) = (k, -h).
     So when dim t + dim sym = 2n, t equals adjoint(sym) iff it is
-    orthogonal to J sym, and the norm of t^H J sym is the sine of the
-    largest principal angle between the two; otherwise that angle is pi/2.
+    orthogonal to J sym, and the matrix is t^H J sym; otherwise that angle
+    is pi/2, and the matrix is [[1]].
     """
     n = sym.n1
     if t.dim + sym.dim != 2 * n:
-        return math.pi / 2
+        return np.ones((1, 1))
     j_sym = _signed_swap(sym.graph, n, "head")
-    return _sine_angle(t.graph.basis.conj().T @ j_sym.basis)
+    return t.graph.basis.conj().T @ j_sym.basis
+
+
+def _adjoint_angle(t: LinearRelation, sym: LinearRelation) -> float:
+    """Largest principal angle between t and adjoint(sym), for square sym."""
+    return _sine_angle(_adjoint_sines(t, sym))
 
 
 def lift(rel: LinearRelation,
@@ -170,10 +179,11 @@ def lift(rel: LinearRelation,
     s_rel = lifted(s_block)
     s_star = lifted(all_h1, r_star_block, all_k2)
 
-    angle = _adjoint_angle(s_star, s_rel)
-    if not angle < cfg.angle_tol:
+    # a verdict: the angle is factored only to word the error
+    if not _sine_below(_adjoint_sines(s_star, s_rel), cfg.angle_tol):
         raise ArithmeticError(
-            f"closed-form S* disagrees with adjoint(S): angle {angle:.3e}"
+            "closed-form S* disagrees with adjoint(S): angle "
+            f"{_adjoint_angle(s_star, s_rel):.3e}"
         )
 
     h_rel = lifted(all_h1, all_k2)

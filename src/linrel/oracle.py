@@ -58,8 +58,36 @@ def _svd_nullspace(mat: np.ndarray, rank_tol: float) -> np.ndarray:
     if rows == 0:
         return np.eye(cols, dtype=complex)
     _, s, vh = np.linalg.svd(mat, full_matrices=True)
-    rank = int(np.count_nonzero(s > rank_tol * max(float(s[0]), 1.0)))
-    return vh[rank:].conj().T
+    return vh[_rank(s, rank_tol):].conj().T
+
+
+def _rank(s: np.ndarray, rank_tol: float) -> int:
+    """Singular values s (descending) above rank_tol * max(s[0], 1)."""
+    if s.size == 0:
+        return 0
+    return int(np.count_nonzero(s > rank_tol * max(float(s[0]), 1.0)))
+
+
+def _kernel_pencil_values(trip: BoundaryTriplet, lam: complex) -> np.ndarray:
+    """Singular values of G0 - lambda F0, [F0; G0] a graph basis of ker Gamma0.
+
+    The basis is W times the nullspace of all of Gamma0.  When ker Gamma0
+    is extremal (|F0^H G0| <= rank_tol entrywise, classify's dom-perp-ran
+    rule), F0^H G0 = 0 and F0^H F0 + G0^H G0 = I, so the values are
+    exactly 1 and |lambda|, the latter dim dom ker Gamma0 times; they are
+    taken in that form, because a computed value next to rank_tol = 1e-10
+    is off by about eps, 2e-6 of it.  Any other kernel's are computed.
+    """
+    rank_tol = trip.cfg.rank_tol
+    n = trip.star.n1
+    kernel = trip.star.graph.basis @ _svd_nullspace(trip.gamma0, rank_tol)
+    f0, g0 = kernel[:n], kernel[n:]
+    if np.abs(f0.conj().T @ g0).max(initial=0.0) > rank_tol:
+        return np.linalg.svd(g0 - lam * f0, compute_uv=False)
+    s = np.ones(n)
+    n_dom = _rank(np.linalg.svd(f0, compute_uv=False), rank_tol)
+    s[:n_dom] = abs(lam)
+    return np.sort(s)[::-1]
 
 
 def adjoint_definitional(rel: LinearRelation,
@@ -88,9 +116,14 @@ def defect_coefficients(trip: BoundaryTriplet, lam: complex) -> np.ndarray:
 def weyl_definitional(trip: BoundaryTriplet, lam: complex) -> np.ndarray:
     """M(lambda) = Gamma1 (Gamma0 | N_lambda)^{-1}, one nullspace per lambda.
 
-    lambda is a spectral point (SpectrumError) when the defect space does
-    not have dimension g or Gamma0 has a kernel on it.
+    lambda is a spectral point (SpectrumError) when it is an eigenvalue of
+    ker Gamma0 by boundary.weyl's rule, here on _kernel_pencil_values:
+    the n x n pencil has numerical rank below n.  So is it when the
+    defect space does not have dimension g or Gamma0 has a kernel on it.
     """
+    s = _kernel_pencil_values(trip, lam)
+    if _rank(s, trip.cfg.rank_tol) < s.size:
+        raise SpectrumError(f"lambda = {lam} is an eigenvalue of ker Gamma0")
     ns = defect_coefficients(trip, lam)
     if ns.shape[1] != trip.g:
         raise SpectrumError(

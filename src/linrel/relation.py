@@ -24,7 +24,7 @@ from .subspace import (
     _numerical_rank,
     _residual,
     _signed_swap,
-    _sine_angle,
+    _sine_below,
     _subspace_where,
     complement,
     join,
@@ -243,13 +243,15 @@ def _symmetry(rel: LinearRelation,
 
     The sine of the largest principal angle of the graph [F; G] against
     the graph of R* is the spectral norm of F^H G - G^H F, so R is
-    symmetric when dim R <= n and that angle is below angle_tol.
+    symmetric when dim R <= n and that angle is below angle_tol.  The
+    angle is not reported, so _sine_below's Frobenius bracket decides it
+    and a values-only SVD runs only when the norm falls inside it.
     """
     if rel.n1 != rel.n2:
         return None
     cross = rel.domain_block.conj().T @ rel.range_block
     skew = cross - cross.conj().T
-    return cross, rel.dim <= rel.n1 and _sine_angle(skew) < cfg.angle_tol
+    return cross, rel.dim <= rel.n1 and _sine_below(skew, cfg.angle_tol)
 
 
 def _is_selfadjoint(rel: LinearRelation, cfg: ToleranceConfig) -> bool:
@@ -310,7 +312,7 @@ def numerical_radius(rel: LinearRelation,
         raise DimensionMismatch("the numerical range needs a square relation")
     dom, whitener, kernel = _domain_form(rel, cfg)
     pairing = dom.conj().T @ rel.range_block
-    if _sine_angle(pairing @ kernel) >= cfg.angle_tol:
+    if not _sine_below(pairing @ kernel, cfg.angle_tol):
         return math.inf
     b = pairing @ whitener
     step = math.pi / _RADIUS_ANGLES
@@ -461,7 +463,8 @@ def orthogonal_componentwise_sum(
         raise DimensionMismatch(
             f"componentwise sum of ({a.n1},{a.n2}) and ({b.n1},{b.n2}) relations"
         )
-    if _sine_angle(a.graph.basis.conj().T @ b.graph.basis) >= cfg.angle_tol:
+    cosines = a.graph.basis.conj().T @ b.graph.basis
+    if not _sine_below(cosines, cfg.angle_tol):
         raise ValueError(
             "graphs are not orthogonal; use componentwise_sum instead"
         )

@@ -22,12 +22,13 @@ parts' own checks decide the same, exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, ToleranceConfig
+from .config import _EPS, DEFAULT_TOLERANCES, ToleranceConfig
 from .errors import DimensionMismatch
 
 __all__ = [
@@ -268,6 +269,11 @@ def _residual(a: Subspace, b: Subspace) -> np.ndarray:
     return a.basis - b.basis @ (b.basis.conj().T @ a.basis)
 
 
+def _angle(sine: float) -> float:
+    """arcsin of a sine, capped at pi/2."""
+    return float(np.arcsin(min(1.0, sine)))
+
+
 def _sine_angle(mat: np.ndarray) -> float:
     """arcsin of the spectral norm of mat, capped at pi/2; 0 when mat is empty.
 
@@ -276,8 +282,39 @@ def _sine_angle(mat: np.ndarray) -> float:
     """
     if mat.size == 0:
         return 0.0
-    s = np.linalg.svd(mat, compute_uv=False)
-    return float(np.arcsin(min(1.0, float(s[0]))))
+    return _angle(float(np.linalg.svd(mat, compute_uv=False)[0]))
+
+
+def _higham_gamma(terms: int) -> float:
+    """Higham's gamma_k = k eps / (1 - k eps) for k = terms: the relative
+    error bound of a computed sum of k terms, here taken at eps =
+    np.finfo(float).eps, twice the unit round-off."""
+    k_eps = terms * _EPS
+    return k_eps / (1.0 - k_eps)
+
+
+def _sine_below(mat: np.ndarray, angle_tol: float) -> bool:
+    """The verdict _sine_angle(mat) < angle_tol, with an SVD only if needed.
+
+    ||X||_F / sqrt(k) <= ||X||_2 <= ||X||_F for k = min(shape), so the
+    Frobenius norm brackets the spectral norm.  Both edges are widened by
+    _higham_gamma(2 m n), the bound for the 2 m n real squares that the
+    computed norm sums, at eps: half of it covers the norm's round-off and
+    the other half the SVD's own.  An upper edge whose angle is below
+    angle_tol decides True, a lower edge whose angle is at or above it
+    decides False, and only a spectral norm inside the bracket is
+    factored, with _sine_angle's values-only SVD.  For verdicts whose
+    angle is not reported; relate and every printed angle keep the SVD.
+    """
+    if mat.size == 0:
+        return 0.0 < angle_tol
+    fro = float(np.linalg.norm(mat))
+    slack = _higham_gamma(2 * mat.size)
+    if _angle(fro * (1.0 + slack)) < angle_tol:
+        return True
+    if _angle(fro / math.sqrt(min(mat.shape)) * (1.0 - slack)) >= angle_tol:
+        return False
+    return _sine_angle(mat) < angle_tol
 
 
 def _containment_angle(a: Subspace, b: Subspace) -> float:
@@ -295,13 +332,22 @@ def _containment_angle(a: Subspace, b: Subspace) -> float:
 
 def relate(u: Subspace, v: Subspace,
            cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> RelateResult:
-    """Classify the pair as equal / subset / superset / incomparable."""
+    """Classify the pair as equal / subset / superset / incomparable.
+
+    One containment angle is factored at most.  A space of larger
+    dimension never lies in a smaller one, so its angle is pi/2 by the
+    count; for equal dimensions the two containment sines are equal
+    (Stewart & Sun, ch. I.5), so the forward one serves both.
+    """
     if u.ambient_dim != v.ambient_dim:
         raise DimensionMismatch(
             f"relate of C^{u.ambient_dim} and C^{v.ambient_dim} subspaces"
         )
-    fwd = _containment_angle(u, v)
-    rev = _containment_angle(v, u)
+    if u.dim > v.dim:
+        fwd, rev = math.pi / 2, _containment_angle(v, u)
+    else:
+        fwd = _containment_angle(u, v)
+        rev = fwd if u.dim == v.dim else math.pi / 2
     if fwd < cfg.angle_tol and rev < cfg.angle_tol:
         return RelateResult(Verdict.EQUAL, max(fwd, rev), fwd, rev)
     if fwd < cfg.angle_tol:

@@ -468,6 +468,41 @@ class TestLiveColumns:
                 weyl(permuted, lam), weyl(trip, lam), rtol=0, atol=1e-12
             )
 
+    @pytest.mark.parametrize("live_block", ["2I", "unitary+1e-9"])
+    def test_gamma0_off_the_coisometry_takes_the_svd(self, live_block, rng,
+                                                     monkeypatch):
+        # a hand-built Gamma0 whose square live block misses A A^H = I
+        # far beyond round-off keeps the SVD set-up and its rank rule; its
+        # kernel is still the dead axes, so the Laurent route follows
+        trip = triplet_main(lift(random_relation(3, 3, rank=2, rng=5)))
+        live = trip.gamma0.any(axis=0)
+        g = trip.g
+        gamma0 = trip.gamma0.copy()
+        if live_block == "2I":
+            gamma0[:, live] = 2.0 * np.eye(g)
+        else:
+            noise = rng.normal(size=(g, g)) + 1j * rng.normal(size=(g, g))
+            gamma0[:, live] += 1e-9 * noise
+        hand = BoundaryTriplet(trip.kind, trip.star, trip.boundary, gamma0,
+                               trip.gamma1, trip.friedrichs, trip.cfg)
+        calls = []
+        for name in ("svd", "qr"):
+            real = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls.append((_name, np.shape(args[0])))
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        assert isinstance(hand.resolvent_blocks, _LaurentBlocks)
+        assert calls == [("svd", (g, g))], calls
+        monkeypatch.undo()
+        for lam in self.LAMBDAS:
+            want = weyl_definitional(hand, lam)
+            scale = max(1.0, float(np.abs(want).max()))
+            np.testing.assert_allclose(weyl(hand, lam), want, rtol=0,
+                                       atol=1e-9 * scale)
+
 
 def _weyl_or_spectral(route, trip, lam):
     try:
@@ -500,6 +535,38 @@ def test_weyl_matches_definitional_route(seed, n, rank_class, lam):
 
 
 DATA = Path(__file__).resolve().parents[1] / "data"
+RANK_TOL = DEFAULT_TOLERANCES.rank_tol
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize("build", [triplet_main, triplet_basic, triplet_tilde])
+@pytest.mark.parametrize("spec", sorted(DATA.glob("*.json")),
+                         ids=lambda path: path.stem)
+@pytest.mark.parametrize("lam", [
+    RANK_TOL, -RANK_TOL, RANK_TOL * (1 - 1e-6), RANK_TOL * (1 + 1e-6),
+    -RANK_TOL * (1 - 1e-6), -RANK_TOL * (1 + 1e-6),
+], ids=["+tol", "-tol", "+below", "+above", "-below", "-above"])
+def test_weyl_and_definitional_share_the_spectral_rule(build, spec, lam):
+    # one rule for both routes: lambda is an eigenvalue of ker Gamma0 when
+    # the pencil G0 - lambda F0 has numerical rank below n.  With dom
+    # ker Gamma0 != {0} its singular value |lambda| is refused up to and
+    # at rank_tol and let through just above it; the oracle's defect
+    # space there carries a relative error of about eps / |lambda|
+    bundle = lift(load_relation_spec(str(spec)).relation)
+    trip = build(bundle)
+    m = _weyl_or_spectral(weyl, trip, lam)
+    want = _weyl_or_spectral(weyl_definitional, trip, lam)
+    assert (m is None) == (want is None), (trip.kind, lam)
+    n_dom = orthonormal_columns(trip.ker_gamma0.domain_block,
+                                RANK_TOL).shape[1]
+    assert (m is None) == (n_dom > 0 and abs(lam) <= RANK_TOL), (trip.kind,
+                                                                  lam)
+    if m is not None:
+        scale = float(np.abs(want).max(initial=0.0))
+        np.testing.assert_allclose(m, want, rtol=0,
+                                   atol=10 * EPS / abs(lam) * scale)
+
+
 # the default grid crosses |lambda| = rank_tol next to 0 (no disk around
 # 0 is refused) and |lambda| = 1/rank_tol at 1e10; the one at
 # rank_tol = 1e-3 crosses |lambda| = rank_tol and |lambda| = 1/rank_tol

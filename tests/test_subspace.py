@@ -1,6 +1,7 @@
 """Subspace arithmetic: spans, complements, lattice operations, verdicts."""
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -17,7 +18,10 @@ from linrel.subspace import (
     Subspace,
     Verdict,
     _is_orthonormal,
+    _residual,
     _signed_swap,
+    _sine_angle,
+    _sine_below,
     _stack,
     complement,
     join,
@@ -27,7 +31,7 @@ from linrel.subspace import (
     span,
 )
 
-from conftest import assert_subspace_equal
+from conftest import assert_subspace_equal, haar_unitary
 
 
 def random_subspace(rng, ambient, dim):
@@ -348,3 +352,99 @@ def test_meet_decides_tilt_against_rank_tol(factor, shared):
     assert m.dim == shared
     assert m.dim + j.dim == u.dim + v.dim
     assert relate(m, u).forward_angle < 1e-12
+
+
+EPS = np.finfo(float).eps
+
+
+def _with_spectrum(rng, rows, cols, top, shape):
+    """rows x cols matrix with spectral norm top and a singular value
+    profile that puts it at an edge of the Frobenius bracket or inside."""
+    k = min(rows, cols)
+    if shape == "rank-1":  # ||X||_2 = ||X||_F
+        s = np.zeros(k)
+    elif shape == "flat":  # ||X||_2 = ||X||_F / sqrt(k)
+        s = np.ones(k)
+    else:
+        s = rng.uniform(0.0, 1.0, size=k)
+    if k:
+        s[0] = 1.0
+    u, v = haar_unitary(rng, rows)[:, :k], haar_unitary(rng, cols)[:, :k]
+    return (u * (top * s)) @ v.conj().T
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    rows=st.integers(0, 6),
+    cols=st.integers(0, 6),
+    angle_tol=st.sampled_from([EPS, 1e-10, 1e-8, 1e-3, 0.5, 1.0,
+                               math.pi / 2 - 1e-6, math.pi / 2 - 1e-9,
+                               math.pi / 2, 2.0]),
+    factor=st.sampled_from([1 - 1e-6, 1 + 1e-6, 0.1, 10.0, 1.0]),
+    shape=st.sampled_from(["rank-1", "flat", "random"]),
+)
+def test_sine_below_is_the_svd_verdict(seed, rows, cols, angle_tol, factor,
+                                       shape):
+    # spectral norms at sin(angle_tol) (1 +- 1e-6), 10^+-1 of it and on it,
+    # with the Frobenius norm at either edge of its bracket or between;
+    # empty matrices, angle_tol at eps and next to and beyond pi/2
+    rng = np.random.default_rng(seed)
+    mat = _with_spectrum(rng, rows, cols, math.sin(angle_tol) * factor, shape)
+    assert _sine_below(mat, angle_tol) == (_sine_angle(mat) < angle_tol)
+
+
+@pytest.mark.parametrize("factor, shape, verdict", [
+    (0.1, "rank-1", True), (0.1, "flat", True),
+    (10.0, "rank-1", False), (10.0, "flat", False),
+])
+def test_sine_below_factors_nothing_outside_the_bracket(factor, shape,
+                                                        verdict, monkeypatch):
+    # the Frobenius norm decides at a factor of 10 from sin(angle_tol),
+    # whichever edge of the bracket the spectral norm sits on
+    def refused(*args, **kwargs):
+        raise AssertionError("the bracket took an SVD")
+
+    rng = np.random.default_rng(5)
+    angle_tol = DEFAULT_TOLERANCES.angle_tol
+    mat = _with_spectrum(rng, 6, 4, math.sin(angle_tol) * factor, shape)
+    assert (_sine_angle(mat) < angle_tol) is verdict
+    monkeypatch.setattr(np.linalg, "svd", refused)
+    assert _sine_below(mat, angle_tol) is verdict
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    ambient=st.integers(1, 8),
+    dim=st.integers(1, 8),
+    log_tilt=st.floats(-16.0, 1.0),
+)
+def test_equal_dimension_containment_sines_agree(seed, ambient, dim,
+                                                 log_tilt):
+    # ||(I - P_v) P_u|| = ||(I - P_u) P_v|| when dim u = dim v (Stewart &
+    # Sun, ch. I.5), so relate factors one residual for both; the two
+    # computed sines agree to 16 eps ambient (at most ~10 eps measured)
+    rng = np.random.default_rng(seed)
+    dim = min(dim, ambient)
+    a = rng.normal(size=(ambient, dim)) + 1j * rng.normal(size=(ambient, dim))
+    tilt = rng.normal(size=a.shape) + 1j * rng.normal(size=a.shape)
+    u, v = span(a, ambient), span(a + 10.0 ** log_tilt * tilt, ambient)
+    if u.dim != v.dim:
+        return
+    forward = np.linalg.norm(_residual(u, v), 2)
+    reverse = np.linalg.norm(_residual(v, u), 2)
+    assert abs(forward - reverse) <= 16 * EPS * ambient
+
+
+def test_relate_counts_dimensions_before_factoring(rng):
+    # a larger space never lies in a smaller one: its angle is pi/2 exactly
+    u = random_subspace(rng, 6, 2)
+    w = join(u, random_subspace(rng, 6, 2))
+    res = relate(w, u)
+    assert res.verdict is Verdict.SUPERSET
+    assert res.forward_angle == math.pi / 2
+    assert relate(u, w).reverse_angle == math.pi / 2
+    v = random_subspace(rng, 6, 2)
+    res = relate(u, v)
+    assert res.forward_angle == res.reverse_angle

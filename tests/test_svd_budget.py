@@ -1,6 +1,6 @@
-"""SVD budget of classify, lift, the triplet builders, the Weyl function,
-the Krein-formula extension, the sub-relation builders and the block
-calculus, at a fixed seed.
+"""SVD budget of classify, relate, lift, the triplet builders, the Weyl
+function, the Krein-formula extension, the sub-relation builders and the
+block calculus, at a fixed seed.
 
 numpy.linalg.svd calls are counted, so a change that re-forms an adjoint
 inside lift, factors the triplet kernels eagerly, or re-orthonormalizes a
@@ -8,14 +8,18 @@ graph basis times a nullspace basis fails here, not only in the
 benchmark.  The kernels themselves are checked on first access.  Gram
 tests of Subspace bases are counted too, so a change that routes one of
 lift's stacked or swapped bases back through the Gram product fails here
-as well.  A Weyl function evaluated again on a triplet with an extremal
-ker Gamma0 (every lifted one, in any graph coordinates) may call no
-numpy.linalg function at all, and its first call factors only the live
-(not exactly zero) columns of Gamma0.  On the swapped main and tilde
-triplets each lambda costs one values-only SVD and one solve of the
-n x n pencil, and no eigensolver runs.  numerical_radius factors the
-domain block once however many angles it searches, with one batched
-eigvalsh per grid of angles.
+as well.  Verdict-only angles (classify's symmetry, lift's S* check,
+theta's selfadjointness test) are Frobenius brackets that factor nothing
+away from angle_tol, and relate factors one containment angle at most.
+A Weyl function evaluated again on a triplet with an extremal ker Gamma0
+(every lifted one, in any graph coordinates) may call no numpy.linalg
+function at all.  Its first call uses only the live (not exactly zero)
+columns of Gamma0, a co-isometry on every lifted triplet: no SVD, and one
+QR where the live block has a kernel (none for main).  On the swapped
+main and tilde triplets each lambda costs one values-only SVD and one
+solve of the n x n pencil, and no eigensolver runs.  numerical_radius
+factors the domain block once however many angles it searches, with one
+batched eigvalsh per grid of angles.
 """
 
 from pathlib import Path
@@ -38,14 +42,15 @@ from linrel.extension import friedrichs_generic, krein_generic, lift
 from linrel.oracle import random_relation, random_selfadjoint_relation
 from linrel.relation import classify, defect_relation, relation_equal
 from linrel.specio import load_relation_spec
-from linrel.subspace import Verdict, meet, span
+from linrel.subspace import Verdict, meet, relate, span
 
 from conftest import assert_relation_equal, mixed_coordinates, swapped
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
 N = 8
-LIFT_SVD_BUDGET = 9
+# the S* self-check is a Frobenius bracket, not an SVD
+LIFT_SVD_BUDGET = 8
 # Gram checks per lift, by rank: the bases lift factors (G, dom R, ran R,
 # mul R*, ker R*, and for G~ the multivalued and operator parts of R*).
 # At ranks N and 3N/2, mul R* = ker R* = {0} take no check and R* is its
@@ -83,24 +88,32 @@ def gram_checks(monkeypatch):
     return calls
 
 
-def test_classify_factors_once_and_samples_nothing(svd_calls, monkeypatch):
-    # verdicts only: no operator part, no lower bound, no numerical radius
+@pytest.mark.parametrize("make, selfadjoint", [
+    (lambda: random_selfadjoint_relation(N, rng=0, dom_dim=5, nonneg=True),
+     True),
+    (lambda: random_relation(N, N, rank=N, rng=0), False),
+], ids=["symmetric", "skew-part-O(1)"])
+def test_classify_factors_nothing(make, selfadjoint, svd_calls, monkeypatch):
+    # verdicts only: no operator part, no lower bound, no numerical radius,
+    # and the Frobenius bracket decides the symmetry angle of a skew part
+    # at round-off or of order one without an SVD
     def no_radius(*args, **kwargs):
         raise AssertionError("classify computed the numerical radius")
 
     monkeypatch.setattr(relation, "numerical_radius", no_radius)
-    rel = random_selfadjoint_relation(N, rng=0, dom_dim=5, nonneg=True)
+    rel = make()
     svd_calls.clear()
     rep = classify(rel)
-    assert rep.is_selfadjoint and rep.is_nonnegative
-    assert len(svd_calls) <= 1, svd_calls
+    assert rep.is_selfadjoint is selfadjoint
+    assert rep.is_nonnegative is selfadjoint
+    assert svd_calls == [], svd_calls
 
 
 def test_numerical_radius_factors_once_at_any_angle_grid(svd_calls,
                                                          monkeypatch):
-    # one SVD of F and one values-only SVD for the angle of mul R against
-    # dom R, whatever the grid; then one batched eigvalsh for the coarse
-    # grid and one per zoom, until the spacing h has h^2/8 <= eps
+    # one SVD of F, whatever the grid (the angle of mul R against dom R is
+    # a Frobenius bracket); then one batched eigvalsh for the coarse grid
+    # and one per zoom, until the spacing h has h^2/8 <= eps
     eig_calls = []
     real_eigvalsh = np.linalg.eigvalsh
 
@@ -119,7 +132,7 @@ def test_numerical_radius_factors_once_at_any_angle_grid(svd_calls,
         svd_calls.clear()
         eig_calls.clear()
         relation.numerical_radius(rel)
-        assert svd_calls == [((N, N), True), ((5, 3), False)], svd_calls
+        assert svd_calls == [((N, N), True)], svd_calls
         assert eig_calls[0] == (angles, 5, 5), eig_calls
         assert len(eig_calls) == zooms + 1, eig_calls
         for count, *tail in eig_calls[1:]:
@@ -225,9 +238,9 @@ def linalg_calls(monkeypatch):
 @pytest.mark.parametrize("dom_dim", [N, 5])
 def test_lower_bound_reads_the_whitened_form(dom_dim, linalg_calls,
                                              monkeypatch):
-    # _symmetry's values-only SVD, the SVD of the domain block and one
-    # eigvalsh of Re B, single-valued (dom_dim = N) or not; no operator
-    # part and no second factorization of mul R
+    # the SVD of the domain block and one eigvalsh of Re B, single-valued
+    # (dom_dim = N) or not; _symmetry's bracket factors nothing, and there
+    # is no operator part and no second factorization of mul R
     def refused(*args, **kwargs):
         raise AssertionError("lower_bound rebuilt the operator part")
 
@@ -236,7 +249,7 @@ def test_lower_bound_reads_the_whitened_form(dom_dim, linalg_calls,
     rel = random_selfadjoint_relation(N, rng=0, dom_dim=dom_dim)
     linalg_calls.clear()
     assert np.isfinite(relation.lower_bound(rel))
-    assert linalg_calls == [("svd", (N, N)), ("svd", (N, N)),
+    assert linalg_calls == [("svd", (N, N)),
                             ("eigvalsh", (dom_dim, dom_dim))], linalg_calls
 
 
@@ -249,24 +262,37 @@ def _live_width(trip, bundle):
     }[trip.kind]
 
 
+def _set_up(trip, bundle):
+    """The factorizations of a lifted triplet's first Weyl call.
+
+    Its live block A (g x live) is a co-isometry: no SVD, and one complete
+    QR of A^H for the kernel when live > g.  live = g for main always, and
+    for tilde when mul R* = {0}; a degenerate triplet has no live column.
+    """
+    if trip.is_degenerate:
+        return []
+    g, live = trip.g, _live_width(trip, bundle)
+    return [("qr", (live, g))] if live > g else []
+
+
 @pytest.mark.parametrize("rank", [N // 2, N, 3 * N // 2])
 @pytest.mark.parametrize("build", [triplet_main, triplet_basic, triplet_tilde])
 def test_weyl_factors_gamma0_once_per_triplet(build, rank, linalg_calls):
-    # one SVD on the first call, of Gamma0's live block only, and no eigh:
-    # a lifted ker Gamma0 is extremal, so M(lambda) is a Laurent
-    # polynomial.  A degenerate triplet factors nothing.  Then each lambda
-    # costs sums only, whatever cfg weyl is given
+    # at most one QR on the first call, of Gamma0's live block only, and no
+    # SVD or eigh: a lifted Gamma0 is a co-isometry, and a lifted
+    # ker Gamma0 is extremal, so M(lambda) is a Laurent polynomial.  Then
+    # each lambda costs sums only, whatever cfg weyl is given
     bundle = lift(random_relation(N, N, rank=rank, rng=5))
     trip = build(bundle)
     linalg_calls.clear()
     weyl(trip, -1.0)
-    g, d = trip.gamma0.shape
-    if trip.is_degenerate:
+    assert linalg_calls == _set_up(trip, bundle), linalg_calls
+    if trip.kind == "main":
         assert linalg_calls == []
-    else:
-        live = _live_width(trip, bundle)
-        assert live < d
-        assert linalg_calls == [("svd", (g, live))], linalg_calls
+    elif not trip.is_degenerate:
+        assert _live_width(trip, bundle) < trip.gamma0.shape[1]
+        # basic and tilde have a kernel in the live block at rank N/2
+        assert len(linalg_calls) == (rank == N // 2)
     later = (
         lambda: weyl(trip, 1j),
         lambda: gamma_field(trip, -0.5),
@@ -285,12 +311,13 @@ def test_swapped_triplets_still_rotate(build, rank, svd_calls, linalg_calls):
     # nonzero eigenvalues make it not extremal.  No eigh or eig runs at
     # all, and each lambda after the set-up solves the n x n pencil
     # G0 - lambda F0 by one values-only SVD and one solve.  (swapped basic
-    # has the extremal ker Gamma0 = S_K and takes the Laurent route.)
+    # has the extremal ker Gamma0 = S_K and takes the Laurent route.)  The
+    # swapped Gamma0 is the co-isometric Gamma1, so the set-up is a QR.
     trip = swapped(build(lift(random_relation(N, N, rank=rank, rng=5))))
     n = trip.star.n1
     linalg_calls.clear()
     weyl(trip, -1.0)
-    assert {name for name, _ in linalg_calls} == {"svd", "solve"}, (
+    assert [name for name, _ in linalg_calls] == ["qr", "svd", "solve"], (
         linalg_calls)
     later = (
         lambda: weyl(trip, 1j),
@@ -320,6 +347,36 @@ def every_linalg_call(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
+
+
+@pytest.mark.parametrize("rank", [N // 2, N, 3 * N // 2])
+def test_main_set_up_calls_no_linalg(rank, every_linalg_call):
+    # the main triplet's live block is a square co-isometry: Q1 = A^H and
+    # no kernel beyond the dead axes, so nothing is factored or inverted
+    trip = triplet_main(lift(random_relation(N, N, rank=rank, rng=5)))
+    every_linalg_call.clear()
+    assert isinstance(trip.resolvent_blocks, tuple)
+    assert every_linalg_call == []
+
+
+@pytest.mark.parametrize("du, dv, factored", [
+    (3, 3, True), (2, 5, True), (5, 2, True), (0, 4, False), (4, 0, False),
+    (0, 0, False),
+])
+def test_relate_factors_once(du, dv, factored, svd_calls):
+    # one values-only SVD of the smaller space's residual against the
+    # larger (either one at equal dimension); an empty space needs none
+    rng = np.random.default_rng(9)
+
+    def space(d):
+        raw = rng.normal(size=(N, d)) + 1j * rng.normal(size=(N, d))
+        return span(raw, N)
+
+    u, v = space(du), space(dv)
+    svd_calls.clear()
+    relate(u, v)
+    assert svd_calls == ([((N, min(du, dv)), False)] if factored else []), (
+        svd_calls)
 
 
 @pytest.mark.parametrize("build, rank, coordinates", [
@@ -392,9 +449,9 @@ EXTENSION_CASES = [
 @pytest.mark.parametrize("build, rank", EXTENSION_CASES)
 def test_krein_extension_solves_once(build, rank, fresh, svd_calls,
                                      linalg_calls):
-    # Krein's formula on the cached blocks: the selfadjointness test of
-    # theta (one values-only g x g SVD) and one g x g solve, and on a
-    # fresh triplet the set-up's one SVD of Gamma0's live block between
+    # Krein's formula on the cached blocks: one g x g solve, and on a fresh
+    # triplet the set-up's QR (if any) before it.  The selfadjointness
+    # test of theta is a Frobenius bracket, and nothing runs an SVD
     bundle = lift(random_relation(N, N, rank=rank, rng=5))
     trip = build(bundle)
     theta = random_selfadjoint_relation(trip.g, rng=3)
@@ -404,10 +461,9 @@ def test_krein_extension_solves_once(build, rank, fresh, svd_calls,
     linalg_calls.clear()
     ext = extension_from_boundary(trip, theta)
     g = trip.g
-    set_up = [("svd", (g, _live_width(trip, bundle)))] if fresh else []
-    assert linalg_calls == [("svd", (g, g)), *set_up, ("solve", (g, g))], (
-        linalg_calls)
-    assert svd_calls[0] == ((g, g), False), svd_calls
+    set_up = _set_up(trip, bundle) if fresh else []
+    assert linalg_calls == [*set_up, ("solve", (g, g))], linalg_calls
+    assert svd_calls == [], svd_calls
     basis = ext.graph.basis
     gram_err = np.abs(basis.conj().T @ basis - np.eye(ext.dim))
     assert np.max(gram_err, initial=0.0) < 1e-12
@@ -416,9 +472,9 @@ def test_krein_extension_solves_once(build, rank, fresh, svd_calls,
 @pytest.mark.parametrize("build", [triplet_main, triplet_tilde])
 def test_krein_extension_on_a_pencil_kernel(build, svd_calls, linalg_calls):
     # ker Gamma0 = K of the swapped main and tilde triplets is not
-    # extremal: besides theta's test and the g x g solve, one values-only
-    # SVD and one solve of the n x n pencil at +i, whose right-hand side
-    # also yields (A0 - i)^{-1}, and the same at -i
+    # extremal: besides the g x g solve, one values-only SVD and one solve
+    # of the n x n pencil at +i, whose right-hand side also yields
+    # (A0 - i)^{-1}, and the same at -i; theta's test factors nothing
     trip = swapped(build(lift(random_relation(N, N, rank=N // 2, rng=5))))
     theta = random_selfadjoint_relation(trip.g, rng=3)
     weyl(trip, -1.0)
@@ -427,8 +483,8 @@ def test_krein_extension_on_a_pencil_kernel(build, svd_calls, linalg_calls):
     extension_from_boundary(trip, theta)
     g, n = trip.g, trip.star.n1
     pencil = [("svd", (n, n)), ("solve", (n, n))]
-    assert linalg_calls == [("svd", (g, g)), *pencil, *pencil,
-                            ("solve", (g, g))], linalg_calls
+    assert linalg_calls == [*pencil, *pencil, ("solve", (g, g))], (
+        linalg_calls)
     assert all(not uv for _, uv in svd_calls), svd_calls
 
 

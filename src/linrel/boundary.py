@@ -40,6 +40,7 @@ from .errors import (
 from .extension import LiftBundle, lift
 from .relation import (
     LinearRelation,
+    _dom_perp_ran,
     _is_selfadjoint,
     _pencil_solve,
     classify,
@@ -53,7 +54,6 @@ from .subspace import (
     _higham_gamma,
     _is_orthonormal,
     _numerical_rank,
-    nullspace_columns,
     span,
 )
 
@@ -98,21 +98,49 @@ def _live_columns(mat: np.ndarray,
     return _column_index(~live), _column_index(live)
 
 
-def _times_kernel(mat: np.ndarray, dead, live, null: np.ndarray) -> np.ndarray:
-    """mat Q0 for the orthonormal kernel basis Q0 = [E_dead, E_live null]."""
-    return np.hstack([mat[:, dead], mat[:, live] @ null])
+class _MapSplit(NamedTuple):
+    """Gamma split at its kernel: for A = Gamma[:, live], pinv = A^+, rank
+    is A's numerical rank and null an orthonormal basis N of ker A, so
+    Q0 = [E_dead, E_live N] is an orthonormal basis of ker Gamma."""
+
+    dead: slice | np.ndarray
+    live: slice | np.ndarray
+    null: np.ndarray
+    pinv: np.ndarray
+    rank: int
+
+    def times_kernel(self, mat: np.ndarray) -> np.ndarray:
+        """mat Q0, from column slices of mat and the small factor N."""
+        return np.hstack([mat[:, self.dead], mat[:, self.live] @ self.null])
 
 
-def _is_coisometric(a: np.ndarray, length: int) -> bool:
-    """A A^H = I within _higham_gamma(length) entrywise, at round-off.
+def _split_map(gamma: np.ndarray, length: int, rank_tol: float) -> _MapSplit:
+    """Split a g x d boundary map, factoring its live block A at most once.
 
-    length is that of the star's graph columns, 2n: A comes from bases of
-    C^{2n} and products over them, and a lifted Gamma0 misses A A^H = I by
-    at most n eps, half the bound.
+    Dead (exactly zero) columns are kernel axes as they stand.  Every
+    lifted Gamma0 and Gamma1 is a co-isometry: A A^H = I within
+    _higham_gamma(length) entrywise, for the length 2n of the star's graph
+    columns (lifted maps miss it by at most n eps).  Then A^+ = A^H, A has
+    rank g, and N is the last k columns of one complete QR of A^H,
+    g x (g + k), or empty with no factorization when k = 0.  Any other A
+    takes one SVD, which the rank rule reads; an empty one needs none.
     """
+    dead, live = _live_columns(gamma)
+    a = gamma[:, live]
+    g, width = a.shape
     dev = a @ a.conj().T
-    dev.reshape(-1)[:: len(dev) + 1] -= 1.0
-    return bool(np.abs(dev).max(initial=0.0) <= _higham_gamma(length))
+    dev.reshape(-1)[:: g + 1] -= 1.0
+    if np.abs(dev).max(initial=0.0) <= _higham_gamma(length):
+        # a copy, not a view that would keep all of the width x width Q
+        null = (np.linalg.qr(a.conj().T, mode="complete")[0][:, g:].copy()
+                if width > g else np.zeros((width, 0), dtype=complex))
+        return _MapSplit(dead, live, null, a.conj().T, g)
+    # the kernel needs all of V^H: only a wide A needs full_matrices for it
+    u, s, vh = (np.linalg.svd(a, full_matrices=g < width) if a.size else
+                (a, np.zeros(0), np.eye(width, dtype=complex)))
+    rank = _numerical_rank(s, rank_tol)
+    pinv = vh[:rank].conj().T @ (u[:, :rank].conj().T / s[:rank, None])
+    return _MapSplit(dead, live, vh[rank:].conj().T, pinv, rank)
 
 
 class _KernelSplit(NamedTuple):
@@ -154,11 +182,12 @@ class BoundaryTriplet:
     friedrichs is the Friedrichs extension S_F of the lift, and cfg is
     the lift's ToleranceConfig.
 
-    ker_gamma0 and ker_gamma1 are computed on first access, and so is
-    ker_gamma0_is_friedrichs, which records whether ker Gamma0 equals S_F;
-    the semiboundedness criterion is only valid for such triplets.  So
-    are resolvent_blocks, the factorization of Gamma0 and the lambda-free
-    blocks that weyl and gamma_field read at every lambda.
+    ker_gamma0 and ker_gamma1 are computed on first access, each by one
+    split of its map, and so is ker_gamma0_is_friedrichs, which records
+    whether ker Gamma0 equals S_F; the semiboundedness criterion is only
+    valid for such triplets.  So are resolvent_blocks, the lambda-free
+    blocks that weyl and gamma_field read at every lambda; they and
+    ker_gamma0 share the split of Gamma0, factored once per triplet.
     """
 
     kind: str
@@ -174,24 +203,25 @@ class BoundaryTriplet:
         return self.boundary.dim
 
     @cached_property
+    def _gamma0_split(self) -> _MapSplit:
+        return _split_map(self.gamma0, self.star.graph.ambient_dim,
+                          self.cfg.rank_tol)
+
+    @cached_property
     def ker_gamma0(self) -> LinearRelation:
-        return self._kernel(self.gamma0)
+        return self._kernel(self._gamma0_split)
 
     @cached_property
     def ker_gamma1(self) -> LinearRelation:
-        return self._kernel(self.gamma1)
+        return self._kernel(_split_map(
+            self.gamma1, self.star.graph.ambient_dim, self.cfg.rank_tol))
 
-    def _kernel(self, gamma: np.ndarray) -> LinearRelation:
-        """{W c : gamma c = 0}: the dead axes of gamma and the nullspace of
-        its live block, at rank_tol.  W and [E_dead, E_live null] are
-        orthonormal, so their product is a basis as it stands."""
-        dead, live = _live_columns(gamma)
-        null = nullspace_columns(gamma[:, live], self.cfg.rank_tol)
+    def _kernel(self, split: _MapSplit) -> LinearRelation:
+        """{W c : Gamma c = 0} = W Q0, orthonormal as W and Q0 are."""
         graph = self.star.graph
         return LinearRelation(
             self.star.n1, self.star.n2,
-            Subspace(graph.ambient_dim,
-                     _times_kernel(graph.basis, dead, live, null)),
+            Subspace(graph.ambient_dim, split.times_kernel(graph.basis)),
         )
 
     @cached_property
@@ -223,7 +253,7 @@ class BoundaryTriplet:
         _, g_live = _live_columns(split.g0)
         f0, g0 = split.f0[:, f_live], split.g0[:, g_live]
         f0_h = f0.conj().T
-        if np.abs(f0_h @ g0).max(initial=0.0) > self.cfg.rank_tol:
+        if not _dom_perp_ran(f0_h @ g0, self.cfg.rank_tol):
             if not _is_orthonormal(split.g0 + 1j * split.f0):
                 raise PreconditionViolated(
                     "ker Gamma0 is not selfadjoint: G0 + i F0 is not unitary"
@@ -243,50 +273,20 @@ class BoundaryTriplet:
         )
 
     def _split_by_gamma0(self) -> _KernelSplit:
-        """Split the graph coefficients as c = Q0 a + Q1 b, with b = Gamma0 c.
-
-        Only the live block A = Gamma0[:, live], g x (g + k), is used: the
-        dead (exactly zero) columns of Gamma0 are kernel axes as they
-        stand, so Q0 = [E_dead, E_live N] with N an orthonormal basis of
-        ker A, and Q1 = E_live A^+.  Every lifted Gamma0 is a co-isometry,
-        and _is_coisometric tests A for it: then A^+ = A^H, A has rank g,
-        and N is the last k columns of one complete QR of A^H, with no
-        factorization at all when k = 0 (main always, tilde when
-        mul R* = {0}).  Any other A is factored by an SVD, whose singular
-        values are Gamma0's nonzero ones, and the rank rule reads them.
-        Either way a Gamma0 that is not surjective, or whose kernel is
-        not n-dimensional, has no Weyl function at all.  An empty live
-        block (g = 0, every column dead) needs no factorization.  The
-        blocks are formed from column slices and the small factors of A.
-        """
+        """Split the graph coefficients as c = Q0 a + Q1 b, with b = Gamma0 c,
+        by the cached split of Gamma0.  A Gamma0 that is not surjective, or
+        whose kernel is not n-dimensional, has no Weyl function at all."""
         n, g = self.star.n1, self.g
-        dead, live = _live_columns(self.gamma0)
-        a = self.gamma0[:, live]
-        coisometric = _is_coisometric(a, self.star.graph.ambient_dim)
-        if coisometric:
-            rank = g
-        else:
-            u, s, vh = (np.linalg.svd(a) if a.size else
-                        (a, np.zeros(0), np.eye(a.shape[1], dtype=complex)))
-            rank = _numerical_rank(s, self.cfg.rank_tol)
-        if self.star.dim != n + g or rank < g:
+        split = self._gamma0_split
+        if self.star.dim != n + g or split.rank < g:
             raise SpectrumError(
                 "Gamma0 is not surjective with an n-dimensional kernel"
             )
-        if coisometric:
-            pinv = a.conj().T
-            null = (np.linalg.qr(pinv, mode="complete")[0][:, g:]
-                    if a.shape[1] > g else np.zeros((g, 0), dtype=complex))
-        else:
-            null = vh[g:].conj().T
-            pinv = vh[:g].conj().T @ (u.conj().T / s[:, None])
-        w = self.star.graph.basis
-        w_q0 = _times_kernel(w, dead, live, null)
+        w, live, pinv = self.star.graph.basis, split.live, split.pinv
+        w_q0 = split.times_kernel(w)
         return _KernelSplit(
-            w_q0[:n], w_q0[n:],
-            w[:n, live] @ pinv, w[n:, live] @ pinv,
-            _times_kernel(self.gamma1, dead, live, null),
-            self.gamma1[:, live] @ pinv,
+            w_q0[:n], w_q0[n:], w[:n, live] @ pinv, w[n:, live] @ pinv,
+            split.times_kernel(self.gamma1), self.gamma1[:, live] @ pinv,
         )
 
     @property

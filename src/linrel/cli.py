@@ -128,11 +128,13 @@ def _input_echo(spec: LoadedSpec) -> dict:
 
 
 def _check_out_path(out_path: str) -> None:
-    """Reject an --out path that is a directory, or whose directory is
-    missing or not writable.
+    """Reject an --out path that is empty or a directory, or whose
+    directory is missing or not writable.
 
     Nothing is opened, so a failing command creates no file.
     """
+    if not out_path:
+        raise InputFormatError(f"--out: {os.strerror(errno.ENOENT)}")
     if os.path.isdir(out_path):
         raise InputFormatError(f"{out_path}: {os.strerror(errno.EISDIR)}")
     parent = os.path.dirname(out_path) or "."
@@ -661,6 +663,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _config_from_args(args)
+        if args.seed < 0:
+            raise InputFormatError(
+                f"--seed: expected a non-negative integer, got {args.seed}"
+            )
         if args.out is not None:
             _check_out_path(args.out)
         return args.func(args, cfg)

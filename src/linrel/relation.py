@@ -254,6 +254,13 @@ def _symmetry(rel: LinearRelation,
     return cross, rel.dim <= rel.n1 and _sine_below(skew, cfg.angle_tol)
 
 
+def _dom_perp_ran(cross: np.ndarray, rank_tol: float) -> bool:
+    """classify's dom-perp-ran verdict on a cross-Gram matrix F^H G: every
+    entry at most rank_tol, the scale of a unit-norm residual the rank
+    rule calls zero."""
+    return bool(np.abs(cross).max(initial=0.0) <= rank_tol)
+
+
 def _is_selfadjoint(rel: LinearRelation, cfg: ToleranceConfig) -> bool:
     """classify's is_selfadjoint verdict alone, with no nonnegativity test."""
     sym = _symmetry(rel, cfg)
@@ -347,9 +354,7 @@ def classify(rel: LinearRelation,
     if sym is None:
         return SymmetryReport(False, False, False, None)
     cross, is_symmetric = sym
-    dom_perp_ran = bool(
-        cross.size == 0 or np.max(np.abs(cross)) <= cfg.rank_tol
-    )
+    dom_perp_ran = _dom_perp_ran(cross, cfg.rank_tol)
     is_nonnegative = False
     if is_symmetric:
         eig_floor = 0.0

@@ -7,6 +7,8 @@ import pytest
 
 from linrel.boundary import BoundaryTriplet
 from linrel.config import DEFAULT_TOLERANCES
+from linrel.extension import lift
+from linrel.oracle import random_relation
 from linrel.relation import LinearRelation, relation_equal
 from linrel.subspace import Subspace, Verdict, relate
 
@@ -14,6 +16,13 @@ from linrel.subspace import Subspace, Verdict, relate
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240901)
+
+
+@pytest.fixture
+def bundle(rng):
+    # graph dimension 2 in C^2 x C^3 keeps ran R proper, so the basic
+    # boundary space G0 is never trivial
+    return lift(random_relation(2, 3, rank=2, rng=rng))
 
 
 def assert_subspace_equal(u, v, tol=1e-8, msg=""):
@@ -82,6 +91,22 @@ def recoordinatized(trip, q):
         trip.kind, LinearRelation(star.n1, star.n2, graph), trip.boundary,
         trip.gamma0 @ q, trip.gamma1 @ q, trip.friedrichs, trip.cfg,
     )
+
+
+def off_coisometry(trip, live_block, rng):
+    """trip with the square live block of its Gamma0 set to 2 I
+    (live_block "2I") or moved by 1e-9 noise ("unitary+1e-9"): A A^H = I
+    fails far beyond round-off, while ker Gamma0 is still the dead axes."""
+    live = trip.gamma0.any(axis=0)
+    g = trip.g
+    gamma0 = trip.gamma0.copy()
+    if live_block == "2I":
+        gamma0[:, live] = 2.0 * np.eye(g)
+    else:
+        noise = rng.normal(size=(g, g)) + 1j * rng.normal(size=(g, g))
+        gamma0[:, live] += 1e-9 * noise
+    return BoundaryTriplet(trip.kind, trip.star, trip.boundary, gamma0,
+                           trip.gamma1, trip.friedrichs, trip.cfg)
 
 
 def haar_unitary(rng, k):

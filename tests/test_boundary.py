@@ -52,14 +52,10 @@ from linrel.subspace import Subspace, Verdict, orthonormal_columns
 from conftest import (
     assert_relation_equal,
     mixed_coordinates,
+    off_coisometry,
     recoordinatized,
     swapped,
 )
-
-
-@pytest.fixture
-def bundle(rng):
-    return lift(random_relation(2, 3, rank=2, rng=rng))
 
 
 @pytest.fixture
@@ -475,16 +471,8 @@ class TestLiveColumns:
         # far beyond round-off keeps the SVD set-up and its rank rule; its
         # kernel is still the dead axes, so the Laurent route follows
         trip = triplet_main(lift(random_relation(3, 3, rank=2, rng=5)))
-        live = trip.gamma0.any(axis=0)
         g = trip.g
-        gamma0 = trip.gamma0.copy()
-        if live_block == "2I":
-            gamma0[:, live] = 2.0 * np.eye(g)
-        else:
-            noise = rng.normal(size=(g, g)) + 1j * rng.normal(size=(g, g))
-            gamma0[:, live] += 1e-9 * noise
-        hand = BoundaryTriplet(trip.kind, trip.star, trip.boundary, gamma0,
-                               trip.gamma1, trip.friedrichs, trip.cfg)
+        hand = off_coisometry(trip, live_block, rng)
         calls = []
         for name in ("svd", "qr"):
             real = getattr(np.linalg, name)
@@ -600,6 +588,38 @@ class TestLaurentRoute:
                 singular = n_dom > 0 and min(1.0, r) <= rank_tol * max(1.0, r)
                 m = _weyl_or_spectral(weyl, trip, lam)
                 assert (m is None) == singular, (trip.kind, lam)
+
+    @pytest.mark.parametrize("rank_tol", [1e-10, 1e-8])
+    def test_route_is_classify_dom_perp_ran(self, rank_tol, rng):
+        # resolvent_blocks and classify read one dom-perp-ran rule on
+        # ker Gamma0.  Lifted and mixed-coordinate kernels are extremal,
+        # swapped main and tilde have K, and basic's Gamma0 + 5e-10 Gamma1
+        # has a selfadjoint kernel with max |F0^H G0| = 5e-10, between the
+        # two rank_tols
+        cfg = ToleranceConfig(rank_tol=rank_tol)
+        bundle = lift(random_relation(8, 8, rank=4, rng=5), cfg)
+        basic = triplet_basic(bundle)
+        nearly = BoundaryTriplet(
+            basic.kind, basic.star, basic.boundary,
+            basic.gamma0 + 5e-10 * basic.gamma1, basic.gamma1,
+            basic.friedrichs, cfg,
+        )
+        kernel = nearly.ker_gamma0
+        cross = kernel.domain_block.conj().T @ kernel.range_block
+        np.testing.assert_allclose(np.abs(cross).max(), 5e-10, rtol=1e-6)
+        trips = [nearly]
+        for build in (triplet_main, triplet_basic, triplet_tilde):
+            trip = build(bundle)
+            trips += [trip, swapped(trip), mixed_coordinates(trip, rng)]
+        routes = []
+        for trip in trips:
+            laurent = isinstance(trip.resolvent_blocks, _LaurentBlocks)
+            assert laurent is classify(trip.ker_gamma0, cfg).dom_perp_ran, (
+                trip.kind)
+            routes.append(laurent)
+        # nearly, then (lifted, swapped, mixed) for main, basic and tilde
+        assert routes == [rank_tol > 5e-10, True, False, True,
+                          True, True, True, True, False, True]
 
     @pytest.mark.parametrize("build", [triplet_main, triplet_basic,
                                        triplet_tilde])

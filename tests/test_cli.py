@@ -623,6 +623,49 @@ class TestErrorPaths:
         assert captured.err == f"input error: {tmp_path}: Is a directory\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["verify", "extensions"])
+    def test_empty_out_is_rejected_before_any_work(self, command, tmp_path,
+                                                   monkeypatch, capsys):
+        # the empty path used to pass the check and fail only at open,
+        # after the whole battery had run
+        def no_lift(rel, cfg=None):
+            pytest.fail("the command ran before --out was checked")
+
+        monkeypatch.setattr(cli, "lift", no_lift)
+        monkeypatch.chdir(tmp_path)
+        path = str(DATA / "halfline_embed.json")
+        assert main([command, path, "--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "input error: --out: No such file or directory\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", str(DATA / "halfline_embed.json")],
+        ["extensions", str(DATA / "halfline_embed.json")],
+        ["verify", str(DATA / "halfline_embed.json")],
+        ["weyl", str(DATA / "halfline_embed.json"), "--grid", "[-1.0]"],
+        ["extend", str(DATA / "halfline_embed.json"), "--theta",
+         str(DATA / "theta_minus_one.json"), "--triplet", "basic"],
+        ["semibound-demo"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_exits_2(self, argv, monkeypatch, capsys):
+        # numpy's default_rng refuses a negative seed: extensions and
+        # verify used to exit 4 with its ValueError, analyze to exit 0
+        def no_load(*args, **kwargs):
+            pytest.fail("the command ran before --seed was checked")
+
+        monkeypatch.setattr(cli, "load_relation_spec", no_load)
+        monkeypatch.setattr(cli, "alternative_experiment", no_load)
+        assert main([*argv, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "input error: --seed: expected a non-negative integer, got -1\n"
+        )
+
     def test_wrong_operator_shape_exits_2(self, tmp_path, capsys):
         path = write_spec(
             tmp_path / "shape.json",

@@ -46,13 +46,6 @@ from linrel.subspace import Subspace, Verdict, oplus, relate, span
 from conftest import CFG, assert_relation_equal, assert_subspace_equal, tilted
 
 
-@pytest.fixture
-def bundle(rng):
-    # graph dimension 2 in C^2 x C^3 keeps ran R proper, so the basic
-    # boundary space G0 is never trivial
-    return lift(random_relation(2, 3, rank=2, rng=rng))
-
-
 class TestLiftStructure:
     def test_s_is_symmetric_with_orthogonal_dom_ran(self, bundle):
         rep = classify(bundle.S)

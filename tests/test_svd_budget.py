@@ -2,24 +2,27 @@
 function, the Krein-formula extension, the sub-relation builders and the
 block calculus, at a fixed seed.
 
-numpy.linalg.svd calls are counted, so a change that re-forms an adjoint
-inside lift, factors the triplet kernels eagerly, or re-orthonormalizes a
-graph basis times a nullspace basis fails here, not only in the
-benchmark.  The kernels themselves are checked on first access.  Gram
-tests of Subspace bases are counted too, so a change that routes one of
-lift's stacked or swapped bases back through the Gram product fails here
-as well.  Verdict-only angles (classify's symmetry, lift's S* check,
-theta's selfadjointness test) are Frobenius brackets that factor nothing
-away from angle_tol, and relate factors one containment angle at most.
-A Weyl function evaluated again on a triplet with an extremal ker Gamma0
-(every lifted one, in any graph coordinates) may call no numpy.linalg
-function at all.  Its first call uses only the live (not exactly zero)
-columns of Gamma0, a co-isometry on every lifted triplet: no SVD, and one
-QR where the live block has a kernel (none for main).  On the swapped
-main and tilde triplets each lambda costs one values-only SVD and one
-solve of the n x n pencil, and no eigensolver runs.  numerical_radius
-factors the domain block once however many angles it searches, with one
-batched eigvalsh per grid of angles.
+One fixture records every numpy.linalg call, so a change that re-forms
+an adjoint inside lift, factors the triplet kernels eagerly, or
+re-orthonormalizes a graph basis times a nullspace basis fails here, not
+only in the benchmark.  Gram tests of Subspace bases are counted too, so
+a change that routes one of lift's stacked or swapped bases back through
+the Gram product fails here as well.  Verdict-only angles (classify's
+symmetry, lift's S* check, theta's selfadjointness test) are Frobenius
+brackets that factor nothing away from angle_tol, and relate factors one
+containment angle at most.  Every boundary map is split by one routine
+that uses only its live (not exactly zero) columns.  A lifted Gamma0 or
+Gamma1 is a co-isometry there: no SVD, and one QR where the live block
+has a kernel (none for main's Gamma0).  ker_gamma0, the Weyl set-up and
+the Krein-formula extension share the one split of Gamma0, so Gamma0 is
+factored at most once per triplet, by that QR or, off the co-isometry,
+by one SVD.  A Weyl function evaluated again on a triplet with an
+extremal ker Gamma0 (every lifted one, in any graph coordinates) may
+call no numpy.linalg function at all.  On the swapped main and tilde
+triplets each lambda costs one values-only SVD and one solve of the
+n x n pencil, and no eigensolver runs.  numerical_radius factors the
+domain block once however many angles it searches, with one batched
+eigvalsh per grid of angles.
 """
 
 from pathlib import Path
@@ -44,7 +47,12 @@ from linrel.relation import classify, defect_relation, relation_equal
 from linrel.specio import load_relation_spec
 from linrel.subspace import Verdict, meet, relate, span
 
-from conftest import assert_relation_equal, mixed_coordinates, swapped
+from conftest import (
+    assert_relation_equal,
+    mixed_coordinates,
+    off_coisometry,
+    swapped,
+)
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -62,16 +70,42 @@ LIFT_GRAM_CHECKS = {N // 2: 7, N: 3, 3 * N // 2: 3}
 RELATION_GRAM_CHECKS = {"adjoint": 1, "inverse": 0}
 
 
+FACTORIZATIONS = ("svd", "eigh", "eigvalsh", "eig", "solve", "inv", "qr")
+
+
+class LinalgCalls(list):
+    """Every numpy.linalg call in order, as (name, shape of the first
+    argument, compute_uv); compute_uv is None outside svd."""
+
+    def named(self, *names):
+        """(name, shape) of the calls to the named functions."""
+        return [(name, shape) for name, shape, _ in self if name in names]
+
+    @property
+    def factorizations(self):
+        return self.named(*FACTORIZATIONS)
+
+    @property
+    def svd(self):
+        """(shape, compute_uv) of every SVD."""
+        return [(shape, uv) for name, shape, uv in self if name == "svd"]
+
+
 @pytest.fixture
-def svd_calls(monkeypatch):
-    calls = []
-    real_svd = np.linalg.svd
+def linalg(monkeypatch):
+    calls = LinalgCalls()
+    for name in np.linalg.__all__:
+        real = getattr(np.linalg, name)
+        if not callable(real) or isinstance(real, type):
+            continue
 
-    def counted(*args, **kwargs):
-        calls.append((np.shape(args[0]), kwargs.get("compute_uv", True)))
-        return real_svd(*args, **kwargs)
+        def counted(*args, _name=name, _real=real, **kwargs):
+            uv = kwargs.get("compute_uv", True) if _name == "svd" else None
+            shape = getattr(args[0], "shape", None) if args else None
+            calls.append((_name, shape, uv))
+            return _real(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
+        monkeypatch.setattr(np.linalg, name, counted)
     return calls
 
 
@@ -93,7 +127,7 @@ def gram_checks(monkeypatch):
      True),
     (lambda: random_relation(N, N, rank=N, rng=0), False),
 ], ids=["symmetric", "skew-part-O(1)"])
-def test_classify_factors_nothing(make, selfadjoint, svd_calls, monkeypatch):
+def test_classify_factors_nothing(make, selfadjoint, linalg, monkeypatch):
     # verdicts only: no operator part, no lower bound, no numerical radius,
     # and the Frobenius bracket decides the symmetry angle of a skew part
     # at round-off or of order one without an SVD
@@ -102,26 +136,18 @@ def test_classify_factors_nothing(make, selfadjoint, svd_calls, monkeypatch):
 
     monkeypatch.setattr(relation, "numerical_radius", no_radius)
     rel = make()
-    svd_calls.clear()
+    linalg.clear()
     rep = classify(rel)
     assert rep.is_selfadjoint is selfadjoint
     assert rep.is_nonnegative is selfadjoint
-    assert svd_calls == [], svd_calls
+    assert linalg.svd == [], linalg
 
 
-def test_numerical_radius_factors_once_at_any_angle_grid(svd_calls,
+def test_numerical_radius_factors_once_at_any_angle_grid(linalg,
                                                          monkeypatch):
     # one SVD of F, whatever the grid (the angle of mul R against dom R is
     # a Frobenius bracket); then one batched eigvalsh for the coarse grid
     # and one per zoom, until the spacing h has h^2/8 <= eps
-    eig_calls = []
-    real_eigvalsh = np.linalg.eigvalsh
-
-    def counted(*args, **kwargs):
-        eig_calls.append(np.shape(args[0]))
-        return real_eigvalsh(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     rel = random_selfadjoint_relation(N, rng=0, dom_dim=5)
     for angles, windows in ((65, 4), (17, 1), (257, 2)):
         monkeypatch.setattr(relation, "_RADIUS_ANGLES", angles)
@@ -129,10 +155,10 @@ def test_numerical_radius_factors_once_at_any_angle_grid(svd_calls,
         zooms, step = 0, np.pi / angles
         while step * step / 8.0 > np.finfo(float).eps:
             zooms, step = zooms + 1, step * 2.0 / (angles - 1)
-        svd_calls.clear()
-        eig_calls.clear()
+        linalg.clear()
         relation.numerical_radius(rel)
-        assert svd_calls == [((N, N), True)], svd_calls
+        eig_calls = [shape for _, shape in linalg.named("eigvalsh")]
+        assert linalg.svd == [((N, N), True)], linalg
         assert eig_calls[0] == (angles, 5, 5), eig_calls
         assert len(eig_calls) == zooms + 1, eig_calls
         for count, *tail in eig_calls[1:]:
@@ -141,11 +167,11 @@ def test_numerical_radius_factors_once_at_any_angle_grid(svd_calls,
 
 
 @pytest.mark.parametrize("rank", [N // 2, N, 3 * N // 2])
-def test_lift_stays_within_budget(rank, svd_calls):
+def test_lift_stays_within_budget(rank, linalg):
     rel = random_relation(N, N, rank=rank, rng=5)
-    svd_calls.clear()
+    linalg.clear()
     lift(rel)
-    assert len(svd_calls) <= LIFT_SVD_BUDGET, svd_calls
+    assert len(linalg.svd) <= LIFT_SVD_BUDGET, linalg
 
 
 @pytest.mark.parametrize("rank", list(LIFT_GRAM_CHECKS))
@@ -197,12 +223,19 @@ def test_flips_are_the_hand_built_signed_stacks(make):
 
 
 @pytest.mark.parametrize("rank", [N // 2, N, 3 * N // 2])
-def test_triplet_builders_factor_nothing(rank, svd_calls):
+def test_triplet_builders_factor_nothing(rank, linalg):
     bundle = lift(random_relation(N, N, rank=rank, rng=5))
-    svd_calls.clear()
+    linalg.clear()
     trips = [build(bundle) for build in (triplet_main, triplet_basic, triplet_tilde)]
-    assert svd_calls == []
+    assert linalg.svd == []
 
+    # a lifted Gamma0 and Gamma1 are co-isometries: each kernel takes at
+    # most one QR of its map's live block, and no SVD
+    for trip in trips:
+        linalg.clear()
+        trip.ker_gamma0, trip.ker_gamma1
+        assert linalg.svd == [], (trip.kind, linalg)
+        assert len(linalg.named("qr")) <= 2, (trip.kind, linalg)
     targets = {
         "main": (bundle.H, bundle.K),
         "basic": (bundle.S_F, bundle.S_K),
@@ -218,26 +251,8 @@ def test_triplet_builders_factor_nothing(rank, svd_calls):
     assert [t.ker_gamma0_is_friedrichs for t in trips] == [h_is_sf, True, True]
 
 
-FACTORIZATIONS = ("svd", "eigh", "eigvalsh", "eig", "solve", "inv", "qr")
-
-
-@pytest.fixture
-def linalg_calls(monkeypatch):
-    calls = []
-    for name in FACTORIZATIONS:
-        real = getattr(np.linalg, name)
-
-        def counted(*args, _name=name, _real=real, **kwargs):
-            calls.append((_name, np.shape(args[0])))
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
-
-
 @pytest.mark.parametrize("dom_dim", [N, 5])
-def test_lower_bound_reads_the_whitened_form(dom_dim, linalg_calls,
-                                             monkeypatch):
+def test_lower_bound_reads_the_whitened_form(dom_dim, linalg, monkeypatch):
     # the SVD of the domain block and one eigvalsh of Re B, single-valued
     # (dom_dim = N) or not; _symmetry's bracket factors nothing, and there
     # is no operator part and no second factorization of mul R
@@ -247,10 +262,10 @@ def test_lower_bound_reads_the_whitened_form(dom_dim, linalg_calls,
     monkeypatch.setattr(relation, "operator_part", refused)
     monkeypatch.setattr(relation, "_mul", refused)
     rel = random_selfadjoint_relation(N, rng=0, dom_dim=dom_dim)
-    linalg_calls.clear()
+    linalg.clear()
     assert np.isfinite(relation.lower_bound(rel))
-    assert linalg_calls == [("svd", (N, N)),
-                            ("eigvalsh", (dom_dim, dom_dim))], linalg_calls
+    assert linalg.factorizations == [("svd", (N, N)),
+                                     ("eigvalsh", (dom_dim, dom_dim))], linalg
 
 
 def _live_width(trip, bundle):
@@ -277,36 +292,36 @@ def _set_up(trip, bundle):
 
 @pytest.mark.parametrize("rank", [N // 2, N, 3 * N // 2])
 @pytest.mark.parametrize("build", [triplet_main, triplet_basic, triplet_tilde])
-def test_weyl_factors_gamma0_once_per_triplet(build, rank, linalg_calls):
+def test_weyl_factors_gamma0_once_per_triplet(build, rank, linalg):
     # at most one QR on the first call, of Gamma0's live block only, and no
     # SVD or eigh: a lifted Gamma0 is a co-isometry, and a lifted
     # ker Gamma0 is extremal, so M(lambda) is a Laurent polynomial.  Then
     # each lambda costs sums only, whatever cfg weyl is given
     bundle = lift(random_relation(N, N, rank=rank, rng=5))
     trip = build(bundle)
-    linalg_calls.clear()
+    linalg.clear()
     weyl(trip, -1.0)
-    assert linalg_calls == _set_up(trip, bundle), linalg_calls
+    assert linalg.factorizations == _set_up(trip, bundle), linalg
     if trip.kind == "main":
-        assert linalg_calls == []
+        assert linalg.factorizations == []
     elif not trip.is_degenerate:
         assert _live_width(trip, bundle) < trip.gamma0.shape[1]
         # basic and tilde have a kernel in the live block at rank N/2
-        assert len(linalg_calls) == (rank == N // 2)
+        assert len(linalg.factorizations) == (rank == N // 2)
     later = (
         lambda: weyl(trip, 1j),
         lambda: gamma_field(trip, -0.5),
         lambda: weyl(trip, 2.0, ToleranceConfig(rank_tol=1e-12)),
     )
     for call in later:
-        linalg_calls.clear()
+        linalg.clear()
         call()
-        assert linalg_calls == []
+        assert linalg.factorizations == []
 
 
 @pytest.mark.parametrize("rank", [N // 2, N, 3 * N // 2])
 @pytest.mark.parametrize("build", [triplet_main, triplet_tilde])
-def test_swapped_triplets_still_rotate(build, rank, svd_calls, linalg_calls):
+def test_swapped_triplets_still_rotate(build, rank, linalg):
     # ker Gamma0 of the swapped main and tilde triplets is K, whose
     # nonzero eigenvalues make it not extremal.  No eigh or eig runs at
     # all, and each lambda after the set-up solves the n x n pencil
@@ -315,55 +330,38 @@ def test_swapped_triplets_still_rotate(build, rank, svd_calls, linalg_calls):
     # swapped Gamma0 is the co-isometric Gamma1, so the set-up is a QR.
     trip = swapped(build(lift(random_relation(N, N, rank=rank, rng=5))))
     n = trip.star.n1
-    linalg_calls.clear()
+    linalg.clear()
     weyl(trip, -1.0)
-    assert [name for name, _ in linalg_calls] == ["qr", "svd", "solve"], (
-        linalg_calls)
+    assert [name for name, _ in linalg.factorizations] == [
+        "qr", "svd", "solve"], linalg
     later = (
         lambda: weyl(trip, 1j),
         lambda: gamma_field(trip, -0.5),
         lambda: weyl(trip, 2.0, ToleranceConfig(rank_tol=1e-12)),
     )
     for call in later:
-        svd_calls.clear()
-        linalg_calls.clear()
+        linalg.clear()
         call()
-        assert linalg_calls == [("svd", (n, n)), ("solve", (n, n))], (
-            linalg_calls)
-        assert svd_calls == [((n, n), False)], svd_calls
-
-
-@pytest.fixture
-def every_linalg_call(monkeypatch):
-    calls = []
-    for name in np.linalg.__all__:
-        real = getattr(np.linalg, name)
-        if not callable(real) or isinstance(real, type):
-            continue
-
-        def counted(*args, _name=name, _real=real, **kwargs):
-            calls.append(_name)
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
+        assert linalg.factorizations == [("svd", (n, n)),
+                                         ("solve", (n, n))], linalg
+        assert linalg.svd == [((n, n), False)], linalg
 
 
 @pytest.mark.parametrize("rank", [N // 2, N, 3 * N // 2])
-def test_main_set_up_calls_no_linalg(rank, every_linalg_call):
+def test_main_set_up_calls_no_linalg(rank, linalg):
     # the main triplet's live block is a square co-isometry: Q1 = A^H and
     # no kernel beyond the dead axes, so nothing is factored or inverted
     trip = triplet_main(lift(random_relation(N, N, rank=rank, rng=5)))
-    every_linalg_call.clear()
+    linalg.clear()
     assert isinstance(trip.resolvent_blocks, tuple)
-    assert every_linalg_call == []
+    assert linalg == []
 
 
 @pytest.mark.parametrize("du, dv, factored", [
     (3, 3, True), (2, 5, True), (5, 2, True), (0, 4, False), (4, 0, False),
     (0, 0, False),
 ])
-def test_relate_factors_once(du, dv, factored, svd_calls):
+def test_relate_factors_once(du, dv, factored, linalg):
     # one values-only SVD of the smaller space's residual against the
     # larger (either one at equal dimension); an empty space needs none
     rng = np.random.default_rng(9)
@@ -373,10 +371,10 @@ def test_relate_factors_once(du, dv, factored, svd_calls):
         return span(raw, N)
 
     u, v = space(du), space(dv)
-    svd_calls.clear()
+    linalg.clear()
     relate(u, v)
-    assert svd_calls == ([((N, min(du, dv)), False)] if factored else []), (
-        svd_calls)
+    assert linalg.svd == ([((N, min(du, dv)), False)] if factored else []), (
+        linalg)
 
 
 @pytest.mark.parametrize("build, rank, coordinates", [
@@ -388,7 +386,7 @@ def test_relate_factors_once(du, dv, factored, svd_calls):
         "swapped_basic"])
 def test_laurent_route_does_not_depend_on_coordinates(build, rank,
                                                       coordinates, rng,
-                                                      every_linalg_call):
+                                                      linalg):
     # the route is chosen by dom ker Gamma0 perp ran ker Gamma0, which a
     # unitary change of graph coordinates keeps: the mixed kernels of
     # basic and tilde (S_F) and swapped basic's S_K are extremal, so
@@ -402,9 +400,9 @@ def test_laurent_route_does_not_depend_on_coordinates(build, rank,
         lambda: weyl(trip, 1e3, ToleranceConfig(rank_tol=1e-12)),
     )
     for call in later:
-        every_linalg_call.clear()
+        linalg.clear()
         call()
-        assert every_linalg_call == []
+        assert linalg == []
 
 
 # {W c : M c = 0} needs the factorizations that find M and its nullspace,
@@ -426,11 +424,11 @@ def _build_sub_relation(name, bundle):
 
 @pytest.mark.parametrize("name", list(SUB_RELATION_BUDGETS))
 @pytest.mark.parametrize("rank", [N // 2, N, 3 * N // 2])
-def test_sub_relation_builders_factor_no_product(name, rank, svd_calls):
+def test_sub_relation_builders_factor_no_product(name, rank, linalg):
     build = _build_sub_relation(name, lift(random_relation(N, N, rank=rank, rng=5)))
-    svd_calls.clear()
+    linalg.clear()
     rel = build()
-    assert len(svd_calls) <= SUB_RELATION_BUDGETS[name], svd_calls
+    assert len(linalg.svd) <= SUB_RELATION_BUDGETS[name], linalg
     basis = rel.graph.basis
     gram_err = np.abs(basis.conj().T @ basis - np.eye(rel.dim))
     assert np.max(gram_err, initial=0.0) < 1e-12
@@ -447,8 +445,7 @@ EXTENSION_CASES = [
 
 @pytest.mark.parametrize("fresh", [False, True], ids=["set-up-paid", "fresh"])
 @pytest.mark.parametrize("build, rank", EXTENSION_CASES)
-def test_krein_extension_solves_once(build, rank, fresh, svd_calls,
-                                     linalg_calls):
+def test_krein_extension_solves_once(build, rank, fresh, linalg):
     # Krein's formula on the cached blocks: one g x g solve, and on a fresh
     # triplet the set-up's QR (if any) before it.  The selfadjointness
     # test of theta is a Frobenius bracket, and nothing runs an SVD
@@ -457,20 +454,46 @@ def test_krein_extension_solves_once(build, rank, fresh, svd_calls,
     theta = random_selfadjoint_relation(trip.g, rng=3)
     if not fresh:
         weyl(trip, -1.0)
-    svd_calls.clear()
-    linalg_calls.clear()
+    linalg.clear()
     ext = extension_from_boundary(trip, theta)
     g = trip.g
     set_up = _set_up(trip, bundle) if fresh else []
-    assert linalg_calls == [*set_up, ("solve", (g, g))], linalg_calls
-    assert svd_calls == [], svd_calls
+    assert linalg.factorizations == [*set_up, ("solve", (g, g))], linalg
+    assert linalg.svd == [], linalg
     basis = ext.graph.basis
     gram_err = np.abs(basis.conj().T @ basis - np.eye(ext.dim))
     assert np.max(gram_err, initial=0.0) < 1e-12
 
 
+@pytest.mark.parametrize("build, rank", EXTENSION_CASES)
+def test_gamma0_is_factored_once_per_triplet(build, rank, linalg):
+    # ker_gamma0, the Weyl set-up and Krein's formula read one cached
+    # split of Gamma0: at most the one QR of its live block, and no SVD
+    bundle = lift(random_relation(N, N, rank=rank, rng=5))
+    trip = build(bundle)
+    theta = random_selfadjoint_relation(trip.g, rng=3)
+    linalg.clear()
+    trip.ker_gamma0
+    weyl(trip, -1.0)
+    extension_from_boundary(trip, theta)
+    assert linalg.named("qr", "svd") == _set_up(trip, bundle), linalg
+
+
+@pytest.mark.parametrize("live_block", ["2I", "unitary+1e-9"])
+def test_gamma0_off_the_coisometry_is_factored_once(live_block, rng, linalg):
+    # a hand-built Gamma0 that fails the co-isometry test takes one SVD of
+    # its live block, shared by ker_gamma0 and the Weyl set-up
+    trip = off_coisometry(triplet_main(lift(random_relation(N, N, rank=N // 2,
+                                                            rng=5))),
+                          live_block, rng)
+    linalg.clear()
+    trip.ker_gamma0
+    weyl(trip, -1.0)
+    assert linalg.svd == [((trip.g, trip.g), True)], linalg
+
+
 @pytest.mark.parametrize("build", [triplet_main, triplet_tilde])
-def test_krein_extension_on_a_pencil_kernel(build, svd_calls, linalg_calls):
+def test_krein_extension_on_a_pencil_kernel(build, linalg):
     # ker Gamma0 = K of the swapped main and tilde triplets is not
     # extremal: besides the g x g solve, one values-only SVD and one solve
     # of the n x n pencil at +i, whose right-hand side also yields
@@ -478,14 +501,13 @@ def test_krein_extension_on_a_pencil_kernel(build, svd_calls, linalg_calls):
     trip = swapped(build(lift(random_relation(N, N, rank=N // 2, rng=5))))
     theta = random_selfadjoint_relation(trip.g, rng=3)
     weyl(trip, -1.0)
-    svd_calls.clear()
-    linalg_calls.clear()
+    linalg.clear()
     extension_from_boundary(trip, theta)
     g, n = trip.g, trip.star.n1
     pencil = [("svd", (n, n)), ("solve", (n, n))]
-    assert linalg_calls == [*pencil, *pencil, ("solve", (g, g))], (
-        linalg_calls)
-    assert all(not uv for _, uv in svd_calls), svd_calls
+    assert linalg.factorizations == [*pencil, *pencil, ("solve", (g, g))], (
+        linalg)
+    assert all(not uv for _, uv in linalg.svd), linalg
 
 
 # row and column are images of their entries' graph coefficients, and meet
@@ -517,11 +539,11 @@ def _build_calculus(name, h1, h2):
 
 @pytest.mark.parametrize("name", list(CALCULUS_BUDGETS))
 @pytest.mark.parametrize("h1, h2", [(N, N), (3, 5)])
-def test_block_calculus_forms_no_complement(name, h1, h2, svd_calls):
+def test_block_calculus_forms_no_complement(name, h1, h2, linalg):
     build = _build_calculus(name, h1, h2)
-    svd_calls.clear()
+    linalg.clear()
     space = build()
-    assert len(svd_calls) <= CALCULUS_BUDGETS[name], svd_calls
+    assert len(linalg.svd) <= CALCULUS_BUDGETS[name], linalg
     assert space.dim >= 1
     gram_err = np.abs(space.basis.conj().T @ space.basis - np.eye(space.dim))
     assert np.max(gram_err) < 1e-12

@@ -99,14 +99,16 @@ def _live_columns(mat: np.ndarray,
 
 
 class _MapSplit(NamedTuple):
-    """Gamma split at its kernel: for A = Gamma[:, live], pinv = A^+, rank
-    is A's numerical rank and null an orthonormal basis N of ker A, so
-    Q0 = [E_dead, E_live N] is an orthonormal basis of ker Gamma."""
+    """Gamma split at its kernel: for A = Gamma[:, live], rank is A's
+    numerical rank and null an orthonormal basis N of ker A, so
+    Q0 = [E_dead, E_live N] is an orthonormal basis of ker Gamma.  pinv is
+    A^+, or None for a co-isometry, whose A^+ = A^H is formed where it is
+    read and never kept."""
 
     dead: slice | np.ndarray
     live: slice | np.ndarray
     null: np.ndarray
-    pinv: np.ndarray
+    pinv: np.ndarray | None
     rank: int
 
     def times_kernel(self, mat: np.ndarray) -> np.ndarray:
@@ -120,10 +122,11 @@ def _split_map(gamma: np.ndarray, length: int, rank_tol: float) -> _MapSplit:
     Dead (exactly zero) columns are kernel axes as they stand.  Every
     lifted Gamma0 and Gamma1 is a co-isometry: A A^H = I within
     _higham_gamma(length) entrywise, for the length 2n of the star's graph
-    columns (lifted maps miss it by at most n eps).  Then A^+ = A^H, A has
-    rank g, and N is the last k columns of one complete QR of A^H,
-    g x (g + k), or empty with no factorization when k = 0.  Any other A
-    takes one SVD, which the rank rule reads; an empty one needs none.
+    columns (lifted maps miss it by at most n eps).  Then A^+ = A^H (not
+    stored), A has rank g, and N is the last k columns of one complete QR
+    of A^H, g x (g + k), or empty with no factorization when k = 0.  Any
+    other A takes one SVD, which the rank rule reads; an empty one needs
+    none.
     """
     dead, live = _live_columns(gamma)
     a = gamma[:, live]
@@ -134,7 +137,7 @@ def _split_map(gamma: np.ndarray, length: int, rank_tol: float) -> _MapSplit:
         # a copy, not a view that would keep all of the width x width Q
         null = (np.linalg.qr(a.conj().T, mode="complete")[0][:, g:].copy()
                 if width > g else np.zeros((width, 0), dtype=complex))
-        return _MapSplit(dead, live, null, a.conj().T, g)
+        return _MapSplit(dead, live, null, None, g)
     # the kernel needs all of V^H: only a wide A needs full_matrices for it
     u, s, vh = (np.linalg.svd(a, full_matrices=g < width) if a.size else
                 (a, np.zeros(0), np.eye(width, dtype=complex)))
@@ -283,6 +286,8 @@ class BoundaryTriplet:
                 "Gamma0 is not surjective with an n-dimensional kernel"
             )
         w, live, pinv = self.star.graph.basis, split.live, split.pinv
+        if pinv is None:
+            pinv = self.gamma0[:, live].conj().T
         w_q0 = split.times_kernel(w)
         return _KernelSplit(
             w_q0[:n], w_q0[n:], w[:n, live] @ pinv, w[n:, live] @ pinv,

@@ -414,12 +414,54 @@ def cmd_weyl(args: argparse.Namespace, cfg: ToleranceConfig) -> int:
     return 0
 
 
+def _theta_in_boundary_basis(trip: BoundaryTriplet,
+                             spec: LoadedSpec) -> LinearRelation:
+    """theta in the coordinates of trip's boundary basis B_now.
+
+    A theta spec without a coordinates entry is read in B_now as it
+    stands.  One with it names the triplet kind and the basis B_file it
+    was written against; each must match (kind, shape, Gram test, span
+    EQUAL to B_now by relate), or InputFormatError says which does not.
+    Then U = B_now^H B_file is a g x g unitary, and theta's graph basis
+    [X; Y] becomes [U X; U Y].
+    """
+    theta = spec.relation
+    if spec.coordinates is None:
+        return theta
+    kind, raw = spec.coordinates
+    where = f"{spec.path}: coordinates"
+    if kind != trip.kind:
+        raise InputFormatError(
+            f"{where} are for the {kind!r} triplet, not {trip.kind!r}"
+        )
+    space = trip.boundary
+    if raw.shape != (space.ambient_dim, theta.n1):
+        raise InputFormatError(
+            f"{where}.basis has shape {raw.shape}, expected "
+            f"({space.ambient_dim}, {theta.n1})"
+        )
+    try:
+        b_file = Subspace(space.ambient_dim, raw)
+    except ValueError as exc:
+        raise InputFormatError(f"{where}.basis: {exc}") from exc
+    res = relate(b_file, space, trip.cfg)
+    if res.verdict is not Verdict.EQUAL:
+        raise InputFormatError(
+            f"{where}.basis does not span the current {kind} boundary "
+            f"space (verdict {res.verdict.value}, angle {res.angle:.3e})"
+        )
+    u = space.basis.conj().T @ b_file.basis
+    graph = np.vstack([u @ theta.domain_block, u @ theta.range_block])
+    return LinearRelation(theta.n1, theta.n2,
+                          Subspace(theta.graph.ambient_dim, graph))
+
+
 def cmd_extend(args: argparse.Namespace, cfg: ToleranceConfig) -> int:
     spec = load_relation_spec(args.spec, cfg)
     theta_spec = load_relation_spec(args.theta, cfg)
-    theta = theta_spec.relation
     bundle = lift(spec.relation, cfg)
     trip = _TRIPLET_BUILDERS[args.triplet](bundle)
+    theta = _theta_in_boundary_basis(trip, theta_spec)
     a_theta = extension_from_boundary(trip, theta)
     symmetry = _symmetry_echo(a_theta, cfg)
     extremal = margin = None
@@ -636,7 +678,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--theta",
         required=True,
         help="boundary parameter spec file (JSON relation in the "
-        "parameter space)",
+        "parameter space, optionally with the coordinates it was written in)",
     )
     p = command("semibound-demo", cmd_semibound_demo,
                 "lower bounds of the scalar extension family, as CSV")

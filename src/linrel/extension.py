@@ -11,11 +11,16 @@ intersection S0, the intermediate symmetric extension S~, and the
 boundary-parameter space G0 = mul R* (+) ker R* that parametrizes the
 nonnegative selfadjoint extensions.
 
-All members are built from their closed product/graph forms: each graph
-basis is a stack of the checked bases of R, R*, dom R, ran R, mul R*,
-ker R* and identities on disjoint rows of C^{2n}, so it needs no Gram
-test of its own (subspace._stack); R* and G~ are signed swaps of the
-checked G and op R* (subspace._signed_swap), untested too.  lift checks
+lift factors three times: one SVD of R's graph basis gives
+G = (graph R)^perp, one of the domain block F gives dom R and
+mul R* = (dom R)^perp as the two halves of its U, and one of the range
+block gives ran R and ker R* the same way; op R* splits the lift's own
+mul R* off R* by one QR (relation._operator_part_off).  All members are
+built from their closed product/graph forms: each graph basis is a stack
+of the checked bases of R, R*, dom R, ran R, mul R*, ker R* and
+identities on disjoint rows of C^{2n}, so it needs no Gram test of its
+own (subspace._stack); R* and G~ are signed swaps of the checked G and
+op R* (subspace._signed_swap), untested too.  lift checks
 the closed-form S* against adjoint(S) by a Gram-norm angle, with no
 second factorization and, unless the check fails or the Frobenius
 bracket of subspace._sine_below cannot decide it, no SVD; the generic
@@ -37,12 +42,12 @@ from .relation import (
     SymmetryReport,
     _adjoint_from_complement,
     _mul,
+    _operator_part_off,
     _sub_relation,
     adjoint,
     classify,
     componentwise_sum,
     from_product,
-    operator_part,
     relation_equal,
     resolvent,
 )
@@ -53,6 +58,7 @@ from .subspace import (
     _signed_swap,
     _sine_angle,
     _sine_below,
+    _span_and_complement,
     _stack,
     complement,
     oplus,
@@ -80,12 +86,13 @@ class LiftBundle:
     """R together with its lift and every distinguished extension.
 
     Relations S .. S_tilde_star act in H1 (+) H2 = C^{n1+n2}; G, G0 and
-    G_tilde are subspaces of that sum space.  G0 and G_tilde carry the
-    fixed bases produced by the deterministic factorization order here, so
-    boundary-parameter matrices are reproducible across runs.  A theta
-    for extend is read in the coordinates of the G, G0 or G_tilde basis
-    that the extensions command prints, so changing how any of the three
-    is factored changes what a saved theta means: a breaking change.
+    G_tilde are subspaces of that sum space.  Their bases come from
+    deterministic factorizations, so boundary-parameter matrices are
+    reproducible across runs of one version; a change in how lift
+    factors moves them within the same spans.  A theta file that carries
+    the basis it was written against (its coordinates entry) is mapped
+    into the current one by extend, so it keeps its meaning; one without
+    it is read in the current basis.
 
     cfg is the ToleranceConfig given to lift.  Every function that takes
     a bundle, and every boundary triplet built from one, decides its
@@ -156,12 +163,10 @@ def lift(rel: LinearRelation,
     g_space = complement(rel.graph, cfg)
     r_star = _adjoint_from_complement(rel, g_space)
 
-    dom_r = span(rel.domain_block, n1, cfg)
-    ran_r = span(rel.range_block, n2, cfg)
-    # mul R* = (dom R)^perp and ker R* = (ran R)^perp; taking complements
-    # keeps the bases exactly orthogonal to dom R / ran R.
-    mul_r_star = complement(dom_r, cfg)
-    ker_r_star = complement(ran_r, cfg)
+    # mul R* = (dom R)^perp and ker R* = (ran R)^perp: one SVD of each
+    # block gives both halves of its U
+    dom_r, mul_r_star = _span_and_complement(rel.domain_block, cfg)
+    ran_r, ker_r_star = _span_and_complement(rel.range_block, cfg)
 
     def lifted(*blocks) -> LinearRelation:
         return LinearRelation(n, n, _stack(2 * n, blocks))
@@ -197,8 +202,9 @@ def lift(rel: LinearRelation,
 
     g0_space = oplus(mul_r_star, ker_r_star)
 
-    # G~ = J graph(op R*), J(f, g) = (g, -f)
-    r_star_op = operator_part(r_star, cfg)
+    # G~ = J graph(op R*), J(f, g) = (g, -f); op R* splits off the
+    # mul R* found above
+    r_star_op = _operator_part_off(r_star, mul_r_star)
     g_tilde = _signed_swap(r_star_op.graph, n2, "head")
 
     return LiftBundle(

@@ -118,24 +118,38 @@ def weyl_definitional(trip: BoundaryTriplet, lam: complex) -> np.ndarray:
 
     lambda is a spectral point (SpectrumError) when it is an eigenvalue of
     ker Gamma0 by boundary.weyl's rule, here on _kernel_pencil_values:
-    the n x n pencil has numerical rank below n.  So is it when the
-    defect space does not have dimension g or Gamma0 has a kernel on it.
+    the n x n pencil has numerical rank below n.  A Gamma0 that is not
+    surjective (rank g by the rank rule, whose values are 1 on every
+    lifted map) or a star whose dimension is not n + g has no Weyl
+    function at any lambda.
+
+    Otherwise Gamma0 is invertible on N_lambda, with no verdict of its
+    own: let A0 = ker Gamma0, of dimension d - g = n, with graph basis
+    [F0; G0].  An invertible G0 - lambda F0 leaves no nonzero (f, lambda f)
+    in A0, so A0 and N_lambda meet in {0}; and for (f, f') in the star, c
+    with (G0 - lambda F0) c = f' - lambda f makes (f, f') - [F0; G0] c an
+    element of N_lambda.  So the star is A0 (+) N_lambda, dim N_lambda =
+    d - n = g, and Gamma0 maps N_lambda into C^g with kernel
+    A0 meet N_lambda = {0}: a bijection.  The defect coefficients are then
+    the last g right singular vectors of the n x d pencil W_G - lambda W_F,
+    with no rank rule: the rule on Gamma0 N_lambda or on that pencil
+    decides at |lambda| = rank_tol (1 + 1e-6) by less than eps.
     """
+    rank_tol = trip.cfg.rank_tol
+    n, g = trip.star.n1, trip.g
+    rank = (_rank(np.linalg.svd(trip.gamma0, compute_uv=False), rank_tol)
+            if trip.gamma0.size else 0)
+    if trip.star.dim != n + g or rank < g:
+        raise SpectrumError(
+            "Gamma0 is not surjective with an n-dimensional kernel"
+        )
     s = _kernel_pencil_values(trip, lam)
-    if _rank(s, trip.cfg.rank_tol) < s.size:
+    if _rank(s, rank_tol) < s.size:
         raise SpectrumError(f"lambda = {lam} is an eigenvalue of ker Gamma0")
-    ns = defect_coefficients(trip, lam)
-    if ns.shape[1] != trip.g:
-        raise SpectrumError(
-            f"defect space at lambda = {lam} has dimension {ns.shape[1]}, "
-            f"expected {trip.g}"
-        )
-    a0 = trip.gamma0 @ ns
-    if _svd_nullspace(a0, trip.cfg.rank_tol).shape[1]:
-        raise SpectrumError(
-            f"Gamma0 is not invertible on the defect space at lambda = {lam}"
-        )
-    return (trip.gamma1 @ ns) @ np.linalg.inv(a0)
+    w = trip.star.graph.basis
+    vh = np.linalg.svd(w[n:] - lam * w[:n], full_matrices=True)[2]
+    ns = vh[n:].conj().T
+    return (trip.gamma1 @ ns) @ np.linalg.inv(trip.gamma0 @ ns)
 
 
 def extension_definitional(trip: BoundaryTriplet,

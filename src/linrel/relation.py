@@ -22,7 +22,6 @@ from .subspace import (
     RelateResult,
     Subspace,
     _numerical_rank,
-    _residual,
     _signed_swap,
     _sine_below,
     _subspace_where,
@@ -222,18 +221,31 @@ def inverse(rel: LinearRelation) -> LinearRelation:
 
 def operator_part(rel: LinearRelation,
                   cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> LinearRelation:
-    """Single-valued part: project the range components off mul(R).
+    """Single-valued part: the graph with {0} x mul(R) split off.
 
-    The graph of the operator part is the orthogonal complement of
-    {0} x mul(R) inside the graph, so one projection of the graph basis
-    followed by a re-span does it.  Only mul R is factored, not the
-    other parts.
+    Only mul R is factored, not the other parts; _operator_part_off does
+    the rest with one QR.
     """
-    mul = _mul(rel, cfg)
-    if mul.dim == 0:
+    return _operator_part_off(rel, _mul(rel, cfg))
+
+
+def _operator_part_off(rel: LinearRelation, mul: Subspace) -> LinearRelation:
+    """The operator part of rel, given mul R as a subspace of C^{n2}.
+
+    Its graph is the orthogonal complement of {0} x mul R inside the
+    graph.  With W = [F; G] the graph basis and M the basis of mul R,
+    [0; M] lies in the graph, so [0; M] = W C for C = W^H [0; M] = G^H M,
+    and C has orthonormal columns because W and [0; M] do.  The last
+    d - m columns of one complete QR of the d x m block C then span the
+    complement of C in C^d, and W times them is an orthonormal basis of
+    the operator part's graph: no rank rule, and no SVD.
+    """
+    m = mul.dim
+    if m == 0:
         return rel
-    projected = _residual(rel.graph, oplus(Subspace.zero(rel.n1), mul))
-    basis = orthonormal_columns(projected, cfg.rank_tol)
+    c = rel.range_block.conj().T @ mul.basis
+    tail = np.linalg.qr(c, mode="complete")[0][:, m:]
+    basis = rel.graph.basis @ tail
     return LinearRelation(rel.n1, rel.n2, Subspace(rel.n1 + rel.n2, basis))
 
 

@@ -12,6 +12,12 @@ bit-stable.  Three input modes are supported:
 A graph_basis that is not orthonormal is re-orthonormalized and the
 event is recorded on the loaded spec; verification commands treat it as
 a failure, analysis commands only flag it.
+
+A boundary parameter (theta) spec may carry an optional coordinates
+entry, {"triplet": <kind>, "basis": <matrix>}: the triplet kind and the
+orthonormal boundary basis, as the extensions command prints it under
+boundary_spaces, that theta's rows and columns refer to.  It is parsed
+here and checked against the current triplet by the extend command.
 """
 
 from __future__ import annotations
@@ -137,6 +143,7 @@ class LoadedSpec:
     path: str
     was_orthonormalized: bool
     echo: dict
+    coordinates: tuple[str, np.ndarray] | None = None
 
 
 def _require_positive_int(raw: dict, key: str, path: str) -> int:
@@ -228,6 +235,11 @@ def load_relation_spec(
         "label": label,
         "matrices": {key: encode_matrix(mat) for key, mat in decoded.items()},
     }
+    coordinates = None
+    if "coordinates" in raw:
+        coordinates = _coordinates(raw["coordinates"], path)
+        echo["coordinates"] = {"triplet": coordinates[0],
+                               "basis": encode_matrix(coordinates[1])}
     return LoadedSpec(
         relation=rel,
         mode=mode,
@@ -235,7 +247,19 @@ def load_relation_spec(
         path=path,
         was_orthonormalized=was_orthonormalized,
         echo=echo,
+        coordinates=coordinates,
     )
+
+
+def _coordinates(obj: Any, path: str) -> tuple[str, np.ndarray]:
+    """The (triplet kind, basis matrix) of a coordinates entry."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("triplet"), str):
+        raise InputFormatError(
+            f"{path}: field 'coordinates' must be an object with a string "
+            "'triplet' and a 'basis' matrix"
+        )
+    return obj["triplet"], decode_matrix(obj.get("basis"),
+                                         f"{path}: coordinates.basis")
 
 
 def dump_report(report: dict) -> str:

@@ -218,6 +218,21 @@ def span(vectors, ambient_dim: int | None = None,
     return Subspace(mat.shape[0], orthonormal_columns(mat, cfg.rank_tol))
 
 
+def _span_and_complement(mat: np.ndarray, cfg: ToleranceConfig
+                         ) -> tuple[Subspace, Subspace]:
+    """The column span of an n-row mat and its orthogonal complement in
+    C^n, from one SVD mat = U S V^H of rank r: U[:, :r] and U[:, r:].
+    Only a tall mat needs the full U for the complement; a square or wide
+    one has a thin U that is already n x n.
+    """
+    n, k = mat.shape
+    if k == 0:
+        return Subspace.zero(n), Subspace.full(n)
+    u, s, _ = np.linalg.svd(mat, full_matrices=n > k)
+    r = _numerical_rank(s, cfg.rank_tol)
+    return Subspace(n, u[:, :r]), Subspace(n, u[:, r:])
+
+
 def complement(u: Subspace,
                cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Subspace:
     """Orthogonal complement of u in its ambient space."""

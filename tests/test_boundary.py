@@ -31,6 +31,7 @@ from linrel.config import DEFAULT_TOLERANCES, ToleranceConfig
 from linrel.errors import DimensionMismatch, PreconditionViolated, SpectrumError
 from linrel.extension import lift
 from linrel.oracle import (
+    _kernel_pencil_values,
     defect_coefficients,
     extension_definitional,
     random_relation,
@@ -553,6 +554,44 @@ def test_weyl_and_definitional_share_the_spectral_rule(build, spec, lam):
         scale = float(np.abs(want).max(initial=0.0))
         np.testing.assert_allclose(m, want, rtol=0,
                                    atol=10 * EPS / abs(lam) * scale)
+
+
+def _pencil_allows(trip, lam):
+    """The shared rule on the oracle's kernel pencil: full rank n."""
+    s = _kernel_pencil_values(trip, lam)
+    kept = np.count_nonzero(s > RANK_TOL * max(float(s[0]), 1.0))
+    return int(kept) == s.size
+
+
+@pytest.mark.parametrize("build", [triplet_main, triplet_basic, triplet_tilde])
+@pytest.mark.parametrize("spec", sorted(DATA.glob("*.json")),
+                         ids=lambda path: path.stem)
+@pytest.mark.parametrize("lam", [
+    RANK_TOL * (1 - 1e-6), RANK_TOL * (1 + 1e-6),
+    -RANK_TOL * (1 - 1e-6), -RANK_TOL * (1 + 1e-6),
+], ids=["+below", "+above", "-below", "-above"])
+def test_definitional_verdict_survives_new_coordinates(build, spec, lam, rng):
+    # next to |lambda| = rank_tol, Gamma0 restricted to N_lambda has a
+    # singular value of about |lambda|, and a rank rule on it decides by
+    # less than eps; the oracle takes its verdict from the pencil alone.
+    # So on the triplet, its swap and both in mixed coordinates it
+    # answers exactly when the pencil rule allows lambda.  Where ker Gamma0
+    # is extremal the pencil's values are exact, and mixed coordinates keep
+    # the verdict and boundary.weyl's; a swapped main or tilde kernel (K)
+    # is not extremal, and its computed |lambda| is as close to rank_tol
+    # as its round-off, so only the first claim is made there
+    trip = build(lift(load_relation_spec(str(spec)).relation))
+    for t in (trip, swapped(trip)):
+        mixed = mixed_coordinates(t, rng)
+        allows = [_pencil_allows(u, lam) for u in (t, mixed)]
+        for u, allowed in zip((t, mixed), allows):
+            got = _weyl_or_spectral(weyl_definitional, u, lam)
+            assert (got is not None) == allowed, (t.kind, lam)
+        if isinstance(t.resolvent_blocks, _LaurentBlocks):
+            assert allows[0] == allows[1], (t.kind, lam)
+            for u in (t, mixed):
+                assert (_weyl_or_spectral(weyl, u, lam) is not None) == (
+                    allows[0]), (t.kind, lam)
 
 
 # the default grid crosses |lambda| = rank_tol next to 0 (no disk around

@@ -9,10 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from linrel import boundary, cli
+from linrel import boundary, cli, relation
 from linrel.cli import main
 from linrel.config import ToleranceConfig
 from linrel.errors import InputFormatError
+from linrel.extension import lift
+from linrel.oracle import random_relation, random_selfadjoint_relation
 from linrel.relation import LinearRelation, numerical_radius, relation_equal
 from linrel.specio import (
     decode_matrix,
@@ -21,9 +23,16 @@ from linrel.specio import (
     encode_matrix,
     load_relation_spec,
 )
-from linrel.subspace import Subspace, Verdict
+from linrel.subspace import (
+    Subspace,
+    Verdict,
+    complement,
+    oplus,
+    orthonormal_columns,
+    span,
+)
 
-from conftest import swapped
+from conftest import CFG, swapped
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -442,6 +451,146 @@ class TestExtend:
         code = main(["extend", halfline_spec, "--theta", theta_spec])
         assert code == 2
         assert "dimension" in capsys.readouterr().err
+
+
+def _parent_boundary_basis(bundle, kind):
+    """The boundary basis of kind as a lift that factored every part on
+    its own printed it: G = (graph R)^perp; G0 from span and complement
+    of each block of R; G~ the flip of R*'s graph projected off
+    {0} x mul R* and re-spanned."""
+    rel = bundle.R
+    if kind == "main":
+        return complement(rel.graph).basis
+    if kind == "basic":
+        return oplus(complement(span(rel.domain_block, rel.n1)),
+                     complement(span(rel.range_block, rel.n2))).basis
+    r_star = bundle.R_star
+    n2 = r_star.n1
+    mul = relation._mul(r_star, CFG).basis
+    lifted = np.vstack([np.zeros((n2, mul.shape[1])), mul])
+    w = r_star.graph.basis
+    op = orthonormal_columns(w - lifted @ (lifted.conj().T @ w), CFG.rank_tol)
+    return np.vstack([op[n2:], -op[:n2]])
+
+
+def _triplet_on(bundle, kind, basis):
+    """The lift's triplet of kind with its boundary maps taken in basis."""
+    space = Subspace(basis.shape[0], basis)
+    if kind == "basic":
+        star = bundle.S0_star
+        n, ph = star.n1, basis.conj().T
+        w = star.graph.basis
+        return boundary.BoundaryTriplet(kind, star, space, ph @ w[:n],
+                                        ph @ w[n:], bundle.S_F, bundle.cfg)
+    star = bundle.S_star if kind == "main" else bundle.S_tilde_star
+    return boundary._flip_triplet(kind, star, space, bundle)
+
+
+def _theta_payload(theta, coordinates=None):
+    payload = {"mode": "graph_basis", "n1": theta.n1, "n2": theta.n2,
+               "matrices": {"basis": encode_matrix(theta.graph.basis)}}
+    if coordinates is not None:
+        payload["coordinates"] = coordinates
+    return payload
+
+
+def _generated_spec(tmp_path):
+    rel = random_relation(4, 4, rank=2, rng=11)
+    return write_spec(tmp_path / "generated.json", {
+        "mode": "graph_basis", "n1": 4, "n2": 4,
+        "matrices": {"basis": encode_matrix(rel.graph.basis)},
+    })
+
+
+class TestThetaCoordinates:
+    """A theta file that carries the basis it was written in means the
+    same A_theta whatever basis the current lift factors."""
+
+    @pytest.mark.parametrize("kind", ["main", "basic", "tilde"])
+    @pytest.mark.parametrize("source", ["halfline_embed", "generated"])
+    def test_parent_basis_theta_keeps_its_extension(self, source, kind,
+                                                    tmp_path, capsys):
+        spec = (str(DATA / "halfline_embed.json") if source == "halfline_embed"
+                else _generated_spec(tmp_path))
+        bundle = lift(load_relation_spec(spec).relation)
+        old = _parent_boundary_basis(bundle, kind)
+        g = old.shape[1]
+        # a multivalued part too, so theta is not a multiple of I
+        theta = random_selfadjoint_relation(g, rng=4, dom_dim=g - 1)
+        path = write_spec(tmp_path / "theta.json", _theta_payload(
+            theta, {"triplet": kind, "basis": encode_matrix(old)}))
+        code = main(["extend", spec, "--theta", path, "--triplet", kind])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        ext = report["extension"]
+        got = LinearRelation(ext["n1"], ext["n2"], Subspace(
+            2 * ext["n1"], decode_matrix(ext["graph_basis"], "extension")))
+        want = boundary.extension_from_boundary(
+            _triplet_on(bundle, kind, old), theta)
+        res = relation_equal(got, want)
+        assert res.verdict is Verdict.EQUAL, (res.verdict, res.angle)
+        assert report["theta"]["spec"]["coordinates"]["triplet"] == kind
+
+    def test_theta_minus_one_needs_no_coordinates(self, tmp_path, capsys):
+        # -I is fixed by every unitary change of basis
+        halfline = str(DATA / "halfline_embed.json")
+        bundle = lift(load_relation_spec(halfline).relation)
+        theta = load_relation_spec(str(DATA / "theta_minus_one.json")).relation
+        reports = []
+        for coordinates in (None, {"triplet": "basic", "basis": encode_matrix(
+                _parent_boundary_basis(bundle, "basic"))}):
+            path = write_spec(tmp_path / "theta.json",
+                              _theta_payload(theta, coordinates))
+            assert main(["extend", halfline, "--theta", path,
+                         "--triplet", "basic"]) == 0
+            ext = json.loads(capsys.readouterr().out)["extension"]
+            reports.append(LinearRelation(ext["n1"], ext["n2"], Subspace(
+                2 * ext["n1"], decode_matrix(ext["graph_basis"], "ext"))))
+        assert relation_equal(*reports).verdict is Verdict.EQUAL
+
+    @pytest.mark.parametrize("defect, message", [
+        ("kind", "'main' triplet"),
+        ("span", "does not span"),
+        ("gram", "not orthonormal"),
+        ("shape", "shape"),
+    ])
+    def test_mismatched_coordinates_exit_2(self, defect, message, tmp_path,
+                                           capsys):
+        halfline = str(DATA / "halfline_embed.json")
+        bundle = lift(load_relation_spec(halfline).relation)
+        basis = bundle.G0.basis
+        kind = "basic"
+        if defect == "kind":
+            kind = "main"
+        elif defect == "span":
+            # turn the first column into a direction of G0's complement
+            other = complement(bundle.G0).basis[:, :1]
+            basis = np.hstack([other, basis[:, 1:]])
+        elif defect == "gram":
+            basis = 2.0 * basis
+        else:
+            basis = basis[:-1]
+        theta = load_relation_spec(str(DATA / "theta_minus_one.json")).relation
+        path = write_spec(tmp_path / "theta.json", _theta_payload(
+            theta, {"triplet": kind, "basis": encode_matrix(basis)}))
+        code = main(["extend", halfline, "--theta", path,
+                     "--triplet", "basic"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and message in err, err
+
+    @pytest.mark.parametrize("entry", [
+        [], {"basis": [[[1.0, 0.0]]]}, {"triplet": 1, "basis": [[[1.0, 0.0]]]},
+        {"triplet": "basic"}, {"triplet": "basic", "basis": [[1.0]]},
+    ], ids=["list", "no-triplet", "int-triplet", "no-basis", "bare-number"])
+    def test_malformed_coordinates_exit_2(self, entry, tmp_path, capsys):
+        theta = load_relation_spec(str(DATA / "theta_minus_one.json")).relation
+        path = write_spec(tmp_path / "theta.json",
+                          _theta_payload(theta, entry))
+        code = main(["extend", str(DATA / "halfline_embed.json"), "--theta",
+                     path, "--triplet", "basic"])
+        assert code == 2
+        assert "coordinates" in capsys.readouterr().err
 
 
 class TestSemiboundDemo:

@@ -330,6 +330,39 @@ def test_paper_characterizations_on_random_lifts(seed, n1, n2):
     assert classify(a_l, bundle.cfg).dom_perp_ran
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n1=st.integers(1, 7),
+    n2=st.integers(1, 7),
+    selfadjoint=st.booleans(),
+)
+def test_one_svd_splits_each_block_into_span_and_complement(seed, n1, n2,
+                                                            selfadjoint):
+    # dom R and mul R* = (dom R)^perp are the two halves of one SVD's U of
+    # the domain block, and ran R and ker R* of the range block: each pair
+    # is orthogonal to round-off and together they fill the whole space.
+    # A selfadjoint relation with a multivalued part has a domain block of
+    # rank below its width
+    rng = np.random.default_rng(seed)
+    if selfadjoint:
+        rel = random_selfadjoint_relation(n1, rng=rng)
+    else:
+        rel = random_relation(n1, n2, rng=rng)
+    bundle = lift(rel)
+    eps = np.finfo(float).eps
+    for part, perp, block in (
+        (bundle.dom_R, bundle.mul_R_star, rel.domain_block),
+        (bundle.ran_R, bundle.ker_R_star, rel.range_block),
+    ):
+        n = part.ambient_dim
+        assert part.dim + perp.dim == n
+        whole = np.hstack([part.basis, perp.basis])
+        dev = np.abs(whole.conj().T @ whole - np.eye(n)).max()
+        assert dev <= 10 * eps * n, dev
+        assert_subspace_equal(part, span(block, n))
+
+
 class TestNamedExamples:
     def test_scalar_graph(self):
         # R = graph of 1 in C x C: everything is explicit.  R is densely

@@ -3,11 +3,12 @@ function, the Krein-formula extension, the sub-relation builders and the
 block calculus, at a fixed seed.
 
 One fixture records every numpy.linalg call, so a change that re-forms
-an adjoint inside lift, factors the triplet kernels eagerly, or
-re-orthonormalizes a graph basis times a nullspace basis fails here, not
-only in the benchmark.  Gram tests of Subspace bases are counted too, so
-a change that routes one of lift's stacked or swapped bases back through
-the Gram product fails here as well.  Verdict-only angles (classify's
+an adjoint inside lift, factors a block of R apart from its complement,
+factors the triplet kernels eagerly, or re-orthonormalizes a graph basis
+times a nullspace basis fails here, not only in the benchmark.  Gram
+tests of Subspace bases are counted too, so a change that routes one of
+lift's stacked or swapped bases back through the Gram product fails here
+as well.  Verdict-only angles (classify's
 symmetry, lift's S* check, theta's selfadjointness test) are Frobenius
 brackets that factor nothing away from angle_tol, and relate factors one
 containment angle at most.  Every boundary map is split by one routine
@@ -30,7 +31,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from linrel import relation, subspace
+from linrel import extension, relation, subspace
 from linrel.blockcalc import Block2x2, block, column, row
 from linrel.boundary import (
     extension_from_boundary,
@@ -57,14 +58,15 @@ from conftest import (
 DATA = Path(__file__).resolve().parents[1] / "data"
 
 N = 8
-# the S* self-check is a Frobenius bracket, not an SVD
-LIFT_SVD_BUDGET = 8
+# one SVD for G, one for dom R and mul R*, one for ran R and ker R*; the
+# S* self-check is a Frobenius bracket, not an SVD, and op R* is one QR
+LIFT_SVD_BUDGET = 3
 # Gram checks per lift, by rank: the bases lift factors (G, dom R, ran R,
-# mul R*, ker R*, and for G~ the multivalued and operator parts of R*).
-# At ranks N and 3N/2, mul R* = ker R* = {0} take no check and R* is its
-# own operator part, hence 7/3/3.  R* and G~ are signed swaps of G and of
-# op R*, and the lifted relations are stacks: none takes a Gram product.
-LIFT_GRAM_CHECKS = {N // 2: 7, N: 3, 3 * N // 2: 3}
+# mul R*, ker R*, and for G~ the operator part of R*).  At ranks N and
+# 3N/2, mul R* = ker R* = {0} take no check and R* is its own operator
+# part, hence 6/3/3.  R* and G~ are signed swaps of G and of op R*, and
+# the lifted relations are stacks: none takes a Gram product.
+LIFT_GRAM_CHECKS = {N // 2: 6, N: 3, 3 * N // 2: 3}
 # adjoint factors the complement of the graph and flips it; inverse only
 # swaps the graph's components
 RELATION_GRAM_CHECKS = {"adjoint": 1, "inverse": 0}
@@ -170,8 +172,13 @@ def test_numerical_radius_factors_once_at_any_angle_grid(linalg,
 def test_lift_stays_within_budget(rank, linalg):
     rel = random_relation(N, N, rank=rank, rng=5)
     linalg.clear()
-    lift(rel)
+    bundle = lift(rel)
     assert len(linalg.svd) <= LIFT_SVD_BUDGET, linalg
+    # the one QR is op R*'s, of the dim R* x dim mul R* block, and only
+    # when mul R* != {0}
+    mul = bundle.mul_R_star.dim
+    want_qr = [("qr", (bundle.R_star.dim, mul))] if mul else []
+    assert linalg.named("qr") == want_qr, linalg
 
 
 @pytest.mark.parametrize("rank", list(LIFT_GRAM_CHECKS))
@@ -217,9 +224,30 @@ def test_flips_are_the_hand_built_signed_stacks(make):
                       np.vstack([-g[n1:], g[:n1]]))
     assert _same_bits(relation.inverse(rel).graph.basis,
                       np.vstack([rel.range_block, rel.domain_block]))
-    op = relation.operator_part(bundle.R_star)
+    op = relation._operator_part_off(bundle.R_star, bundle.mul_R_star)
     assert _same_bits(bundle.G_tilde.basis,
                       np.vstack([op.range_block, -op.domain_block]))
+
+
+def test_lift_and_operator_part_share_the_op_part_route(monkeypatch):
+    # lift's G~ splits its own mul R* off R*, operator_part the mul R of
+    # _mul: the same private helper, and no other route to an operator part
+    calls = []
+    real = relation._operator_part_off
+    assert extension._operator_part_off is real
+
+    def counted(rel, mul):
+        calls.append(mul)
+        return real(rel, mul)
+
+    monkeypatch.setattr(relation, "_operator_part_off", counted)
+    monkeypatch.setattr(extension, "_operator_part_off", counted)
+    bundle = lift(random_relation(N, N, rank=N // 2, rng=5))
+    assert len(calls) == 1 and calls[0] is bundle.mul_R_star
+    calls.clear()
+    op = relation.operator_part(bundle.R_star)
+    assert len(calls) == 1
+    assert_relation_equal(op, real(bundle.R_star, bundle.mul_R_star))
 
 
 @pytest.mark.parametrize("rank", [N // 2, N, 3 * N // 2])

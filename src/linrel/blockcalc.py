@@ -136,12 +136,12 @@ def check_adjoint_inclusion(b: Block2x2,
     the inclusion does, and a correct implementation must never produce a
     verdict where the inclusion fails.
     """
-    lhs = adjoint(block(b, cfg), cfg)
+    lhs = adjoint(block(b, cfg))
     transposed_adjoints = Block2x2(
-        e11=adjoint(b.e11, cfg),
-        e12=adjoint(b.e21, cfg),
-        e21=adjoint(b.e12, cfg),
-        e22=adjoint(b.e22, cfg),
+        e11=adjoint(b.e11),
+        e12=adjoint(b.e21),
+        e21=adjoint(b.e12),
+        e22=adjoint(b.e22),
     )
     rhs = block(transposed_adjoints, cfg)
     result = relate(rhs.graph, lhs.graph, cfg)
@@ -154,14 +154,14 @@ def check_adjoint_inclusion(b: Block2x2,
 def check_row_adjoint(c: LinearRelation, d: LinearRelation,
                       cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> RelateResult:
     """(C ; D)^* against col(C^*; D^*): equality is expected."""
-    lhs = adjoint(row(c, d, cfg), cfg)
-    rhs = column(adjoint(c, cfg), adjoint(d, cfg), cfg)
+    lhs = adjoint(row(c, d, cfg))
+    rhs = column(adjoint(c), adjoint(d), cfg)
     return relate(lhs.graph, rhs.graph, cfg)
 
 
 def check_column_adjoint(a: LinearRelation, b: LinearRelation,
                          cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> RelateResult:
     """Row(A^*; B^*) against col(A; B)^*: inclusion is expected."""
-    lhs = row(adjoint(a, cfg), adjoint(b, cfg), cfg)
-    rhs = adjoint(column(a, b, cfg), cfg)
+    lhs = row(adjoint(a), adjoint(b), cfg)
+    rhs = adjoint(column(a, b, cfg))
     return relate(lhs.graph, rhs.graph, cfg)

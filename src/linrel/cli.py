@@ -219,7 +219,7 @@ def cmd_analyze(args: argparse.Namespace, cfg: ToleranceConfig) -> int:
             "mul": encode_subspace(p.mul),
         },
         "symmetry": _symmetry_echo(rel, cfg),
-        "adjoint": encode_relation(adjoint(rel, cfg)),
+        "adjoint": encode_relation(adjoint(rel)),
     })
     return 0
 
@@ -537,13 +537,13 @@ def cmd_semibound_demo(args: argparse.Namespace,
 def _verify_checks(spec: LoadedSpec, cfg: ToleranceConfig,
                    seed: int) -> list[dict]:
     rel = spec.relation
-    adj = adjoint(rel, cfg)
+    adj = adjoint(rel)
     r_o = relation_equal(adj, adjoint_definitional(rel, cfg), cfg)
-    r_i = relation_equal(adjoint(adj, cfg), rel, cfg)
+    r_i = relation_equal(adjoint(adj), rel, cfg)
     p = parts(rel, cfg)
     p_adj = parts(adj, cfg)
-    a_mul = relate(p_adj.mul, complement(p.dom, cfg), cfg)
-    a_ker = relate(p_adj.ker, complement(p.ran, cfg), cfg)
+    a_mul = relate(p_adj.mul, complement(p.dom), cfg)
+    a_ker = relate(p_adj.ker, complement(p.ran), cfg)
     bundle = lift(rel, cfg)
     r_f, r_k = _extreme_closed_forms(bundle)
     checks = [

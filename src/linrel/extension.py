@@ -11,8 +11,9 @@ intersection S0, the intermediate symmetric extension S~, and the
 boundary-parameter space G0 = mul R* (+) ker R* that parametrizes the
 nonnegative selfadjoint extensions.
 
-lift factors three times: one SVD of R's graph basis gives
-G = (graph R)^perp, one of the domain block F gives dom R and
+lift takes two SVDs and at most two QRs: one complete QR of the graph
+basis of R gives G = (graph R)^perp with no rank to decide
+(subspace.complement), one SVD of the domain block F gives dom R and
 mul R* = (dom R)^perp as the two halves of its U, and one of the range
 block gives ran R and ker R* the same way; op R* splits the lift's own
 mul R* off R* by one QR (relation._operator_part_off).  All members are
@@ -20,10 +21,12 @@ built from their closed product/graph forms: each graph basis is a stack
 of the checked bases of R, R*, dom R, ran R, mul R*, ker R* and
 identities on disjoint rows of C^{2n}, so it needs no Gram test of its
 own (subspace._stack); R* and G~ are signed swaps of the checked G and
-op R* (subspace._signed_swap), untested too.  lift checks
-the closed-form S* against adjoint(S) by a Gram-norm angle, with no
-second factorization and, unless the check fails or the Frobenius
-bracket of subspace._sine_below cannot decide it, no SVD; the generic
+op R* (subspace._signed_swap), untested too.  lift builds S*, G, G0 and
+G~; the other lifted relations are built on their first read.  lift
+checks the closed-form S* against adjoint(S) by a Gram-norm angle on
+its one nonzero block R*^H J graph R, with no second factorization and,
+unless the check fails or the Frobenius bracket of
+subspace._sine_below cannot decide it, no SVD; the generic
 Friedrichs/Krein routes stay independent of the closed forms so tests
 can compare them.
 """
@@ -31,7 +34,9 @@ can compare them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,6 +86,46 @@ __all__ = [
 ]
 
 
+class _LiftBlocks(NamedTuple):
+    """The (part, rows) blocks that the lifted relations' graphs stack.
+
+    Rows are ranges of H1 (+) H2 (+) H1 (+) H2 = C^{2n}, named h1, h2,
+    k1, k2 in that order; each lifted relation is a 2 x 2 block
+    arrangement of these parts, stacked by subspace._stack.
+    """
+
+    graph_r: tuple       # graph R split: its F rows on h1, its G rows on k2
+    graph_r_star: tuple  # graph R*, pairs (h2, k1): the adjacent rows at once
+    all_h1: tuple
+    all_k2: tuple
+    dom_r: tuple         # on h1
+    ran_r: tuple         # on k2
+    mul_r_star: tuple    # on k1
+    ker_r_star: tuple    # on h2
+
+    @classmethod
+    def of(cls, rel: LinearRelation, r_star: LinearRelation, dom_r: Subspace,
+           ran_r: Subspace, mul_r_star: Subspace,
+           ker_r_star: Subspace) -> "_LiftBlocks":
+        n1, n = rel.n1, rel.n1 + rel.n2
+        h1, h2, k1, k2 = (0, n1), (n1, n), (n, n + n1), (n + n1, 2 * n)
+        return cls(
+            graph_r=(rel.graph, [h1, k2]),
+            graph_r_star=(r_star.graph, [(n1, n + n1)]),
+            all_h1=(Subspace.full(n1), [h1]),
+            all_k2=(Subspace.full(rel.n2), [k2]),
+            dom_r=(dom_r, [h1]),
+            ran_r=(ran_r, [k2]),
+            mul_r_star=(mul_r_star, [k1]),
+            ker_r_star=(ker_r_star, [h2]),
+        )
+
+
+def _lifted(n: int, *blocks: tuple) -> LinearRelation:
+    """The relation in C^n whose graph stacks the given blocks."""
+    return LinearRelation(n, n, _stack(2 * n, blocks))
+
+
 @dataclass(eq=False)
 class LiftBundle:
     """R together with its lift and every distinguished extension.
@@ -94,6 +139,10 @@ class LiftBundle:
     into the current one by extend, so it keeps its meaning; one without
     it is read in the current basis.
 
+    S*, G, G0 and G~ are built by lift; S, H, K, S_F, S_K, S0, S0*, S~
+    and S~* on their first read, each the same stack of the same parts
+    whenever it is read.
+
     cfg is the ToleranceConfig given to lift.  Every function that takes
     a bundle, and every boundary triplet built from one, decides its
     verdicts with it; none of them takes a tolerance of its own.
@@ -105,20 +154,12 @@ class LiftBundle:
     ran_R: Subspace
     mul_R_star: Subspace
     ker_R_star: Subspace
-    S: LinearRelation
     S_star: LinearRelation
-    H: LinearRelation
-    K: LinearRelation
-    S_F: LinearRelation
-    S_K: LinearRelation
-    S0: LinearRelation
-    S0_star: LinearRelation
-    S_tilde: LinearRelation
-    S_tilde_star: LinearRelation
     G: Subspace
     G0: Subspace
     G_tilde: Subspace
     cfg: ToleranceConfig
+    _blocks: _LiftBlocks = field(repr=False)
 
     @property
     def n1(self) -> int:
@@ -132,80 +173,112 @@ class LiftBundle:
     def n(self) -> int:
         return self.R.n1 + self.R.n2
 
+    @cached_property
+    def S(self) -> LinearRelation:
+        return _lifted(self.n, self._blocks.graph_r)
 
-def _adjoint_sines(t: LinearRelation, sym: LinearRelation) -> np.ndarray:
+    @cached_property
+    def H(self) -> LinearRelation:
+        b = self._blocks
+        return _lifted(self.n, b.all_h1, b.all_k2)
+
+    @cached_property
+    def K(self) -> LinearRelation:
+        b = self._blocks
+        return _lifted(self.n, b.graph_r, b.graph_r_star)
+
+    @cached_property
+    def S_F(self) -> LinearRelation:
+        b = self._blocks
+        return _lifted(self.n, b.dom_r, b.mul_r_star, b.all_k2)
+
+    @cached_property
+    def S_K(self) -> LinearRelation:
+        b = self._blocks
+        return _lifted(self.n, b.all_h1, b.ker_r_star, b.ran_r)
+
+    @cached_property
+    def S0(self) -> LinearRelation:
+        b = self._blocks
+        return _lifted(self.n, b.dom_r, b.ran_r)
+
+    @cached_property
+    def S0_star(self) -> LinearRelation:
+        b = self._blocks
+        return _lifted(self.n, b.all_h1, b.ker_r_star, b.mul_r_star, b.all_k2)
+
+    @cached_property
+    def S_tilde(self) -> LinearRelation:
+        b = self._blocks
+        return _lifted(self.n, b.graph_r, b.mul_r_star)
+
+    @cached_property
+    def S_tilde_star(self) -> LinearRelation:
+        b = self._blocks
+        return _lifted(self.n, b.dom_r, b.graph_r_star, b.all_k2)
+
+    # (S_F + 1)^{-1} and (S_K + 1)^{-1}, which every Krein-order margin
+    # on this bundle compares against
+    @cached_property
+    def _friedrichs_resolvent(self) -> np.ndarray:
+        return resolvent(self.S_F, -1.0, self.cfg)
+
+    @cached_property
+    def _krein_resolvent(self) -> np.ndarray:
+        return resolvent(self.S_K, -1.0, self.cfg)
+
+
+def _adjoint_sines(t: LinearRelation, rel: LinearRelation) -> np.ndarray:
     """A matrix whose spectral norm is the sine of the largest principal
-    angle between t and adjoint(sym), for square sym.
+    angle between t and adjoint(rel).
 
-    adjoint(sym) is the orthogonal complement of J sym, J(h, k) = (k, -h).
-    So when dim t + dim sym = 2n, t equals adjoint(sym) iff it is
-    orthogonal to J sym, and the matrix is t^H J sym; otherwise that angle
+    adjoint(rel) is the orthogonal complement of J rel, J(h, k) = (k, -h).
+    So when dim t + dim rel = n1 + n2, t equals adjoint(rel) iff it is
+    orthogonal to J rel, and the matrix is t^H J rel; otherwise that angle
     is pi/2, and the matrix is [[1]].
     """
-    n = sym.n1
-    if t.dim + sym.dim != 2 * n:
+    if t.dim + rel.dim != rel.n1 + rel.n2:
         return np.ones((1, 1))
-    j_sym = _signed_swap(sym.graph, n, "head")
-    return t.graph.basis.conj().T @ j_sym.basis
+    j_rel = _signed_swap(rel.graph, rel.n1, "head")
+    return t.graph.basis.conj().T @ j_rel.basis
 
 
-def _adjoint_angle(t: LinearRelation, sym: LinearRelation) -> float:
-    """Largest principal angle between t and adjoint(sym), for square sym."""
-    return _sine_angle(_adjoint_sines(t, sym))
+def _adjoint_angle(t: LinearRelation, rel: LinearRelation) -> float:
+    """Largest principal angle between t and adjoint(rel)."""
+    return _sine_angle(_adjoint_sines(t, rel))
 
 
 def lift(rel: LinearRelation,
          cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> LiftBundle:
     """Build the lift S of R and the full extension inventory around it."""
-    n1, n2 = rel.n1, rel.n2
-    n = n1 + n2
-    # G = (graph R)^perp is also the flipped graph of R*: one factorization
-    g_space = complement(rel.graph, cfg)
+    n = rel.n1 + rel.n2
+    # G = (graph R)^perp is also the flipped graph of R*: one QR
+    g_space = complement(rel.graph)
     r_star = _adjoint_from_complement(rel, g_space)
+
+    # the closed-form S* is adjoint(S) iff R* is adjoint(R): J graph S is
+    # [0; G; -F; 0] on the rows h1, h2, k1, k2, S* stacks identities on h1
+    # and k2, where J S is zero, and graph R* on h2 and k1, so S*^H J S is
+    # zero but for R*^H J graph R.  A verdict: the angle is factored only
+    # to word the error
+    if not _sine_below(_adjoint_sines(r_star, rel), cfg.angle_tol):
+        raise ArithmeticError(
+            "closed-form S* disagrees with adjoint(S): angle "
+            f"{_adjoint_angle(r_star, rel):.3e}"
+        )
 
     # mul R* = (dom R)^perp and ker R* = (ran R)^perp: one SVD of each
     # block gives both halves of its U
     dom_r, mul_r_star = _span_and_complement(rel.domain_block, cfg)
     ran_r, ker_r_star = _span_and_complement(rel.range_block, cfg)
-
-    def lifted(*blocks) -> LinearRelation:
-        return LinearRelation(n, n, _stack(2 * n, blocks))
-
-    # rows of the four components of H1 (+) H2 (+) H1 (+) H2 = C^{2n}; each
-    # relation below is a 2 x 2 block arrangement of parts on these rows
-    h1, h2, k1, k2 = (0, n1), (n1, n), (n, n + n1), (n + n1, 2 * n)
-    # graph R*, whose pairs are (h2, k1), fills the adjacent rows h2 and k1
-    # as one block; only graph R is split, its F rows on h1, its G rows on k2
-    s_block = (rel.graph, [h1, k2])
-    r_star_block = (r_star.graph, [(n1, n + n1)])
-    all_h1 = (Subspace.full(n1), [h1])
-    all_k2 = (Subspace.full(n2), [k2])
-
-    s_rel = lifted(s_block)
-    s_star = lifted(all_h1, r_star_block, all_k2)
-
-    # a verdict: the angle is factored only to word the error
-    if not _sine_below(_adjoint_sines(s_star, s_rel), cfg.angle_tol):
-        raise ArithmeticError(
-            "closed-form S* disagrees with adjoint(S): angle "
-            f"{_adjoint_angle(s_star, s_rel):.3e}"
-        )
-
-    h_rel = lifted(all_h1, all_k2)
-    k_rel = lifted(s_block, r_star_block)
-    s_f = lifted((dom_r, [h1]), (mul_r_star, [k1]), all_k2)
-    s_k = lifted(all_h1, (ker_r_star, [h2]), (ran_r, [k2]))
-    s0 = lifted((dom_r, [h1]), (ran_r, [k2]))
-    s0_star = lifted(all_h1, (ker_r_star, [h2]), (mul_r_star, [k1]), all_k2)
-    s_tilde = lifted(s_block, (mul_r_star, [k1]))
-    s_tilde_star = lifted((dom_r, [h1]), r_star_block, all_k2)
-
+    blocks = _LiftBlocks.of(rel, r_star, dom_r, ran_r, mul_r_star, ker_r_star)
+    s_star = _lifted(n, blocks.all_h1, blocks.graph_r_star, blocks.all_k2)
     g0_space = oplus(mul_r_star, ker_r_star)
 
     # G~ = J graph(op R*), J(f, g) = (g, -f); op R* splits off the
     # mul R* found above
     r_star_op = _operator_part_off(r_star, mul_r_star)
-    g_tilde = _signed_swap(r_star_op.graph, n2, "head")
+    g_tilde = _signed_swap(r_star_op.graph, rel.n2, "head")
 
     return LiftBundle(
         R=rel,
@@ -214,27 +287,19 @@ def lift(rel: LinearRelation,
         ran_R=ran_r,
         mul_R_star=mul_r_star,
         ker_R_star=ker_r_star,
-        S=s_rel,
         S_star=s_star,
-        H=h_rel,
-        K=k_rel,
-        S_F=s_f,
-        S_K=s_k,
-        S0=s0,
-        S0_star=s0_star,
-        S_tilde=s_tilde,
-        S_tilde_star=s_tilde_star,
         G=g_space,
         G0=g0_space,
         G_tilde=g_tilde,
         cfg=cfg,
+        _blocks=blocks,
     )
 
 
 def _restrict_star(sym: LinearRelation, window: Subspace, side: str,
                    cfg: ToleranceConfig) -> LinearRelation:
     """Members of sym* whose chosen component lies in the window subspace."""
-    star = adjoint(sym, cfg)
+    star = adjoint(sym)
     block = star.domain_block if side == "dom" else star.range_block
     residual = block - window.basis @ (window.basis.conj().T @ block)
     return _sub_relation(star, residual, cfg)
@@ -333,13 +398,14 @@ def krein_order_margin(a: LinearRelation, bundle: LiftBundle) -> float:
 
     so both differences must be PSD.  Returns the smallest eigenvalue of
     their Hermitian parts (>= psd_floor means the order holds); A's
-    selfadjointness is decided by classify's angle rule beforehand.
+    selfadjointness is decided by classify's angle rule beforehand.  The
+    bundle keeps the resolvents of S_F and S_K, so a call solves only
+    A's pencil.
     """
     _require_nonneg_selfadjoint_extension(a, bundle)
-    cfg = bundle.cfg
-    res_f = resolvent(bundle.S_F, -1.0, cfg)
-    res_a = resolvent(a, -1.0, cfg)
-    res_k = resolvent(bundle.S_K, -1.0, cfg)
+    res_f = bundle._friedrichs_resolvent
+    res_a = resolvent(a, -1.0, bundle.cfg)
+    res_k = bundle._krein_resolvent
     margin = math.inf
     for diff in (res_a - res_f, res_k - res_a):
         if not diff.size:
@@ -362,7 +428,7 @@ def extremal_family(bundle: LiftBundle, l_space: Subspace) -> LinearRelation:
         )
     if not bundle.G0.dim:
         return bundle.S_F  # S0 is selfadjoint, so S_F = S_K = S0
-    theta = from_product(l_space, complement(l_space, bundle.cfg))
+    theta = from_product(l_space, complement(l_space))
     a = nonneg_extension(bundle, theta)
     if not is_extremal(a, bundle):
         raise ArithmeticError("product-form parameter produced a non-extremal extension")
@@ -374,7 +440,7 @@ def _decomposition_results(
 ) -> tuple[RelateResult, RelateResult, RelateResult]:
     """S* vs H +^ K, S0* vs S_F +^ S_K, and S0* vs its closed form."""
     cfg = bundle.cfg
-    s0_adj = adjoint(bundle.S0, cfg)
+    s0_adj = adjoint(bundle.S0)
     sum_hk = componentwise_sum(bundle.H, bundle.K, cfg)
     sum_fk = componentwise_sum(bundle.S_F, bundle.S_K, cfg)
     return (

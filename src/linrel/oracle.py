@@ -166,7 +166,7 @@ def extension_definitional(trip: BoundaryTriplet,
             f"theta acts on C^{theta.n1} x C^{theta.n2}, parameter space "
             f"has dimension {trip.g}"
         )
-    constraint = complement(theta.graph, cfg).basis.conj().T @ np.vstack(
+    constraint = complement(theta.graph).basis.conj().T @ np.vstack(
         [trip.gamma0, trip.gamma1]
     )
     return _sub_relation(trip.star, constraint, cfg)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -116,7 +117,6 @@ class RelationParts:
     mul: Subspace
 
 
-@dataclass(frozen=True)
 class SymmetryReport:
     """Symmetry-class verdicts of a relation.
 
@@ -125,12 +125,51 @@ class SymmetryReport:
     relations the booleans are False and dom_perp_ran is None.  The lower
     bound and the numerical radius are not verdicts; lower_bound and
     numerical_radius compute them.
+
+    is_nonnegative is the one verdict that needs a factorization, so it
+    is decided on its first read and cached: the report holds the
+    cross-Gram matrix F^H G of a symmetric relation (None otherwise)
+    until then, and drops it after.  == and repr see the four verdicts.
     """
 
-    is_symmetric: bool
-    is_selfadjoint: bool
-    is_nonnegative: bool
-    dom_perp_ran: bool | None
+    def __init__(self, is_symmetric: bool, is_selfadjoint: bool,
+                 dom_perp_ran: bool | None, cross: np.ndarray | None = None,
+                 psd_floor: float = 0.0) -> None:
+        self.is_symmetric = is_symmetric
+        self.is_selfadjoint = is_selfadjoint
+        self.dom_perp_ran = dom_perp_ran
+        self._cross = cross
+        self._psd_floor = psd_floor
+
+    @cached_property
+    def is_nonnegative(self) -> bool:
+        """The Hermitian part of F^H G is PSD down to psd_floor."""
+        cross, self._cross = self._cross, None
+        if cross is None:
+            return False
+        eig_floor = 0.0
+        if cross.size:
+            herm = (cross + cross.conj().T) / 2.0
+            eig_floor = float(np.linalg.eigvalsh(herm)[0])
+        return eig_floor >= self._psd_floor
+
+    def _verdicts(self) -> tuple:
+        return (self.is_symmetric, self.is_selfadjoint, self.is_nonnegative,
+                self.dom_perp_ran)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SymmetryReport):
+            return NotImplemented
+        return self._verdicts() == other._verdicts()
+
+    def __hash__(self) -> int:
+        return hash(self._verdicts())
+
+    def __repr__(self) -> str:
+        names = ("is_symmetric", "is_selfadjoint", "is_nonnegative",
+                 "dom_perp_ran")
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(names, self._verdicts()))
+        return f"SymmetryReport({fields})"
 
 
 def from_operator(mat,
@@ -196,16 +235,16 @@ def _mul(rel: LinearRelation, cfg: ToleranceConfig) -> Subspace:
     return span(rel.range_block @ coeffs, rel.n2, cfg)
 
 
-def adjoint(rel: LinearRelation,
-            cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> LinearRelation:
+def adjoint(rel: LinearRelation) -> LinearRelation:
     """Adjoint relation, computed through the flip-flop complement.
 
     The orthogonal complement of the graph equals the flipped adjoint
     graph: (h, k) is in R* exactly when (k, -h) is orthogonal to R.  One
-    factorization of the graph basis produces the whole adjoint; the
-    definitional route lives in the oracle module as a cross-check.
+    QR of the graph basis produces the whole adjoint, with no rank to
+    decide (complement); the definitional route lives in the oracle
+    module as a cross-check.
     """
-    return _adjoint_from_complement(rel, complement(rel.graph, cfg))
+    return _adjoint_from_complement(rel, complement(rel.graph))
 
 
 def _adjoint_from_complement(rel: LinearRelation,
@@ -356,7 +395,8 @@ def classify(rel: LinearRelation,
 
     R is symmetric by the angle rule of _symmetry, and selfadjoint when
     it is also true that dim R = n (then dim R* = dim R).  Nonnegativity
-    (PSD Hermitian part of F^H G) is decided only when R is symmetric.
+    (PSD Hermitian part of F^H G) is decided only when R is symmetric,
+    and only when the report's is_nonnegative is first read.
     The dom-perp-ran test is exact: the numerical range collapses to {0}
     precisely when F^H G vanishes (complex polarization), which is also
     the condition for the domain and range spans to be orthogonal.  A
@@ -364,21 +404,14 @@ def classify(rel: LinearRelation,
     """
     sym = _symmetry(rel, cfg)
     if sym is None:
-        return SymmetryReport(False, False, False, None)
+        return SymmetryReport(False, False, None)
     cross, is_symmetric = sym
-    dom_perp_ran = _dom_perp_ran(cross, cfg.rank_tol)
-    is_nonnegative = False
-    if is_symmetric:
-        eig_floor = 0.0
-        if cross.size:
-            herm = (cross + cross.conj().T) / 2.0
-            eig_floor = float(np.linalg.eigvalsh(herm)[0])
-        is_nonnegative = eig_floor >= cfg.psd_floor
     return SymmetryReport(
         is_symmetric=is_symmetric,
         is_selfadjoint=is_symmetric and rel.dim == rel.n1,
-        is_nonnegative=is_nonnegative,
-        dom_perp_ran=dom_perp_ran,
+        dom_perp_ran=_dom_perp_ran(cross, cfg.rank_tol),
+        cross=cross if is_symmetric else None,
+        psd_floor=cfg.psd_floor,
     )
 
 

@@ -233,11 +233,16 @@ def _span_and_complement(mat: np.ndarray, cfg: ToleranceConfig
     return Subspace(n, u[:, :r]), Subspace(n, u[:, r:])
 
 
-def complement(u: Subspace,
-               cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Subspace:
-    """Orthogonal complement of u in its ambient space."""
-    basis = nullspace_columns(u.basis.conj().T, cfg.rank_tol)
-    return Subspace(u.ambient_dim, basis)
+def complement(u: Subspace) -> Subspace:
+    """Orthogonal complement of u in its ambient space.
+
+    u's basis W passed the Gram test, so its singular values are 1 to
+    within 1e-5 and no rank is left to decide: the last d - r columns of
+    one complete QR of the d x r matrix W span W^perp.  They are copied
+    out of the d x d factor, and the copy takes the Gram test.
+    """
+    q = np.linalg.qr(u.basis, mode="complete")[0]
+    return Subspace(u.ambient_dim, q[:, u.dim :].copy())
 
 
 def join(u: Subspace, v: Subspace,

@@ -2,6 +2,7 @@
 its distinguished selfadjoint extensions, and the extremal family."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,10 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linrel import extension, subspace
+from linrel.boundary import (
+    extension_from_boundary,
+    triplet_basic,
+    triplet_main,
+    triplet_tilde,
+    weyl,
+)
 from linrel.config import ToleranceConfig
 from linrel.errors import DimensionMismatch, PreconditionViolated
 from linrel.extension import (
     _adjoint_angle,
+    _adjoint_sines,
     extremal_family,
     friedrichs_generic,
     is_extremal,
@@ -135,6 +144,79 @@ class TestStackedBases:
         assert not np.any(k[n + n1 :, bundle.R.dim :])
 
 
+def _closed_forms(bundle):
+    """The (part, rows) blocks of every lifted relation, written out."""
+    n1, n = bundle.n1, bundle.n
+    h1, h2, k1, k2 = (0, n1), (n1, n), (n, n + n1), (n + n1, 2 * n)
+    graph_r = (bundle.R.graph, [h1, k2])
+    r_star = (bundle.R_star.graph, [(n1, n + n1)])
+    all_h1 = (Subspace.full(n1), [h1])
+    all_k2 = (Subspace.full(bundle.n2), [k2])
+    dom, ran = (bundle.dom_R, [h1]), (bundle.ran_R, [k2])
+    mul, ker = (bundle.mul_R_star, [k1]), (bundle.ker_R_star, [h2])
+    return {
+        "S": [graph_r],
+        "S_star": [all_h1, r_star, all_k2],
+        "H": [all_h1, all_k2],
+        "K": [graph_r, r_star],
+        "S_F": [dom, mul, all_k2],
+        "S_K": [all_h1, ker, ran],
+        "S0": [dom, ran],
+        "S0_star": [all_h1, ker, mul, all_k2],
+        "S_tilde": [graph_r, mul],
+        "S_tilde_star": [dom, r_star, all_k2],
+    }
+
+
+class TestLazyMembers:
+    """lift builds S*; the other lifted relations on their first read."""
+
+    @pytest.mark.parametrize("rank", [2, 4, 6])
+    def test_the_boundary_chain_stacks_only_what_it_reads(self, rank,
+                                                          monkeypatch):
+        # the three triplets, a Weyl value each, Krein's formula and its
+        # classify read S*, S0*, S~* and S_F: no other member is stacked
+        stacked = []
+        real = extension._stack
+
+        def counted(ambient_dim, blocks):
+            stacked.append(blocks)
+            return real(ambient_dim, blocks)
+
+        monkeypatch.setattr(extension, "_stack", counted)
+        bundle = lift(random_relation(4, 4, rank=rank, rng=rank))
+        assert len(stacked) == 1  # S*
+        trips = [build(bundle)
+                 for build in (triplet_main, triplet_basic, triplet_tilde)]
+        for trip in trips:
+            if not trip.is_degenerate:
+                weyl(trip, -1.0)
+        theta = random_selfadjoint_relation(trips[0].g, rng=3)
+        assert classify(extension_from_boundary(trips[0], theta)).is_selfadjoint
+        read = {"S_star", "S0_star", "S_tilde_star", "S_F"}
+        assert len(stacked) == len(read), stacked
+        assert set(vars(bundle)) & set(_BUNDLE_RELATIONS) == read
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        n1=st.integers(1, 5),
+        n2=st.integers(1, 5),
+        order=st.permutations(_BUNDLE_RELATIONS),
+    )
+    def test_members_read_in_any_order_are_their_closed_forms(self, seed, n1,
+                                                              n2, order):
+        bundle = lift(random_relation(n1, n2, rng=np.random.default_rng(seed)))
+        want = _closed_forms(bundle)
+        for name in order:
+            got = getattr(bundle, name)
+            assert got is getattr(bundle, name)  # built once
+            basis = subspace._stack(2 * bundle.n, want[name]).basis
+            assert (got.n1, got.n2) == (bundle.n, bundle.n)
+            assert got.graph.basis.shape == basis.shape
+            assert got.graph.basis.tobytes() == basis.tobytes(), name
+
+
 class TestLiftAdjointCheck:
     """lift's Gram-norm check of the closed-form S* against adjoint(S)."""
 
@@ -153,6 +235,36 @@ class TestLiftAdjointCheck:
         )
         with pytest.raises(ArithmeticError, match="disagrees with adjoint"):
             lift(rel)
+
+    @pytest.mark.parametrize("rank", [3, 6, 9])
+    def test_wrong_r_star_raises_at_every_rank(self, rank, monkeypatch):
+        # an R* of the right dimension, but of another relation; at rank 3
+        # mul R* != {0}, and the check still comes before G~ is formed.
+        # The error prints the angle between the lifted S* and adjoint(S)
+        rel = random_relation(6, 6, rank=rank, rng=1)
+        other = adjoint(random_relation(6, 6, rank=rank, rng=2))
+        monkeypatch.setattr(
+            extension, "_adjoint_from_complement", lambda rel, ortho: other
+        )
+        angle = _adjoint_angle(other, rel)
+        assert angle > CFG.angle_tol
+        want = re.escape(f"disagrees with adjoint(S): angle {angle:.3e}")
+        with pytest.raises(ArithmeticError, match=want + "$"):
+            lift(rel)
+
+    @pytest.mark.parametrize("rank", [2, 4, 6])
+    def test_check_reads_the_r_star_block_without_s(self, rank):
+        # S*^H J S is zero but for the block R*^H J graph R, which has the
+        # same singular values; lift builds no S for the check
+        rel = random_relation(4, 4, rank=rank, rng=rank)
+        bundle = lift(rel)
+        assert "S" not in vars(bundle)
+        block = _adjoint_sines(bundle.R_star, rel)
+        full = _adjoint_sines(bundle.S_star, bundle.S)
+        small = np.linalg.svd(block, compute_uv=False)
+        big = np.linalg.svd(full, compute_uv=False)
+        assert np.allclose(big[: small.size], small, rtol=0.0, atol=1e-15)
+        assert np.all(big[small.size :] <= 1e-15)
 
     def test_s_star_of_wrong_dimension_raises(self, monkeypatch):
         rel = random_relation(3, 3, rank=3, rng=1)

@@ -184,6 +184,27 @@ def test_complement_involution_and_dimension(rng):
         assert_subspace_equal(complement(uc), u)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    ambient=st.integers(1, 9),
+    rank=st.sampled_from(["zero", "full", "random"]),
+    draw=st.integers(0, 9),
+)
+def test_complement_completes_a_unitary(seed, ambient, rank, draw):
+    # one complete QR of the checked basis W: [W | complement(W)] is
+    # unitary to round-off, with no rank decided, and complementing twice
+    # gives back u itself
+    dim = {"zero": 0, "full": ambient, "random": draw % (ambient + 1)}[rank]
+    u = random_subspace(np.random.default_rng(seed), ambient, dim)
+    uc = complement(u)
+    assert uc.ambient_dim == ambient and uc.dim == ambient - dim
+    whole = np.hstack([u.basis, uc.basis])
+    dev = np.abs(whole.conj().T @ whole - np.eye(ambient)).max()
+    assert dev <= 10 * np.finfo(float).eps * ambient, dev
+    assert relate(complement(uc), u).verdict is Verdict.EQUAL
+
+
 def test_meet_join_de_morgan(rng):
     u = random_subspace(rng, 5, 3)
     v = random_subspace(rng, 5, 3)

@@ -8,10 +8,13 @@ factors the triplet kernels eagerly, or re-orthonormalizes a graph basis
 times a nullspace basis fails here, not only in the benchmark.  Gram
 tests of Subspace bases are counted too, so a change that routes one of
 lift's stacked or swapped bases back through the Gram product fails here
-as well.  Verdict-only angles (classify's
+as well.  complement (so G in lift, and adjoint) is one QR of a checked
+basis, with no SVD.  Verdict-only angles (classify's
 symmetry, lift's S* check, theta's selfadjointness test) are Frobenius
-brackets that factor nothing away from angle_tol, and relate factors one
-containment angle at most.  Every boundary map is split by one routine
+brackets that factor nothing away from angle_tol, classify's PSD verdict
+takes its eigvalsh only when it is read, and relate factors one
+containment angle at most.  Krein-order margins on one bundle solve the
+pencils of S_F and S_K once.  Every boundary map is split by one routine
 that uses only its live (not exactly zero) columns.  A lifted Gamma0 or
 Gamma1 is a co-isometry there: no SVD, and one QR where the live block
 has a kernel (none for main's Gamma0).  ker_gamma0, the Weyl set-up and
@@ -31,7 +34,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from linrel import extension, relation, subspace
+from linrel import cli, extension, relation, subspace
 from linrel.blockcalc import Block2x2, block, column, row
 from linrel.boundary import (
     extension_from_boundary,
@@ -58,16 +61,17 @@ from conftest import (
 DATA = Path(__file__).resolve().parents[1] / "data"
 
 N = 8
-# one SVD for G, one for dom R and mul R*, one for ran R and ker R*; the
-# S* self-check is a Frobenius bracket, not an SVD, and op R* is one QR
-LIFT_SVD_BUDGET = 3
+# one SVD for dom R and mul R*, one for ran R and ker R*; G is one QR of
+# the checked graph basis, the S* self-check is a Frobenius bracket, not
+# an SVD, and op R* is one QR
+LIFT_SVD_BUDGET = 2
 # Gram checks per lift, by rank: the bases lift factors (G, dom R, ran R,
 # mul R*, ker R*, and for G~ the operator part of R*).  At ranks N and
 # 3N/2, mul R* = ker R* = {0} take no check and R* is its own operator
 # part, hence 6/3/3.  R* and G~ are signed swaps of G and of op R*, and
 # the lifted relations are stacks: none takes a Gram product.
 LIFT_GRAM_CHECKS = {N // 2: 6, N: 3, 3 * N // 2: 3}
-# adjoint factors the complement of the graph and flips it; inverse only
+# adjoint takes the complement of the graph and flips it; inverse only
 # swaps the graph's components
 RELATION_GRAM_CHECKS = {"adjoint": 1, "inverse": 0}
 
@@ -141,8 +145,26 @@ def test_classify_factors_nothing(make, selfadjoint, linalg, monkeypatch):
     linalg.clear()
     rep = classify(rel)
     assert rep.is_selfadjoint is selfadjoint
+    assert linalg.factorizations == [], linalg
+    # the PSD verdict alone needs an eigvalsh: on its first read, once,
+    # and only for a symmetric relation
     assert rep.is_nonnegative is selfadjoint
-    assert linalg.svd == [], linalg
+    assert rep.is_nonnegative is selfadjoint
+    want = [("eigvalsh", (N, N))] if selfadjoint else []
+    assert linalg.factorizations == want, linalg
+    assert rep._cross is None
+
+
+def test_classify_report_compares_verdicts_only(linalg):
+    rel = random_selfadjoint_relation(N, rng=0, dom_dim=5, nonneg=True)
+    first, second = classify(rel), classify(rel)
+    linalg.clear()
+    assert repr(first) == ("SymmetryReport(is_symmetric=True, "
+                           "is_selfadjoint=True, is_nonnegative=True, "
+                           "dom_perp_ran=False)")
+    assert first == second and hash(first) == hash(second)
+    # repr decided first's PSD verdict and == second's: one eigvalsh each
+    assert len(linalg.named("eigvalsh")) == 2, linalg
 
 
 def test_numerical_radius_factors_once_at_any_angle_grid(linalg,
@@ -174,11 +196,39 @@ def test_lift_stays_within_budget(rank, linalg):
     linalg.clear()
     bundle = lift(rel)
     assert len(linalg.svd) <= LIFT_SVD_BUDGET, linalg
-    # the one QR is op R*'s, of the dim R* x dim mul R* block, and only
-    # when mul R* != {0}
+    # the QRs are G's, of the graph basis, and op R*'s, of the
+    # dim R* x dim mul R* block, only when mul R* != {0}
     mul = bundle.mul_R_star.dim
-    want_qr = [("qr", (bundle.R_star.dim, mul))] if mul else []
+    want_qr = [("qr", (2 * N, rank))]
+    want_qr += [("qr", (bundle.R_star.dim, mul))] if mul else []
     assert linalg.named("qr") == want_qr, linalg
+
+
+@pytest.mark.parametrize("rank", [0, N // 2, N, 3 * N // 2, 2 * N])
+def test_complement_and_adjoint_take_one_qr(rank, linalg):
+    # the basis passed its Gram test, so no rank is left to decide: one
+    # complete QR, and no SVD
+    rel = random_relation(N, N, rank=rank, rng=5) if rank else None
+    space = rel.graph if rank else subspace.Subspace.zero(2 * N)
+    linalg.clear()
+    subspace.complement(space)
+    assert linalg.factorizations == [("qr", (2 * N, rank))], linalg
+    if rank:
+        linalg.clear()
+        relation.adjoint(rel)
+        assert linalg.factorizations == [("qr", (2 * N, rank))], linalg
+
+
+def test_krein_margins_reuse_the_extreme_resolvents(linalg):
+    # (S_F + 1)^{-1} and (S_K + 1)^{-1} are solved once per bundle: the
+    # three sampled margins solve the n x n pencils of S_F, S_K and three
+    # A, and a second sampling only those of its three A
+    bundle = lift(random_relation(N, N, rank=N // 2, rng=5))
+    n = bundle.n
+    for margins in (5, 3):
+        linalg.clear()
+        cli._worst_krein_margin(bundle, np.random.default_rng(0))
+        assert linalg.named("solve") == [("solve", (n, n))] * margins, linalg
 
 
 @pytest.mark.parametrize("rank", list(LIFT_GRAM_CHECKS))

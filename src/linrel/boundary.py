@@ -24,9 +24,9 @@ gamma1 @ c in the coordinates of the parameter-space basis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .relation import (
     LinearRelation,
     _dom_perp_ran,
     _is_selfadjoint,
+    _mul_coordinates,
     _pencil_solve,
     classify,
     from_operator,
@@ -98,6 +99,13 @@ def _live_columns(mat: np.ndarray,
     return _column_index(~live), _column_index(live)
 
 
+def _is_coisometric(a: np.ndarray, length: int) -> bool:
+    """A A^H = I within _higham_gamma(length) entrywise."""
+    dev = a @ a.conj().T
+    dev.reshape(-1)[:: len(a) + 1] -= 1.0
+    return bool(np.abs(dev).max(initial=0.0) <= _higham_gamma(length))
+
+
 class _MapSplit(NamedTuple):
     """Gamma split at its kernel: for A = Gamma[:, live], rank is A's
     numerical rank and null an orthonormal basis N of ker A, so
@@ -131,9 +139,7 @@ def _split_map(gamma: np.ndarray, length: int, rank_tol: float) -> _MapSplit:
     dead, live = _live_columns(gamma)
     a = gamma[:, live]
     g, width = a.shape
-    dev = a @ a.conj().T
-    dev.reshape(-1)[:: g + 1] -= 1.0
-    if np.abs(dev).max(initial=0.0) <= _higham_gamma(length):
+    if _is_coisometric(a, length):
         # a copy, not a view that would keep all of the width x width Q
         null = (np.linalg.qr(a.conj().T, mode="complete")[0][:, g:].copy()
                 if width > g else np.zeros((width, 0), dtype=complex))
@@ -144,6 +150,17 @@ def _split_map(gamma: np.ndarray, length: int, rank_tol: float) -> _MapSplit:
     rank = _numerical_rank(s, rank_tol)
     pinv = vh[:rank].conj().T @ (u[:, :rank].conj().T / s[:rank, None])
     return _MapSplit(dead, live, vh[rank:].conj().T, pinv, rank)
+
+
+def _split_holds(split: _MapSplit, gamma: np.ndarray, length: int) -> bool:
+    """A builder's split of gamma stands for _split_map's when its live
+    block A is a co-isometry (as _split_map tests it) and A N vanishes
+    within _higham_gamma(length) entrywise: then N, orthonormal and of
+    width live - g, spans ker A, and nothing is factored."""
+    a = gamma[:, split.live]
+    return (_is_coisometric(a, length)
+            and np.abs(a @ split.null).max(initial=0.0)
+            <= _higham_gamma(length))
 
 
 class _KernelSplit(NamedTuple):
@@ -159,6 +176,42 @@ class _KernelSplit(NamedTuple):
     gamma1_q1: np.ndarray
 
 
+class _Columns(NamedTuple):
+    """Columns of a kernel split on their nonzero row blocks: [F; G] = W Q
+    for Q a block of columns of Q0 or Q1, with f = (rows, F on them) for
+    the first component and g the same for the second (None where the
+    component is zero), and gamma1 = Gamma1 Q (None: zero)."""
+
+    f: tuple[slice, np.ndarray] | None
+    g: tuple[slice, np.ndarray] | None
+    gamma1: np.ndarray | None
+
+
+def _inner(a: tuple[slice, np.ndarray] | None,
+           b: tuple[slice, np.ndarray] | None) -> np.ndarray | None:
+    """A^H B for the blocks a = (rows, A) and b = (rows, B) of C^n, over
+    the rows they share; None when either is zero or they share none."""
+    if a is None or b is None:
+        return None
+    (a_rows, a_mat), (b_rows, b_mat) = a, b
+    lo, hi = max(a_rows.start, b_rows.start), min(a_rows.stop, b_rows.stop)
+    if lo >= hi:
+        return None
+    a_mat = a_mat[lo - a_rows.start : hi - a_rows.start]
+    return a_mat.conj().T @ b_mat[lo - b_rows.start : hi - b_rows.start]
+
+
+def _weighted(cols: list[_Columns], inners: list, g: int) -> np.ndarray:
+    """The sum of c.gamma1 @ x over the column blocks c and their inner
+    products x, as one product [gamma1 ...] @ [x; ...] like Gamma1 Q0 X;
+    blocks where either is zero add nothing."""
+    pairs = [(c.gamma1, x) for c, x in zip(cols, inners)
+             if c.gamma1 is not None and x is not None]
+    if not pairs:
+        return np.zeros((g, g), dtype=complex)
+    return np.hstack([q for q, _ in pairs]) @ np.vstack([x for _, x in pairs])
+
+
 class _LaurentBlocks(NamedTuple):
     """M(lambda) = m0 + lambda m1 + m_inv / lambda, gamma(lambda) = gamma0 +
     gamma_inv / lambda and (A0 - lambda)^{-1} = -f0 f0^H / lambda for an
@@ -172,6 +225,64 @@ class _LaurentBlocks(NamedTuple):
     gamma_inv: np.ndarray
     f0: np.ndarray
     n_dom: int
+
+
+def _laurent(q0: list[_Columns], q1: _Columns, n: int, g: int,
+             rank_tol: float) -> _LaurentBlocks | None:
+    """The Laurent blocks of an extremal ker Gamma0 from a kernel split
+    whose Q0 columns are the blocks q0 and whose Q1 columns are q1, or
+    None when ker Gamma0 is not extremal.
+
+    F0 is made of the blocks of q0 with a first component, G0 of those
+    with a second, and each product runs over the rows that its two
+    factors share.  ker Gamma0 is extremal by classify's dom-perp-ran rule
+    on F0^H G0, at rank_tol; see BoundaryTriplet.resolvent_blocks for the
+    blocks.
+    """
+    fs = [c for c in q0 if c.f is not None]
+    gs = [c for c in q0 if c.g is not None]
+    for a in fs:
+        for b in gs:
+            cross = _inner(a.f, b.g)
+            if cross is not None and not _dom_perp_ran(cross, rank_tol):
+                return None
+    f0_g1 = [_inner(c.f, q1.g) for c in fs]
+    g0_f1 = [_inner(c.g, q1.f) for c in gs]
+    gamma0 = np.zeros((n, g), dtype=complex)
+    if q1.f is not None:
+        gamma0[q1.f[0]] = q1.f[1]
+    gamma_inv = np.zeros_like(gamma0)
+    f0 = np.zeros((n, sum(c.f[1].shape[1] for c in fs)), dtype=complex)
+    col = 0
+    for c, x in zip(fs, f0_g1):
+        rows, f = c.f
+        f0[rows, col : col + f.shape[1]] = f
+        col += f.shape[1]
+        y = _inner(c.f, q1.f)
+        if y is not None:
+            gamma0[rows] -= f @ y
+        if x is not None:
+            gamma_inv[rows] += f @ x
+    return _LaurentBlocks(
+        m0=np.zeros((g, g), dtype=complex) if q1.gamma1 is None else q1.gamma1,
+        m1=_weighted(gs, g0_f1, g),
+        m_inv=_weighted(fs, f0_g1, g),
+        gamma0=gamma0,
+        gamma_inv=gamma_inv,
+        f0=f0,
+        n_dom=round(np.vdot(f0, f0).real),
+    )
+
+
+class _Layout(NamedTuple):
+    """What a lifted triplet's builder knows of Gamma0 from the lift's
+    parts: its split, used when _split_holds, and kernel, which maps A^H
+    for the live block A to the kernel split on the star's nonzero row
+    blocks, (the blocks of Q0's columns, Q1's columns) as _laurent reads
+    them."""
+
+    split: _MapSplit
+    kernel: Callable[[np.ndarray], tuple[list[_Columns], _Columns]]
 
 
 @dataclass(eq=False)
@@ -191,6 +302,10 @@ class BoundaryTriplet:
     valid for such triplets.  So are resolvent_blocks, the lambda-free
     blocks that weyl and gamma_field read at every lambda; they and
     ker_gamma0 share the split of Gamma0, factored once per triplet.
+    A lifted triplet's builder knows that split from the lift's parts
+    and passes it in _layout; it is used, with no factorization, when
+    _split_holds, and _split_map splits Gamma0 otherwise (and for every
+    hand-built triplet).
     """
 
     kind: str
@@ -200,6 +315,7 @@ class BoundaryTriplet:
     gamma1: np.ndarray
     friedrichs: LinearRelation
     cfg: ToleranceConfig
+    _layout: _Layout | None = field(default=None, repr=False)
 
     @property
     def g(self) -> int:
@@ -207,8 +323,12 @@ class BoundaryTriplet:
 
     @cached_property
     def _gamma0_split(self) -> _MapSplit:
-        return _split_map(self.gamma0, self.star.graph.ambient_dim,
-                          self.cfg.rank_tol)
+        length = self.star.graph.ambient_dim
+        # an empty Gamma0 is all dead columns, split as it stands
+        if (self._layout is not None and self.g
+                and _split_holds(self._layout.split, self.gamma0, length)):
+            return self._layout.split
+        return _split_map(self.gamma0, length, self.cfg.rank_tol)
 
     @cached_property
     def ker_gamma0(self) -> LinearRelation:
@@ -242,49 +362,56 @@ class BoundaryTriplet:
         is extremal (classify's dom-perp-ran rule on f0^H g0, at rank_tol)
         f0^H g0 = 0 = f0 g0^H, and [f0; g0] is orthonormal, so
         (g0 - lambda f0)^{-1} = g0^H - f0^H / lambda and these are Laurent
-        polynomials; only the nonzero columns of f0 and of g0 enter them,
-        and dim dom A0 = ||f0||_F^2.  Their constant term is Gamma1 Q1: the
-        rest of it, Gamma1 Q0 (g0^H g1 + f0^H f1) = Gamma1 Q0 Q0^H Q1, is
-        zero because Q1 = Gamma0^+ is orthogonal to ker Gamma0.  Any other
-        A0 keeps the split and solves the pencil at each lambda, after the
-        Gram test of g0 + i f0 (an extremal A0 of dimension n is selfadjoint
-        as it stands): a hand-built triplet whose Gamma0-kernel is not
-        selfadjoint would get a wrong M(lambda), and is refused.
+        polynomials (_laurent); only the nonzero columns of f0 and of g0
+        enter them, and dim dom A0 = ||f0||_F^2.  Their constant term is
+        Gamma1 Q1: the rest of it, Gamma1 Q0 (g0^H g1 + f0^H f1) =
+        Gamma1 Q0 Q0^H Q1, is zero because Q1 = Gamma0^+ is orthogonal to
+        ker Gamma0.  A lifted triplet whose split came from its _layout
+        forms the kernel split on the star's nonzero row blocks only; any
+        other forms it whole (_split_by_gamma0), and so does a lifted one
+        whose kernel fails the rule.  Any other A0 keeps that split and
+        solves the pencil at each lambda, after the Gram test of g0 + i f0
+        (an extremal A0 of dimension n is selfadjoint as it stands): a
+        hand-built triplet whose Gamma0-kernel is not selfadjoint would get
+        a wrong M(lambda), and is refused.  A Gamma0 that is not
+        surjective, or whose kernel is not n-dimensional, has no Weyl
+        function at all.
         """
-        split = self._split_by_gamma0()
-        _, f_live = _live_columns(split.f0)
-        _, g_live = _live_columns(split.g0)
-        f0, g0 = split.f0[:, f_live], split.g0[:, g_live]
-        f0_h = f0.conj().T
-        if not _dom_perp_ran(f0_h @ g0, self.cfg.rank_tol):
-            if not _is_orthonormal(split.g0 + 1j * split.f0):
-                raise PreconditionViolated(
-                    "ker Gamma0 is not selfadjoint: G0 + i F0 is not unitary"
-                )
-            return split
-        q0_f, q0_g = split.gamma1_q0[:, f_live], split.gamma1_q0[:, g_live]
-        f0_g1 = f0_h @ split.g1
-        return _LaurentBlocks(
-            m0=split.gamma1_q1,
-            m1=q0_g @ (g0.conj().T @ split.f1),
-            m_inv=q0_f @ f0_g1,
-            gamma0=split.f1 - f0 @ (f0_h @ split.f1),
-            gamma_inv=f0 @ f0_g1,
-            # a copy, not a view that would keep all of W Q0 alive
-            f0=f0.copy(),
-            n_dom=round(np.vdot(f0, f0).real),
-        )
-
-    def _split_by_gamma0(self) -> _KernelSplit:
-        """Split the graph coefficients as c = Q0 a + Q1 b, with b = Gamma0 c,
-        by the cached split of Gamma0.  A Gamma0 that is not surjective, or
-        whose kernel is not n-dimensional, has no Weyl function at all."""
-        n, g = self.star.n1, self.g
+        n, g, rank_tol = self.star.n1, self.g, self.cfg.rank_tol
         split = self._gamma0_split
         if self.star.dim != n + g or split.rank < g:
             raise SpectrumError(
                 "Gamma0 is not surjective with an n-dimensional kernel"
             )
+        if self._layout is not None and split is self._layout.split:
+            a_h = self.gamma0[:, split.live].conj().T
+            blocks = _laurent(*self._layout.kernel(a_h), n, g, rank_tol)
+            if blocks is not None:
+                return blocks
+        whole = self._split_by_gamma0(split)
+        _, f_live = _live_columns(whole.f0)
+        _, g_live = _live_columns(whole.g0)
+        rows = slice(0, n)
+        blocks = _laurent(
+            [_Columns((rows, whole.f0[:, f_live]), None,
+                      whole.gamma1_q0[:, f_live]),
+             _Columns(None, (rows, whole.g0[:, g_live]),
+                      whole.gamma1_q0[:, g_live])],
+            _Columns((rows, whole.f1), (rows, whole.g1), whole.gamma1_q1),
+            n, g, rank_tol,
+        )
+        if blocks is not None:
+            return blocks
+        if not _is_orthonormal(whole.g0 + 1j * whole.f0):
+            raise PreconditionViolated(
+                "ker Gamma0 is not selfadjoint: G0 + i F0 is not unitary"
+            )
+        return whole
+
+    def _split_by_gamma0(self, split: _MapSplit) -> _KernelSplit:
+        """Split the graph coefficients as c = Q0 a + Q1 b, with b = Gamma0 c,
+        by the split of Gamma0, on the whole graph basis."""
+        n = self.star.n1
         w, live, pinv = self.star.graph.basis, split.live, split.pinv
         if pinv is None:
             pinv = self.gamma0[:, live].conj().T
@@ -300,36 +427,66 @@ class BoundaryTriplet:
         return self.g == 0
 
 
-def _lift_blocks(star: LinearRelation, split: int):
-    """Row blocks (h1, h2, k1, k2) of the graph basis of a lifted adjoint."""
-    w = star.graph.basis
-    n = star.n1
-    return w[:split], w[split:n], w[n : n + split], w[n + split :]
-
-
 def _flip_triplet(kind: str, star: LinearRelation, p: Subspace,
-                  bundle: LiftBundle) -> BoundaryTriplet:
+                  bundle: LiftBundle, dom: np.ndarray | None,
+                  mul: Subspace) -> BoundaryTriplet:
     """Common construction for the main and tilde triplets.
 
     Gamma0 projects (-k1, h2) and Gamma1 projects (h1, k2) onto the
     parameter space; both land inside it by construction, so the
-    projection loses nothing.
+    projection loses nothing.  Both are formed one block of the star at
+    a time.  Its graph basis (LiftBundle.S_star, S_tilde_star) stacks, in
+    this order, a first block on h1 (the identity for main, the basis dom
+    of dom R for tilde), graph R* = [B_h2; B_k1] on h2 and k1, and the
+    identity on k2.  For the parameter basis
+    P = [P_1; P_2], Gamma0 is A = P^H [-B_k1; B_h2] on the graph R* block
+    and zero on the others, and Gamma1 is P_1^H dom and P_2^H on the
+    first and last blocks and zero on graph R*.  The kernel of A is
+    spanned by C = B^H [0; M] (relation._mul_coordinates), M the basis of
+    mul, the part of mul R* that P leaves out: {0} for main, whose A is
+    square, and mul R* for tilde.
     """
-    h1, h2, k1, k2 = _lift_blocks(star, bundle.n1)
+    n1, n2 = bundle.n1, bundle.n2
+    b = bundle.R_star.graph.basis
     ph = p.basis.conj().T
-    gamma0 = ph @ np.vstack([-k1, h2])
-    gamma1 = ph @ np.vstack([h1, k2])
-    return BoundaryTriplet(kind, star, p, gamma0, gamma1, bundle.S_F, bundle.cfg)
+    first = n1 if dom is None else dom.shape[1]
+    live = slice(first, first + b.shape[1])
+    gamma0 = np.zeros((p.dim, star.dim), dtype=complex)
+    gamma1 = np.zeros_like(gamma0)
+    gamma0[:, live] = ph @ np.vstack([-b[n2:], b[:n2]])
+    gamma1[:, :first] = ph[:, :n1] if dom is None else ph[:, :n1] @ dom
+    gamma1[:, live.stop:] = ph[:, n1:]
+    dead = np.ones(star.dim, dtype=bool)
+    dead[live] = False
+    null = _mul_coordinates(bundle.R_star, mul)
+
+    def kernel(a_h):
+        # Q0's columns: the dead first and k2 blocks, then W N = B C, and
+        # W Q1 = B A^H, both on graph R*'s rows h2 and k1
+        b_q1, b_null = b @ a_h, b @ null
+        h1, h2 = slice(0, n1), slice(n1, n1 + n2)
+        first_basis = np.eye(n1) if dom is None else dom
+        q0 = [_Columns((h1, first_basis), None, gamma1[:, :first]),
+              _Columns(None, (h2, np.eye(n2)), gamma1[:, live.stop:]),
+              _Columns((h2, b_null[:n2]), (h1, b_null[n2:]), None)]
+        return q0, _Columns((h2, b_q1[:n2]), (h1, b_q1[n2:]), None)
+
+    layout = _Layout(_MapSplit(_column_index(dead), live, null, None, p.dim),
+                     kernel)
+    return BoundaryTriplet(kind, star, p, gamma0, gamma1, bundle.S_F,
+                           bundle.cfg, layout)
 
 
 def triplet_main(bundle: LiftBundle) -> BoundaryTriplet:
     """Triplet on S* with parameter space (graph R)^perp."""
-    return _flip_triplet("main", bundle.S_star, bundle.G, bundle)
+    return _flip_triplet("main", bundle.S_star, bundle.G, bundle, None,
+                         Subspace.zero(bundle.n1))
 
 
 def triplet_tilde(bundle: LiftBundle) -> BoundaryTriplet:
     """Triplet on S~* whose Gamma0-kernel is the Friedrichs extension."""
-    return _flip_triplet("tilde", bundle.S_tilde_star, bundle.G_tilde, bundle)
+    return _flip_triplet("tilde", bundle.S_tilde_star, bundle.G_tilde, bundle,
+                         bundle.dom_R.basis, bundle.mul_R_star)
 
 
 def triplet_basic(bundle: LiftBundle) -> BoundaryTriplet:
@@ -338,15 +495,42 @@ def triplet_basic(bundle: LiftBundle) -> BoundaryTriplet:
     Gamma0 and Gamma1 are plain compressions of the two components onto
     G0.  A relation with dense domain and dense range gives G0 = {0};
     the triplet is then degenerate (S0 is already selfadjoint) and the
-    is_degenerate flag reports it.
+    is_degenerate flag reports it.  S0*'s graph basis (LiftBundle.S0_star)
+    stacks, in this order, the identity on h1, ker R* on h2, mul R* on k1
+    and the identity on k2, and G0's basis is P = [P_1; P_2] = [M, 0; 0, K]
+    for the bases M of mul R* and K of ker R*.  So Gamma0 is P_1^H and P_2^H K on the first
+    two blocks, Gamma1 is P_1^H M and P_2^H on the last two, and each is
+    zero on the others.  Gamma0's live block [M^H, 0; 0, K^H K] has the
+    kernel dom R (+) {0}, spanned by [D; 0] for the basis D of dom R.
     """
-    star = bundle.S0_star
-    n = star.n1
-    w = star.graph.basis
-    ph = bundle.G0.basis.conj().T
-    return BoundaryTriplet(
-        "basic", star, bundle.G0, ph @ w[:n], ph @ w[n:], bundle.S_F, bundle.cfg
-    )
+    star, p = bundle.S0_star, bundle.G0
+    n1, n2 = bundle.n1, bundle.n2
+    ker, mul, dom = bundle.ker_R_star, bundle.mul_R_star, bundle.dom_R
+    ph = p.basis.conj().T
+    live = slice(0, n1 + ker.dim)
+    gamma0 = np.zeros((p.dim, star.dim), dtype=complex)
+    gamma1 = np.zeros_like(gamma0)
+    gamma0[:, :n1] = ph[:, :n1]
+    gamma0[:, n1:live.stop] = ph[:, n1:] @ ker.basis
+    gamma1[:, live.stop:live.stop + mul.dim] = ph[:, :n1] @ mul.basis
+    gamma1[:, live.stop + mul.dim:] = ph[:, n1:]
+    null = np.vstack([dom.basis, np.zeros((ker.dim, dom.dim), dtype=complex)])
+
+    def kernel(a_h):
+        # the dead blocks mul R* and k2 in Q0's columns, and W [D; 0] = D
+        # on h1; W Q1 = [A^H_1; K A^H_2] on h1 and h2
+        h1, h2 = slice(0, n1), slice(n1, n1 + n2)
+        mul_cols = slice(live.stop, live.stop + mul.dim)
+        q0 = [_Columns(None, (h1, mul.basis), gamma1[:, mul_cols]),
+              _Columns(None, (h2, np.eye(n2)), gamma1[:, mul_cols.stop:]),
+              _Columns((h1, dom.basis), None, None)]
+        f1 = np.vstack([a_h[:n1], ker.basis @ a_h[n1:]])
+        return q0, _Columns((slice(0, n1 + n2), f1), None, None)
+
+    layout = _Layout(_MapSplit(slice(live.stop, star.dim), live, null, None,
+                               p.dim), kernel)
+    return BoundaryTriplet("basic", star, p, gamma0, gamma1, bundle.S_F,
+                           bundle.cfg, layout)
 
 
 def green_identity_defect(trip: BoundaryTriplet) -> float:

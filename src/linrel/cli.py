@@ -52,6 +52,8 @@ from .errors import (
 from .extension import (
     LiftBundle,
     _decomposition_results,
+    _krein_margin,
+    _require_nonneg_selfadjoint_extension,
     extremal_family,
     friedrichs_generic,
     is_extremal,
@@ -69,10 +71,10 @@ from .oracle import (
 )
 from .relation import (
     LinearRelation,
+    SymmetryReport,
+    _bound_and_radius,
     adjoint,
     classify,
-    lower_bound,
-    numerical_radius,
     parts,
     relation_equal,
 )
@@ -193,16 +195,17 @@ def _json_list(text: str, flag: str) -> list:
     return raw
 
 
-def _symmetry_echo(rel: LinearRelation, cfg: ToleranceConfig) -> dict:
-    """classify's verdicts, the lower bound and, if square, the radius."""
-    rep = classify(rel, cfg)
-    radius = numerical_radius(rel, cfg) if rel.n1 == rel.n2 else None
+def _symmetry_echo(rel: LinearRelation, rep: SymmetryReport,
+                   cfg: ToleranceConfig) -> dict:
+    """classify's verdicts rep, the lower bound and, if square, the radius,
+    both read off one factorization of the domain block."""
+    bound, radius = _bound_and_radius(rel, rep.is_symmetric, cfg)
     return {
         "is_symmetric": rep.is_symmetric,
         "is_selfadjoint": rep.is_selfadjoint,
         "is_nonnegative": rep.is_nonnegative,
         "dom_perp_ran": rep.dom_perp_ran,
-        "lower_bound": encode_float(lower_bound(rel, cfg)),
+        "lower_bound": encode_float(bound),
         "numerical_range_radius": encode_float(radius),
     }
 
@@ -218,7 +221,7 @@ def cmd_analyze(args: argparse.Namespace, cfg: ToleranceConfig) -> int:
             "ker": encode_subspace(p.ker),
             "mul": encode_subspace(p.mul),
         },
-        "symmetry": _symmetry_echo(rel, cfg),
+        "symmetry": _symmetry_echo(rel, classify(rel, cfg), cfg),
         "adjoint": encode_relation(adjoint(rel)),
     })
     return 0
@@ -463,11 +466,14 @@ def cmd_extend(args: argparse.Namespace, cfg: ToleranceConfig) -> int:
     trip = _TRIPLET_BUILDERS[args.triplet](bundle)
     theta = _theta_in_boundary_basis(trip, theta_spec)
     a_theta = extension_from_boundary(trip, theta)
-    symmetry = _symmetry_echo(a_theta, cfg)
+    report = classify(a_theta, cfg)
+    symmetry = _symmetry_echo(a_theta, report, cfg)
     extremal = margin = None
-    if symmetry["is_nonnegative"]:
-        extremal = is_extremal(a_theta, bundle)
-        margin = krein_order_margin(a_theta, bundle)
+    if report.is_nonnegative:
+        # is_extremal and krein_order_margin, with one check of A_theta
+        _require_nonneg_selfadjoint_extension(a_theta, bundle, report)
+        extremal = report.dom_perp_ran
+        margin = _krein_margin(a_theta, bundle)
     _emit_report(args, cfg, spec, {
         "theta": _input_echo(theta_spec),
         "triplet": {

@@ -364,9 +364,14 @@ def nonneg_extension(bundle: LiftBundle,
     return LinearRelation(n, n, Subspace(2 * n, basis))
 
 
-def _require_nonneg_selfadjoint_extension(a: LinearRelation,
-                                          bundle: LiftBundle) -> SymmetryReport:
-    report = classify(a, bundle.cfg)
+def _require_nonneg_selfadjoint_extension(
+    a: LinearRelation, bundle: LiftBundle,
+    report: SymmetryReport | None = None,
+) -> SymmetryReport:
+    """classify's report of a, after checking that a is a nonnegative
+    selfadjoint extension of S; a caller that holds the report passes it."""
+    if report is None:
+        report = classify(a, bundle.cfg)
     if not report.is_selfadjoint:
         raise PreconditionViolated("extension is not selfadjoint")
     if not report.is_nonnegative:
@@ -403,6 +408,12 @@ def krein_order_margin(a: LinearRelation, bundle: LiftBundle) -> float:
     A's pencil.
     """
     _require_nonneg_selfadjoint_extension(a, bundle)
+    return _krein_margin(a, bundle)
+
+
+def _krein_margin(a: LinearRelation, bundle: LiftBundle) -> float:
+    """krein_order_margin of an a already checked to be a nonnegative
+    selfadjoint extension of S."""
     res_f = bundle._friedrichs_resolvent
     res_a = resolvent(a, -1.0, bundle.cfg)
     res_k = bundle._krein_resolvent

@@ -268,21 +268,29 @@ def operator_part(rel: LinearRelation,
     return _operator_part_off(rel, _mul(rel, cfg))
 
 
+def _mul_coordinates(rel: LinearRelation, mul: Subspace) -> np.ndarray:
+    """C = G^H M, the graph coordinates of {0} x mul R.
+
+    With W = [F; G] the graph basis and M the basis of mul R, [0; M] lies
+    in the graph, so [0; M] = W C for C = W^H [0; M] = G^H M, and C has
+    orthonormal columns because W and [0; M] do.
+    """
+    return rel.range_block.conj().T @ mul.basis
+
+
 def _operator_part_off(rel: LinearRelation, mul: Subspace) -> LinearRelation:
     """The operator part of rel, given mul R as a subspace of C^{n2}.
 
     Its graph is the orthogonal complement of {0} x mul R inside the
-    graph.  With W = [F; G] the graph basis and M the basis of mul R,
-    [0; M] lies in the graph, so [0; M] = W C for C = W^H [0; M] = G^H M,
-    and C has orthonormal columns because W and [0; M] do.  The last
-    d - m columns of one complete QR of the d x m block C then span the
-    complement of C in C^d, and W times them is an orthonormal basis of
-    the operator part's graph: no rank rule, and no SVD.
+    graph, whose coordinates C are _mul_coordinates.  The last d - m
+    columns of one complete QR of the d x m block C span the complement
+    of C in C^d, and W times them is an orthonormal basis of the operator
+    part's graph: no rank rule, and no SVD.
     """
     m = mul.dim
     if m == 0:
         return rel
-    c = rel.range_block.conj().T @ mul.basis
+    c = _mul_coordinates(rel, mul)
     tail = np.linalg.qr(c, mode="complete")[0][:, m:]
     basis = rel.graph.basis @ tail
     return LinearRelation(rel.n1, rel.n2, Subspace(rel.n1 + rel.n2, basis))
@@ -334,41 +342,20 @@ def _domain_form(rel: LinearRelation, cfg: ToleranceConfig
     return u[:, :r], vh[:r].conj().T / s[:r], vh[r:].conj().T
 
 
-def lower_bound(rel: LinearRelation,
-                cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float | None:
-    """Greatest lower bound of the operator part on its domain.
-
-    None when the relation is rectangular or not symmetric by classify's
-    rule; +inf when the domain is trivial (every bound holds vacuously).
-    A single finite relation is never unbounded below.  The bound is the
-    least eigenvalue of Re B = (B + B^H)/2 for B = U_r^H G W, with U_r and
-    W of _domain_form: mul R is orthogonal to dom R in a symmetric R, so B
-    is the form of the operator part.  numerical_radius reads the same B
-    at t = 0, so it is never below |lower_bound|.
-    """
-    sym = _symmetry(rel, cfg)
-    if sym is None or not sym[1]:
-        return None
-    dom, whitener, _ = _domain_form(rel, cfg)
+def _form_bound(rel: LinearRelation, form: tuple) -> float:
+    """lambda_min(Re B) for B = U_r^H G W of a _domain_form; +inf when
+    dom R = {0}."""
+    dom, whitener, _ = form
     if not whitener.shape[1]:
         return math.inf
     b = (dom.conj().T @ rel.range_block) @ whitener
     return float(np.linalg.eigvalsh((b + b.conj().T) / 2.0)[0])
 
 
-def numerical_radius(rel: LinearRelation,
-                     cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
-    """sup |<g, f>| / ||f||^2 over (f, g) in a square R with f != 0.
-
-    +inf when mul R misses orthogonality to dom R by angle_tol or more (the
-    rule of orthogonal_componentwise_sum): g + mul R sweeps <g, f> over C.
-    Else max ||Re(e^{it} B)||_2, t in [0, pi), B = U_r^H G W (Johnson 1978;
-    0.0 if dom R = {0}).  The coarse grid reads within a relative 3e-4 below
-    it; zooms about its best angles reach round-off unless peaks tie (README).
-    """
-    if rel.n1 != rel.n2:
-        raise DimensionMismatch("the numerical range needs a square relation")
-    dom, whitener, kernel = _domain_form(rel, cfg)
+def _form_radius(rel: LinearRelation, form: tuple,
+                 cfg: ToleranceConfig) -> float:
+    """The numerical radius read off a _domain_form (numerical_radius)."""
+    dom, whitener, kernel = form
     pairing = dom.conj().T @ rel.range_block
     if not _sine_below(pairing @ kernel, cfg.angle_tol):
         return math.inf
@@ -387,6 +374,51 @@ def numerical_radius(rel: LinearRelation,
         window = np.linspace(-step, step, _RADIUS_ANGLES)
         angles = (angles[best, None] + window).ravel()
         step *= 2.0 / (_RADIUS_ANGLES - 1)
+
+
+def lower_bound(rel: LinearRelation,
+                cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float | None:
+    """Greatest lower bound of the operator part on its domain.
+
+    None when the relation is rectangular or not symmetric by classify's
+    rule; +inf when the domain is trivial (every bound holds vacuously).
+    A single finite relation is never unbounded below.  The bound is the
+    least eigenvalue of Re B = (B + B^H)/2 for B = U_r^H G W, with U_r and
+    W of _domain_form: mul R is orthogonal to dom R in a symmetric R, so B
+    is the form of the operator part.  numerical_radius reads the same B
+    at t = 0, so it is never below |lower_bound|.
+    """
+    sym = _symmetry(rel, cfg)
+    if sym is None or not sym[1]:
+        return None
+    return _form_bound(rel, _domain_form(rel, cfg))
+
+
+def numerical_radius(rel: LinearRelation,
+                     cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
+    """sup |<g, f>| / ||f||^2 over (f, g) in a square R with f != 0.
+
+    +inf when mul R misses orthogonality to dom R by angle_tol or more (the
+    rule of orthogonal_componentwise_sum): g + mul R sweeps <g, f> over C.
+    Else max ||Re(e^{it} B)||_2, t in [0, pi), B = U_r^H G W (Johnson 1978;
+    0.0 if dom R = {0}).  The coarse grid reads within a relative 3e-4 below
+    it; zooms about its best angles reach round-off unless peaks tie (README).
+    """
+    if rel.n1 != rel.n2:
+        raise DimensionMismatch("the numerical range needs a square relation")
+    return _form_radius(rel, _domain_form(rel, cfg), cfg)
+
+
+def _bound_and_radius(rel: LinearRelation, is_symmetric: bool,
+                      cfg: ToleranceConfig
+                      ) -> tuple[float | None, float | None]:
+    """(lower_bound, numerical_radius) of rel from one _domain_form, given
+    classify's symmetry verdict; (None, None) for a rectangular rel."""
+    if rel.n1 != rel.n2:
+        return None, None
+    form = _domain_form(rel, cfg)
+    return (_form_bound(rel, form) if is_symmetric else None,
+            _form_radius(rel, form, cfg))
 
 
 def classify(rel: LinearRelation,

@@ -2,6 +2,7 @@
 functions and gamma fields, extensions from boundary parameters, and the
 semiboundedness criterion."""
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -48,7 +49,7 @@ from linrel.relation import (
     resolvent,
 )
 from linrel.specio import load_relation_spec
-from linrel.subspace import Subspace, Verdict, orthonormal_columns
+from linrel.subspace import Subspace, Verdict, oplus, orthonormal_columns
 
 from conftest import (
     assert_relation_equal,
@@ -849,3 +850,164 @@ class TestAlternativeExperiment:
         for c in (0.0, 1.0, 5.0):
             exp = alternative_experiment(c, 2.0)
             assert exp.sufficient_bound < exp.computed_bound
+
+
+# The parts route: a lifted triplet's builder forms Gamma0 and Gamma1 one
+# block of the star at a time and knows Gamma0's kernel from the lift's
+# parts, so its set-up factors nothing.  _split_map and the whole kernel
+# split of a hand-built copy (the same maps, no layout) are its oracle.
+
+
+def _hand_built(trip):
+    return BoundaryTriplet(trip.kind, trip.star, trip.boundary, trip.gamma0,
+                           trip.gamma1, trip.friedrichs, trip.cfg)
+
+
+def _whole_star_maps(trip, n1):
+    """Gamma0 and Gamma1 as projections of the whole star's rows."""
+    w, n = trip.star.graph.basis, trip.star.n1
+    h1, h2, k1, k2 = w[:n1], w[n1:n], w[n : n + n1], w[n + n1 :]
+    ph = trip.boundary.basis.conj().T
+    if trip.kind == "basic":
+        return ph @ w[:n], ph @ w[n:]
+    return ph @ np.vstack([-k1, h2]), ph @ np.vstack([h1, k2])
+
+
+def _embedded(split, d, g):
+    """Q0 and Q1 = Gamma0^+ of a split as d-row matrices."""
+    dead = np.arange(d)[split.dead]
+    q0 = np.zeros((d, dead.size + split.null.shape[1]), dtype=complex)
+    q0[dead, np.arange(dead.size)] = 1.0
+    q0[split.live, dead.size :] = split.null
+    return q0, dead
+
+
+def _placed(cols, n, g):
+    """A block of kernel-split columns as one (2n + g)-row matrix
+    [F; G; Gamma1 Q]."""
+    width = next(x[1].shape[1] for x in (cols.f, cols.g) if x is not None)
+    out = np.zeros((2 * n + g, width), dtype=complex)
+    for offset, part in ((0, cols.f), (n, cols.g)):
+        if part is not None:
+            rows, values = part
+            out[offset + rows.start : offset + rows.stop] = values
+    if cols.gamma1 is not None:
+        out[2 * n :] = cols.gamma1
+    return out
+
+
+def _assert_close(got, want, what):
+    # c eps: the two routes differ by round-off in bases of the same spans
+    err = float(np.abs(got - want).max(initial=0.0))
+    assert err <= 1e3 * EPS, f"{what}: {err:.3e}"
+
+
+def _check_parts_route(bundle):
+    for build in (triplet_main, triplet_basic, triplet_tilde):
+        trip = build(bundle)
+        want0, want1 = _whole_star_maps(trip, bundle.n1)
+        _assert_close(trip.gamma0, want0, f"{trip.kind} Gamma0")
+        _assert_close(trip.gamma1, want1, f"{trip.kind} Gamma1")
+        if trip.is_degenerate:
+            continue
+        hand = _hand_built(trip)
+        split, oracle = trip._gamma0_split, hand._gamma0_split
+        assert split is trip._layout.split, trip.kind
+        assert split.pinv is None and split.rank == oracle.rank == trip.g
+        d, g, n = trip.star.dim, trip.g, trip.star.n1
+        q0, _ = _embedded(split, d, g)
+        q0_want, _ = _embedded(oracle, d, g)
+        _assert_close(q0 @ q0.conj().T, q0_want @ q0_want.conj().T,
+                      f"{trip.kind} Q0 Q0^H")
+        q1_want = np.zeros((d, g), dtype=complex)
+        q1_want[oracle.live] = (trip.gamma0[:, oracle.live].conj().T
+                                if oracle.pinv is None else oracle.pinv)
+        q1 = np.zeros((d, g), dtype=complex)
+        q1[split.live] = trip.gamma0[:, split.live].conj().T
+        _assert_close(q1, q1_want, f"{trip.kind} Q1")
+
+        # the kernel split on its row blocks against the whole one:
+        # W Q1 and Gamma1 Q1 as they are, W Q0 and Gamma1 Q0 up to Q0's
+        # basis, through Z Z^H for Z = [W Q0; Gamma1 Q0]
+        blocks, q1_cols = trip._layout.kernel(
+            trip.gamma0[:, split.live].conj().T)
+        whole = hand._split_by_gamma0(oracle)
+        z = np.hstack([_placed(c, n, g) for c in blocks])
+        z_want = np.vstack([whole.f0, whole.g0, whole.gamma1_q0])
+        _assert_close(z @ z.conj().T, z_want @ z_want.conj().T,
+                      f"{trip.kind} W Q0")
+        _assert_close(_placed(q1_cols, n, g),
+                      np.vstack([whole.f1, whole.g1, whole.gamma1_q1]),
+                      f"{trip.kind} W Q1")
+
+        got, want = trip.resolvent_blocks, hand.resolvent_blocks
+        assert isinstance(got, _LaurentBlocks), trip.kind
+        assert isinstance(want, _LaurentBlocks), trip.kind
+        for name in ("m0", "m1", "m_inv", "gamma0", "gamma_inv"):
+            _assert_close(getattr(got, name), getattr(want, name),
+                          f"{trip.kind} {name}")
+        _assert_close(got.f0 @ got.f0.conj().T, want.f0 @ want.f0.conj().T,
+                      f"{trip.kind} f0 f0^H")
+        assert got.n_dom == want.n_dom
+
+
+def _special_relation(shape, n, rng):
+    """A relation in C^n x C^n with a trivial part: dom R = {0}
+    (mul R* = C^n), ran R = {0} (ker R* = C^n), or dense domain and
+    range (mul R* = ker R* = {0}: the basic triplet is degenerate)."""
+    if shape == "dense":
+        return random_relation(n, n, rank=n, rng=rng)
+    part = orthonormal_columns(
+        rng.normal(size=(n, n // 2 + 1)) + 1j * rng.normal(size=(n, n // 2 + 1)),
+        RANK_TOL)
+    zero = Subspace.zero(n)
+    space = Subspace(n, part)
+    if shape == "dom0":
+        return from_product(zero, space)
+    return from_product(space, zero)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(2, 8),
+    shape=st.sampled_from(["1", "n/2", "n", "3n/2", "2n-1",
+                           "dom0", "ran0", "dense"]),
+)
+def test_parts_route_matches_the_whole_split(seed, n, shape):
+    # ranks 1 .. 2n - 1, and dom R, ran R or both halves of G0 trivial
+    rng = np.random.default_rng(seed)
+    ranks = {"1": 1, "n/2": n // 2, "n": n, "3n/2": 3 * n // 2,
+             "2n-1": 2 * n - 1}
+    rel = (random_relation(n, n, rank=ranks[shape], rng=rng)
+           if shape in ranks else _special_relation(shape, n, rng))
+    _check_parts_route(lift(rel))
+
+
+@pytest.mark.parametrize("spec", sorted(DATA.glob("*.json")),
+                         ids=lambda path: path.stem)
+def test_parts_route_on_every_spec(spec):
+    _check_parts_route(lift(load_relation_spec(str(spec)).relation))
+
+
+@pytest.mark.parametrize("build", [triplet_basic, triplet_tilde])
+def test_parts_route_off_its_kernel_takes_the_whole_split(build, rng):
+    # mul R* moved by 1e-9: [D; 0] (basic) and B^H [0; M] (tilde) miss the
+    # kernel of A by far more than round-off, so the split is _split_map's
+    # and M(lambda) is the hand-built triplet's, bit for bit
+    bundle = lift(random_relation(6, 6, rank=3, rng=5))
+    mul = bundle.mul_R_star
+    noise = rng.normal(size=mul.basis.shape) + 1j * rng.normal(
+        size=mul.basis.shape)
+    moved = Subspace(mul.ambient_dim,
+                     orthonormal_columns(mul.basis + 1e-9 * noise, RANK_TOL))
+    blocks = bundle._blocks._replace(
+        mul_r_star=(moved, bundle._blocks.mul_r_star[1]))
+    bundle = dataclasses.replace(
+        bundle, mul_R_star=moved, G0=oplus(moved, bundle.ker_R_star),
+        _blocks=blocks)
+    trip = build(bundle)
+    assert trip._gamma0_split is not trip._layout.split
+    hand = _hand_built(trip)
+    for lam in (-1.0, 1j, 2.5 - 0.5j):
+        np.testing.assert_array_equal(weyl(trip, lam), weyl(hand, lam))

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from linrel import boundary, cli, relation
+from linrel import boundary, cli, extension, relation
 from linrel.cli import main
 from linrel.config import ToleranceConfig
 from linrel.errors import InputFormatError
@@ -416,10 +416,9 @@ class TestExtend:
         assert code == 3
         assert "selfadjoint" in capsys.readouterr().err
 
-    def test_nonnegative_theta_gets_the_krein_order(self, tmp_path, capsys):
-        # theta = +I makes A_theta nonnegative, so extend decides
-        # extremality and the resolvent sandwich
-        plus = write_spec(
+    @staticmethod
+    def _plus_identity(tmp_path):
+        return write_spec(
             tmp_path / "theta_plus_one.json",
             {
                 "label": "plus identity",
@@ -434,15 +433,44 @@ class TestExtend:
                 },
             },
         )
+
+    def test_nonnegative_theta_gets_the_krein_order(self, tmp_path, capsys):
+        # theta = +I makes A_theta nonnegative, so extend decides
+        # extremality and the resolvent sandwich
         code = main(
-            ["extend", str(DATA / "halfline_embed.json"), "--theta", plus,
-             "--triplet", "basic"]
+            ["extend", str(DATA / "halfline_embed.json"), "--theta",
+             self._plus_identity(tmp_path), "--triplet", "basic"]
         )
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["symmetry"]["is_nonnegative"]
         assert report["extremal"] is False
         assert report["krein_order"]["holds"] is True
+
+    def test_nonnegative_theta_is_checked_once(self, tmp_path, monkeypatch,
+                                               capsys):
+        # one classify of A_theta serves the symmetry block, extremality
+        # and the Krein order, and S is related to A_theta once
+        calls = {"classify": 0, "relate": 0}
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for module in (cli, extension, relation):
+            monkeypatch.setattr(module, "classify",
+                                counted("classify", relation.classify))
+        monkeypatch.setattr(extension, "relate",
+                            counted("relate", extension.relate))
+        code = main(
+            ["extend", str(DATA / "halfline_embed.json"), "--theta",
+             self._plus_identity(tmp_path), "--triplet", "basic"]
+        )
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["extremal"] is False
+        assert calls == {"classify": 1, "relate": 1}
 
     def test_dimension_mismatch_exits_2(
         self, halfline_spec, theta_spec, capsys
@@ -482,8 +510,11 @@ def _triplet_on(bundle, kind, basis):
         w = star.graph.basis
         return boundary.BoundaryTriplet(kind, star, space, ph @ w[:n],
                                         ph @ w[n:], bundle.S_F, bundle.cfg)
-    star = bundle.S_star if kind == "main" else bundle.S_tilde_star
-    return boundary._flip_triplet(kind, star, space, bundle)
+    if kind == "main":
+        return boundary._flip_triplet(kind, bundle.S_star, space, bundle,
+                                      None, Subspace.zero(bundle.n1))
+    return boundary._flip_triplet(kind, bundle.S_tilde_star, space, bundle,
+                                  bundle.dom_R.basis, bundle.mul_R_star)
 
 
 def _theta_payload(theta, coordinates=None):

@@ -17,16 +17,19 @@ containment angle at most.  Krein-order margins on one bundle solve the
 pencils of S_F and S_K once.  Every boundary map is split by one routine
 that uses only its live (not exactly zero) columns.  A lifted Gamma0 or
 Gamma1 is a co-isometry there: no SVD, and one QR where the live block
-has a kernel (none for main's Gamma0).  ker_gamma0, the Weyl set-up and
+has a kernel.  A lifted triplet's builder knows Gamma0's kernel from the
+lift's parts, so its Gamma0 takes not even that QR, and its Weyl set-up
+calls no numpy.linalg function at all.  ker_gamma0, the Weyl set-up and
 the Krein-formula extension share the one split of Gamma0, so Gamma0 is
-factored at most once per triplet, by that QR or, off the co-isometry,
-by one SVD.  A Weyl function evaluated again on a triplet with an
-extremal ker Gamma0 (every lifted one, in any graph coordinates) may
-call no numpy.linalg function at all.  On the swapped main and tilde
+factored at most once per triplet; off the co-isometry (hand-built
+triplets) that is one SVD.  A Weyl function evaluated again on a triplet
+with an extremal ker Gamma0 (every lifted one, in any graph coordinates)
+may call no numpy.linalg function at all.  On the swapped main and tilde
 triplets each lambda costs one values-only SVD and one solve of the
 n x n pencil, and no eigensolver runs.  numerical_radius factors the
 domain block once however many angles it searches, with one batched
-eigvalsh per grid of angles.
+eigvalsh per grid of angles, and the symmetry block of a CLI report
+reads the lower bound and the radius off that one factorization.
 """
 
 from pathlib import Path
@@ -165,6 +168,25 @@ def test_classify_report_compares_verdicts_only(linalg):
     assert first == second and hash(first) == hash(second)
     # repr decided first's PSD verdict and == second's: one eigvalsh each
     assert len(linalg.named("eigvalsh")) == 2, linalg
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_selfadjoint_relation(N, rng=0, dom_dim=5),
+    lambda: random_relation(N, N, rank=N, rng=0),
+    lambda: random_relation(3, 5, rank=4, rng=0),
+], ids=["symmetric", "not-symmetric", "rectangular"])
+def test_symmetry_echo_factors_the_domain_block_once(make, linalg):
+    # classify's verdicts, then the lower bound and the radius from one
+    # SVD of the domain block; a rectangular relation has neither
+    rel = make()
+    linalg.clear()
+    echo = cli._symmetry_echo(rel, classify(rel), ToleranceConfig())
+    want = [] if rel.n1 != rel.n2 else [((N, N), True)]
+    assert linalg.svd == want, linalg
+    assert echo["lower_bound"] == cli.encode_float(relation.lower_bound(rel))
+    if rel.n1 == rel.n2:
+        assert echo["numerical_range_radius"] == cli.encode_float(
+            relation.numerical_radius(rel))
 
 
 def test_numerical_radius_factors_once_at_any_angle_grid(linalg,
@@ -307,13 +329,16 @@ def test_triplet_builders_factor_nothing(rank, linalg):
     trips = [build(bundle) for build in (triplet_main, triplet_basic, triplet_tilde)]
     assert linalg.svd == []
 
-    # a lifted Gamma0 and Gamma1 are co-isometries: each kernel takes at
-    # most one QR of its map's live block, and no SVD
+    # a lifted Gamma0 and Gamma1 are co-isometries: ker Gamma0 comes from
+    # the lift's parts with no factorization, and ker Gamma1 takes at most
+    # one QR of its map's live block, and no SVD
     for trip in trips:
         linalg.clear()
-        trip.ker_gamma0, trip.ker_gamma1
+        trip.ker_gamma0
+        assert linalg == [], (trip.kind, linalg)
+        trip.ker_gamma1
         assert linalg.svd == [], (trip.kind, linalg)
-        assert len(linalg.named("qr")) <= 2, (trip.kind, linalg)
+        assert len(linalg.named("qr")) <= 1, (trip.kind, linalg)
     targets = {
         "main": (bundle.H, bundle.K),
         "basic": (bundle.S_F, bundle.S_K),
@@ -346,46 +371,22 @@ def test_lower_bound_reads_the_whitened_form(dom_dim, linalg, monkeypatch):
                                      ("eigvalsh", (dom_dim, dom_dim))], linalg
 
 
-def _live_width(trip, bundle):
-    """Columns of Gamma0 that are not exactly zero, by triplet kind."""
-    return {
-        "main": trip.g,
-        "basic": bundle.n1 + bundle.ker_R_star.dim,
-        "tilde": bundle.R_star.dim,
-    }[trip.kind]
-
-
-def _set_up(trip, bundle):
-    """The factorizations of a lifted triplet's first Weyl call.
-
-    Its live block A (g x live) is a co-isometry: no SVD, and one complete
-    QR of A^H for the kernel when live > g.  live = g for main always, and
-    for tilde when mul R* = {0}; a degenerate triplet has no live column.
-    """
-    if trip.is_degenerate:
-        return []
-    g, live = trip.g, _live_width(trip, bundle)
-    return [("qr", (live, g))] if live > g else []
-
-
-@pytest.mark.parametrize("rank", [N // 2, N, 3 * N // 2])
+# every rank class of a lift: G0 and the kernel of basic's and tilde's
+# live block nontrivial (N/2) or not, dom R = C^N, mul R* = {0}
+@pytest.mark.parametrize("rank", [1, N // 2, N, 3 * N // 2, 2 * N - 1])
 @pytest.mark.parametrize("build", [triplet_main, triplet_basic, triplet_tilde])
 def test_weyl_factors_gamma0_once_per_triplet(build, rank, linalg):
-    # at most one QR on the first call, of Gamma0's live block only, and no
-    # SVD or eigh: a lifted Gamma0 is a co-isometry, and a lifted
+    # nothing on the first call: a lifted Gamma0 is a co-isometry whose
+    # kernel the builder knows from the lift's parts, and a lifted
     # ker Gamma0 is extremal, so M(lambda) is a Laurent polynomial.  Then
     # each lambda costs sums only, whatever cfg weyl is given
     bundle = lift(random_relation(N, N, rank=rank, rng=5))
     trip = build(bundle)
     linalg.clear()
     weyl(trip, -1.0)
-    assert linalg.factorizations == _set_up(trip, bundle), linalg
-    if trip.kind == "main":
-        assert linalg.factorizations == []
-    elif not trip.is_degenerate:
-        assert _live_width(trip, bundle) < trip.gamma0.shape[1]
-        # basic and tilde have a kernel in the live block at rank N/2
-        assert len(linalg.factorizations) == (rank == N // 2)
+    assert linalg == [], linalg
+    if not trip.is_degenerate:
+        assert trip._gamma0_split is trip._layout.split
     later = (
         lambda: weyl(trip, 1j),
         lambda: gamma_field(trip, -0.5),
@@ -524,8 +525,8 @@ EXTENSION_CASES = [
 @pytest.mark.parametrize("fresh", [False, True], ids=["set-up-paid", "fresh"])
 @pytest.mark.parametrize("build, rank", EXTENSION_CASES)
 def test_krein_extension_solves_once(build, rank, fresh, linalg):
-    # Krein's formula on the cached blocks: one g x g solve, and on a fresh
-    # triplet the set-up's QR (if any) before it.  The selfadjointness
+    # Krein's formula on the cached blocks: one g x g solve, fresh triplet
+    # or not, since a lifted set-up factors nothing.  The selfadjointness
     # test of theta is a Frobenius bracket, and nothing runs an SVD
     bundle = lift(random_relation(N, N, rank=rank, rng=5))
     trip = build(bundle)
@@ -535,8 +536,7 @@ def test_krein_extension_solves_once(build, rank, fresh, linalg):
     linalg.clear()
     ext = extension_from_boundary(trip, theta)
     g = trip.g
-    set_up = _set_up(trip, bundle) if fresh else []
-    assert linalg.factorizations == [*set_up, ("solve", (g, g))], linalg
+    assert linalg.factorizations == [("solve", (g, g))], linalg
     assert linalg.svd == [], linalg
     basis = ext.graph.basis
     gram_err = np.abs(basis.conj().T @ basis - np.eye(ext.dim))
@@ -546,7 +546,7 @@ def test_krein_extension_solves_once(build, rank, fresh, linalg):
 @pytest.mark.parametrize("build, rank", EXTENSION_CASES)
 def test_gamma0_is_factored_once_per_triplet(build, rank, linalg):
     # ker_gamma0, the Weyl set-up and Krein's formula read one cached
-    # split of Gamma0: at most the one QR of its live block, and no SVD
+    # split of Gamma0, which the lift's parts give: no QR and no SVD
     bundle = lift(random_relation(N, N, rank=rank, rng=5))
     trip = build(bundle)
     theta = random_selfadjoint_relation(trip.g, rng=3)
@@ -554,7 +554,7 @@ def test_gamma0_is_factored_once_per_triplet(build, rank, linalg):
     trip.ker_gamma0
     weyl(trip, -1.0)
     extension_from_boundary(trip, theta)
-    assert linalg.named("qr", "svd") == _set_up(trip, bundle), linalg
+    assert linalg.named("qr", "svd") == [], linalg
 
 
 @pytest.mark.parametrize("live_block", ["2I", "unitary+1e-9"])

@@ -21,8 +21,11 @@ built from their closed product/graph forms: each graph basis is a stack
 of the checked bases of R, R*, dom R, ran R, mul R*, ker R* and
 identities on disjoint rows of C^{2n}, so it needs no Gram test of its
 own (subspace._stack); R* and G~ are signed swaps of the checked G and
-op R* (subspace._signed_swap), untested too.  lift builds S*, G, G0 and
-G~; the other lifted relations are built on their first read.  lift
+op R* (subspace._signed_swap), untested too.  lift builds G, G0 and
+G~.  A lifted relation is built on its first read, and holds a stack of
+its parts, not a matrix; its zero-padded graph basis is assembled on
+the first read of that basis, so a caller that reads only R's parts
+(the boundary triplets, weyl, Krein's formula) assembles none.  lift
 checks the closed-form S* against adjoint(S) by a Gram-norm angle on
 its one nonzero block R*^H J graph R, with no second factorization and,
 unless the check fails or the Frobenius bracket of
@@ -34,9 +37,8 @@ can compare them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -86,46 +88,6 @@ __all__ = [
 ]
 
 
-class _LiftBlocks(NamedTuple):
-    """The (part, rows) blocks that the lifted relations' graphs stack.
-
-    Rows are ranges of H1 (+) H2 (+) H1 (+) H2 = C^{2n}, named h1, h2,
-    k1, k2 in that order; each lifted relation is a 2 x 2 block
-    arrangement of these parts, stacked by subspace._stack.
-    """
-
-    graph_r: tuple       # graph R split: its F rows on h1, its G rows on k2
-    graph_r_star: tuple  # graph R*, pairs (h2, k1): the adjacent rows at once
-    all_h1: tuple
-    all_k2: tuple
-    dom_r: tuple         # on h1
-    ran_r: tuple         # on k2
-    mul_r_star: tuple    # on k1
-    ker_r_star: tuple    # on h2
-
-    @classmethod
-    def of(cls, rel: LinearRelation, r_star: LinearRelation, dom_r: Subspace,
-           ran_r: Subspace, mul_r_star: Subspace,
-           ker_r_star: Subspace) -> "_LiftBlocks":
-        n1, n = rel.n1, rel.n1 + rel.n2
-        h1, h2, k1, k2 = (0, n1), (n1, n), (n, n + n1), (n + n1, 2 * n)
-        return cls(
-            graph_r=(rel.graph, [h1, k2]),
-            graph_r_star=(r_star.graph, [(n1, n + n1)]),
-            all_h1=(Subspace.full(n1), [h1]),
-            all_k2=(Subspace.full(rel.n2), [k2]),
-            dom_r=(dom_r, [h1]),
-            ran_r=(ran_r, [k2]),
-            mul_r_star=(mul_r_star, [k1]),
-            ker_r_star=(ker_r_star, [h2]),
-        )
-
-
-def _lifted(n: int, *blocks: tuple) -> LinearRelation:
-    """The relation in C^n whose graph stacks the given blocks."""
-    return LinearRelation(n, n, _stack(2 * n, blocks))
-
-
 @dataclass(eq=False)
 class LiftBundle:
     """R together with its lift and every distinguished extension.
@@ -139,9 +101,12 @@ class LiftBundle:
     into the current one by extend, so it keeps its meaning; one without
     it is read in the current basis.
 
-    S*, G, G0 and G~ are built by lift; S, H, K, S_F, S_K, S0, S0*, S~
-    and S~* on their first read, each the same stack of the same parts
-    whenever it is read.
+    G, G0 and G~ are built by lift.  S, S*, H, K, S_F, S_K, S0, S0*, S~
+    and S~* are built on their first read, each a stack of the bundle's
+    own fields R, R_star, dom_R, ran_R, mul_R_star and ker_R_star (and
+    two identities) as they are then; a dataclasses.replace'd bundle
+    stacks its new fields.  A member's graph basis is assembled on the
+    first read of that basis, not when the member is built.
 
     cfg is the ToleranceConfig given to lift.  Every function that takes
     a bundle, and every boundary triplet built from one, decides its
@@ -154,12 +119,10 @@ class LiftBundle:
     ran_R: Subspace
     mul_R_star: Subspace
     ker_R_star: Subspace
-    S_star: LinearRelation
     G: Subspace
     G0: Subspace
     G_tilde: Subspace
     cfg: ToleranceConfig
-    _blocks: _LiftBlocks = field(repr=False)
 
     @property
     def n1(self) -> int:
@@ -174,48 +137,75 @@ class LiftBundle:
         return self.R.n1 + self.R.n2
 
     @cached_property
+    def _identities(self) -> tuple[Subspace, Subspace]:
+        """All of H1 and all of H2, the parts every lifted relation with
+        an identity block stacks."""
+        return Subspace.full(self.n1), Subspace.full(self.n2)
+
+    def _lifted(self, *names: str) -> LinearRelation:
+        """The relation in C^n whose graph stacks the named parts of R.
+
+        Rows are ranges of H1 (+) H2 (+) H1 (+) H2 = C^{2n}, named h1, h2,
+        k1, k2 in that order; graph R puts its F rows on h1 and its G rows
+        on k2, graph R* = (h2, k1) the adjacent rows at once, and H1 and
+        H2 are the identities on h1 and k2.  Each part is the bundle's own
+        field as it is when the relation is built.
+        """
+        n1, n = self.n1, self.n
+        h1, h2, k1, k2 = (0, n1), (n1, n), (n, n + n1), (n + n1, 2 * n)
+        all_h1, all_k2 = self._identities
+        blocks = {
+            "graph R": (self.R.graph, [h1, k2]),
+            "graph R*": (self.R_star.graph, [(n1, n + n1)]),
+            "H1": (all_h1, [h1]),
+            "H2": (all_k2, [k2]),
+            "dom R": (self.dom_R, [h1]),
+            "ran R": (self.ran_R, [k2]),
+            "mul R*": (self.mul_R_star, [k1]),
+            "ker R*": (self.ker_R_star, [h2]),
+        }
+        return LinearRelation(
+            n, n, _stack(2 * n, [blocks[name] for name in names]))
+
+    @cached_property
     def S(self) -> LinearRelation:
-        return _lifted(self.n, self._blocks.graph_r)
+        return self._lifted("graph R")
+
+    @cached_property
+    def S_star(self) -> LinearRelation:
+        return self._lifted("H1", "graph R*", "H2")
 
     @cached_property
     def H(self) -> LinearRelation:
-        b = self._blocks
-        return _lifted(self.n, b.all_h1, b.all_k2)
+        return self._lifted("H1", "H2")
 
     @cached_property
     def K(self) -> LinearRelation:
-        b = self._blocks
-        return _lifted(self.n, b.graph_r, b.graph_r_star)
+        return self._lifted("graph R", "graph R*")
 
     @cached_property
     def S_F(self) -> LinearRelation:
-        b = self._blocks
-        return _lifted(self.n, b.dom_r, b.mul_r_star, b.all_k2)
+        return self._lifted("dom R", "mul R*", "H2")
 
     @cached_property
     def S_K(self) -> LinearRelation:
-        b = self._blocks
-        return _lifted(self.n, b.all_h1, b.ker_r_star, b.ran_r)
+        return self._lifted("H1", "ker R*", "ran R")
 
     @cached_property
     def S0(self) -> LinearRelation:
-        b = self._blocks
-        return _lifted(self.n, b.dom_r, b.ran_r)
+        return self._lifted("dom R", "ran R")
 
     @cached_property
     def S0_star(self) -> LinearRelation:
-        b = self._blocks
-        return _lifted(self.n, b.all_h1, b.ker_r_star, b.mul_r_star, b.all_k2)
+        return self._lifted("H1", "ker R*", "mul R*", "H2")
 
     @cached_property
     def S_tilde(self) -> LinearRelation:
-        b = self._blocks
-        return _lifted(self.n, b.graph_r, b.mul_r_star)
+        return self._lifted("graph R", "mul R*")
 
     @cached_property
     def S_tilde_star(self) -> LinearRelation:
-        b = self._blocks
-        return _lifted(self.n, b.dom_r, b.graph_r_star, b.all_k2)
+        return self._lifted("dom R", "graph R*", "H2")
 
     # (S_F + 1)^{-1} and (S_K + 1)^{-1}, which every Krein-order margin
     # on this bundle compares against
@@ -251,7 +241,6 @@ def _adjoint_angle(t: LinearRelation, rel: LinearRelation) -> float:
 def lift(rel: LinearRelation,
          cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> LiftBundle:
     """Build the lift S of R and the full extension inventory around it."""
-    n = rel.n1 + rel.n2
     # G = (graph R)^perp is also the flipped graph of R*: one QR
     g_space = complement(rel.graph)
     r_star = _adjoint_from_complement(rel, g_space)
@@ -271,8 +260,6 @@ def lift(rel: LinearRelation,
     # block gives both halves of its U
     dom_r, mul_r_star = _span_and_complement(rel.domain_block, cfg)
     ran_r, ker_r_star = _span_and_complement(rel.range_block, cfg)
-    blocks = _LiftBlocks.of(rel, r_star, dom_r, ran_r, mul_r_star, ker_r_star)
-    s_star = _lifted(n, blocks.all_h1, blocks.graph_r_star, blocks.all_k2)
     g0_space = oplus(mul_r_star, ker_r_star)
 
     # G~ = J graph(op R*), J(f, g) = (g, -f); op R* splits off the
@@ -287,12 +274,10 @@ def lift(rel: LinearRelation,
         ran_R=ran_r,
         mul_R_star=mul_r_star,
         ker_R_star=ker_r_star,
-        S_star=s_star,
         G=g_space,
         G0=g0_space,
         G_tilde=g_tilde,
         cfg=cfg,
-        _blocks=blocks,
     )
 
 

@@ -12,11 +12,14 @@ basis must pass |B^H B - I| <= 1e-8 off the diagonal and <= 1e-8 +
 1e-5 on it; an entry of modulus above 2, NaN or inf fails it before the
 product is formed.  The two exact rearrangements of checked bases are
 not tested.  A stack of existing Subspace bases (and identities) on
-pairwise disjoint rows, as oplus, full and the lifted relations of the
+pairwise disjoint rows, as oplus and the lifted relations of the
 extension module are, has a block diagonal Gram matrix with the parts'
-Grams as its blocks (_stack).  A signed swap [B[s:]; B[:s]] with one
-block negated, as the adjoint, the inverse and the boundary space G~
-are, has the Gram matrix of B itself (_signed_swap).  Either way the
+Grams as its blocks whenever it is assembled (_stack).  A stack's
+basis exists only once it is read: _stack checks the row map and knows
+the dimension when it builds the stack, and assembles the zero-padded
+matrix on the first read of .basis.  A signed swap [B[s:]; B[:s]] with
+one block negated, as the adjoint, the inverse and the boundary space
+G~ are, has the Gram matrix of B itself (_signed_swap).  Either way the
 parts' own checks decide the same, exactly.
 """
 
@@ -25,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -386,15 +390,42 @@ def oplus(u: Subspace, v: Subspace) -> Subspace:
 def _assembled(ambient_dim: int, basis: np.ndarray) -> Subspace:
     """A Subspace whose basis is orthonormal by construction: no Gram test.
 
-    Only _stack, _signed_swap and Subspace.full build one, each from
-    bases that were checked (or are identities); every basis from a
-    factorization, from user input or from a product of bases goes
-    through Subspace.__post_init__.
+    Only _signed_swap and Subspace.full build one, each from a basis that
+    was checked (or is an identity); _stack builds its own subclass.
+    Every basis from a factorization, from user input or from a product
+    of bases goes through Subspace.__post_init__.
     """
     out = object.__new__(Subspace)
     out.ambient_dim = ambient_dim
     out.basis = basis
     return out
+
+
+class _Stacked(Subspace):
+    """A _stack: its dim is known when it is built, its basis is not.
+
+    The zero-padded basis is assembled on the first read of .basis, with
+    the parts' bases as they are then, and the list of parts is dropped;
+    until that read the stack holds its parts and no matrix of its own.
+    """
+
+    @property
+    def dim(self) -> int:
+        return self._dim
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        basis = np.zeros((self.ambient_dim, self._dim), dtype=complex)
+        col = 0
+        for part, rows in self._blocks:
+            cols = slice(col, col + part.dim)
+            src = 0
+            for start, stop in rows:
+                basis[start:stop, cols] = part.basis[src : src + stop - start]
+                src += stop - start
+            col += part.dim
+        del self._blocks
+        return basis
 
 
 def _stack(ambient_dim: int, blocks) -> Subspace:
@@ -409,6 +440,10 @@ def _stack(ambient_dim: int, blocks) -> Subspace:
     orthonormal exactly when its parts are, which their own checks decided,
     and no Gram product is formed.  Raises ValueError when two ranges
     overlap or one leaves C^ambient_dim.
+
+    The rows are checked here; the basis is assembled on its first read
+    (_Stacked), so a stack that is never read costs its object only.  No
+    part's basis may change in place while the stack is unread.
     """
     ranges = []
     for part, rows in blocks:
@@ -427,17 +462,11 @@ def _stack(ambient_dim: int, blocks) -> Subspace:
     if end > ambient_dim:
         raise ValueError(f"row {end - 1} lies outside C^{ambient_dim}")
 
-    basis = np.zeros((ambient_dim, sum(part.dim for part, _ in blocks)),
-                     dtype=complex)
-    col = 0
-    for part, rows in blocks:
-        cols = slice(col, col + part.dim)
-        src = 0
-        for start, stop in rows:
-            basis[start:stop, cols] = part.basis[src : src + stop - start]
-            src += stop - start
-        col += part.dim
-    return _assembled(ambient_dim, basis)
+    out = object.__new__(_Stacked)
+    out.ambient_dim = ambient_dim
+    out._blocks = blocks
+    out._dim = sum(part.dim for part, _ in blocks)
+    return out
 
 
 def _signed_swap(space: Subspace, split: int,

@@ -1001,11 +1001,8 @@ def test_parts_route_off_its_kernel_takes_the_whole_split(build, rng):
         size=mul.basis.shape)
     moved = Subspace(mul.ambient_dim,
                      orthonormal_columns(mul.basis + 1e-9 * noise, RANK_TOL))
-    blocks = bundle._blocks._replace(
-        mul_r_star=(moved, bundle._blocks.mul_r_star[1]))
     bundle = dataclasses.replace(
-        bundle, mul_R_star=moved, G0=oplus(moved, bundle.ker_R_star),
-        _blocks=blocks)
+        bundle, mul_R_star=moved, G0=oplus(moved, bundle.ker_R_star))
     trip = build(bundle)
     assert trip._gamma0_split is not trip._layout.split
     hand = _hand_built(trip)

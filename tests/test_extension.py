@@ -1,6 +1,7 @@
 """The lift of a relation to a symmetric relation in the product space,
 its distinguished selfadjoint extensions, and the extremal family."""
 
+import dataclasses
 import math
 import re
 
@@ -169,23 +170,16 @@ def _closed_forms(bundle):
 
 
 class TestLazyMembers:
-    """lift builds S*; the other lifted relations on their first read."""
+    """lift builds none of the lifted relations; each is built on its first
+    read, and its graph basis is assembled on the first read of that."""
 
     @pytest.mark.parametrize("rank", [2, 4, 6])
-    def test_the_boundary_chain_stacks_only_what_it_reads(self, rank,
-                                                          monkeypatch):
+    def test_the_boundary_chain_assembles_no_lifted_basis(self, rank):
         # the three triplets, a Weyl value each, Krein's formula and its
-        # classify read S*, S0*, S~* and S_F: no other member is stacked
-        stacked = []
-        real = extension._stack
-
-        def counted(ambient_dim, blocks):
-            stacked.append(blocks)
-            return real(ambient_dim, blocks)
-
-        monkeypatch.setattr(extension, "_stack", counted)
+        # classify build S*, S0*, S~* and S_F, and read no graph basis of
+        # theirs: the Laurent route works on R's parts
         bundle = lift(random_relation(4, 4, rank=rank, rng=rank))
-        assert len(stacked) == 1  # S*
+        assert not set(vars(bundle)) & set(_BUNDLE_RELATIONS)
         trips = [build(bundle)
                  for build in (triplet_main, triplet_basic, triplet_tilde)]
         for trip in trips:
@@ -193,9 +187,10 @@ class TestLazyMembers:
                 weyl(trip, -1.0)
         theta = random_selfadjoint_relation(trips[0].g, rng=3)
         assert classify(extension_from_boundary(trips[0], theta)).is_selfadjoint
-        read = {"S_star", "S0_star", "S_tilde_star", "S_F"}
-        assert len(stacked) == len(read), stacked
-        assert set(vars(bundle)) & set(_BUNDLE_RELATIONS) == read
+        built = set(vars(bundle)) & set(_BUNDLE_RELATIONS)
+        assert built == {"S_star", "S0_star", "S_tilde_star", "S_F"}
+        for name in built:
+            assert "basis" not in vars(getattr(bundle, name).graph), name
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -211,10 +206,38 @@ class TestLazyMembers:
         for name in order:
             got = getattr(bundle, name)
             assert got is getattr(bundle, name)  # built once
-            basis = subspace._stack(2 * bundle.n, want[name]).basis
+            assert "basis" not in vars(got.graph)
+            eager = subspace._stack(2 * bundle.n, want[name])
+            basis = eager.basis
             assert (got.n1, got.n2) == (bundle.n, bundle.n)
-            assert got.graph.basis.shape == basis.shape
+            assert got.dim == eager.dim
+            # the first read assembles the eager stack's bytes, once
             assert got.graph.basis.tobytes() == basis.tobytes(), name
+            assert got.graph.basis.shape == basis.shape
+            assert got.graph.basis is got.graph.basis
+            assert "_blocks" not in vars(got.graph)
+
+    def test_members_stack_the_fields_of_a_replaced_bundle(self, rng):
+        # dataclasses.replace keeps no member of the old bundle: S_F, S0*
+        # and S~ stack the new mul R* on rows k1
+        bundle = lift(random_relation(4, 4, rank=2, rng=7))
+        old = bundle.S_F
+        mul = bundle.mul_R_star
+        moved = Subspace(mul.ambient_dim,
+                         mul.basis @ np.linalg.qr(rng.normal(
+                             size=(mul.dim, mul.dim)))[0])
+        new = dataclasses.replace(bundle, mul_R_star=moved)
+        n1, n = new.n1, new.n
+        k1 = slice(n, n + n1)
+        cols = slice(new.dom_R.dim, new.dom_R.dim + mul.dim)
+        assert new.S_F is not old
+        assert np.array_equal(new.S_F.graph.basis[k1, cols], moved.basis)
+        assert not np.array_equal(old.graph.basis[k1, cols], moved.basis)
+        want = _closed_forms(new)
+        for name in ("S_F", "S0_star", "S_tilde"):
+            got = getattr(new, name).graph.basis
+            assert got.tobytes() == subspace._stack(
+                2 * n, want[name]).basis.tobytes(), name
 
 
 class TestLiftAdjointCheck:

@@ -570,3 +570,105 @@ def test_radius_is_never_below_the_lower_bound_property(seed, n, data):
         assert bound is not None
         if math.isfinite(bound):
             assert numerical_radius(rel) >= abs(bound)
+
+
+# Metamorphic: a unitary change of coordinates U (+) V on H1 (+) H2 maps a
+# relation's graph onto the graph of (f, g) -> (U f, V g).  Every verdict
+# is about the spans, so none of them may move.
+
+
+def _recoordinated(rel, u, v):
+    n = rel.n1 + rel.n2
+    w = np.zeros((n, n), dtype=complex)
+    w[: rel.n1, : rel.n1], w[rel.n1 :, rel.n1 :] = u, v
+    return LinearRelation(rel.n1, rel.n2, Subspace(n, w @ rel.graph.basis))
+
+
+def _relation_of_kind(kind, n1, n2, rng):
+    """A relation whose parts are not all generic: a random graph of random
+    rank, a product M x N, or a rank-deficient operator."""
+    if kind == "random":
+        return random_relation(n1, n2, rng=rng)
+    if kind == "product":
+        return from_product(
+            span(crandn(rng, n1, int(rng.integers(0, n1 + 1))), n1),
+            span(crandn(rng, n2, int(rng.integers(0, n2 + 1))), n2))
+    rank = int(rng.integers(0, min(n1, n2) + 1))
+    return from_operator(crandn(rng, n2, rank) @ crandn(rng, rank, n1))
+
+
+def _related_to(rel, kind, rng):
+    """A second relation over the same spaces: the same graph in another
+    basis, a part of it, it plus one direction, or an unrelated one."""
+    n, d = rel.n1 + rel.n2, rel.dim
+    basis = rel.graph.basis
+    if kind == "rebased":
+        other = basis @ unitary(rng, d) if d else basis
+    elif kind == "part":
+        other = basis[:, : int(rng.integers(0, d + 1))]
+    elif kind == "more":
+        other = np.hstack([basis, crandn(rng, n, 1)])
+    else:
+        return _relation_of_kind("random", rel.n1, rel.n2, rng)
+    return LinearRelation(rel.n1, rel.n2, span(other, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n1=st.integers(1, 6),
+    n2=st.integers(1, 6),
+    kind=st.sampled_from(["random", "product", "operator"]),
+    pair=st.sampled_from(["rebased", "part", "more", "unrelated"]),
+)
+def test_parts_and_relate_survive_new_coordinates(seed, n1, n2, kind, pair):
+    rng = np.random.default_rng(seed)
+    a = _relation_of_kind(kind, n1, n2, rng)
+    b = _related_to(a, pair, rng)
+    u, v = unitary(rng, n1), unitary(rng, n2)
+    a_new, b_new = _recoordinated(a, u, v), _recoordinated(b, u, v)
+    for rel, moved in ((a, a_new), (b, b_new)):
+        old, new = parts(rel), parts(moved)
+        for name, w in (("dom", u), ("ran", v), ("ker", u), ("mul", v)):
+            before, after = getattr(old, name), getattr(new, name)
+            assert before.dim == after.dim, name
+            mapped = Subspace(after.ambient_dim, w @ before.basis)
+            assert relate(mapped, after).verdict is Verdict.EQUAL, name
+    assert (relate(a_new.graph, b_new.graph).verdict
+            is relate(a.graph, b.graph).verdict)
+    assert relation_equal(a_new, b_new).verdict is relation_equal(a, b).verdict
+
+
+def _square_relation_of_kind(kind, n, rng):
+    """A square relation of each symmetry class: generic, selfadjoint,
+    nonnegative selfadjoint, symmetric but not selfadjoint (a part of a
+    selfadjoint graph), or a product M x M^perp (dom perpendicular to
+    ran)."""
+    if kind == "random":
+        return random_relation(n, n, rng=rng)
+    if kind in ("selfadjoint", "nonnegative"):
+        return random_selfadjoint_relation(n, rng=rng,
+                                           nonneg=kind == "nonnegative")
+    if kind == "symmetric":
+        whole = random_selfadjoint_relation(n, rng=rng).graph.basis
+        return LinearRelation(
+            n, n, Subspace(2 * n, whole[:, : int(rng.integers(0, n))]))
+    m = span(crandn(rng, n, int(rng.integers(0, n + 1))), n)
+    return from_product(m, complement(m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(1, 6),
+    kind=st.sampled_from(["random", "selfadjoint", "nonnegative",
+                          "symmetric", "product"]),
+)
+def test_classify_survives_new_coordinates(seed, n, kind):
+    # U (+) U keeps the pairing <g, f>, so all four verdicts stay
+    rng = np.random.default_rng(seed)
+    rel = _square_relation_of_kind(kind, n, rng)
+    u = unitary(rng, n)
+    before = classify(rel)
+    after = classify(_recoordinated(rel, u, u))
+    assert after == before, (before, after)

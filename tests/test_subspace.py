@@ -312,6 +312,35 @@ def test_stack_rejects_rows_outside_and_wrong_lengths(rng):
         _stack(8, [(u, [(2, 0), (3, 8)])])
 
 
+def test_stack_assembles_its_basis_on_the_first_read(rng):
+    u = random_subspace(rng, 3, 2)
+    v = random_subspace(rng, 2, 1)
+    w = _stack(6, [(u, [(0, 1), (4, 6)]), (v, [(1, 3)])])
+    # dim is known before the basis exists
+    assert (w.ambient_dim, w.dim) == (6, 3)
+    assert "basis" not in vars(w)
+    want = np.zeros((6, 3), dtype=complex)
+    want[[0, 4, 5], :2] = u.basis
+    want[1:3, 2:] = v.basis
+    assert w.basis.tobytes() == want.tobytes()
+    # assembled once; the parts are dropped then
+    assert w.basis is w.basis
+    assert "_blocks" not in vars(w)
+
+
+def test_stack_checks_its_rows_before_any_basis_is_read(rng):
+    # the row map is checked at construction: a rejected stack reads no
+    # part's basis, so an unread stack as a part stays unassembled
+    part = oplus(random_subspace(rng, 2, 1), random_subspace(rng, 2, 1))
+    for rows in ([(0, 2), (1, 3)], [(3, 7)], [(0, 3)]):
+        with pytest.raises((ValueError, DimensionMismatch)):
+            _stack(6, [(part, rows)])
+    assert "basis" not in vars(part)
+    nested = _stack(6, [(part, [(1, 5)])])
+    assert "basis" not in vars(part)
+    assert np.array_equal(nested.basis[1:5], part.basis)
+
+
 @pytest.mark.parametrize("negate, signs", [("head", (1, -1)),
                                            ("tail", (-1, 1)),
                                            (None, (1, 1))])

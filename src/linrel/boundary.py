@@ -16,17 +16,22 @@ built for the lift of a relation R:
   tilde  on S~*, parameter space G~ = flip of the operator part of R*,
          kernels: Gamma0 -> S_F, Gamma1 -> K.
 
-Boundary maps are stored as matrices over the orthonormal graph basis of
-the ambient adjoint: an element W @ c has boundary values gamma0 @ c and
-gamma1 @ c in the coordinates of the parameter-space basis.
+Boundary maps are matrices over the orthonormal graph basis of the
+ambient adjoint: an element W @ c has boundary values gamma0 @ c and
+gamma1 @ c in the coordinates of the parameter-space basis.  A triplet
+built from a bundle that lift returned knows its Weyl function, gamma
+field and (A0 - lambda)^{-1} in closed form from the parameter basis and
+dom R, so weyl, gamma_field and Krein's formula read neither map; its
+maps are assembled on their first read (the Green identity, the kernels,
+boundary_map_rank and the oracle read them).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,6 +80,7 @@ __all__ = [
     "semibound_criterion",
     "alternative_experiment",
 ]
+
 
 def _column_index(mask: np.ndarray) -> slice | np.ndarray:
     """The columns where mask holds: a slice when they are contiguous, so
@@ -176,113 +182,57 @@ class _KernelSplit(NamedTuple):
     gamma1_q1: np.ndarray
 
 
-class _Columns(NamedTuple):
-    """Columns of a kernel split on their nonzero row blocks: [F; G] = W Q
-    for Q a block of columns of Q0 or Q1, with f = (rows, F on them) for
-    the first component and g the same for the second (None where the
-    component is zero), and gamma1 = Gamma1 Q (None: zero)."""
-
-    f: tuple[slice, np.ndarray] | None
-    g: tuple[slice, np.ndarray] | None
-    gamma1: np.ndarray | None
-
-
-def _inner(a: tuple[slice, np.ndarray] | None,
-           b: tuple[slice, np.ndarray] | None) -> np.ndarray | None:
-    """A^H B for the blocks a = (rows, A) and b = (rows, B) of C^n, over
-    the rows they share; None when either is zero or they share none."""
-    if a is None or b is None:
-        return None
-    (a_rows, a_mat), (b_rows, b_mat) = a, b
-    lo, hi = max(a_rows.start, b_rows.start), min(a_rows.stop, b_rows.stop)
-    if lo >= hi:
-        return None
-    a_mat = a_mat[lo - a_rows.start : hi - a_rows.start]
-    return a_mat.conj().T @ b_mat[lo - b_rows.start : hi - b_rows.start]
-
-
-def _weighted(cols: list[_Columns], inners: list, g: int) -> np.ndarray:
-    """The sum of c.gamma1 @ x over the column blocks c and their inner
-    products x, as one product [gamma1 ...] @ [x; ...] like Gamma1 Q0 X;
-    blocks where either is zero add nothing."""
-    pairs = [(c.gamma1, x) for c, x in zip(cols, inners)
-             if c.gamma1 is not None and x is not None]
-    if not pairs:
-        return np.zeros((g, g), dtype=complex)
-    return np.hstack([q for q, _ in pairs]) @ np.vstack([x for _, x in pairs])
-
-
 class _LaurentBlocks(NamedTuple):
     """M(lambda) = m0 + lambda m1 + m_inv / lambda, gamma(lambda) = gamma0 +
     gamma_inv / lambda and (A0 - lambda)^{-1} = -f0 f0^H / lambda for an
     extremal A0 = ker Gamma0, whose pencil g0 - lambda f0 has the
-    singular values 1 and |lambda|, the latter n_dom times."""
+    singular values 1 and |lambda|, the latter n_dom times.  m0, m_inv
+    and gamma_inv are None where they are zero; f0 = [dom; 0], and
+    dom None stands for the identity on the first n_dom rows."""
 
-    m0: np.ndarray
+    m0: np.ndarray | None
     m1: np.ndarray
-    m_inv: np.ndarray
+    m_inv: np.ndarray | None
     gamma0: np.ndarray
-    gamma_inv: np.ndarray
-    f0: np.ndarray
+    gamma_inv: np.ndarray | None
+    dom: np.ndarray | None
     n_dom: int
 
+    def resolvent(self, inv: complex) -> np.ndarray:
+        """(A0 - lambda)^{-1} = -inv f0 f0^H for inv = 1/lambda, formed on
+        the rows of dom only: an identity dom puts -inv on the diagonal."""
+        n = len(self.gamma0)
+        out = np.zeros((n, n), dtype=complex)
+        if self.dom is None:
+            out.reshape(-1)[: self.n_dom * (n + 1) : n + 1] = -inv
+        else:
+            rows = len(self.dom)
+            out[:rows, :rows] = (-inv * self.dom) @ self.dom.conj().T
+        return out
 
-def _laurent(q0: list[_Columns], q1: _Columns, n: int, g: int,
-             rank_tol: float) -> _LaurentBlocks | None:
-    """The Laurent blocks of an extremal ker Gamma0 from a kernel split
-    whose Q0 columns are the blocks q0 and whose Q1 columns are q1, or
-    None when ker Gamma0 is not extremal.
 
-    F0 is made of the blocks of q0 with a first component, G0 of those
-    with a second, and each product runs over the rows that its two
-    factors share.  ker Gamma0 is extremal by classify's dom-perp-ran rule
-    on F0^H G0, at rank_tol; see BoundaryTriplet.resolvent_blocks for the
-    blocks.
-    """
-    fs = [c for c in q0 if c.f is not None]
-    gs = [c for c in q0 if c.g is not None]
-    for a in fs:
-        for b in gs:
-            cross = _inner(a.f, b.g)
-            if cross is not None and not _dom_perp_ran(cross, rank_tol):
-                return None
-    f0_g1 = [_inner(c.f, q1.g) for c in fs]
-    g0_f1 = [_inner(c.g, q1.f) for c in gs]
-    gamma0 = np.zeros((n, g), dtype=complex)
-    if q1.f is not None:
-        gamma0[q1.f[0]] = q1.f[1]
-    gamma_inv = np.zeros_like(gamma0)
-    f0 = np.zeros((n, sum(c.f[1].shape[1] for c in fs)), dtype=complex)
-    col = 0
-    for c, x in zip(fs, f0_g1):
-        rows, f = c.f
-        f0[rows, col : col + f.shape[1]] = f
-        col += f.shape[1]
-        y = _inner(c.f, q1.f)
-        if y is not None:
-            gamma0[rows] -= f @ y
-        if x is not None:
-            gamma_inv[rows] += f @ x
+def _laurent(whole: _KernelSplit, rank_tol: float) -> _LaurentBlocks | None:
+    """The Laurent blocks of an extremal ker Gamma0 from its whole kernel
+    split, or None when ker Gamma0 is not extremal by classify's
+    dom-perp-ran rule on F0^H G0, at rank_tol.  Only the nonzero columns
+    of f0 and of g0 enter, and dim dom A0 = ||f0||_F^2; see
+    BoundaryTriplet.resolvent_blocks for the blocks."""
+    _, f_live = _live_columns(whole.f0)
+    _, g_live = _live_columns(whole.g0)
+    f0, g0 = whole.f0[:, f_live], whole.g0[:, g_live]
+    f0_h = f0.conj().T
+    if not _dom_perp_ran(f0_h @ g0, rank_tol):
+        return None
+    f0_g1 = f0_h @ whole.g1
     return _LaurentBlocks(
-        m0=np.zeros((g, g), dtype=complex) if q1.gamma1 is None else q1.gamma1,
-        m1=_weighted(gs, g0_f1, g),
-        m_inv=_weighted(fs, f0_g1, g),
-        gamma0=gamma0,
-        gamma_inv=gamma_inv,
-        f0=f0,
+        m0=whole.gamma1_q1,
+        m1=whole.gamma1_q0[:, g_live] @ (g0.conj().T @ whole.f1),
+        m_inv=whole.gamma1_q0[:, f_live] @ f0_g1,
+        gamma0=whole.f1 - f0 @ (f0_h @ whole.f1),
+        gamma_inv=f0 @ f0_g1,
+        dom=f0,
         n_dom=round(np.vdot(f0, f0).real),
     )
-
-
-class _Layout(NamedTuple):
-    """What a lifted triplet's builder knows of Gamma0 from the lift's
-    parts: its split, used when _split_holds, and kernel, which maps A^H
-    for the live block A to the kernel split on the star's nonzero row
-    blocks, (the blocks of Q0's columns, Q1's columns) as _laurent reads
-    them."""
-
-    split: _MapSplit
-    kernel: Callable[[np.ndarray], tuple[list[_Columns], _Columns]]
 
 
 @dataclass(eq=False)
@@ -297,15 +247,14 @@ class BoundaryTriplet:
     the lift's ToleranceConfig.
 
     ker_gamma0 and ker_gamma1 are computed on first access, each by one
-    split of its map, and so is ker_gamma0_is_friedrichs, which records
-    whether ker Gamma0 equals S_F; the semiboundedness criterion is only
-    valid for such triplets.  So are resolvent_blocks, the lambda-free
-    blocks that weyl and gamma_field read at every lambda; they and
-    ker_gamma0 share the split of Gamma0, factored once per triplet.
-    A lifted triplet's builder knows that split from the lift's parts
-    and passes it in _layout; it is used, with no factorization, when
-    _split_holds, and _split_map splits Gamma0 otherwise (and for every
-    hand-built triplet).
+    split of its map (_split_map), and so is ker_gamma0_is_friedrichs,
+    which records whether ker Gamma0 equals S_F; the semiboundedness
+    criterion is only valid for such triplets.  So are resolvent_blocks,
+    the lambda-free blocks that weyl and gamma_field read at every
+    lambda; they and ker_gamma0 share the split of Gamma0, factored once
+    per triplet.  The builders return a _LiftedTriplet for a bundle that
+    lift returned, whose maps are assembled on their first read and
+    whose resolvent_blocks are the paper's closed forms.
     """
 
     kind: str
@@ -315,7 +264,6 @@ class BoundaryTriplet:
     gamma1: np.ndarray
     friedrichs: LinearRelation
     cfg: ToleranceConfig
-    _layout: _Layout | None = field(default=None, repr=False)
 
     @property
     def g(self) -> int:
@@ -323,12 +271,8 @@ class BoundaryTriplet:
 
     @cached_property
     def _gamma0_split(self) -> _MapSplit:
-        length = self.star.graph.ambient_dim
-        # an empty Gamma0 is all dead columns, split as it stands
-        if (self._layout is not None and self.g
-                and _split_holds(self._layout.split, self.gamma0, length)):
-            return self._layout.split
-        return _split_map(self.gamma0, length, self.cfg.rank_tol)
+        return _split_map(self.gamma0, self.star.graph.ambient_dim,
+                          self.cfg.rank_tol)
 
     @cached_property
     def ker_gamma0(self) -> LinearRelation:
@@ -362,44 +306,24 @@ class BoundaryTriplet:
         is extremal (classify's dom-perp-ran rule on f0^H g0, at rank_tol)
         f0^H g0 = 0 = f0 g0^H, and [f0; g0] is orthonormal, so
         (g0 - lambda f0)^{-1} = g0^H - f0^H / lambda and these are Laurent
-        polynomials (_laurent); only the nonzero columns of f0 and of g0
-        enter them, and dim dom A0 = ||f0||_F^2.  Their constant term is
-        Gamma1 Q1: the rest of it, Gamma1 Q0 (g0^H g1 + f0^H f1) =
-        Gamma1 Q0 Q0^H Q1, is zero because Q1 = Gamma0^+ is orthogonal to
-        ker Gamma0.  A lifted triplet whose split came from its _layout
-        forms the kernel split on the star's nonzero row blocks only; any
-        other forms it whole (_split_by_gamma0), and so does a lifted one
-        whose kernel fails the rule.  Any other A0 keeps that split and
-        solves the pencil at each lambda, after the Gram test of g0 + i f0
-        (an extremal A0 of dimension n is selfadjoint as it stands): a
-        hand-built triplet whose Gamma0-kernel is not selfadjoint would get
-        a wrong M(lambda), and is refused.  A Gamma0 that is not
-        surjective, or whose kernel is not n-dimensional, has no Weyl
-        function at all.
+        polynomials (_laurent).  Their constant term is Gamma1 Q1: the rest
+        of it, Gamma1 Q0 (g0^H g1 + f0^H f1) = Gamma1 Q0 Q0^H Q1, is zero
+        because Q1 = Gamma0^+ is orthogonal to ker Gamma0.  Any other A0
+        keeps the kernel split (_split_by_gamma0) and solves the pencil at
+        each lambda, after the Gram test of g0 + i f0 (an extremal A0 of
+        dimension n is selfadjoint as it stands): a triplet whose
+        Gamma0-kernel is not selfadjoint would get a wrong M(lambda), and
+        is refused.  A Gamma0 that is not surjective, or whose kernel is
+        not n-dimensional, has no Weyl function at all.
         """
-        n, g, rank_tol = self.star.n1, self.g, self.cfg.rank_tol
+        n, g = self.star.n1, self.g
         split = self._gamma0_split
         if self.star.dim != n + g or split.rank < g:
             raise SpectrumError(
                 "Gamma0 is not surjective with an n-dimensional kernel"
             )
-        if self._layout is not None and split is self._layout.split:
-            a_h = self.gamma0[:, split.live].conj().T
-            blocks = _laurent(*self._layout.kernel(a_h), n, g, rank_tol)
-            if blocks is not None:
-                return blocks
         whole = self._split_by_gamma0(split)
-        _, f_live = _live_columns(whole.f0)
-        _, g_live = _live_columns(whole.g0)
-        rows = slice(0, n)
-        blocks = _laurent(
-            [_Columns((rows, whole.f0[:, f_live]), None,
-                      whole.gamma1_q0[:, f_live]),
-             _Columns(None, (rows, whole.g0[:, g_live]),
-                      whole.gamma1_q0[:, g_live])],
-            _Columns((rows, whole.f1), (rows, whole.g1), whole.gamma1_q1),
-            n, g, rank_tol,
-        )
+        blocks = _laurent(whole, self.cfg.rank_tol)
         if blocks is not None:
             return blocks
         if not _is_orthonormal(whole.g0 + 1j * whole.f0):
@@ -427,110 +351,161 @@ class BoundaryTriplet:
         return self.g == 0
 
 
-def _flip_triplet(kind: str, star: LinearRelation, p: Subspace,
-                  bundle: LiftBundle, dom: np.ndarray | None,
-                  mul: Subspace) -> BoundaryTriplet:
-    """Common construction for the main and tilde triplets.
+class _LiftedTriplet(BoundaryTriplet):
+    """A triplet built from a bundle that lift returned.
 
-    Gamma0 projects (-k1, h2) and Gamma1 projects (h1, k2) onto the
-    parameter space; both land inside it by construction, so the
-    projection loses nothing.  Both are formed one block of the star at
-    a time.  Its graph basis (LiftBundle.S_star, S_tilde_star) stacks, in
-    this order, a first block on h1 (the identity for main, the basis dom
-    of dom R for tilde), graph R* = [B_h2; B_k1] on h2 and k1, and the
-    identity on k2.  For the parameter basis
-    P = [P_1; P_2], Gamma0 is A = P^H [-B_k1; B_h2] on the graph R* block
-    and zero on the others, and Gamma1 is P_1^H dom and P_2^H on the
-    first and last blocks and zero on graph R*.  The kernel of A is
-    spanned by C = B^H [0; M] (relation._mul_coordinates), M the basis of
-    mul, the part of mul R* that P leaves out: {0} for main, whose A is
-    square, and mul R* for tilde.
+    main lives on S* with parameter space G, tilde on S~* with G~, and
+    basic on S0* with G0.  For the parameter basis P = [P_1; P_2],
+    ker Gamma0 is H (main) or S_F (basic, tilde), extremal with
+    f0 = [D; 0] for D the identity (main) or the basis of dom R, and
+    resolvent_blocks are the paper's closed forms:
+    M(lambda) = lambda P_2^H P_2 - P_1^H P_1 / lambda and
+    gamma(lambda) = [-P_1 / lambda; P_2] for main and tilde, and
+    M(lambda) = lambda I and gamma(lambda) = P for basic.  So the Weyl
+    set-up and Krein's formula read neither boundary map.
+
+    gamma0 and gamma1 are assembled on their first read (_parts), one
+    block of the star's graph basis at a time, with the splits of their
+    live blocks that the lift's parts give; ker_gamma0 and ker_gamma1
+    use those splits, with no factorization, when _split_holds, and
+    _split_map's otherwise.  The graph bases stack, in this order:
+
+      main, tilde  D on h1, graph R* = [B_h2; B_k1] on h2 and k1, and the
+                   identity on k2.  Gamma0 projects (-k1, h2) and Gamma1
+                   (h1, k2) onto the parameter space, inside which both
+                   land: Gamma0 is A = P^H [-B_k1; B_h2] on graph R*, with
+                   ker A spanned by C = B^H [0; M] (relation.
+                   _mul_coordinates) for the basis M of the part of mul R*
+                   that P leaves out ({0} for main, mul R* for tilde);
+                   Gamma1 is [P_1^H D, P_2^H] on the other two blocks,
+                   whose kernel [D^H F; G] for graph R = [F; G] is where
+                   dom R (+) H2 meets the complement of P.
+      basic        the identity on h1, K on h2, M on k1 and the identity
+                   on k2, for the bases M of mul R* and K of ker R*, and
+                   P = [M, 0; 0, K].  Gamma0 is [P_1^H, P_2^H K] on the
+                   first two blocks, with kernel dom R (+) {0} = [D; 0],
+                   and Gamma1 is [P_1^H M, P_2^H] on the last two, with
+                   kernel {0} (+) ran R.
     """
-    n1, n2 = bundle.n1, bundle.n2
-    b = bundle.R_star.graph.basis
-    ph = p.basis.conj().T
-    first = n1 if dom is None else dom.shape[1]
-    live = slice(first, first + b.shape[1])
-    gamma0 = np.zeros((p.dim, star.dim), dtype=complex)
-    gamma1 = np.zeros_like(gamma0)
-    gamma0[:, live] = ph @ np.vstack([-b[n2:], b[:n2]])
-    gamma1[:, :first] = ph[:, :n1] if dom is None else ph[:, :n1] @ dom
-    gamma1[:, live.stop:] = ph[:, n1:]
-    dead = np.ones(star.dim, dtype=bool)
-    dead[live] = False
-    null = _mul_coordinates(bundle.R_star, mul)
 
-    def kernel(a_h):
-        # Q0's columns: the dead first and k2 blocks, then W N = B C, and
-        # W Q1 = B A^H, both on graph R*'s rows h2 and k1
-        b_q1, b_null = b @ a_h, b @ null
-        h1, h2 = slice(0, n1), slice(n1, n1 + n2)
-        first_basis = np.eye(n1) if dom is None else dom
-        q0 = [_Columns((h1, first_basis), None, gamma1[:, :first]),
-              _Columns(None, (h2, np.eye(n2)), gamma1[:, live.stop:]),
-              _Columns((h2, b_null[:n2]), (h1, b_null[n2:]), None)]
-        return q0, _Columns((h2, b_q1[:n2]), (h1, b_q1[n2:]), None)
+    def __init__(self, kind: str, star: LinearRelation, boundary: Subspace,
+                 bundle: LiftBundle) -> None:
+        # not the dataclass __init__, which would store gamma0 and gamma1
+        self.kind, self.star, self.boundary = kind, star, boundary
+        self.friedrichs, self.cfg = bundle.S_F, bundle.cfg
+        self._bundle = bundle
 
-    layout = _Layout(_MapSplit(_column_index(dead), live, null, None, p.dim),
-                     kernel)
-    return BoundaryTriplet(kind, star, p, gamma0, gamma1, bundle.S_F,
-                           bundle.cfg, layout)
+    @property
+    def _dom(self) -> np.ndarray | None:
+        """D, or None for main's identity."""
+        return None if self.kind == "main" else self._bundle.dom_R.basis
+
+    @cached_property
+    def _parts(self) -> tuple[np.ndarray, np.ndarray, _MapSplit, _MapSplit]:
+        """Gamma0, Gamma1 and the builder's splits of the two."""
+        b, ph, dom = self._bundle, self.boundary.basis.conj().T, self._dom
+        n1, n2 = b.n1, b.n2
+        if self.kind == "basic":
+            ker, mul, ran = b.ker_R_star, b.mul_R_star, b.ran_R
+            widths = [n1, ker.dim, mul.dim, n2]
+            blocks0 = {0: ph[:, :n1], 1: ph[:, n1:] @ ker.basis}
+            blocks1 = {2: ph[:, :n1] @ mul.basis, 3: ph[:, n1:]}
+            null0 = np.vstack([dom, np.zeros((ker.dim, dom.shape[1]))])
+            null1 = np.vstack([np.zeros((mul.dim, ran.dim)), ran.basis])
+        else:
+            r_star, rel = b.R_star, b.R
+            mul = Subspace.zero(n1) if dom is None else b.mul_R_star
+            r_basis = r_star.graph.basis
+            widths = [n1 if dom is None else dom.shape[1], r_star.dim, n2]
+            blocks0 = {1: ph @ np.vstack([-r_basis[n2:], r_basis[:n2]])}
+            blocks1 = {0: ph[:, :n1] if dom is None else ph[:, :n1] @ dom,
+                       2: ph[:, n1:]}
+            null0 = _mul_coordinates(r_star, mul)
+            null1 = (rel.graph.basis if dom is None else np.vstack(
+                [dom.conj().T @ rel.domain_block, rel.range_block]))
+        edges = np.cumsum([0, *widths])
+        maps, splits = [], []
+        for blocks, null in ((blocks0, null0), (blocks1, null1)):
+            gamma = np.zeros((self.g, self.star.dim), dtype=complex)
+            live = np.zeros(self.star.dim, dtype=bool)
+            for k, block in blocks.items():
+                gamma[:, edges[k] : edges[k + 1]] = block
+                live[edges[k] : edges[k + 1]] = True
+            maps.append(gamma)
+            splits.append(_MapSplit(_column_index(~live), _column_index(live),
+                                    null, None, self.g))
+        return (*maps, *splits)
+
+    @cached_property
+    def gamma0(self) -> np.ndarray:
+        return self._parts[0]
+
+    @cached_property
+    def gamma1(self) -> np.ndarray:
+        return self._parts[1]
+
+    def _checked(self, split: _MapSplit, gamma: np.ndarray) -> _MapSplit:
+        length = self.star.graph.ambient_dim
+        # an empty map is all dead columns, split as it stands
+        if self.g and _split_holds(split, gamma, length):
+            return split
+        return _split_map(gamma, length, self.cfg.rank_tol)
+
+    @cached_property
+    def _gamma0_split(self) -> _MapSplit:
+        return self._checked(self._parts[2], self.gamma0)
+
+    @cached_property
+    def ker_gamma1(self) -> LinearRelation:
+        return self._kernel(self._checked(self._parts[3], self.gamma1))
+
+    @cached_property
+    def resolvent_blocks(self) -> _LaurentBlocks:
+        p, n1, dom = self.boundary.basis, self._bundle.n1, self._dom
+        n_dom = n1 if dom is None else dom.shape[1]
+        if self.kind == "basic":
+            return _LaurentBlocks(None, np.eye(self.g, dtype=complex), None,
+                                  p, None, dom, n_dom)
+        p1, p2 = p[:n1], p[n1:]
+        gamma0, gamma_inv = np.zeros_like(p), np.zeros_like(p)
+        gamma0[n1:] = p2
+        gamma_inv[:n1] = -p1
+        return _LaurentBlocks(None, p2.conj().T @ p2, -(p1.conj().T @ p1),
+                              gamma0, gamma_inv, dom, n_dom)
+
+
+def _built(trip: _LiftedTriplet, bundle: LiftBundle) -> BoundaryTriplet:
+    """trip for a bundle that lift returned.  Any other bundle (a
+    dataclasses.replace'd or hand-made one, whose parts need not fit
+    together) gets a plain triplet on trip's maps, which takes the
+    generic route."""
+    if bundle._from_lift:
+        return trip
+    return BoundaryTriplet(trip.kind, trip.star, trip.boundary, trip.gamma0,
+                           trip.gamma1, trip.friedrichs, trip.cfg)
 
 
 def triplet_main(bundle: LiftBundle) -> BoundaryTriplet:
     """Triplet on S* with parameter space (graph R)^perp."""
-    return _flip_triplet("main", bundle.S_star, bundle.G, bundle, None,
-                         Subspace.zero(bundle.n1))
+    return _built(_LiftedTriplet("main", bundle.S_star, bundle.G, bundle),
+                  bundle)
 
 
 def triplet_tilde(bundle: LiftBundle) -> BoundaryTriplet:
     """Triplet on S~* whose Gamma0-kernel is the Friedrichs extension."""
-    return _flip_triplet("tilde", bundle.S_tilde_star, bundle.G_tilde, bundle,
-                         bundle.dom_R.basis, bundle.mul_R_star)
+    return _built(_LiftedTriplet("tilde", bundle.S_tilde_star,
+                                 bundle.G_tilde, bundle), bundle)
 
 
 def triplet_basic(bundle: LiftBundle) -> BoundaryTriplet:
     """Triplet on S0* with parameter space G0 and Weyl function lambda*I.
 
-    Gamma0 and Gamma1 are plain compressions of the two components onto
-    G0.  A relation with dense domain and dense range gives G0 = {0};
-    the triplet is then degenerate (S0 is already selfadjoint) and the
-    is_degenerate flag reports it.  S0*'s graph basis (LiftBundle.S0_star)
-    stacks, in this order, the identity on h1, ker R* on h2, mul R* on k1
-    and the identity on k2, and G0's basis is P = [P_1; P_2] = [M, 0; 0, K]
-    for the bases M of mul R* and K of ker R*.  So Gamma0 is P_1^H and P_2^H K on the first
-    two blocks, Gamma1 is P_1^H M and P_2^H on the last two, and each is
-    zero on the others.  Gamma0's live block [M^H, 0; 0, K^H K] has the
-    kernel dom R (+) {0}, spanned by [D; 0] for the basis D of dom R.
+    A relation with dense domain and dense range gives G0 = {0}; the
+    triplet is then degenerate (S0 is already selfadjoint) and the
+    is_degenerate flag reports it.
     """
-    star, p = bundle.S0_star, bundle.G0
-    n1, n2 = bundle.n1, bundle.n2
-    ker, mul, dom = bundle.ker_R_star, bundle.mul_R_star, bundle.dom_R
-    ph = p.basis.conj().T
-    live = slice(0, n1 + ker.dim)
-    gamma0 = np.zeros((p.dim, star.dim), dtype=complex)
-    gamma1 = np.zeros_like(gamma0)
-    gamma0[:, :n1] = ph[:, :n1]
-    gamma0[:, n1:live.stop] = ph[:, n1:] @ ker.basis
-    gamma1[:, live.stop:live.stop + mul.dim] = ph[:, :n1] @ mul.basis
-    gamma1[:, live.stop + mul.dim:] = ph[:, n1:]
-    null = np.vstack([dom.basis, np.zeros((ker.dim, dom.dim), dtype=complex)])
-
-    def kernel(a_h):
-        # the dead blocks mul R* and k2 in Q0's columns, and W [D; 0] = D
-        # on h1; W Q1 = [A^H_1; K A^H_2] on h1 and h2
-        h1, h2 = slice(0, n1), slice(n1, n1 + n2)
-        mul_cols = slice(live.stop, live.stop + mul.dim)
-        q0 = [_Columns(None, (h1, mul.basis), gamma1[:, mul_cols]),
-              _Columns(None, (h2, np.eye(n2)), gamma1[:, mul_cols.stop:]),
-              _Columns((h1, dom.basis), None, None)]
-        f1 = np.vstack([a_h[:n1], ker.basis @ a_h[n1:]])
-        return q0, _Columns((slice(0, n1 + n2), f1), None, None)
-
-    layout = _Layout(_MapSplit(slice(live.stop, star.dim), live, null, None,
-                               p.dim), kernel)
-    return BoundaryTriplet("basic", star, p, gamma0, gamma1, bundle.S_F,
-                           bundle.cfg, layout)
+    return _built(_LiftedTriplet("basic", bundle.S0_star, bundle.G0, bundle),
+                  bundle)
 
 
 def green_identity_defect(trip: BoundaryTriplet) -> float:
@@ -583,10 +558,17 @@ def _boundary_values(
         s[:blocks.n_dom] = abs(lam)
         if _numerical_rank(np.sort(s)[::-1], rank_tol) < s.size:
             raise SpectrumError(f"lambda = {lam} is {spectral}")
-        f0, inv = blocks.f0, 1.0 / lam if lam else 0.0
-        return (blocks.m0 + lam * blocks.m1 + inv * blocks.m_inv,
-                blocks.gamma0 + inv * blocks.gamma_inv if gamma else None,
-                (-inv * f0) @ f0.conj().T if resolvent else None)
+        inv = 1.0 / lam if lam else 0.0
+        m = lam * blocks.m1
+        if blocks.m0 is not None:
+            m = blocks.m0 + m
+        if blocks.m_inv is not None:
+            m = m + inv * blocks.m_inv
+        gam = None
+        if gamma:
+            gam = (blocks.gamma0.copy() if blocks.gamma_inv is None
+                   else blocks.gamma0 + inv * blocks.gamma_inv)
+        return m, gam, blocks.resolvent(inv) if resolvent else None
     f0, g = blocks.f0, trip.g
     rhs = blocks.g1 - lam * blocks.f1
     if resolvent:
@@ -606,8 +588,9 @@ def weyl(trip: BoundaryTriplet, lam: complex,
         M(lambda) = Gamma1 Q1 - Gamma1 Q0 (g0 - lambda f0)^{-1} (g1 - lambda f1)
 
     on the triplet's cached resolvent_blocks.  After the first call each
-    lambda costs O(n g) sums when ker Gamma0 is extremal (every lifted
-    triplet), and one values-only SVD and one n x n solve when it is not.
+    lambda costs O(g^2) sums when ker Gamma0 is extremal (every lifted
+    triplet, whose blocks are the closed forms), and one values-only SVD
+    and one n x n solve when it is not.
     The rank rule applied to the pencil's singular values decides
     whether lambda is a spectral point (SpectrumError).  A cfg given here
     replaces the triplet's rank_tol for that decision only; the cached
@@ -687,9 +670,11 @@ def extension_from_boundary(trip: BoundaryTriplet,
 
     and A_theta is the graph {(R h, h + i R h)}.  Every factor comes from
     the triplet's cached resolvent_blocks.  For an extremal ker Gamma0
-    (every lifted triplet) (A0 - i)^{-1} = i f0 f0^H, and the one solve
-    is g x g; any other kernel adds the pencil solves at +-i, the one at
-    +i with the identity stacked onto its right-hand side.
+    (every lifted triplet) (A0 - i)^{-1} = i f0 f0^H, formed on the rows
+    of f0's nonzero block only (i on the first n1 diagonal entries for
+    main, i D D^H for basic and tilde), and the one solve is g x g; any
+    other kernel adds the pencil solves at +-i, the one at +i with the
+    identity stacked onto its right-hand side.
     Y - M(i) X is invertible because Im M(i) = gamma(i)^H gamma(i) > 0.
     Multivalued parameters (dim of theta's domain below g) need no
     special case.  The Cayley basis [R; I + i R] is orthonormal because

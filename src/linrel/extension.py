@@ -25,7 +25,9 @@ op R* (subspace._signed_swap), untested too.  lift builds G, G0 and
 G~.  A lifted relation is built on its first read, and holds a stack of
 its parts, not a matrix; its zero-padded graph basis is assembled on
 the first read of that basis, so a caller that reads only R's parts
-(the boundary triplets, weyl, Krein's formula) assembles none.  lift
+and the parameter bases (the boundary triplets, weyl, Krein's formula)
+assembles none.  lift marks the bundle it returns, so the triplets
+built from it may read their Weyl functions in closed form.  lift
 checks the closed-form S* against adjoint(S) by a Gram-norm angle on
 its one nonzero block R*^H J graph R, with no second factorization and,
 unless the check fails or the Frobenius bracket of
@@ -37,7 +39,7 @@ can compare them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -111,6 +113,11 @@ class LiftBundle:
     cfg is the ToleranceConfig given to lift.  Every function that takes
     a bundle, and every boundary triplet built from one, decides its
     verdicts with it; none of them takes a tolerance of its own.
+
+    _from_lift is set by lift alone; dataclasses.replace resets it, and a
+    hand-made bundle never has it.  The boundary triplets of a bundle
+    that has it take their Weyl functions in closed form from the
+    fields, which only lift makes fit together.
     """
 
     R: LinearRelation
@@ -123,6 +130,7 @@ class LiftBundle:
     G0: Subspace
     G_tilde: Subspace
     cfg: ToleranceConfig
+    _from_lift: bool = field(default=False, init=False, repr=False)
 
     @property
     def n1(self) -> int:
@@ -267,7 +275,7 @@ def lift(rel: LinearRelation,
     r_star_op = _operator_part_off(r_star, mul_r_star)
     g_tilde = _signed_swap(r_star_op.graph, rel.n2, "head")
 
-    return LiftBundle(
+    bundle = LiftBundle(
         R=rel,
         R_star=r_star,
         dom_R=dom_r,
@@ -279,6 +287,8 @@ def lift(rel: LinearRelation,
         G_tilde=g_tilde,
         cfg=cfg,
     )
+    bundle._from_lift = True
+    return bundle
 
 
 def _restrict_star(sym: LinearRelation, window: Subspace, side: str,

@@ -4,8 +4,10 @@ The verifiers here deliberately avoid the main modules' algorithms:
 adjoint_definitional solves the defining pairing equations as one dense
 nullspace problem with its own SVD helper, weyl_definitional builds
 the Weyl function straight from its definition, one defect-space
-nullspace per lambda, and extension_definitional builds A_theta by
-membership instead of by Krein's resolvent formula.  They are allowed
+nullspace per lambda, weyl_certificate checks a computed M(lambda) and
+gamma(lambda) against that definition with no factorization, and
+extension_definitional builds A_theta by membership instead of by
+Krein's resolvent formula.  They are allowed
 to be slower; they exist to disagree loudly when the fast paths are
 wrong.
 
@@ -23,7 +25,9 @@ import numpy as np
 from .boundary import (
     BoundaryTriplet,
     extension_from_boundary,
+    gamma_field,
     triplet_main,
+    weyl,
 )
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .errors import DimensionMismatch, SpectrumError
@@ -35,6 +39,7 @@ __all__ = [
     "adjoint_definitional",
     "defect_coefficients",
     "weyl_definitional",
+    "weyl_certificate",
     "extension_definitional",
     "SweepRecord",
     "SweepReport",
@@ -150,6 +155,36 @@ def weyl_definitional(trip: BoundaryTriplet, lam: complex) -> np.ndarray:
     vh = np.linalg.svd(w[n:] - lam * w[:n], full_matrices=True)[2]
     ns = vh[n:].conj().T
     return (trip.gamma1 @ ns) @ np.linalg.inv(trip.gamma0 @ ns)
+
+
+def _max_abs(mat: np.ndarray) -> float:
+    return float(np.abs(mat).max(initial=0.0))
+
+
+def weyl_certificate(trip: BoundaryTriplet, lam: complex) -> float:
+    """How far weyl and gamma_field at lambda miss the definition
+    M(lambda) = Gamma1 (Gamma0 | N_lambda)^{-1}, relative to their scale.
+
+    gamma = gamma_field(trip, lam) and M = weyl(trip, lam) claim that each
+    column of [gamma; lambda gamma] is an element of N_lambda in the star
+    whose boundary values are e_j and M e_j.  With c = W^H [gamma;
+    lambda gamma] their coefficients over the star's orthonormal graph
+    basis W, the certificate is the largest of |W c - [gamma; lambda
+    gamma]|, |Gamma0 c - I| and |Gamma1 c - M|, each divided by
+    max(1, |M|, |lambda| |gamma|), for |.| the largest entry in absolute
+    value.  Gamma0 is a bijection of N_lambda onto C^g, so it is zero
+    only for the true M(lambda) and gamma(lambda).  It reads Gamma0,
+    Gamma1 and W, never the parameter basis, and factors nothing.
+    """
+    m = weyl(trip, lam)
+    gamma = gamma_field(trip, lam)
+    w = trip.star.graph.basis
+    defect = np.vstack([gamma, lam * gamma])
+    c = w.conj().T @ defect
+    eye = np.eye(trip.g)
+    scale = max(1.0, _max_abs(m), abs(lam) * _max_abs(gamma))
+    return max(_max_abs(w @ c - defect), _max_abs(trip.gamma0 @ c - eye),
+               _max_abs(trip.gamma1 @ c - m)) / scale
 
 
 def extension_definitional(trip: BoundaryTriplet,

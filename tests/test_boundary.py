@@ -15,6 +15,9 @@ from linrel.boundary import (
     BoundaryTriplet,
     _KernelSplit,
     _LaurentBlocks,
+    _LiftedTriplet,
+    _split_holds,
+    _split_map,
     alternative_experiment,
     boundary_map_rank,
     closed_form_gamma,
@@ -342,14 +345,16 @@ class TestCayleyDiagonalization:
         trip = triplet_main(lift(random_relation(16, 16, rank=16, rng=5)))
         self.check(trip)
         # ker Gamma0 = H is extremal: dom H = H1 and ran H = H2 (each of
-        # dimension n/2), so M(lambda) is a Laurent polynomial and f0
-        # keeps only the n/2 columns that span dom H
+        # dimension n/2), so M(lambda) is a Laurent polynomial and
+        # f0 = [I; 0] spans dom H with the identity on its first n/2 rows
         blocks = trip.resolvent_blocks
         n = trip.star.n1
         assert isinstance(blocks, _LaurentBlocks)
         assert blocks.n_dom == n // 2
-        assert blocks.f0.shape == (n, n // 2)
-        assert not blocks.f0[n // 2:].any()
+        assert blocks.dom is None
+        want = np.zeros((n, n), dtype=complex)
+        want[: n // 2, : n // 2] = 2j * np.eye(n // 2)
+        np.testing.assert_array_equal(blocks.resolvent(-2j), want)
 
     @pytest.mark.parametrize("rank", [8, 16, 24])
     @pytest.mark.parametrize("build", [triplet_main, triplet_basic, triplet_tilde])
@@ -852,10 +857,13 @@ class TestAlternativeExperiment:
             assert exp.sufficient_bound < exp.computed_bound
 
 
-# The parts route: a lifted triplet's builder forms Gamma0 and Gamma1 one
-# block of the star at a time and knows Gamma0's kernel from the lift's
-# parts, so its set-up factors nothing.  _split_map and the whole kernel
-# split of a hand-built copy (the same maps, no layout) are its oracle.
+
+
+# The closed forms: a lifted triplet's Laurent blocks are formed from P
+# and dom R, and the splits of the live blocks of Gamma0 and Gamma1 come
+# from the lift's parts, so neither its Weyl set-up nor its kernels
+# factor anything.  _split_map and the whole kernel split of a hand-built
+# copy (the same maps, the generic route) are their oracle.
 
 
 def _hand_built(trip):
@@ -873,27 +881,14 @@ def _whole_star_maps(trip, n1):
     return ph @ np.vstack([-k1, h2]), ph @ np.vstack([h1, k2])
 
 
-def _embedded(split, d, g):
-    """Q0 and Q1 = Gamma0^+ of a split as d-row matrices."""
+def _kernel_projector(split, d):
+    """Q0 Q0^H for the orthonormal basis Q0 = [E_dead, E_live N] of a
+    split's kernel, as a d x d matrix."""
     dead = np.arange(d)[split.dead]
     q0 = np.zeros((d, dead.size + split.null.shape[1]), dtype=complex)
     q0[dead, np.arange(dead.size)] = 1.0
     q0[split.live, dead.size :] = split.null
-    return q0, dead
-
-
-def _placed(cols, n, g):
-    """A block of kernel-split columns as one (2n + g)-row matrix
-    [F; G; Gamma1 Q]."""
-    width = next(x[1].shape[1] for x in (cols.f, cols.g) if x is not None)
-    out = np.zeros((2 * n + g, width), dtype=complex)
-    for offset, part in ((0, cols.f), (n, cols.g)):
-        if part is not None:
-            rows, values = part
-            out[offset + rows.start : offset + rows.stop] = values
-    if cols.gamma1 is not None:
-        out[2 * n :] = cols.gamma1
-    return out
+    return q0 @ q0.conj().T
 
 
 def _assert_close(got, want, what):
@@ -902,7 +897,7 @@ def _assert_close(got, want, what):
     assert err <= 1e3 * EPS, f"{what}: {err:.3e}"
 
 
-def _check_parts_route(bundle):
+def _check_closed_forms(bundle):
     for build in (triplet_main, triplet_basic, triplet_tilde):
         trip = build(bundle)
         want0, want1 = _whole_star_maps(trip, bundle.n1)
@@ -910,43 +905,29 @@ def _check_parts_route(bundle):
         _assert_close(trip.gamma1, want1, f"{trip.kind} Gamma1")
         if trip.is_degenerate:
             continue
-        hand = _hand_built(trip)
-        split, oracle = trip._gamma0_split, hand._gamma0_split
-        assert split is trip._layout.split, trip.kind
-        assert split.pinv is None and split.rank == oracle.rank == trip.g
-        d, g, n = trip.star.dim, trip.g, trip.star.n1
-        q0, _ = _embedded(split, d, g)
-        q0_want, _ = _embedded(oracle, d, g)
-        _assert_close(q0 @ q0.conj().T, q0_want @ q0_want.conj().T,
-                      f"{trip.kind} Q0 Q0^H")
-        q1_want = np.zeros((d, g), dtype=complex)
-        q1_want[oracle.live] = (trip.gamma0[:, oracle.live].conj().T
-                                if oracle.pinv is None else oracle.pinv)
-        q1 = np.zeros((d, g), dtype=complex)
-        q1[split.live] = trip.gamma0[:, split.live].conj().T
-        _assert_close(q1, q1_want, f"{trip.kind} Q1")
+        d, length = trip.star.dim, trip.star.graph.ambient_dim
+        for known, gamma, name in ((trip._parts[2], trip.gamma0, "Gamma0"),
+                                   (trip._parts[3], trip.gamma1, "Gamma1")):
+            assert _split_holds(known, gamma, length), (trip.kind, name)
+            oracle = _split_map(gamma, length, RANK_TOL)
+            assert oracle.pinv is None and oracle.rank == trip.g
+            _assert_close(_kernel_projector(known, d),
+                          _kernel_projector(oracle, d),
+                          f"{trip.kind} ker {name}")
 
-        # the kernel split on its row blocks against the whole one:
-        # W Q1 and Gamma1 Q1 as they are, W Q0 and Gamma1 Q0 up to Q0's
-        # basis, through Z Z^H for Z = [W Q0; Gamma1 Q0]
-        blocks, q1_cols = trip._layout.kernel(
-            trip.gamma0[:, split.live].conj().T)
-        whole = hand._split_by_gamma0(oracle)
-        z = np.hstack([_placed(c, n, g) for c in blocks])
-        z_want = np.vstack([whole.f0, whole.g0, whole.gamma1_q0])
-        _assert_close(z @ z.conj().T, z_want @ z_want.conj().T,
-                      f"{trip.kind} W Q0")
-        _assert_close(_placed(q1_cols, n, g),
-                      np.vstack([whole.f1, whole.g1, whole.gamma1_q1]),
-                      f"{trip.kind} W Q1")
-
-        got, want = trip.resolvent_blocks, hand.resolvent_blocks
+        # the closed-form blocks against the whole split's: its constant
+        # term Gamma1 Q1 is zero to round-off, and f0 f0^H is read
+        # through the resolvent at lambda = -1
+        got, want = trip.resolvent_blocks, _hand_built(trip).resolvent_blocks
         assert isinstance(got, _LaurentBlocks), trip.kind
         assert isinstance(want, _LaurentBlocks), trip.kind
-        for name in ("m0", "m1", "m_inv", "gamma0", "gamma_inv"):
-            _assert_close(getattr(got, name), getattr(want, name),
-                          f"{trip.kind} {name}")
-        _assert_close(got.f0 @ got.f0.conj().T, want.f0 @ want.f0.conj().T,
+        assert got.m0 is None
+        _assert_close(want.m0, 0.0, f"{trip.kind} m0")
+        for name in ("m1", "m_inv", "gamma0", "gamma_inv"):
+            value = getattr(got, name)
+            _assert_close(0.0 if value is None else value,
+                          getattr(want, name), f"{trip.kind} {name}")
+        _assert_close(got.resolvent(-1.0), want.resolvent(-1.0),
                       f"{trip.kind} f0 f0^H")
         assert got.n_dom == want.n_dom
 
@@ -974,28 +955,79 @@ def _special_relation(shape, n, rng):
     shape=st.sampled_from(["1", "n/2", "n", "3n/2", "2n-1",
                            "dom0", "ran0", "dense"]),
 )
-def test_parts_route_matches_the_whole_split(seed, n, shape):
+def test_closed_forms_match_the_whole_split(seed, n, shape):
     # ranks 1 .. 2n - 1, and dom R, ran R or both halves of G0 trivial
     rng = np.random.default_rng(seed)
     ranks = {"1": 1, "n/2": n // 2, "n": n, "3n/2": 3 * n // 2,
              "2n-1": 2 * n - 1}
     rel = (random_relation(n, n, rank=ranks[shape], rng=rng)
            if shape in ranks else _special_relation(shape, n, rng))
-    _check_parts_route(lift(rel))
+    _check_closed_forms(lift(rel))
 
 
 @pytest.mark.parametrize("spec", sorted(DATA.glob("*.json")),
                          ids=lambda path: path.stem)
-def test_parts_route_on_every_spec(spec):
-    _check_parts_route(lift(load_relation_spec(str(spec)).relation))
+def test_closed_forms_on_every_spec(spec):
+    _check_closed_forms(lift(load_relation_spec(str(spec)).relation))
+
+
+def _parent_builder_maps(bundle, kind):
+    """Gamma0 and Gamma1 as the eager builders formed them: the blocks
+    P^H [-B_k1; B_h2], P_1^H D and P_2^H (main, tilde), or P_1^H,
+    P_2^H K, P_1^H M and P_2^H (basic), zero-padded on the star's
+    columns."""
+    n1, n2 = bundle.n1, bundle.n2
+    if kind == "basic":
+        star, p = bundle.S0_star, bundle.G0
+        ker, mul = bundle.ker_R_star, bundle.mul_R_star
+        ph, cut = p.basis.conj().T, n1 + ker.dim
+        gamma0 = np.zeros((p.dim, star.dim), dtype=complex)
+        gamma1 = np.zeros_like(gamma0)
+        gamma0[:, :n1] = ph[:, :n1]
+        gamma0[:, n1:cut] = ph[:, n1:] @ ker.basis
+        gamma1[:, cut:cut + mul.dim] = ph[:, :n1] @ mul.basis
+        gamma1[:, cut + mul.dim:] = ph[:, n1:]
+        return gamma0, gamma1
+    star, p, dom = {"main": (bundle.S_star, bundle.G, None),
+                    "tilde": (bundle.S_tilde_star, bundle.G_tilde,
+                              bundle.dom_R.basis)}[kind]
+    b = bundle.R_star.graph.basis
+    ph = p.basis.conj().T
+    first = n1 if dom is None else dom.shape[1]
+    live = slice(first, first + b.shape[1])
+    gamma0 = np.zeros((p.dim, star.dim), dtype=complex)
+    gamma1 = np.zeros_like(gamma0)
+    gamma0[:, live] = ph @ np.vstack([-b[n2:], b[:n2]])
+    gamma1[:, :first] = ph[:, :n1] if dom is None else ph[:, :n1] @ dom
+    gamma1[:, live.stop:] = ph[:, n1:]
+    return gamma0, gamma1
+
+
+@pytest.mark.parametrize("rank", [1, 4, 8, 12, 15])
+def test_maps_are_assembled_on_first_read_as_the_builders_formed_them(rank):
+    # no triplet holds a map until one is read; the read gives the bytes
+    # of the eager builder's zero-padded blocks, once
+    bundle = lift(random_relation(8, 8, rank=rank, rng=rank))
+    for build in (triplet_main, triplet_basic, triplet_tilde):
+        trip = build(bundle)
+        assert not {"gamma0", "gamma1"} & set(vars(trip)), trip.kind
+        want0, want1 = _parent_builder_maps(bundle, trip.kind)
+        assert trip.gamma0.tobytes() == want0.tobytes(), trip.kind
+        assert trip.gamma1.tobytes() == want1.tobytes(), trip.kind
+        assert trip.gamma0.shape == want0.shape
+        assert trip.gamma0 is trip.gamma0 and trip.gamma1 is trip.gamma1
 
 
 @pytest.mark.parametrize("build", [triplet_basic, triplet_tilde])
 def test_parts_route_off_its_kernel_takes_the_whole_split(build, rng):
     # mul R* moved by 1e-9: [D; 0] (basic) and B^H [0; M] (tilde) miss the
-    # kernel of A by far more than round-off, so the split is _split_map's
-    # and M(lambda) is the hand-built triplet's, bit for bit
+    # kernel of A by far more than round-off.  A replaced bundle carries
+    # no mark of lift, so its triplets are plain ones on the same maps,
+    # split by _split_map, and M(lambda) is the hand-built triplet's, bit
+    # for bit
     bundle = lift(random_relation(6, 6, rank=3, rng=5))
+    assert bundle._from_lift
+    assert not dataclasses.replace(bundle)._from_lift
     mul = bundle.mul_R_star
     noise = rng.normal(size=mul.basis.shape) + 1j * rng.normal(
         size=mul.basis.shape)
@@ -1004,7 +1036,10 @@ def test_parts_route_off_its_kernel_takes_the_whole_split(build, rng):
     bundle = dataclasses.replace(
         bundle, mul_R_star=moved, G0=oplus(moved, bundle.ker_R_star))
     trip = build(bundle)
-    assert trip._gamma0_split is not trip._layout.split
+    assert type(trip) is BoundaryTriplet
+    lazy = _LiftedTriplet(trip.kind, trip.star, trip.boundary, bundle)
+    assert not _split_holds(lazy._parts[2], trip.gamma0,
+                            trip.star.graph.ambient_dim)
     hand = _hand_built(trip)
     for lam in (-1.0, 1j, 2.5 - 0.5j):
         np.testing.assert_array_equal(weyl(trip, lam), weyl(hand, lam))

@@ -58,11 +58,11 @@ VERIFY_CHECKS = [
     "lift_decompositions",
     "extreme_extensions_closed_forms",
     "triplet_main",
-    "weyl_main_closed_form",
+    "weyl_main_certificate",
     "triplet_basic",
-    "weyl_basic_closed_form",
+    "weyl_basic_certificate",
     "triplet_tilde",
-    "weyl_tilde_closed_form",
+    "weyl_tilde_certificate",
     "extension_sweep",
     "krein_order_sampled",
 ]
@@ -510,11 +510,8 @@ def _triplet_on(bundle, kind, basis):
         w = star.graph.basis
         return boundary.BoundaryTriplet(kind, star, space, ph @ w[:n],
                                         ph @ w[n:], bundle.S_F, bundle.cfg)
-    if kind == "main":
-        return boundary._flip_triplet(kind, bundle.S_star, space, bundle,
-                                      None, Subspace.zero(bundle.n1))
-    return boundary._flip_triplet(kind, bundle.S_tilde_star, space, bundle,
-                                  bundle.dom_R.basis, bundle.mul_R_star)
+    star = bundle.S_star if kind == "main" else bundle.S_tilde_star
+    return boundary._LiftedTriplet(kind, star, space, bundle)
 
 
 def _theta_payload(theta, coordinates=None):
@@ -690,6 +687,15 @@ class TestVerify:
         assert all(line.startswith("ok ") for line in lines[:-1])
         assert lines[-1] == f"verify: PASS ({len(VERIFY_CHECKS)}/{len(VERIFY_CHECKS)})"
 
+    @pytest.mark.parametrize("name", ["graph_one", "theta_minus_one"])
+    def test_degenerate_triplet_has_no_weyl_row(self, name, capsys):
+        # G0 = {0}: the basic triplet has no Weyl function to certify
+        assert main(["verify", str(DATA / f"{name}.json")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        want = [c for c in VERIFY_CHECKS if c != "weyl_basic_certificate"]
+        assert [line.split()[1] for line in lines[:-1]] == want
+        assert lines[-1] == f"verify: PASS ({len(want)}/{len(want)})"
+
     def test_corrupted_basis_fails(self, tmp_path, capsys):
         path = write_spec(
             tmp_path / "skew.json",
@@ -716,13 +722,14 @@ class TestVerify:
     )
     def test_rank_tol_sets_green_and_weyl_bounds(
             self, defect, tight, loose, monkeypatch, capsys):
-        # the Green defect is patched to defect and the Weyl gap to
-        # 10 defect: both pass at rank_tol (bounds rank_tol and 10 rank_tol)
-        # when defect < rank_tol, and fail when defect > rank_tol
-        real_weyl = cli.weyl
+        # the Green defect is patched to defect and the Weyl certificate
+        # to 10 defect more: both pass at rank_tol (bounds rank_tol and
+        # 10 rank_tol) when defect < rank_tol, and fail when defect > rank_tol
+        real_certificate = cli.weyl_certificate
         monkeypatch.setattr(cli, "green_identity_defect", lambda trip: defect)
-        monkeypatch.setattr(cli, "weyl",
-                            lambda trip, lam: real_weyl(trip, lam) + 10 * defect)
+        monkeypatch.setattr(
+            cli, "weyl_certificate",
+            lambda trip, lam: real_certificate(trip, lam) + 10 * defect)
         path = str(DATA / "halfline_embed.json")
         failing = [name for name in VERIFY_CHECKS
                    if name.startswith(("triplet_", "weyl_"))]

@@ -177,7 +177,8 @@ class TestLazyMembers:
     def test_the_boundary_chain_assembles_no_lifted_basis(self, rank):
         # the three triplets, a Weyl value each, Krein's formula and its
         # classify build S*, S0*, S~* and S_F, and read no graph basis of
-        # theirs: the Laurent route works on R's parts
+        # theirs, nor assemble a boundary map: the Laurent blocks are the
+        # closed forms in P and dom R
         bundle = lift(random_relation(4, 4, rank=rank, rng=rank))
         assert not set(vars(bundle)) & set(_BUNDLE_RELATIONS)
         trips = [build(bundle)
@@ -191,6 +192,8 @@ class TestLazyMembers:
         assert built == {"S_star", "S0_star", "S_tilde_star", "S_F"}
         for name in built:
             assert "basis" not in vars(getattr(bundle, name).graph), name
+        for trip in trips:
+            assert not {"gamma0", "gamma1"} & set(vars(trip)), trip.kind
 
     @settings(max_examples=40, deadline=None)
     @given(

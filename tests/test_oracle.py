@@ -6,12 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linrel import oracle
+from linrel.boundary import (
+    _KernelSplit,
+    triplet_basic,
+    triplet_main,
+    triplet_tilde,
+)
+from linrel.extension import lift
 from linrel.oracle import (
     adjoint_definitional,
     extension_sweep,
     random_hermitian,
     random_relation,
     random_selfadjoint_relation,
+    weyl_certificate,
 )
 from linrel.relation import (
     adjoint,
@@ -21,7 +30,7 @@ from linrel.relation import (
     parts,
 )
 
-from conftest import assert_relation_equal
+from conftest import assert_relation_equal, mixed_coordinates, swapped
 
 
 class TestGenerators:
@@ -147,3 +156,81 @@ def test_selfadjoint_generator_property(seed, n, nonneg):
     if nonneg:
         assert rep.is_nonnegative
     assert_relation_equal(adjoint(rel), rel)
+
+
+# weyl_certificate: the definition M(lambda) = Gamma1 (Gamma0 | N_lambda)^-1
+# read off Gamma0, Gamma1 and W, as an independent check of the closed
+# forms and of the pencil route alike
+CERTIFIED = 1e-13
+CHAIN_GRID = (-2.0, -0.5, 1j, 1.5 - 0.5j)
+BUILDERS = (triplet_main, triplet_basic, triplet_tilde)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(1, 8),
+    data=st.data(),
+    lam=st.complex_numbers(max_magnitude=4.0).filter(lambda z: abs(z) >= 0.05),
+)
+def test_certificate_of_lifted_triplets(seed, n, data, lam):
+    rank = data.draw(st.integers(1, 2 * n - 1), label="rank")
+    bundle = lift(random_relation(n, n, rank=rank,
+                                  rng=np.random.default_rng(seed)))
+    for build in BUILDERS:
+        trip = build(bundle)
+        assert weyl_certificate(trip, lam) <= CERTIFIED, (trip.kind, lam)
+
+
+@pytest.mark.parametrize("rank", [2, 4, 6])
+@pytest.mark.parametrize("build", BUILDERS)
+@pytest.mark.parametrize("coordinates", ["swapped", "mixed", "mixed_swapped"])
+def test_certificate_of_hand_built_triplets(coordinates, build, rank, rng):
+    # swapped main and tilde have the kernel K and take the pencil route;
+    # swapped basic (S_K) and every mixed lifted kernel take the Laurent one
+    trip = build(lift(random_relation(4, 4, rank=rank, rng=rank)))
+    if coordinates != "mixed":
+        trip = swapped(trip)
+    if coordinates != "swapped":
+        trip = mixed_coordinates(trip, rng)
+    pencil = coordinates != "mixed" and build is not triplet_basic
+    assert isinstance(trip.resolvent_blocks, _KernelSplit) is pencil
+    for lam in (-1.0, 1j, *CHAIN_GRID, 0.3 + 2j):
+        assert weyl_certificate(trip, lam) <= CERTIFIED, (trip.kind, lam)
+
+
+@pytest.mark.parametrize("shifted", ["M", "gamma"])
+@pytest.mark.parametrize("rank", [1, 4, 7])
+def test_certificate_reads_a_shift(shifted, rank, monkeypatch):
+    # a 1e-6 shift of one entry of M or of gamma reads at least 1e-7
+    bundle = lift(random_relation(4, 4, rank=rank, rng=rank))
+    real = {"M": oracle.weyl, "gamma": oracle.gamma_field}[shifted]
+
+    def moved(trip, lam):
+        value = real(trip, lam).copy()
+        value[0, 0] += 1e-6
+        return value
+
+    monkeypatch.setattr(oracle, {"M": "weyl", "gamma": "gamma_field"}[shifted],
+                        moved)
+    for build in BUILDERS:
+        trip = build(bundle)
+        if trip.is_degenerate:
+            continue
+        for lam in (-1.0, 1j, *CHAIN_GRID):
+            assert weyl_certificate(trip, lam) >= 1e-7, (trip.kind, lam)
+
+
+def test_certificate_on_a_lift_chain_round():
+    # the lift_chain workload's sizes, ranks and lambda grid, one round
+    rng = np.random.default_rng(1)
+    for n in (16, 32, 48, 64, 96):
+        for rank in (n // 2, n, 3 * n // 2):
+            bundle = lift(random_relation(n, n, rank=rank, rng=rng))
+            for build in BUILDERS:
+                trip = build(bundle)
+                if trip.is_degenerate:
+                    continue
+                for lam in CHAIN_GRID:
+                    cert = weyl_certificate(trip, lam)
+                    assert cert <= CERTIFIED, (n, rank, trip.kind, lam, cert)

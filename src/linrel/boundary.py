@@ -29,7 +29,7 @@ boundary_map_rank and the oracle read them).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -46,7 +46,6 @@ from .extension import LiftBundle, lift
 from .relation import (
     LinearRelation,
     _dom_perp_ran,
-    _is_selfadjoint,
     _mul_coordinates,
     _pencil_solve,
     classify,
@@ -57,6 +56,7 @@ from .relation import (
 from .subspace import (
     Subspace,
     Verdict,
+    _complement_columns,
     _higham_gamma,
     _is_orthonormal,
     _numerical_rank,
@@ -137,18 +137,17 @@ def _split_map(gamma: np.ndarray, length: int, rank_tol: float) -> _MapSplit:
     lifted Gamma0 and Gamma1 is a co-isometry: A A^H = I within
     _higham_gamma(length) entrywise, for the length 2n of the star's graph
     columns (lifted maps miss it by at most n eps).  Then A^+ = A^H (not
-    stored), A has rank g, and N is the last k columns of one complete QR
-    of A^H, g x (g + k), or empty with no factorization when k = 0.  Any
-    other A takes one SVD, which the rank rule reads; an empty one needs
-    none.
+    stored), A has rank g, and N is the complement of the columns of the
+    (g + k) x g matrix A^H (one QR), or empty with no factorization when
+    k = 0.  Any other A takes one SVD, which the rank rule reads; an empty
+    one needs none.
     """
     dead, live = _live_columns(gamma)
     a = gamma[:, live]
     g, width = a.shape
     if _is_coisometric(a, length):
-        # a copy, not a view that would keep all of the width x width Q
-        null = (np.linalg.qr(a.conj().T, mode="complete")[0][:, g:].copy()
-                if width > g else np.zeros((width, 0), dtype=complex))
+        null = (_complement_columns(a.conj().T) if width > g
+                else np.zeros((width, 0), dtype=complex))
         return _MapSplit(dead, live, null, None, g)
     # the kernel needs all of V^H: only a wide A needs full_matrices for it
     u, s, vh = (np.linalg.svd(a, full_matrices=g < width) if a.size else
@@ -244,7 +243,8 @@ class BoundaryTriplet:
     defines the coordinates of all boundary values.  gamma0 and gamma1
     are g x d matrices acting on graph coefficients, d = star.dim.
     friedrichs is the Friedrichs extension S_F of the lift, and cfg is
-    the lift's ToleranceConfig.
+    the lift's ToleranceConfig.  repr leaves out gamma0 and gamma1, so
+    it neither prints nor assembles them.
 
     ker_gamma0 and ker_gamma1 are computed on first access, each by one
     split of its map (_split_map), and so is ker_gamma0_is_friedrichs,
@@ -260,8 +260,8 @@ class BoundaryTriplet:
     kind: str
     star: LinearRelation
     boundary: Subspace
-    gamma0: np.ndarray
-    gamma1: np.ndarray
+    gamma0: np.ndarray = field(repr=False)
+    gamma1: np.ndarray = field(repr=False)
     friedrichs: LinearRelation
     cfg: ToleranceConfig
 
@@ -688,7 +688,7 @@ def extension_from_boundary(trip: BoundaryTriplet,
             f"theta acts on C^{theta.n1} x C^{theta.n2}, parameter space "
             f"has dimension {trip.g}"
         )
-    if not _is_selfadjoint(theta, cfg):
+    if not classify(theta, cfg).is_selfadjoint:
         raise PreconditionViolated("theta is not selfadjoint")
     m_i, gamma_i, res = _boundary_values(trip, 1j, cfg.rank_tol,
                                          gamma=True, resolvent=True)

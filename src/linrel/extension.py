@@ -38,7 +38,6 @@ can compare them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -50,6 +49,7 @@ from .relation import (
     LinearRelation,
     SymmetryReport,
     _adjoint_from_complement,
+    _hermitian_floor,
     _mul,
     _operator_part_off,
     _sub_relation,
@@ -412,13 +412,8 @@ def _krein_margin(a: LinearRelation, bundle: LiftBundle) -> float:
     res_f = bundle._friedrichs_resolvent
     res_a = resolvent(a, -1.0, bundle.cfg)
     res_k = bundle._krein_resolvent
-    margin = math.inf
-    for diff in (res_a - res_f, res_k - res_a):
-        if not diff.size:
-            continue
-        herm = (diff + diff.conj().T) / 2.0
-        margin = min(margin, float(np.linalg.eigvalsh(herm)[0]))
-    return margin
+    return min(_hermitian_floor(res_a - res_f),
+               _hermitian_floor(res_k - res_a))
 
 
 def krein_order_check(a: LinearRelation, bundle: LiftBundle) -> bool:

@@ -279,21 +279,16 @@ def extension_sweep(bundle: LiftBundle,
             )
         )
 
-    injective = True
-    for i in range(len(thetas)):
-        for j in range(i + 1, len(thetas)):
-            same_theta = (
-                relation_equal(thetas[i], thetas[j], cfg).verdict
-                is Verdict.EQUAL
-            )
-            same_ext = (
-                relation_equal(
-                    records[i].extension, records[j].extension, cfg
-                ).verdict
-                is Verdict.EQUAL
-            )
-            if same_ext and not same_theta:
-                injective = False
+    # injectivity: equal extensions must come from equal parameters, so
+    # the parameters are compared only for the pairs of equal extensions
+    def equal(a: LinearRelation, b: LinearRelation) -> bool:
+        return relation_equal(a, b, cfg).verdict is Verdict.EQUAL
+
+    injective = not any(
+        equal(records[i].extension, records[j].extension)
+        and not equal(thetas[i], thetas[j])
+        for i in range(len(thetas)) for j in range(i + 1, len(thetas))
+    )
     return SweepReport(records=tuple(records), injective=injective)
 
 

@@ -22,6 +22,7 @@ from .errors import DimensionMismatch, SpectrumError
 from .subspace import (
     RelateResult,
     Subspace,
+    _complement_columns,
     _numerical_rank,
     _signed_swap,
     _sine_below,
@@ -65,6 +66,14 @@ __all__ = [
 # Angles per grid (odd, so a zoom keeps its centre) and zoom windows per step.
 _RADIUS_ANGLES = 65
 _RADIUS_WINDOWS = 4
+
+
+def _hermitian_floor(mat: np.ndarray) -> float:
+    """lambda_min of the Hermitian part (mat + mat^H) / 2; +inf when mat
+    is empty, where every floor holds vacuously."""
+    if not mat.size:
+        return math.inf
+    return float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)[0])
 
 
 @dataclass(eq=False)
@@ -145,13 +154,7 @@ class SymmetryReport:
     def is_nonnegative(self) -> bool:
         """The Hermitian part of F^H G is PSD down to psd_floor."""
         cross, self._cross = self._cross, None
-        if cross is None:
-            return False
-        eig_floor = 0.0
-        if cross.size:
-            herm = (cross + cross.conj().T) / 2.0
-            eig_floor = float(np.linalg.eigvalsh(herm)[0])
-        return eig_floor >= self._psd_floor
+        return cross is not None and _hermitian_floor(cross) >= self._psd_floor
 
     def _verdicts(self) -> tuple:
         return (self.is_symmetric, self.is_selfadjoint, self.is_nonnegative,
@@ -282,35 +285,15 @@ def _operator_part_off(rel: LinearRelation, mul: Subspace) -> LinearRelation:
     """The operator part of rel, given mul R as a subspace of C^{n2}.
 
     Its graph is the orthogonal complement of {0} x mul R inside the
-    graph, whose coordinates C are _mul_coordinates.  The last d - m
-    columns of one complete QR of the d x m block C span the complement
-    of C in C^d, and W times them is an orthonormal basis of the operator
-    part's graph: no rank rule, and no SVD.
+    graph, whose coordinates C are _mul_coordinates.  The complement of
+    the d x m block C in C^d (_complement_columns, one QR) times W is an
+    orthonormal basis of the operator part's graph: no rank rule, and no
+    SVD.
     """
-    m = mul.dim
-    if m == 0:
+    if mul.dim == 0:
         return rel
-    c = _mul_coordinates(rel, mul)
-    tail = np.linalg.qr(c, mode="complete")[0][:, m:]
-    basis = rel.graph.basis @ tail
+    basis = rel.graph.basis @ _complement_columns(_mul_coordinates(rel, mul))
     return LinearRelation(rel.n1, rel.n2, Subspace(rel.n1 + rel.n2, basis))
-
-
-def _symmetry(rel: LinearRelation,
-              cfg: ToleranceConfig) -> tuple[np.ndarray, bool] | None:
-    """(F^H G, symmetry verdict) of a square relation; None if rectangular.
-
-    The sine of the largest principal angle of the graph [F; G] against
-    the graph of R* is the spectral norm of F^H G - G^H F, so R is
-    symmetric when dim R <= n and that angle is below angle_tol.  The
-    angle is not reported, so _sine_below's Frobenius bracket decides it
-    and a values-only SVD runs only when the norm falls inside it.
-    """
-    if rel.n1 != rel.n2:
-        return None
-    cross = rel.domain_block.conj().T @ rel.range_block
-    skew = cross - cross.conj().T
-    return cross, rel.dim <= rel.n1 and _sine_below(skew, cfg.angle_tol)
 
 
 def _dom_perp_ran(cross: np.ndarray, rank_tol: float) -> bool:
@@ -318,12 +301,6 @@ def _dom_perp_ran(cross: np.ndarray, rank_tol: float) -> bool:
     entry at most rank_tol, the scale of a unit-norm residual the rank
     rule calls zero."""
     return bool(np.abs(cross).max(initial=0.0) <= rank_tol)
-
-
-def _is_selfadjoint(rel: LinearRelation, cfg: ToleranceConfig) -> bool:
-    """classify's is_selfadjoint verdict alone, with no nonnegativity test."""
-    sym = _symmetry(rel, cfg)
-    return sym is not None and sym[1] and rel.dim == rel.n1
 
 
 def _domain_form(rel: LinearRelation, cfg: ToleranceConfig
@@ -346,10 +323,7 @@ def _form_bound(rel: LinearRelation, form: tuple) -> float:
     """lambda_min(Re B) for B = U_r^H G W of a _domain_form; +inf when
     dom R = {0}."""
     dom, whitener, _ = form
-    if not whitener.shape[1]:
-        return math.inf
-    b = (dom.conj().T @ rel.range_block) @ whitener
-    return float(np.linalg.eigvalsh((b + b.conj().T) / 2.0)[0])
+    return _hermitian_floor((dom.conj().T @ rel.range_block) @ whitener)
 
 
 def _form_radius(rel: LinearRelation, form: tuple,
@@ -388,8 +362,7 @@ def lower_bound(rel: LinearRelation,
     is the form of the operator part.  numerical_radius reads the same B
     at t = 0, so it is never below |lower_bound|.
     """
-    sym = _symmetry(rel, cfg)
-    if sym is None or not sym[1]:
+    if not classify(rel, cfg).is_symmetric:
         return None
     return _form_bound(rel, _domain_form(rel, cfg))
 
@@ -425,19 +398,25 @@ def classify(rel: LinearRelation,
              cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> SymmetryReport:
     """Symmetry-class verdicts, all read off the cross-Gram matrix F^H G.
 
-    R is symmetric by the angle rule of _symmetry, and selfadjoint when
-    it is also true that dim R = n (then dim R* = dim R).  Nonnegativity
-    (PSD Hermitian part of F^H G) is decided only when R is symmetric,
-    and only when the report's is_nonnegative is first read.
+    The sine of the largest principal angle of the graph [F; G] against
+    the graph of R* is the spectral norm of F^H G - G^H F, so R is
+    symmetric when dim R <= n and that angle is below angle_tol.  The
+    angle is not reported, so _sine_below's Frobenius bracket decides it
+    and a values-only SVD runs only when the norm falls inside it.  R is
+    selfadjoint when it is also true that dim R = n (then dim R* =
+    dim R).  Nonnegativity (PSD Hermitian part of F^H G) is decided only
+    when R is symmetric, and only when the report's is_nonnegative is
+    first read.
     The dom-perp-ran test is exact: the numerical range collapses to {0}
     precisely when F^H G vanishes (complex polarization), which is also
     the condition for the domain and range spans to be orthogonal.  A
     rectangular relation has no pairing and gets None for dom_perp_ran.
     """
-    sym = _symmetry(rel, cfg)
-    if sym is None:
+    if rel.n1 != rel.n2:
         return SymmetryReport(False, False, None)
-    cross, is_symmetric = sym
+    cross = rel.domain_block.conj().T @ rel.range_block
+    is_symmetric = rel.dim <= rel.n1 and _sine_below(
+        cross - cross.conj().T, cfg.angle_tol)
     return SymmetryReport(
         is_symmetric=is_symmetric,
         is_selfadjoint=is_symmetric and rel.dim == rel.n1,
@@ -512,23 +491,26 @@ def _pencil_solve(g_blk: np.ndarray, f_blk: np.ndarray, lam: complex,
     return np.linalg.solve(pencil, rhs)
 
 
+def _same_spaces(a: LinearRelation, b: LinearRelation, what: str) -> None:
+    """Raise DimensionMismatch, in the words of what, unless a and b are
+    relations between the same pair of spaces."""
+    if (a.n1, a.n2) != (b.n1, b.n2):
+        raise DimensionMismatch(
+            f"{what} ({a.n1},{a.n2}) and ({b.n1},{b.n2}) relations"
+        )
+
+
 def componentwise_sum(a: LinearRelation, b: LinearRelation,
                       cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> LinearRelation:
     """Componentwise (graph) sum: the join of the two graph subspaces."""
-    if (a.n1, a.n2) != (b.n1, b.n2):
-        raise DimensionMismatch(
-            f"componentwise sum of ({a.n1},{a.n2}) and ({b.n1},{b.n2}) relations"
-        )
+    _same_spaces(a, b, "componentwise sum of")
     return LinearRelation(a.n1, a.n2, join(a.graph, b.graph, cfg))
 
 
 def meet_relations(a: LinearRelation, b: LinearRelation,
                    cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> LinearRelation:
     """Intersection of two relations: the meet of the graph subspaces."""
-    if (a.n1, a.n2) != (b.n1, b.n2):
-        raise DimensionMismatch(
-            f"intersecting ({a.n1},{a.n2}) and ({b.n1},{b.n2}) relations"
-        )
+    _same_spaces(a, b, "intersecting")
     return LinearRelation(a.n1, a.n2, meet(a.graph, b.graph, cfg))
 
 
@@ -541,10 +523,7 @@ def orthogonal_componentwise_sum(
     arcsin ||a^H b|| is that miss: ||a^H b|| is the cosine of the smallest
     principal angle between the graphs.
     """
-    if (a.n1, a.n2) != (b.n1, b.n2):
-        raise DimensionMismatch(
-            f"componentwise sum of ({a.n1},{a.n2}) and ({b.n1},{b.n2}) relations"
-        )
+    _same_spaces(a, b, "componentwise sum of")
     cosines = a.graph.basis.conj().T @ b.graph.basis
     if not _sine_below(cosines, cfg.angle_tol):
         raise ValueError(
@@ -566,8 +545,5 @@ def operator_norm(rel: LinearRelation,
 def relation_equal(a: LinearRelation, b: LinearRelation,
                    cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> RelateResult:
     """Relate the graphs of two relations over the same pair of spaces."""
-    if (a.n1, a.n2) != (b.n1, b.n2):
-        raise DimensionMismatch(
-            f"comparing ({a.n1},{a.n2}) and ({b.n1},{b.n2}) relations"
-        )
+    _same_spaces(a, b, "comparing")
     return relate(a.graph, b.graph, cfg)

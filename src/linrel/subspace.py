@@ -241,21 +241,33 @@ def complement(u: Subspace) -> Subspace:
     """Orthogonal complement of u in its ambient space.
 
     u's basis W passed the Gram test, so its singular values are 1 to
-    within 1e-5 and no rank is left to decide: the last d - r columns of
-    one complete QR of the d x r matrix W span W^perp.  They are copied
-    out of the d x d factor, and the copy takes the Gram test.
+    within 1e-5 and no rank is left to decide: _complement_columns(W)
+    spans W^perp, and takes the Gram test.
     """
-    q = np.linalg.qr(u.basis, mode="complete")[0]
-    return Subspace(u.ambient_dim, q[:, u.dim :].copy())
+    return Subspace(u.ambient_dim, _complement_columns(u.basis))
+
+
+def _complement_columns(mat: np.ndarray) -> np.ndarray:
+    """The last d - r columns of one complete QR of a d x r mat with
+    (nearly) orthonormal columns: an orthonormal basis of the complement
+    of its span in C^d, with no rank to decide.  A copy, not a view that
+    would keep all of the d x d factor."""
+    return np.linalg.qr(mat, mode="complete")[0][:, mat.shape[1] :].copy()
+
+
+def _same_ambient(u: Subspace, v: Subspace, what: str) -> None:
+    """Raise DimensionMismatch, naming the operation, unless u and v
+    live in the same C^n."""
+    if u.ambient_dim != v.ambient_dim:
+        raise DimensionMismatch(
+            f"{what} of C^{u.ambient_dim} and C^{v.ambient_dim} subspaces"
+        )
 
 
 def join(u: Subspace, v: Subspace,
          cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Subspace:
     """Closure of u + v (finite dimension: the plain sum)."""
-    if u.ambient_dim != v.ambient_dim:
-        raise DimensionMismatch(
-            f"join of C^{u.ambient_dim} and C^{v.ambient_dim} subspaces"
-        )
+    _same_ambient(u, v, "join")
     stacked = np.hstack([u.basis, v.basis])
     return Subspace(u.ambient_dim, orthonormal_columns(stacked, cfg.rank_tol))
 
@@ -269,10 +281,7 @@ def meet(u: Subspace, v: Subspace,
     directions are its nullspace at rank_tol, and u times them is the
     meet: one factorization.
     """
-    if u.ambient_dim != v.ambient_dim:
-        raise DimensionMismatch(
-            f"meet of C^{u.ambient_dim} and C^{v.ambient_dim} subspaces"
-        )
+    _same_ambient(u, v, "meet")
     return _subspace_where(u, _residual(u, v), cfg.rank_tol)
 
 
@@ -363,10 +372,7 @@ def relate(u: Subspace, v: Subspace,
     count; for equal dimensions the two containment sines are equal
     (Stewart & Sun, ch. I.5), so the forward one serves both.
     """
-    if u.ambient_dim != v.ambient_dim:
-        raise DimensionMismatch(
-            f"relate of C^{u.ambient_dim} and C^{v.ambient_dim} subspaces"
-        )
+    _same_ambient(u, v, "relate")
     if u.dim > v.dim:
         fwd, rev = math.pi / 2, _containment_angle(v, u)
     else:

@@ -123,6 +123,22 @@ class TestTripletStructure:
         trip = triplet_basic(bundle)
         assert trip.is_degenerate and trip.g == 0
 
+    @pytest.mark.parametrize("build",
+                             [triplet_main, triplet_basic, triplet_tilde])
+    def test_repr_names_the_kind_and_assembles_no_map(self, build):
+        trip = build(lift(random_relation(3, 3, rank=2, rng=1)))
+        text = repr(trip)
+        assert f"kind={trip.kind!r}" in text
+        assert "gamma" not in text
+        assert not {"gamma0", "gamma1", "_parts"} & set(vars(trip))
+
+    def test_hand_built_ker_gamma1_splits_the_map(self, bundle):
+        # swapped(main) has Gamma1 = -Gamma0 of main, so its ker Gamma1 is
+        # main's ker Gamma0, H, by the generic split of a plain triplet
+        trip = swapped(triplet_main(bundle))
+        assert type(trip) is BoundaryTriplet
+        assert_relation_equal(trip.ker_gamma1, bundle.H)
+
 
 class TestWeyl:
     def test_basic_weyl_is_lambda(self, bundle):
@@ -811,6 +827,14 @@ class TestSemiboundCriterion:
         theta = from_operator(1j * np.eye(trip.g))
         with pytest.raises(PreconditionViolated, match="selfadjoint"):
             semibound_criterion(trip, theta, -1.0)
+
+    def test_rejects_trivial_parameter_space(self):
+        # dense domain and range: the basic triplet has G0 = {0}, and its
+        # Gamma0-kernel S0* = S0 is the Friedrichs extension
+        trip = triplet_basic(lift(from_operator(np.eye(2))))
+        assert trip.ker_gamma0_is_friedrichs and trip.is_degenerate
+        with pytest.raises(PreconditionViolated, match="trivial"):
+            semibound_criterion(trip, from_operator(np.zeros((1, 1))), -1.0)
 
     def test_rejects_wrong_triplet(self):
         # the main triplet pins H, not the Friedrichs extension, when

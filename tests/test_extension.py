@@ -328,6 +328,20 @@ class TestDistinguishedExtensions:
         with pytest.raises(PreconditionViolated, match="nonnegative"):
             is_extremal(bundle.K, bundle)
 
+    def test_extension_checks_reject_symmetric_s(self, bundle):
+        # S itself is symmetric, but dim S = dim R < n
+        for check in (is_extremal, krein_order_margin):
+            with pytest.raises(PreconditionViolated, match="not selfadjoint"):
+                check(bundle.S, bundle)
+
+    def test_extension_checks_reject_what_does_not_contain_s(self, bundle):
+        # the identity on C^n is nonnegative and selfadjoint, but holds no
+        # ((f1, 0), (0, g2)) of S but zero
+        ident = identity_relation(bundle.n)
+        for check in (is_extremal, krein_order_margin):
+            with pytest.raises(PreconditionViolated, match="does not extend S"):
+                check(ident, bundle)
+
     def test_krein_order_of_extremes(self, bundle):
         assert krein_order_margin(bundle.S_F, bundle) >= -1e-10
         assert krein_order_margin(bundle.S_K, bundle) >= -1e-10
@@ -432,6 +446,12 @@ class TestExtremalFamily:
             a_l = extremal_family(bundle, span(raw, g0))
             assert is_extremal(a_l, bundle)
             assert krein_order_check(a_l, bundle)
+
+    def test_rejects_parameter_subspace_outside_g0(self, bundle):
+        g0 = bundle.G0.dim
+        for l_space in (Subspace.zero(g0 + 1), Subspace.full(g0 - 1)):
+            with pytest.raises(DimensionMismatch, match="L lives in"):
+                extremal_family(bundle, l_space)
 
     def test_trivial_parameter_space(self):
         # dense domain and range: G0 = {0} and S_F = S_K = S0

@@ -103,6 +103,30 @@ class TestExtensionSweep:
         assert all(r.theta_selfadjoint for r in report.records)
         assert all(r.matches_definitional for r in report.records)
 
+    @pytest.mark.parametrize("picks, calls", [
+        # 5 Krein-vs-membership checks and the 10 pairs of extensions; no
+        # two extensions are equal, so no pair of parameters is compared
+        ([0, 1, 2, 3, 4], 15),
+        # 3 + 3 pairs; the one pair of equal extensions compares its
+        # parameters, which are equal too
+        ([0, 1, 0], 7),
+    ])
+    def test_parameters_are_compared_only_for_equal_extensions(
+            self, picks, calls, monkeypatch):
+        bundle = lift(random_relation(3, 3, rank=2, rng=1))
+        pool = [random_selfadjoint_relation(bundle.G.dim, rng=seed)
+                for seed in range(5)]
+        real, seen = oracle.relation_equal, []
+
+        def counted(a, b, cfg):
+            seen.append((a, b))
+            return real(a, b, cfg)
+
+        monkeypatch.setattr(oracle, "relation_equal", counted)
+        report = extension_sweep(bundle, [pool[k] for k in picks])
+        assert report.injective and report.all_consistent
+        assert len(seen) == calls
+
     def test_krein_route_is_checked_against_membership(self, rng,
                                                        monkeypatch):
         # a Krein route that returned another selfadjoint extension of S

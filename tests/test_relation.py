@@ -36,6 +36,7 @@ from linrel.relation import (
     identity_relation,
     inverse,
     lower_bound,
+    meet_relations,
     numerical_radius,
     operator_norm,
     operator_part,
@@ -86,6 +87,26 @@ class TestConstructors:
             from_kernel_pair(np.eye(2), np.ones((2, 3)))
         with pytest.raises(DimensionMismatch):
             relation_equal(identity_relation(2), identity_relation(3))
+
+    def test_constructor_dimension_checks(self):
+        with pytest.raises(DimensionMismatch, match="dimension >= 1"):
+            LinearRelation(0, 2, Subspace.zero(2))
+        with pytest.raises(DimensionMismatch, match="graph lives in C\\^4"):
+            LinearRelation(2, 3, Subspace.zero(4))
+
+    # each binary operation names itself; (1, 3) and (2, 2) have graphs
+    # in the same C^4, so only the pair of spaces tells them apart
+    @pytest.mark.parametrize("op, words", [
+        (componentwise_sum, "componentwise sum of"),
+        (meet_relations, "intersecting"),
+        (orthogonal_componentwise_sum, "componentwise sum of"),
+        (relation_equal, "comparing"),
+    ])
+    def test_binary_operations_need_the_same_spaces(self, op, words):
+        a, b = zero_operator(1, 3), zero_operator(2, 2)
+        with pytest.raises(DimensionMismatch) as err:
+            op(a, b)
+        assert str(err.value) == f"{words} (1,3) and (2,2) relations"
 
 
 class TestParts:

@@ -17,6 +17,7 @@ from linrel.subspace import (
     _GRAM_ATOL,
     Subspace,
     Verdict,
+    _complement_columns,
     _is_orthonormal,
     _residual,
     _signed_swap,
@@ -300,6 +301,29 @@ def test_stack_rejects_overlap_within_one_part(rng):
     u = random_subspace(rng, 4, 2)
     with pytest.raises(ValueError, match="overlaps"):
         _stack(6, [(u, [(0, 2), (1, 3)])])
+
+
+def test_constructor_dimension_checks():
+    with pytest.raises(DimensionMismatch, match="< 0"):
+        Subspace(-1, np.zeros((0, 0)))
+    for basis in (np.zeros((3, 1)), np.zeros(2)):
+        with pytest.raises(DimensionMismatch, match="does not match"):
+            Subspace(2, basis)
+
+
+@pytest.mark.parametrize("op", [join, meet, relate])
+def test_binary_operations_need_one_ambient_space(op, rng):
+    with pytest.raises(DimensionMismatch) as err:
+        op(random_subspace(rng, 3, 1), random_subspace(rng, 4, 1))
+    assert str(err.value) == f"{op.__name__} of C^3 and C^4 subspaces"
+
+
+@pytest.mark.parametrize("dim", [0, 2, 5])
+def test_complement_columns(dim, rng):
+    u = random_subspace(rng, 5, dim)
+    perp = _complement_columns(u.basis)
+    assert perp.shape == (5, 5 - dim) and perp.flags.owndata
+    assert _is_orthonormal(np.hstack([u.basis, perp]))
 
 
 def test_stack_rejects_rows_outside_and_wrong_lengths(rng):

@@ -356,7 +356,7 @@ def test_triplet_builders_factor_nothing(rank, linalg):
 @pytest.mark.parametrize("dom_dim", [N, 5])
 def test_lower_bound_reads_the_whitened_form(dom_dim, linalg, monkeypatch):
     # the SVD of the domain block and one eigvalsh of Re B, single-valued
-    # (dom_dim = N) or not; _symmetry's bracket factors nothing, and there
+    # (dom_dim = N) or not; classify's bracket factors nothing, and there
     # is no operator part and no second factorization of mul R
     def refused(*args, **kwargs):
         raise AssertionError("lower_bound rebuilt the operator part")

@@ -56,6 +56,7 @@ from .relation import (
 from .subspace import (
     Subspace,
     Verdict,
+    _cayley,
     _complement_columns,
     _higham_gamma,
     _is_orthonormal,
@@ -678,7 +679,8 @@ def extension_from_boundary(trip: BoundaryTriplet,
     Y - M(i) X is invertible because Im M(i) = gamma(i)^H gamma(i) > 0.
     Multivalued parameters (dim of theta's domain below g) need no
     special case.  The Cayley basis [R; I + i R] is orthonormal because
-    A_theta is selfadjoint, and the Gram test of Subspace checks it.  A
+    A_theta is selfadjoint; subspace._cayley checks it through its Gram
+    matrix I + 2 R^H R + i (R - R^H), by the rule of the Gram test.  A
     theta that is not selfadjoint raises PreconditionViolated;
     oracle.extension_definitional takes any theta.
     """
@@ -699,8 +701,7 @@ def extension_from_boundary(trip: BoundaryTriplet,
                                t_dom.T).T
     res += (gamma_i @ coupling) @ gamma_conj.conj().T
     n = trip.star.n1
-    cayley = np.vstack([res, np.eye(n) + 1j * res])
-    return LinearRelation(n, trip.star.n2, Subspace(2 * n, cayley))
+    return LinearRelation(n, trip.star.n2, _cayley(res))
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,16 @@ intersection S0, the intermediate symmetric extension S~, and the
 boundary-parameter space G0 = mul R* (+) ker R* that parametrizes the
 nonnegative selfadjoint extensions.
 
-lift takes two SVDs and at most two QRs: one complete QR of the graph
-basis of R gives G = (graph R)^perp with no rank to decide
+lift takes at most two SVDs and at most two QRs: one complete QR of the
+graph basis of R gives G = (graph R)^perp with no rank to decide
 (subspace.complement), one SVD of the domain block F gives dom R and
 mul R* = (dom R)^perp as the two halves of its U, and one of the range
 block gives ran R and ker R* the same way; op R* splits the lift's own
-mul R* off R* by one QR (relation._operator_part_off).  All members are
+mul R* off R* by one QR (relation._operator_part_off).  A square or
+wide block of full rank takes one Cholesky in place of its SVD
+(subspace._span_and_complement): its span is all of H1 or H2 and the
+complement {0}, so a densely defined R with dense range (G0 = {0})
+factors no SVD at all.  All members are
 built from their closed product/graph forms: each graph basis is a stack
 of the checked bases of R, R*, dom R, ran R, mul R*, ker R* and
 identities on disjoint rows of C^{2n}, so it needs no Gram test of its
@@ -265,7 +269,8 @@ def lift(rel: LinearRelation,
         )
 
     # mul R* = (dom R)^perp and ker R* = (ran R)^perp: one SVD of each
-    # block gives both halves of its U
+    # block gives both halves of its U, or one Cholesky certifies that the
+    # block spans everything and its complement is {0}
     dom_r, mul_r_star = _span_and_complement(rel.domain_block, cfg)
     ran_r, ker_r_star = _span_and_complement(rel.range_block, cfg)
     g0_space = oplus(mul_r_star, ker_r_star)

@@ -20,7 +20,11 @@ the dimension when it builds the stack, and assembles the zero-padded
 matrix on the first read of .basis.  A signed swap [B[s:]; B[:s]] with
 one block negated, as the adjoint, the inverse and the boundary space
 G~ are, has the Gram matrix of B itself (_signed_swap).  Either way the
-parts' own checks decide the same, exactly.
+parts' own checks decide the same, exactly.  The Cayley basis [R; I + iR]
+of an n x n R (boundary.extension_from_boundary) is a product, and is
+tested through its Gram matrix in closed form, I + 2 R^H R + i (R - R^H):
+one n x n x n product in place of the n x 2n x n one, with the same
+entry bound and the same rule on the deviation from I (_cayley).
 """
 
 from __future__ import annotations
@@ -74,9 +78,15 @@ def _is_orthonormal(basis: np.ndarray) -> bool:
     """
     if not np.abs(basis).max(initial=0.0) <= _ENTRY_BOUND:
         return False
-    d = basis.shape[1]
     dev = basis.conj().T @ basis
-    dev.reshape(-1)[:: d + 1] -= 1.0
+    dev.reshape(-1)[:: basis.shape[1] + 1] -= 1.0
+    return _gram_deviation_within(dev)
+
+
+def _gram_deviation_within(dev: np.ndarray) -> bool:
+    """The rule of _is_orthonormal on a d x d deviation B^H B - I, d >= 1:
+    |dev| <= _GRAM_ATOL off the diagonal, <= _GRAM_DIAG_BOUND on it."""
+    d = len(dev)
     dev = np.abs(dev)
     # a basis from a factorization deviates by ~1e-15 everywhere: one pass
     if dev.max() <= _GRAM_ATOL:
@@ -225,13 +235,18 @@ def span(vectors, ambient_dim: int | None = None,
 def _span_and_complement(mat: np.ndarray, cfg: ToleranceConfig
                          ) -> tuple[Subspace, Subspace]:
     """The column span of an n-row mat and its orthogonal complement in
-    C^n, from one SVD mat = U S V^H of rank r: U[:, :r] and U[:, r:].
-    Only a tall mat needs the full U for the complement; a square or wide
-    one has a thin U that is already n x n.
+    C^n.  A square or wide mat that _spans_everything certifies spans C^n:
+    the pair is then C^n and {0}, exactly, with no basis to factor or
+    test.  Otherwise one SVD mat = U S V^H of rank r gives U[:, :r] and
+    U[:, r:].  Only a tall mat needs the full U for the complement; a
+    square or wide one has a thin U that is already n x n.  A tall mat
+    always takes the SVD: it cannot span C^n, and its bases are read.
     """
     n, k = mat.shape
     if k == 0:
         return Subspace.zero(n), Subspace.full(n)
+    if n <= k and _spans_everything(mat, cfg.rank_tol):
+        return Subspace.full(n), Subspace.zero(n)
     u, s, _ = np.linalg.svd(mat, full_matrices=n > k)
     r = _numerical_rank(s, cfg.rank_tol)
     return Subspace(n, u[:, :r]), Subspace(n, u[:, r:])
@@ -326,6 +341,40 @@ def _higham_gamma(terms: int) -> float:
     return k_eps / (1.0 - k_eps)
 
 
+def _spans_everything(mat: np.ndarray, rank_tol: float) -> bool:
+    """A certificate, by one Cholesky, that the rank rule gives an n x k
+    mat (n <= k) rank n; False leaves the rank to the SVD.
+
+    The rule counts the computed singular values above rank_tol *
+    max(s_0, 1).  With f >= ||mat||_F (the computed norm widened by
+    _higham_gamma(2 n k), as _sine_below widens it) and rho =
+    _higham_gamma(2 n k) f, the room for the SVD's own error in each s_i,
+    that threshold is at most rank_tol * max(f, 1) + rank_tol rho, and
+    s_min >= sigma_min - rho.  So sigma_min > t = rank_tol * max(f, 1) +
+    (1 + rank_tol) rho makes the rule's rank n.  The Cholesky of the
+    computed mat mat^H - delta I with delta = t^2 + _higham_gamma(k + n +
+    2) f^2 completes only if sigma_min^2 > t^2: the computed product is
+    off by at most _higham_gamma(k) f^2 in norm, a Cholesky that completes
+    is exact for a matrix off by at most _higham_gamma(n + 1) f^2 (Higham,
+    ASNA, Thm 10.3), and _higham_gamma(k + n + 2) exceeds their sum by
+    gamma_1 and the second-order terms, which cover the shift's rounding.
+    A certified mat is therefore one the SVD rule calls full rank.  A mat
+    of rank n whose sigma_min lies between the rule's threshold and about
+    t (f can exceed s_0 by sqrt(n)) is not certified, and the SVD decides.
+    """
+    n, k = mat.shape
+    slack = _higham_gamma(2 * mat.size)
+    fro = float(np.linalg.norm(mat)) * (1.0 + slack)
+    t = rank_tol * max(fro, 1.0) + (1.0 + rank_tol) * slack * fro
+    gram = mat @ mat.conj().T
+    gram.reshape(-1)[:: n + 1] -= t * t + _higham_gamma(k + n + 2) * fro * fro
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _sine_below(mat: np.ndarray, angle_tol: float) -> bool:
     """The verdict _sine_angle(mat) < angle_tol, with an SVD only if needed.
 
@@ -396,8 +445,9 @@ def oplus(u: Subspace, v: Subspace) -> Subspace:
 def _assembled(ambient_dim: int, basis: np.ndarray) -> Subspace:
     """A Subspace whose basis is orthonormal by construction: no Gram test.
 
-    Only _signed_swap and Subspace.full build one, each from a basis that
-    was checked (or is an identity); _stack builds its own subclass.
+    Only _signed_swap, _cayley and Subspace.full build one, each from a
+    basis that was checked (or is an identity); _stack builds its own
+    subclass.
     Every basis from a factorization, from user input or from a product
     of bases goes through Subspace.__post_init__.
     """
@@ -493,3 +543,31 @@ def _signed_swap(space: Subspace, split: int,
     elif negate == "tail":
         tail = -tail
     return _assembled(space.ambient_dim, np.vstack([tail, head]))
+
+
+def _cayley(res: np.ndarray) -> Subspace:
+    """The span of the Cayley basis [R; I + iR] of an n x n R.
+
+    Its Gram matrix is I + 2 R^H R + i (R - R^H), so the deviation from I
+    costs one n x n x n product, and the entry bound of _is_orthonormal
+    on the assembled basis and the rule of _gram_deviation_within on that
+    deviation decide it.  A basis that fails raises Subspace's
+    ValueError; a NaN or huge entry fails before the product.
+    """
+    n = len(res)
+    basis = np.empty((2 * n, n), dtype=complex)
+    basis[:n] = res
+    lower = basis[n:]
+    np.multiply(res, 1j, out=lower)
+    lower += np.eye(n)
+    if not np.abs(basis).max(initial=0.0) <= _ENTRY_BOUND:
+        raise ValueError("basis columns are not orthonormal")
+    res_h = res.conj().T
+    dev = res_h @ res
+    dev *= 2.0
+    res_h -= res
+    res_h *= 1j
+    dev -= res_h
+    if not _gram_deviation_within(dev):
+        raise ValueError("basis columns are not orthonormal")
+    return _assembled(2 * n, basis)

@@ -4,6 +4,7 @@ semiboundedness criterion."""
 
 import dataclasses
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +53,14 @@ from linrel.relation import (
     resolvent,
 )
 from linrel.specio import load_relation_spec
-from linrel.subspace import Subspace, Verdict, oplus, orthonormal_columns
+from linrel.subspace import (
+    Subspace,
+    Verdict,
+    _cayley,
+    _is_orthonormal,
+    oplus,
+    orthonormal_columns,
+)
 
 from conftest import (
     assert_relation_equal,
@@ -788,6 +796,42 @@ def test_krein_extension_matches_definitional_route(seed, n1, n2, data):
                 np.testing.assert_allclose(basis[:n], res, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(basis[n:], np.eye(n) + 1j * res,
                                            rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n1, n2, rank", [
+    (4, 4, 2), (4, 4, 4), (4, 4, 6), (3, 5, 4), (5, 3, 1),
+])
+@pytest.mark.parametrize("build", [triplet_main, triplet_basic, triplet_tilde])
+def test_cayley_gram_in_closed_form_is_the_gram_test(build, n1, n2, rank):
+    # the Gram matrix I + 2 R^H R + i (R - R^H) decides as the Gram test of
+    # the assembled basis [R; I + iR]: it accepts A_theta's, and rejects an
+    # R with one entry moved by 1e-6 or with a NaN by the same ValueError,
+    # before any RuntimeWarning; a move of 1e-9 stays inside both
+    trip = build(lift(random_relation(n1, n2, rank=rank, rng=5)))
+    if trip.is_degenerate:
+        assert trip.kind == "basic" and rank >= max(n1, n2)
+        return
+    ext = extension_from_boundary(trip, random_selfadjoint_relation(trip.g,
+                                                                    rng=3))
+    n = ext.n1
+    res = ext.graph.basis[:n]
+    assert ext.graph.basis.tobytes() == np.vstack(
+        [res, np.eye(n) + 1j * res]).tobytes()
+    for value, accepted in ((1e-9, True), (1e-6, False), (np.nan, False)):
+        moved = res.copy()
+        moved[0, -1] += value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assembled = np.vstack([moved, np.eye(n) + 1j * moved])
+            assert _is_orthonormal(assembled) is accepted
+            if accepted:
+                assert _cayley(moved).basis.tobytes() == assembled.tobytes()
+                continue
+            message = "^basis columns are not orthonormal$"
+            with pytest.raises(ValueError, match=message):
+                Subspace(2 * n, assembled)
+            with pytest.raises(ValueError, match=message):
+                _cayley(moved)
 
 
 class TestSemiboundCriterion:

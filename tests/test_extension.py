@@ -498,8 +498,9 @@ def test_paper_characterizations_on_random_lifts(seed, n1, n2):
 def test_one_svd_splits_each_block_into_span_and_complement(seed, n1, n2,
                                                             selfadjoint):
     # dom R and mul R* = (dom R)^perp are the two halves of one SVD's U of
-    # the domain block, and ran R and ker R* of the range block: each pair
-    # is orthogonal to round-off and together they fill the whole space.
+    # the domain block (or C^n1 and {0}, when one Cholesky certifies it of
+    # full rank), and ran R and ker R* of the range block: each pair is
+    # orthogonal to round-off and together they fill the whole space.
     # A selfadjoint relation with a multivalued part has a domain block of
     # rank below its width
     rng = np.random.default_rng(seed)

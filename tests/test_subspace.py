@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linrel.cli import main
-from linrel.config import DEFAULT_TOLERANCES
+from linrel.config import DEFAULT_TOLERANCES, ToleranceConfig
 from linrel.errors import DimensionMismatch
+from linrel.oracle import random_relation
 from linrel.specio import load_relation_spec
 from linrel.subspace import (
     _GRAM_ATOL,
@@ -19,10 +20,13 @@ from linrel.subspace import (
     Verdict,
     _complement_columns,
     _is_orthonormal,
+    _numerical_rank,
     _residual,
     _signed_swap,
     _sine_angle,
     _sine_below,
+    _span_and_complement,
+    _spans_everything,
     _stack,
     complement,
     join,
@@ -522,3 +526,73 @@ def test_relate_counts_dimensions_before_factoring(rng):
     v = random_subspace(rng, 6, 2)
     res = relate(u, v)
     assert res.forward_angle == res.reverse_angle
+
+
+def _graph_block(rng, n, rank, side, rank_tol, near):
+    """The domain or range block of a random n x n graph basis of the given
+    rank; with near set, its smallest singular value moved to rank_tol *
+    near, next to the threshold rank_tol * max(s_0, 1) = rank_tol of the
+    rank rule (s_0 <= 1 for a block of an orthonormal basis)."""
+    rel = random_relation(n, n, rank=rank, rng=rng)
+    mat = rel.domain_block if side == "domain" else rel.range_block
+    if near is not None:
+        u, s, vh = np.linalg.svd(mat, full_matrices=False)
+        s[-1] = rank_tol * near
+        mat = (u * s) @ vh
+    return mat
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(1, 12),
+    side=st.sampled_from(["domain", "range"]),
+    rank_tol=st.sampled_from([1e-10, 1e-6, 1e-3]),
+    near=st.sampled_from([None, 1 - 1e-3, 1 + 1e-3]),
+    data=st.data(),
+)
+def test_span_and_complement_keeps_the_svd_rule(seed, n, side, rank_tol,
+                                                near, data):
+    # tall (rank < n), square and wide blocks of graph bases, some with
+    # their smallest singular value at rank_tol (1 +- 1e-3): the dimensions
+    # are the SVD rule's; a block the Cholesky certifies gives C^n and {0}
+    # exactly, and any other block today's SVD bases bit for bit
+    rank = data.draw(st.integers(1, 2 * n - 1), label="rank")
+    mat = _graph_block(np.random.default_rng(seed), n, rank, side, rank_tol,
+                       near)
+    cfg = ToleranceConfig(rank_tol=rank_tol)
+    got, perp = _span_and_complement(mat, cfg)
+    u, s, _ = np.linalg.svd(mat, full_matrices=n > rank)
+    r = _numerical_rank(s, rank_tol)
+    assert (got.dim, perp.dim) == (r, n - r)
+    if n <= rank and _spans_everything(mat, rank_tol):
+        assert r == n
+        assert got.basis.tobytes() == np.eye(n, dtype=complex).tobytes()
+        assert perp.basis.shape == (n, 0)
+    else:
+        assert got.basis.tobytes() == u[:, :r].tobytes()
+        assert perp.basis.tobytes() == u[:, r:].tobytes()
+
+
+@pytest.mark.parametrize("rank_tol, near, certified, dim", [
+    (1e-10, None, True, 8),
+    (1e-3, 10.0, True, 8),
+    # sigma_min between the rule's threshold rank_tol and the certificate's
+    # rank_tol ||mat||_F (about 2 rank_tol here): full rank, by the SVD
+    (1e-3, 1 + 1e-3, False, 8),
+    (1e-3, 1 - 1e-3, False, 7),
+])
+@pytest.mark.parametrize("rank", [8, 12])
+def test_full_rank_block_is_certified_without_an_svd(rank, rank_tol, near,
+                                                     certified, dim,
+                                                     monkeypatch):
+    mat = _graph_block(np.random.default_rng(3), 8, rank, "domain", rank_tol,
+                       near)
+    assert _spans_everything(mat, rank_tol) is certified
+    if certified:
+        def refused(*args, **kwargs):
+            raise AssertionError("a certified block took an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", refused)
+    got, perp = _span_and_complement(mat, ToleranceConfig(rank_tol=rank_tol))
+    assert (got.dim, perp.dim) == (dim, 8 - dim)

@@ -9,7 +9,8 @@ times a nullspace basis fails here, not only in the benchmark.  Gram
 tests of Subspace bases are counted too, so a change that routes one of
 lift's stacked or swapped bases back through the Gram product fails here
 as well.  complement (so G in lift, and adjoint) is one QR of a checked
-basis, with no SVD.  Verdict-only angles (classify's
+basis, with no SVD, and a square or wide block of R of full rank is
+certified by one Cholesky, with no SVD either.  Verdict-only angles (classify's
 symmetry, lift's S* check, theta's selfadjointness test) are Frobenius
 brackets that factor nothing away from angle_tol, classify's PSD verdict
 takes its eigvalsh only when it is read, and relate factors one
@@ -65,22 +66,32 @@ from conftest import (
 DATA = Path(__file__).resolve().parents[1] / "data"
 
 N = 8
-# one SVD for dom R and mul R*, one for ran R and ker R*; G is one QR of
-# the checked graph basis, the S* self-check is a Frobenius bracket, not
-# an SVD, and op R* is one QR
-LIFT_SVD_BUDGET = 2
+# numpy.linalg factorizations per lift, by rank.  G is one QR of the
+# checked graph basis and the S* self-check is a Frobenius bracket, not
+# an SVD.  At rank N/2 the domain and range blocks are tall: one SVD each
+# gives dom R and mul R*, ran R and ker R*, and op R* splits mul R* off
+# R* by one more QR.  At ranks N and 3N/2 both blocks are square or wide
+# and of full rank: one Cholesky each certifies it, so dom R and ran R
+# are everything, mul R* = ker R* = {0}, and R* is its own operator part
+LIFT_FACTORIZATIONS = {
+    N // 2: ["qr", "svd", "svd", "qr"],
+    N: ["qr", "cholesky", "cholesky"],
+    3 * N // 2: ["qr", "cholesky", "cholesky"],
+}
 # Gram checks per lift, by rank: the bases lift factors (G, dom R, ran R,
 # mul R*, ker R*, and for G~ the operator part of R*).  At ranks N and
-# 3N/2, mul R* = ker R* = {0} take no check and R* is its own operator
-# part, hence 6/3/3.  R* and G~ are signed swaps of G and of op R*, and
-# the lifted relations are stacks: none takes a Gram product.
-LIFT_GRAM_CHECKS = {N // 2: 6, N: 3, 3 * N // 2: 3}
+# 3N/2, dom R and ran R are identities and mul R* = ker R* = {0}, none
+# tested, and R* is its own operator part, hence 6/1/1.  R* and G~ are
+# signed swaps of G and of op R*, and the lifted relations are stacks:
+# none takes a Gram product.
+LIFT_GRAM_CHECKS = {N // 2: 6, N: 1, 3 * N // 2: 1}
 # adjoint takes the complement of the graph and flips it; inverse only
 # swaps the graph's components
 RELATION_GRAM_CHECKS = {"adjoint": 1, "inverse": 0}
 
 
-FACTORIZATIONS = ("svd", "eigh", "eigvalsh", "eig", "solve", "inv", "qr")
+FACTORIZATIONS = ("svd", "eigh", "eigvalsh", "eig", "solve", "inv", "qr",
+                  "cholesky")
 
 
 class LinalgCalls(list):
@@ -213,18 +224,21 @@ def test_numerical_radius_factors_once_at_any_angle_grid(linalg,
             assert tail == [5, 5], eig_calls
 
 
-@pytest.mark.parametrize("rank", [N // 2, N, 3 * N // 2])
+@pytest.mark.parametrize("rank", list(LIFT_FACTORIZATIONS))
 def test_lift_stays_within_budget(rank, linalg):
     rel = random_relation(N, N, rank=rank, rng=5)
     linalg.clear()
     bundle = lift(rel)
-    assert len(linalg.svd) <= LIFT_SVD_BUDGET, linalg
+    assert [name for name, _ in linalg.factorizations] == (
+        LIFT_FACTORIZATIONS[rank]), linalg
     # the QRs are G's, of the graph basis, and op R*'s, of the
-    # dim R* x dim mul R* block, only when mul R* != {0}
+    # dim R* x dim mul R* block, only when mul R* != {0}; a Cholesky is of
+    # the N x N Gram matrix of a block
     mul = bundle.mul_R_star.dim
     want_qr = [("qr", (2 * N, rank))]
     want_qr += [("qr", (bundle.R_star.dim, mul))] if mul else []
     assert linalg.named("qr") == want_qr, linalg
+    assert all(shape == (N, N) for _, shape in linalg.named("cholesky"))
 
 
 @pytest.mark.parametrize("rank", [0, N // 2, N, 3 * N // 2, 2 * N])
@@ -522,20 +536,25 @@ EXTENSION_CASES = [
 
 @pytest.mark.parametrize("fresh", [False, True], ids=["set-up-paid", "fresh"])
 @pytest.mark.parametrize("build, rank", EXTENSION_CASES)
-def test_krein_extension_solves_once(build, rank, fresh, linalg):
+def test_krein_extension_solves_once(build, rank, fresh, linalg,
+                                     gram_checks):
     # Krein's formula on the cached blocks: one g x g solve, fresh triplet
     # or not, since a lifted set-up factors nothing.  The selfadjointness
-    # test of theta is a Frobenius bracket, and nothing runs an SVD
+    # test of theta is a Frobenius bracket, and nothing runs an SVD.  The
+    # Cayley basis is tested through its n x n Gram matrix in closed form,
+    # not by the Gram product of the assembled 2n x n basis
     bundle = lift(random_relation(N, N, rank=rank, rng=5))
     trip = build(bundle)
     theta = random_selfadjoint_relation(trip.g, rng=3)
     if not fresh:
         weyl(trip, -1.0)
     linalg.clear()
+    gram_checks.clear()
     ext = extension_from_boundary(trip, theta)
     g = trip.g
     assert linalg.factorizations == [("solve", (g, g))], linalg
     assert linalg.svd == [], linalg
+    assert gram_checks == [], gram_checks
     basis = ext.graph.basis
     gram_err = np.abs(basis.conj().T @ basis - np.eye(ext.dim))
     assert np.max(gram_err, initial=0.0) < 1e-12

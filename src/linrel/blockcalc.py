@@ -145,9 +145,9 @@ def check_adjoint_inclusion(b: Block2x2,
     )
     rhs = block(transposed_adjoints, cfg)
     result = relate(rhs.graph, lhs.graph, cfg)
-    holds = result.verdict in (Verdict.EQUAL, Verdict.SUBSET)
     return AdjointInclusionResult(
-        verdict=result.verdict, inclusion_holds=holds, angle=result.angle
+        verdict=result.verdict, inclusion_holds=result.contained,
+        angle=result.angle,
     )
 
 

@@ -61,7 +61,6 @@ from .extension import (
     krein_order_margin,
     lift,
     nonneg_extension,
-    s0_adjoint_decomposition_check,
 )
 from .oracle import (
     adjoint_definitional,
@@ -228,20 +227,41 @@ def cmd_analyze(args: argparse.Namespace, cfg: ToleranceConfig) -> int:
     return 0
 
 
-def _equal(*results: RelateResult) -> bool:
-    return all(r.verdict is Verdict.EQUAL for r in results)
+def _same(res: RelateResult) -> tuple[bool, float]:
+    """The EQUAL reading of relate, with its angle as the residual."""
+    return res.verdict is Verdict.EQUAL, res.angle
 
 
-def _triplet_results(
-    bundle: LiftBundle,
-) -> Iterator[
-    tuple[str, BoundaryTriplet, float, bool, RelateResult, RelateResult]
-]:
+def _below(value: float, bound: float) -> tuple[bool, float]:
+    """value strictly below bound, with value as the residual."""
+    return value < bound, value
+
+
+def _krein_order(margin: float,
+                 cfg: ToleranceConfig) -> tuple[bool, float | None]:
+    """S_K <= A <= S_F from a krein_order_margin: it holds when the margin
+    is >= psd_floor, and the residual is the margin's shortfall below 0
+    (None for the inf margin of an empty sample)."""
+    residual = None if math.isinf(margin) else max(0.0, -margin)
+    return margin >= cfg.psd_floor, residual
+
+
+def _check(name: str, *verdicts: tuple[bool, float | None]) -> dict:
+    """A check passes when all its verdicts pass; its residual is the
+    largest residual that is not None."""
+    residuals = [r for _, r in verdicts if r is not None]
+    return {"name": name, "passed": all(ok for ok, _ in verdicts),
+            "residual": max(residuals, default=None)}
+
+
+def _triplet_verdicts(bundle: LiftBundle) -> Iterator[tuple]:
     """Self-checks of the three boundary triplets of the lift, in order.
 
-    Yields (kind, trip, green_defect, surjective, k0, k1), where k0 and k1
-    relate ker Gamma0 and ker Gamma1 to their closed forms.
+    Yields (kind, trip, green, kernels): green bounds the Green-identity
+    defect by rank_tol; kernels holds the verdicts that (Gamma0, Gamma1)
+    is surjective and that ker Gamma0, ker Gamma1 equal their closed forms.
     """
+    cfg = bundle.cfg
     kernel_targets = {
         "main": (bundle.H, bundle.K),
         "basic": (bundle.S_F, bundle.S_K),
@@ -250,24 +270,22 @@ def _triplet_results(
     for kind, builder in _TRIPLET_BUILDERS.items():
         trip = builder(bundle)
         want0, want1 = kernel_targets[kind]
-        yield (
-            kind,
-            trip,
-            green_identity_defect(trip),
-            boundary_map_rank(trip) == 2 * trip.g,
-            relation_equal(trip.ker_gamma0, want0, bundle.cfg),
-            relation_equal(trip.ker_gamma1, want1, bundle.cfg),
+        green = _below(green_identity_defect(trip), cfg.rank_tol)
+        kernels = (
+            (boundary_map_rank(trip) == 2 * trip.g, None),
+            _same(relation_equal(trip.ker_gamma0, want0, cfg)),
+            _same(relation_equal(trip.ker_gamma1, want1, cfg)),
         )
+        yield kind, trip, green, kernels
 
 
-def _extreme_closed_forms(
-    bundle: LiftBundle,
-) -> tuple[RelateResult, RelateResult]:
+def _extreme_closed_forms(bundle: LiftBundle) -> tuple[tuple, tuple]:
     """Generic Friedrichs and Krein routes against the closed S_F, S_K."""
     cfg = bundle.cfg
     return (
-        relation_equal(friedrichs_generic(bundle.S, cfg), bundle.S_F, cfg),
-        relation_equal(krein_generic(bundle.S, cfg), bundle.S_K, cfg),
+        _same(relation_equal(friedrichs_generic(bundle.S, cfg), bundle.S_F,
+                             cfg)),
+        _same(relation_equal(krein_generic(bundle.S, cfg), bundle.S_K, cfg)),
     )
 
 
@@ -286,44 +304,29 @@ def _worst_krein_margin(bundle: LiftBundle,
     return worst
 
 
-def _check(name: str, passed: bool, residual: float | None) -> dict:
-    return {"name": name, "passed": bool(passed), "residual": residual}
-
-
 def cmd_extensions(args: argparse.Namespace, cfg: ToleranceConfig) -> int:
     spec = load_relation_spec(args.spec, cfg)
     rel = spec.relation
     bundle = lift(rel, cfg)
 
     checks = []
-    for kind, _, green, surjective, k0, k1 in _triplet_results(bundle):
+    for kind, _, green, kernels in _triplet_verdicts(bundle):
         checks += [
-            _check(
-                f"triplet_{kind}_green_identity", green < cfg.rank_tol, green
-            ),
-            _check(
-                f"triplet_{kind}_surjective_and_kernels",
-                surjective and _equal(k0, k1),
-                max(k0.angle, k1.angle),
-            ),
+            _check(f"triplet_{kind}_green_identity", green),
+            _check(f"triplet_{kind}_surjective_and_kernels", *kernels),
         ]
     r_hk, r_fk, _ = _decomposition_results(bundle)
-    r_f, r_k = _extreme_closed_forms(bundle)
-    for name, res in (
-        ("adjoint_is_componentwise_sum_H_K", r_hk),
-        ("s0_adjoint_is_sum_of_extreme_extensions", r_fk),
-        ("friedrichs_closed_form", r_f),
-        ("krein_closed_form", r_k),
-    ):
-        checks.append(_check(name, _equal(res), res.angle))
+    friedrichs, krein = _extreme_closed_forms(bundle)
     worst = _worst_krein_margin(bundle, np.random.default_rng(args.seed))
-    checks.append(
-        _check(
-            "krein_order_sampled_parameters",
-            worst >= cfg.psd_floor,
-            max(0.0, -worst) if math.isfinite(worst) else 0.0,
-        )
-    )
+    checks += [
+        _check("adjoint_is_componentwise_sum_H_K", _same(r_hk)),
+        _check("s0_adjoint_is_sum_of_extreme_extensions", _same(r_fk)),
+        _check("friedrichs_closed_form", friedrichs),
+        _check("krein_closed_form", krein),
+        # with G0 = {0} nothing is sampled; this report prints residual 0
+        _check("krein_order_sampled_parameters", _krein_order(worst, cfg),
+               (True, 0.0)),
+    ]
 
     g0 = bundle.G0.dim
     family = []
@@ -366,9 +369,9 @@ def cmd_extensions(args: argparse.Namespace, cfg: ToleranceConfig) -> int:
         },
         "flags": {
             "relation_is_singular": is_singular_relation(rel, cfg),
-            "friedrichs_equals_krein": _equal(
+            "friedrichs_equals_krein": _same(
                 relation_equal(bundle.S_F, bundle.S_K, cfg)
-            ),
+            )[0],
         },
         "extremal_family": family,
         "checks": checks,
@@ -449,7 +452,7 @@ def _theta_in_boundary_basis(trip: BoundaryTriplet,
     except ValueError as exc:
         raise InputFormatError(f"{where}.basis: {exc}") from exc
     res = relate(b_file, space, trip.cfg)
-    if res.verdict is not Verdict.EQUAL:
+    if not _same(res)[0]:
         raise InputFormatError(
             f"{where}.basis does not span the current {kind} boundary "
             f"space (verdict {res.verdict.value}, angle {res.angle:.3e})"
@@ -487,7 +490,7 @@ def cmd_extend(args: argparse.Namespace, cfg: ToleranceConfig) -> int:
         "extremal": extremal,
         "krein_order": {
             "margin": encode_float(margin),
-            "holds": None if margin is None else margin >= cfg.psd_floor,
+            "holds": None if margin is None else _krein_order(margin, cfg)[0],
         },
     })
     return 0
@@ -552,29 +555,27 @@ def _verify_checks(spec: LoadedSpec, cfg: ToleranceConfig,
     a_mul = relate(p_adj.mul, complement(p.dom), cfg)
     a_ker = relate(p_adj.ker, complement(p.ran), cfg)
     bundle = lift(rel, cfg)
-    r_f, r_k = _extreme_closed_forms(bundle)
+    closed_forms = _extreme_closed_forms(bundle)
+    # verdicts only: extensions' report prints these residuals
+    decompositions = [(ok, None) for ok, _ in
+                      map(_same, _decomposition_results(bundle))]
     checks = [
-        _check("input_graph_orthonormal", not spec.was_orthonormalized, None),
-        _check("adjoint_matches_oracle", _equal(r_o), r_o.angle),
-        _check("adjoint_involution", _equal(r_i), r_i.angle),
-        _check("adjoint_parts_duality", _equal(a_mul, a_ker),
-               max(a_mul.angle, a_ker.angle)),
-        _check("lift_decompositions", s0_adjoint_decomposition_check(bundle),
-               None),
-        _check("extreme_extensions_closed_forms", _equal(r_f, r_k),
-               max(r_f.angle, r_k.angle)),
+        _check("input_graph_orthonormal",
+               (not spec.was_orthonormalized, None)),
+        _check("adjoint_matches_oracle", _same(r_o)),
+        _check("adjoint_involution", _same(r_i)),
+        _check("adjoint_parts_duality", _same(a_mul), _same(a_ker)),
+        _check("lift_decompositions", *decompositions),
+        _check("extreme_extensions_closed_forms", *closed_forms),
     ]
 
-    for kind, trip, green, surjective, k0, k1 in _triplet_results(bundle):
-        ok = green < cfg.rank_tol and surjective and _equal(k0, k1)
-        checks.append(
-            _check(f"triplet_{kind}", ok, max(green, k0.angle, k1.angle))
-        )
+    for kind, trip, green, kernels in _triplet_verdicts(bundle):
+        checks.append(_check(f"triplet_{kind}", green, *kernels))
         if trip.is_degenerate:
             continue
         worst = max(weyl_certificate(trip, lam) for lam in (-1.0, 1j))
-        weyl_ok = worst < _WEYL_SLACK * cfg.rank_tol
-        checks.append(_check(f"weyl_{kind}_certificate", weyl_ok, worst))
+        checks.append(_check(f"weyl_{kind}_certificate",
+                             _below(worst, _WEYL_SLACK * cfg.rank_tol)))
 
     # the Krein-order samples continue the stream after the sweep's draws
     rng = np.random.default_rng(seed)
@@ -583,10 +584,9 @@ def _verify_checks(spec: LoadedSpec, cfg: ToleranceConfig,
     sweep = extension_sweep(bundle, thetas)
     worst_margin = _worst_krein_margin(bundle, rng)
     return checks + [
-        _check("extension_sweep", sweep.all_consistent and sweep.injective,
-               None),
-        _check("krein_order_sampled", worst_margin >= cfg.psd_floor,
-               None if math.isinf(worst_margin) else max(0.0, -worst_margin)),
+        _check("extension_sweep",
+               (sweep.all_consistent and sweep.injective, None)),
+        _check("krein_order_sampled", _krein_order(worst_margin, cfg)),
     ]
 
 

@@ -376,10 +376,7 @@ def _require_nonneg_selfadjoint_extension(
         raise PreconditionViolated("extension is not selfadjoint")
     if not report.is_nonnegative:
         raise PreconditionViolated("extension is not nonnegative")
-    if relate(bundle.S.graph, a.graph, bundle.cfg).verdict not in (
-        Verdict.EQUAL,
-        Verdict.SUBSET,
-    ):
+    if not relate(bundle.S.graph, a.graph, bundle.cfg).contained:
         raise PreconditionViolated("relation does not extend S")
     return report
 

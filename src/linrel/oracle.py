@@ -266,15 +266,15 @@ def extension_sweep(bundle: LiftBundle,
             a_theta = extension_from_boundary(trip, theta)
             matches = (relation_equal(a_theta, definitional, cfg).verdict
                        is Verdict.EQUAL)
-        fwd = relate(bundle.S.graph, a_theta.graph, cfg).verdict
-        bwd = relate(a_theta.graph, bundle.S_star.graph, cfg).verdict
+        fwd = relate(bundle.S.graph, a_theta.graph, cfg)
+        bwd = relate(a_theta.graph, bundle.S_star.graph, cfg)
         records.append(
             SweepRecord(
                 theta_selfadjoint=theta_selfadjoint,
                 extension=a_theta,
                 extension_selfadjoint=classify(a_theta, cfg).is_selfadjoint,
-                extends_s=fwd in (Verdict.EQUAL, Verdict.SUBSET),
-                inside_s_star=bwd in (Verdict.EQUAL, Verdict.SUBSET),
+                extends_s=fwd.contained,
+                inside_s_star=bwd.contained,
                 matches_definitional=matches,
             )
         )

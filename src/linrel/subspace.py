@@ -224,6 +224,11 @@ class RelateResult:
     forward_angle: float
     reverse_angle: float
 
+    @property
+    def contained(self) -> bool:
+        """U lies in V: the verdict is EQUAL or SUBSET."""
+        return self.verdict in (Verdict.EQUAL, Verdict.SUBSET)
+
 
 def span(vectors, ambient_dim: int | None = None,
          cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Subspace:

@@ -757,6 +757,88 @@ class TestVerify:
         assert extensions_failures(*below) == (1, green_checks)
 
 
+class TestReportsAgree:
+    """verify's grouped checks are folds of extensions' checks: passed
+    when all of the group pass, residual their largest.  The Krein-order
+    checks are left out: verify draws its parameters from the rng stream
+    after the sweep's draws, extensions from a fresh stream, so they
+    sample different parameters."""
+
+    GROUPS = {
+        **{f"triplet_{kind}": [f"triplet_{kind}_green_identity",
+                               f"triplet_{kind}_surjective_and_kernels"]
+           for kind in ("main", "basic", "tilde")},
+        "extreme_extensions_closed_forms": ["friedrichs_closed_form",
+                                            "krein_closed_form"],
+    }
+
+    @pytest.mark.parametrize("defect", [None, 5e-11])
+    @pytest.mark.parametrize("path", sorted(DATA.glob("*.json")),
+                             ids=lambda path: path.stem)
+    def test_verify_groups_fold_extensions_checks(self, path, defect,
+                                                  monkeypatch, capsys):
+        argv = [str(path)]
+        if defect is not None:
+            # a Green defect above rank_tol fails every triplet check
+            monkeypatch.setattr(cli, "green_identity_defect",
+                                lambda trip: defect)
+            argv += ["--tol-rank", "1e-11"]
+        main(["extensions", *argv])
+        checks = {c["name"]: c
+                  for c in json.loads(capsys.readouterr().out)["checks"]}
+        main(["verify", *argv])
+        lines = {line.split()[1]: line
+                 for line in capsys.readouterr().out.splitlines()[:-1]}
+        for name, group in self.GROUPS.items():
+            passed = all(checks[c]["passed"] for c in group)
+            residual = max(checks[c]["residual"] for c in group)
+            status = "ok" if passed else "FAIL"
+            want = f"{status:4s} {name} (residual={residual:.3e})"
+            assert lines[name] == want
+            if name.startswith("triplet_"):
+                assert passed is (defect is None)
+
+
+KREIN_MARGIN = -1e-7
+
+
+class TestKreinRule:
+    """extend's holds, extensions' and verify's Krein checks read one
+    comparison: the margin is >= psd_floor."""
+
+    @pytest.mark.parametrize("floor, holds", [
+        (KREIN_MARGIN, True),
+        (float(np.nextafter(KREIN_MARGIN, 0.0)), False),
+    ])
+    def test_margin_at_the_floor(self, floor, holds, tmp_path, monkeypatch,
+                                 capsys):
+        for name in ("krein_order_margin", "_krein_margin"):
+            monkeypatch.setattr(cli, name, lambda a, bundle: KREIN_MARGIN)
+        path = str(DATA / "halfline_embed.json")
+        flag = f"--psd-floor={floor!r}"
+        code = 0 if holds else 1
+        status = "ok" if holds else "FAIL"
+
+        assert main(["extend", path, "--theta",
+                     TestExtend._plus_identity(tmp_path), "--triplet",
+                     "basic", flag]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["krein_order"]["holds"] is holds
+
+        assert main(["extensions", path, flag]) == code
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [c for c in checks if c["name"].startswith("krein_order")] == [
+            {"name": "krein_order_sampled_parameters", "passed": holds,
+             "residual": -KREIN_MARGIN}]
+        assert all(c["passed"] for c in checks
+                   if not c["name"].startswith("krein_order"))
+
+        assert main(["verify", path, flag]) == code
+        lines = capsys.readouterr().out.splitlines()
+        assert f"{status:4s} krein_order_sampled (residual=1.000e-07)" in lines
+        assert sum(line.startswith("FAIL ") for line in lines) == (not holds)
+
+
 class TestErrorPaths:
     def test_malformed_json_exits_2_with_location(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -32,8 +32,11 @@ n x n pencil, and no eigensolver runs.  numerical_radius factors the
 domain block once however many angles it searches, with one batched
 eigvalsh per grid of angles, and the symmetry block of a CLI report
 reads the lower bound and the radius off that one factorization.
+Whole extensions and verify commands are pinned by the count of each
+factorization, so a check value computed twice in one command fails here.
 """
 
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -266,6 +269,30 @@ def test_krein_margins_reuse_the_extreme_resolvents(linalg):
         linalg.clear()
         cli._worst_krein_margin(bundle, np.random.default_rng(0))
         assert linalg.named("solve") == [("solve", (n, n))] * margins, linalg
+
+
+# numpy.linalg factorizations of one whole check command, by (command,
+# spec): every check value, shared between groupings or not, is computed
+# once.  graph_one has G0 = {0}: no Krein margin is sampled and the
+# square blocks of full rank are certified by Cholesky
+COMMAND_FACTORIZATIONS = {
+    ("verify", "halfline_embed"): {"svd": 76, "qr": 28, "eigvalsh": 9,
+                                   "solve": 10},
+    ("extensions", "halfline_embed"): {"svd": 39, "qr": 13, "eigvalsh": 13,
+                                       "solve": 5},
+    ("verify", "graph_one"): {"svd": 61, "qr": 22, "solve": 5, "cholesky": 2},
+    ("extensions", "graph_one"): {"svd": 26, "qr": 4, "eigvalsh": 2,
+                                  "cholesky": 2},
+}
+
+
+@pytest.mark.parametrize("command, name", list(COMMAND_FACTORIZATIONS))
+def test_check_commands_compute_each_value_once(command, name, linalg,
+                                                capsys):
+    assert cli.main([command, str(DATA / f"{name}.json")]) == 0
+    capsys.readouterr()
+    counts = Counter(fn for fn, _ in linalg.factorizations)
+    assert counts == COMMAND_FACTORIZATIONS[command, name], counts
 
 
 @pytest.mark.parametrize("rank", list(LIFT_GRAM_CHECKS))

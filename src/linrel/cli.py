@@ -8,7 +8,9 @@ report so results are reproducible from the artifact alone.
 `main` owns tolerances, output and exit codes: it builds the
 ToleranceConfig once, rejects an unwritable --out before any work, and
 maps exceptions to exit codes; commands write through _emit_report (JSON),
-_emit_csv or _emit.
+_emit_csv or _emit.  A JSON report is written a piece at a time, so its
+whole text is never held at once; it is checked for NaN and infinity
+before the first piece, so a failing report writes nothing.
 
 Exit codes: 0 success, 1 verification failure, 2 input error,
 3 mathematical precondition violated, 4 internal error (any other
@@ -18,14 +20,13 @@ exception, reported as one line on stderr).
 from __future__ import annotations
 
 import argparse
-import csv
 import errno
-import io
 import json
 import math
 import os
 import sys
-from typing import Iterator, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -80,11 +81,12 @@ from .relation import (
 from .specio import (
     LoadedSpec,
     _finite,
-    dump_report,
+    _float_pairs,
     encode_float,
     encode_relation,
     encode_subspace,
     load_relation_spec,
+    report_pieces,
 )
 from .subspace import RelateResult, Subspace, Verdict, complement, relate
 
@@ -145,15 +147,19 @@ def _check_out_path(out_path: str) -> None:
         raise InputFormatError(f"{out_path}: {os.strerror(reason)}")
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(pieces: Iterable[str], out_path: str | None) -> None:
+    """Write the pieces of a text as they come: to stdout, ending it with
+    a newline, or to the --out file exactly as they are."""
     if out_path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
+        last = ""
+        for last in pieces:
+            sys.stdout.write(last)
+        if not last.endswith("\n"):
             sys.stdout.write("\n")
     else:
         try:
             with open(out_path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         except OSError as exc:
             raise InputFormatError(f"{out_path}: {exc.strerror or exc}") from exc
 
@@ -172,16 +178,16 @@ def _emit_report(args: argparse.Namespace, cfg: ToleranceConfig,
         "input": _input_echo(spec),
         **body,
     }
-    _emit(dump_report(report), args.out)
+    _emit(report_pieces(report), args.out)
 
 
 def _emit_csv(header: list[str], rows: list[list],
               out_path: str | None) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _emit(buf.getvalue(), out_path)
+    """CSV with one line per row.  Every field is a float's repr, a status
+    word, an empty string or a bool, so none needs quoting, and the text
+    is what csv.writer(lineterminator="\\n") writes."""
+    _emit((",".join(map(str, row)) + "\n" for row in (header, *rows)),
+          out_path)
 
 
 def _json_list(text: str, flag: str) -> list:
@@ -315,7 +321,7 @@ def cmd_extensions(args: argparse.Namespace, cfg: ToleranceConfig) -> int:
             _check(f"triplet_{kind}_green_identity", green),
             _check(f"triplet_{kind}_surjective_and_kernels", *kernels),
         ]
-    r_hk, r_fk, _ = _decomposition_results(bundle)
+    r_hk, r_fk = islice(_decomposition_results(bundle), 2)
     friedrichs, krein = _extreme_closed_forms(bundle)
     worst = _worst_krein_margin(bundle, np.random.default_rng(args.seed))
     checks += [
@@ -409,12 +415,7 @@ def cmd_weyl(args: argparse.Namespace, cfg: ToleranceConfig) -> int:
         except SpectrumError:
             row += [""] * (2 * g * g) + ["singular"]
         else:
-            for i in range(g):
-                for j in range(g):
-                    row += [
-                        repr(float(m_lam[i, j].real)),
-                        repr(float(m_lam[i, j].imag)),
-                    ]
+            row += map(repr, _float_pairs(m_lam))
             row.append("ok")
         rows.append(row)
     _emit_csv(header, rows, args.out)
@@ -577,10 +578,12 @@ def _verify_checks(spec: LoadedSpec, cfg: ToleranceConfig,
         checks.append(_check(f"weyl_{kind}_certificate",
                              _below(worst, _WEYL_SLACK * cfg.rank_tol)))
 
-    # the Krein-order samples continue the stream after the sweep's draws
+    # the Krein-order samples continue the stream after the sweep's draws;
+    # with G = {0} there is no parameter, and the sweep holds vacuously
     rng = np.random.default_rng(seed)
     g = bundle.G.dim
-    thetas = [random_selfadjoint_relation(g, rng=rng) for _ in range(5)]
+    thetas = [random_selfadjoint_relation(g, rng=rng)
+              for _ in range(5 if g else 0)]
     sweep = extension_sweep(bundle, thetas)
     worst_margin = _worst_krein_margin(bundle, rng)
     return checks + [
@@ -602,7 +605,7 @@ def cmd_verify(args: argparse.Namespace, cfg: ToleranceConfig) -> int:
     passed_count = sum(check["passed"] for check in checks)
     verdict = "PASS" if passed_count == len(checks) else "FAIL"
     lines.append(f"verify: {verdict} ({passed_count}/{len(checks)})")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(("\n".join(lines) + "\n",), args.out)
     return 0 if verdict == "PASS" else 1
 
 

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -438,19 +439,16 @@ def extremal_family(bundle: LiftBundle, l_space: Subspace) -> LinearRelation:
     return a
 
 
-def _decomposition_results(
-    bundle: LiftBundle,
-) -> tuple[RelateResult, RelateResult, RelateResult]:
-    """S* vs H +^ K, S0* vs S_F +^ S_K, and S0* vs its closed form."""
+def _decomposition_results(bundle: LiftBundle) -> Iterator[RelateResult]:
+    """S* vs H +^ K, S0* vs S_F +^ S_K, and S0* vs its closed form, each
+    computed when it is read, so a caller may take only the first ones."""
     cfg = bundle.cfg
+    yield relation_equal(bundle.S_star,
+                         componentwise_sum(bundle.H, bundle.K, cfg), cfg)
     s0_adj = adjoint(bundle.S0)
-    sum_hk = componentwise_sum(bundle.H, bundle.K, cfg)
-    sum_fk = componentwise_sum(bundle.S_F, bundle.S_K, cfg)
-    return (
-        relation_equal(bundle.S_star, sum_hk, cfg),
-        relation_equal(s0_adj, sum_fk, cfg),
-        relation_equal(s0_adj, bundle.S0_star, cfg),
-    )
+    yield relation_equal(s0_adj,
+                         componentwise_sum(bundle.S_F, bundle.S_K, cfg), cfg)
+    yield relation_equal(s0_adj, bundle.S0_star, cfg)
 
 
 def s0_adjoint_decomposition_check(bundle: LiftBundle) -> bool:

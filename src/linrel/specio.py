@@ -9,9 +9,17 @@ bit-stable.  Three input modes are supported:
                {(Cx, Dx)};
   graph_basis  an (n1+n2) x d matrix of graph columns.
 
-A graph_basis that is not orthonormal is re-orthonormalized and the
+A graph_basis that fails the Gram test is re-orthonormalized and the
 event is recorded on the loaded spec; verification commands treat it as
-a failure, analysis commands only flag it.
+a failure, analysis commands only flag it.  One that passes it but
+deviates from orthonormal by more than round-off is polished by one
+Newton-Schulz step and Gram-tested again; that is not recorded, because
+the span is unchanged up to round-off.
+
+A report is a dictionary whose matrices are complex ndarrays.
+report_pieces writes it as json.dumps(report, indent=2, sort_keys=True,
+allow_nan=False) would, a piece at a time and straight from the arrays,
+after one walk that rejects a NaN or an infinity before any piece exists.
 
 A boundary parameter (theta) spec may carry an optional coordinates
 entry, {"triplet": <kind>, "basis": <matrix>}: the triplet kind and the
@@ -25,14 +33,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Any
+from itertools import islice
+from json.encoder import encode_basestring_ascii
+from typing import Any, Iterator
 
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, ToleranceConfig
 from .errors import InputFormatError
 from .relation import LinearRelation, from_kernel_pair, from_operator
-from .subspace import Subspace, span
+from .subspace import Subspace, _higham_gamma, span
 
 __all__ = [
     "LoadedSpec",
@@ -42,6 +52,7 @@ __all__ = [
     "encode_subspace",
     "encode_relation",
     "load_relation_spec",
+    "report_pieces",
     "dump_report",
 ]
 
@@ -120,7 +131,7 @@ def encode_subspace(space: Subspace) -> dict:
     return {
         "ambient_dim": space.ambient_dim,
         "dim": space.dim,
-        "basis": encode_matrix(space.basis),
+        "basis": space.basis,
     }
 
 
@@ -129,7 +140,7 @@ def encode_relation(rel: LinearRelation) -> dict:
         "n1": rel.n1,
         "n2": rel.n2,
         "dim": rel.dim,
-        "graph_basis": encode_matrix(rel.graph.basis),
+        "graph_basis": rel.graph.basis,
     }
 
 
@@ -222,7 +233,7 @@ def load_relation_spec(
                 f"expected n1 + n2 = {n1 + n2}"
             )
         try:
-            graph = Subspace(n1 + n2, basis)
+            graph = _polished(Subspace(n1 + n2, basis))
         except ValueError:
             graph = span(basis, n1 + n2, cfg)
             was_orthonormalized = True
@@ -233,13 +244,13 @@ def load_relation_spec(
         "n1": n1,
         "n2": n2,
         "label": label,
-        "matrices": {key: encode_matrix(mat) for key, mat in decoded.items()},
+        "matrices": decoded,
     }
     coordinates = None
     if "coordinates" in raw:
         coordinates = _coordinates(raw["coordinates"], path)
         echo["coordinates"] = {"triplet": coordinates[0],
-                               "basis": encode_matrix(coordinates[1])}
+                               "basis": coordinates[1]}
     return LoadedSpec(
         relation=rel,
         mode=mode,
@@ -249,6 +260,22 @@ def load_relation_spec(
         echo=echo,
         coordinates=coordinates,
     )
+
+
+def _polished(space: Subspace) -> Subspace:
+    """space, or its basis B after one Newton-Schulz step B(3I - B^H B)/2
+    when max|B^H B - I| exceeds the round-off _higham_gamma(rows).
+
+    The Gram test accepts deviations up to 1e-8, which relate would read
+    as an angle of that size; the step squares the deviation (about
+    (3/4) E^2) and keeps the span.  The result is Gram-tested again.
+    """
+    basis = space.basis
+    dev = basis.conj().T @ basis
+    dev.reshape(-1)[:: space.dim + 1] -= 1.0
+    if np.abs(dev).max(initial=0.0) <= _higham_gamma(space.ambient_dim):
+        return space
+    return Subspace(space.ambient_dim, basis - basis @ dev / 2)
 
 
 def _coordinates(obj: Any, path: str) -> tuple[str, np.ndarray]:
@@ -262,6 +289,130 @@ def _coordinates(obj: Any, path: str) -> tuple[str, np.ndarray]:
                                          f"{path}: coordinates.basis")
 
 
+_INDENT = "  "
+_NON_FINITE = "Out of range float values are not JSON compliant"
+
+
+def _check_report(obj: Any) -> None:
+    """Raise as json.dumps(obj, allow_nan=False) would, for an object of
+    report_pieces: ValueError for a NaN or an infinity, in an array too,
+    and TypeError for a value that JSON cannot hold.  A key must be a
+    string."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(
+                    f"keys must be str, not {type(key).__name__}"
+                )
+            _check_report(value)
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            _check_report(item)
+    elif isinstance(obj, np.ndarray):
+        if obj.ndim != 2:
+            raise TypeError(f"a report array must be a matrix, not {obj.ndim}-D")
+        if not np.isfinite(obj).all():
+            raise ValueError(_NON_FINITE)
+    elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(_NON_FINITE)
+    elif obj is not None and not isinstance(obj, (str, int)):
+        raise TypeError(
+            f"Object of type {type(obj).__name__} is not JSON serializable"
+        )
+
+
+def _scalar(obj: Any) -> str:
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    return float.__repr__(obj)
+
+
+def _float_pairs(mat: np.ndarray) -> list[float]:
+    """The real and imaginary part of every entry, row by row, as floats."""
+    flat = np.ascontiguousarray(mat, dtype=complex).view(np.float64)
+    return flat.ravel().tolist()
+
+
+def _matrix_pieces(mat: np.ndarray, indent: str) -> Iterator[str]:
+    """A complex matrix as the json text of its nested [re, im] lists,
+    one piece per row.
+
+    indent is the newline and indentation of the line the matrix ends on.
+    The entries are formatted in one pass: every real and imaginary part,
+    row by row, as one list of floats, each by float.__repr__ as json
+    does, joined per row with the separators json puts between them.
+    """
+    rows, cols = mat.shape
+    if rows == 0:
+        yield "[]"
+        return
+    row_indent = indent + _INDENT
+    if cols == 0:
+        yield "[" + ",".join([row_indent + "[]"] * rows) + indent + "]"
+        return
+    pair_indent = row_indent + _INDENT
+    part_indent = pair_indent + _INDENT
+    parts = iter(map(float.__repr__, _float_pairs(mat)))
+    pairs = map(("," + part_indent).join, zip(parts, parts))
+    row_open = row_indent + "[" + pair_indent + "[" + part_indent
+    between = pair_indent + "]," + pair_indent + "[" + part_indent
+    row_close = pair_indent + "]" + row_indent + "]"
+    yield "["
+    for i in range(rows):
+        yield (("," if i else "") + row_open
+               + between.join(islice(pairs, cols)) + row_close)
+    yield indent + "]"
+
+
+def _pieces(obj: Any, indent: str) -> Iterator[str]:
+    """The json text of a checked obj, in pieces; indent is the newline and
+    indentation of the line obj ends on."""
+    if isinstance(obj, np.ndarray):
+        yield from _matrix_pieces(obj, indent)
+        return
+    if isinstance(obj, dict):
+        items = [(encode_basestring_ascii(key) + ": ", obj[key])
+                 for key in sorted(obj)]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        items = [("", item) for item in obj]
+        brackets = "[]"
+    else:
+        yield _scalar(obj)
+        return
+    if not items:
+        yield brackets
+        return
+    inner = indent + _INDENT
+    separator = brackets[0] + inner
+    for prefix, value in items:
+        yield separator + prefix
+        yield from _pieces(value, inner)
+        separator = "," + inner
+    yield indent + brackets[1]
+
+
+def report_pieces(report: dict) -> Iterator[str]:
+    """json.dumps(report, indent=2, sort_keys=True, allow_nan=False), in
+    pieces whose concatenation is that text.
+
+    Matrices may be complex ndarrays, written as nested [re, im] lists.
+    The whole report is checked first, so a NaN or an infinity raises
+    ValueError here, before any piece is made.
+    """
+    _check_report(report)
+    return _pieces(report, "\n")
+
+
 def dump_report(report: dict) -> str:
     """Deterministic JSON text for a report dictionary."""
-    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    return "".join(report_pieces(report))

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linrel import boundary, cli, extension, relation
 from linrel.cli import main
@@ -15,13 +17,19 @@ from linrel.config import ToleranceConfig
 from linrel.errors import InputFormatError
 from linrel.extension import lift
 from linrel.oracle import random_relation, random_selfadjoint_relation
-from linrel.relation import LinearRelation, numerical_radius, relation_equal
+from linrel.relation import (
+    LinearRelation,
+    adjoint,
+    numerical_radius,
+    relation_equal,
+)
 from linrel.specio import (
     decode_matrix,
     dump_report,
     encode_float,
     encode_matrix,
     load_relation_spec,
+    report_pieces,
 )
 from linrel.subspace import (
     Subspace,
@@ -71,6 +79,39 @@ VERIFY_CHECKS = [
 def write_spec(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def as_lists(obj):
+    """obj with every matrix as encode_matrix's nested lists."""
+    if isinstance(obj, np.ndarray):
+        return encode_matrix(obj)
+    if isinstance(obj, dict):
+        return {key: as_lists(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [as_lists(item) for item in obj]
+    return obj
+
+
+def json_dumps(report):
+    return json.dumps(as_lists(report), indent=2, sort_keys=True,
+                      allow_nan=False)
+
+
+@pytest.fixture(autouse=True)
+def reports_are_json_dumps(monkeypatch):
+    """Every report a test here writes through the CLI is compared with
+    json.dumps of the same report with its matrices as nested lists."""
+    differ = []
+
+    def checked(report):
+        pieces = list(report_pieces(report))
+        if "".join(pieces) != json_dumps(report):
+            differ.append(sorted(report))
+        return iter(pieces)
+
+    monkeypatch.setattr(cli, "report_pieces", checked)
+    yield
+    assert differ == []
 
 
 @pytest.fixture
@@ -163,6 +204,59 @@ class TestSpecIO:
     def test_dump_report_rejects_nan(self):
         with pytest.raises(ValueError):
             dump_report({"x": math.nan})
+
+    def test_writer_prints_empty_matrices_as_json_does(self):
+        report = {
+            "empty": {}, "none": [], "nested": [[], {}, [[]]],
+            "matrices": [np.zeros(shape, dtype=complex) for shape in
+                         [(3, 0), (0, 0), (0, 4), (1, 1), (2, 3)]],
+            "deep": {"a": {"b": [np.zeros((2, 0)), {"c": np.eye(2)}]}},
+            "signed_zeros": np.array([[-0.0 - 0.0j, 0.0 - 0.0j]]),
+            "ints": [0, -3, 2**70, True, False, None],
+        }
+        assert dump_report(report) == json_dumps(report)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers()
+        | st.floats(allow_nan=False, allow_infinity=False) | st.text()
+        | st.builds(
+            lambda rows, cols, seed: np.random.default_rng(seed).standard_normal(
+                (rows, cols, 2)).view(complex)[..., 0] * 10.0 ** (seed % 40 - 20),
+            st.integers(0, 3), st.integers(0, 3), st.integers(0, 100)),
+        lambda children: st.lists(children, max_size=3)
+        | st.dictionaries(st.text(max_size=4), children, max_size=3),
+        max_leaves=12,
+    ))
+    def test_writer_is_json_dumps(self, report):
+        assert dump_report(report) == json_dumps(report)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_raises_before_any_piece(self, bad):
+        matrix = np.ones((2, 2), dtype=complex)
+        matrix[1, 0] = complex(0.0, bad)
+        for report in ({"x": [1.0, {"y": bad}]}, {"m": [matrix]}):
+            with pytest.raises(ValueError):
+                report_pieces(report)  # raised by the call, not the first piece
+
+    @pytest.mark.parametrize("out", [False, True])
+    def test_non_finite_report_exits_4_and_writes_nothing(
+            self, out, operator_spec, tmp_path, monkeypatch, capsys):
+        real = cli.encode_relation
+
+        def poisoned(rel):
+            encoded = real(rel)
+            encoded["graph_basis"] = encoded["graph_basis"] * math.nan
+            return encoded
+
+        monkeypatch.setattr(cli, "encode_relation", poisoned)
+        path = tmp_path / "report.json"
+        argv = ["analyze", operator_spec] + (["--out", str(path)] if out else [])
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "internal error: ValueError" in captured.err
+        assert not path.exists()
 
     def test_graph_basis_orthonormalized_flag(self, tmp_path):
         path = write_spec(
@@ -365,6 +459,38 @@ class TestWeyl:
                 assert "\r" not in text, argv
                 assert text.splitlines()[1].endswith((",ok", ",singular",
                                                       ",True", ",False"))
+
+    @pytest.mark.parametrize("argv", [
+        ["weyl", str(DATA / "halfline_embed.json"), "--triplet", "main",
+         "--grid", "[1e-12, 1e10]"],
+        ["weyl", str(DATA / "halfline_embed.json"), "--triplet", "basic",
+         "--grid", "[-2.0, [0.0, 1.0], [1.5, -0.5], 0.0]"],
+        ["semibound-demo"],
+    ], ids=["weyl-singular", "weyl-mixed", "semibound-demo"])
+    def test_csv_bytes_are_the_csv_modules(self, argv, monkeypatch, capsys):
+        # no field needs quoting, so joining with commas writes what
+        # csv.writer writes; both singular and ok rows are pinned
+        tables = []
+        real = cli._emit_csv
+
+        def recorded(header, rows, out_path):
+            tables.append((header, rows))
+            real(header, rows, out_path)
+
+        monkeypatch.setattr(cli, "_emit_csv", recorded)
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        (header, rows), = tables
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        assert out.startswith(buf.getvalue())
+        if argv[0] == "weyl":
+            assert out == buf.getvalue()
+            statuses = [row[-1] for row in rows]
+            assert statuses == (["singular", "singular"] if "main" in argv
+                                else ["ok", "ok", "ok", "singular"])
 
     def test_bad_grid_exits_2(self, halfline_spec, capsys):
         assert main(["weyl", halfline_spec, "--grid", "nope"]) == 2
@@ -696,6 +822,22 @@ class TestVerify:
         assert [line.split()[1] for line in lines[:-1]] == want
         assert lines[-1] == f"verify: PASS ({len(want)}/{len(want)})"
 
+    def test_graph_of_everything_passes(self, tmp_path, capsys):
+        # graph R = C^12 x C^12: G = {0}, so the sweep has no parameter
+        # to draw and holds vacuously
+        basis = orthonormal_columns(
+            np.random.default_rng(8).standard_normal((24, 24)), 1e-10)
+        path = write_spec(tmp_path / "everything.json", {
+            "mode": "graph_basis", "n1": 12, "n2": 12,
+            "matrices": {"basis": encode_matrix(basis)},
+        })
+        for command in ("analyze", "extensions"):
+            assert main([command, path]) == 0
+        assert main(["verify", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "ok   extension_sweep" in lines
+        assert lines[-1].startswith("verify: PASS")
+
     def test_corrupted_basis_fails(self, tmp_path, capsys):
         path = write_spec(
             tmp_path / "skew.json",
@@ -755,6 +897,81 @@ class TestVerify:
         below = ["--tol-rank", tight] if tight else []
         assert verify_failures(*below) == (1, failing)
         assert extensions_failures(*below) == (1, green_checks)
+
+
+def _nearly_orthonormal(n, rank, seed, scale=0.0, decimals=None):
+    """A random graph basis in C^n x C^n with its first column scaled by
+    1 + scale, or with every part rounded to decimals."""
+    basis = random_relation(n, n, rank=rank, rng=seed).graph.basis.copy()
+    basis[:, 0] *= 1.0 + scale
+    if decimals is not None:
+        basis = (np.round(basis.real, decimals)
+                 + 1j * np.round(basis.imag, decimals))
+    return basis
+
+
+def _graph_basis_spec(tmp_path, basis):
+    n = basis.shape[0] // 2
+    return write_spec(tmp_path / "near.json", {
+        "mode": "graph_basis", "n1": n, "n2": n,
+        "matrices": {"basis": encode_matrix(basis)},
+    })
+
+
+class TestNearlyOrthonormalInput:
+    """A graph basis that passes the Gram test but deviates from
+    orthonormal by more than round-off is polished on load."""
+
+    @pytest.mark.parametrize("n, rank, seed, scale, decimals", [
+        (6, 6, 1, 1e-7, None),
+        (6, 6, 2, 4e-6, None),
+        (12, 24, 3, 1e-6, None),
+        (4, 4, 1, 0.0, 8),
+        (4, 4, 2, 0.0, 8),
+    ])
+    def test_check_commands_pass(self, n, rank, seed, scale, decimals,
+                                 tmp_path, capsys):
+        basis = _nearly_orthonormal(n, rank, seed, scale, decimals)
+        path = _graph_basis_spec(tmp_path, basis)
+        spec = load_relation_spec(path)
+        # accepted as it stands: a polished basis is not "orthonormalized"
+        assert not spec.was_orthonormalized
+        # one Newton-Schulz step takes a Gram deviation E to about (3/4) E^2
+        before, after = (
+            np.abs(b.conj().T @ b - np.eye(b.shape[1])).max()
+            for b in (basis, spec.relation.graph.basis))
+        assert after <= before**2 + 1e-14, (before, after)
+        assert main(["extensions", path]) == 0
+        assert main(["verify", path]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith(
+            "verify: PASS")
+
+    def test_echo_is_the_input_basis(self, tmp_path, capsys):
+        basis = _nearly_orthonormal(6, 6, 1, scale=1e-7)
+        assert main(["analyze", _graph_basis_spec(tmp_path, basis)]) == 0
+        echo = json.loads(capsys.readouterr().out)["input"]["spec"]
+        np.testing.assert_array_equal(
+            decode_matrix(echo["matrices"]["basis"], "basis"), basis)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        rank_share=st.floats(0.1, 1.0),
+        seed=st.integers(0, 2**16),
+        scale=st.floats(-5e-6, 5e-6),
+        noise=st.sampled_from([0.0, 1e-9, 3e-9, 6e-9]),
+    )
+    def test_every_accepted_basis_is_its_adjoints_adjoint(
+            self, tmp_path_factory, n, rank_share, seed, scale, noise):
+        rank = max(1, round(rank_share * 2 * n))
+        basis = _nearly_orthonormal(n, rank, seed, scale)
+        rng = np.random.default_rng(seed)
+        basis = basis + noise * (rng.uniform(-1, 1, basis.shape)
+                                 + 1j * rng.uniform(-1, 1, basis.shape))
+        rel = load_relation_spec(
+            _graph_basis_spec(tmp_path_factory.mktemp("near"), basis)).relation
+        res = relation_equal(adjoint(adjoint(rel)), rel)
+        assert res.verdict is Verdict.EQUAL, res
 
 
 class TestReportsAgree:

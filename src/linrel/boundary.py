@@ -188,7 +188,9 @@ class _LaurentBlocks(NamedTuple):
     extremal A0 = ker Gamma0, whose pencil g0 - lambda f0 has the
     singular values 1 and |lambda|, the latter n_dom times.  m0, m_inv
     and gamma_inv are None where they are zero; f0 = [dom; 0], and
-    dom None stands for the identity on the first n_dom rows."""
+    dom None stands for the identity on the first n_dom rows.  A lifted
+    triplet holds its parameter basis P = [P_1; P_2] once, as gamma0
+    with pole_rows = len(P_1): gamma(lambda) = [-P_1 / lambda; P_2]."""
 
     m0: np.ndarray | None
     m1: np.ndarray
@@ -197,12 +199,29 @@ class _LaurentBlocks(NamedTuple):
     gamma_inv: np.ndarray | None
     dom: np.ndarray | None
     n_dom: int
+    pole_rows: int = 0
 
-    def resolvent(self, inv: complex) -> np.ndarray:
-        """(A0 - lambda)^{-1} = -inv f0 f0^H for inv = 1/lambda, formed on
-        the rows of dom only: an identity dom puts -inv on the diagonal."""
-        n = len(self.gamma0)
-        out = np.zeros((n, n), dtype=complex)
+    def gamma(self, inv: complex) -> np.ndarray:
+        """gamma(lambda) for inv = 1/lambda, a new n x g array.  With pole
+        rows it is [-P_1 inv; P_2], formed with the arithmetic of the sum
+        [0; P_2] + inv [-P_1; 0], signed zeros included, so that the
+        reports built on it keep their bits."""
+        if self.gamma_inv is not None:
+            return self.gamma0 + inv * self.gamma_inv
+        out = self.gamma0.copy()
+        if self.pole_rows:
+            head, tail = out[: self.pole_rows], out[self.pole_rows :]
+            np.multiply(-inv, head, out=head)
+            head += 0.0
+            tail += inv * 0
+        return out
+
+    def resolvent(self, inv: complex, out: np.ndarray) -> np.ndarray:
+        """(A0 - lambda)^{-1} = -inv f0 f0^H for inv = 1/lambda, written into
+        the n x n out and formed on the rows of dom only: an identity dom
+        puts -inv on the diagonal."""
+        n = len(out)
+        out.fill(0.0)
         if self.dom is None:
             out.reshape(-1)[: self.n_dom * (n + 1) : n + 1] = -inv
         else:
@@ -363,7 +382,8 @@ class _LiftedTriplet(BoundaryTriplet):
     M(lambda) = lambda P_2^H P_2 - P_1^H P_1 / lambda and
     gamma(lambda) = [-P_1 / lambda; P_2] for main and tilde, and
     M(lambda) = lambda I and gamma(lambda) = P for basic.  So the Weyl
-    set-up and Krein's formula read neither boundary map.
+    set-up and Krein's formula read neither boundary map, and the blocks
+    hold P itself, no zero-padded copy of it.
 
     gamma0 and gamma1 are assembled on their first read (_parts), one
     block of the star's graph basis at a time, with the splits of their
@@ -468,11 +488,8 @@ class _LiftedTriplet(BoundaryTriplet):
             return _LaurentBlocks(None, np.eye(self.g, dtype=complex), None,
                                   p, None, dom, n_dom)
         p1, p2 = p[:n1], p[n1:]
-        gamma0, gamma_inv = np.zeros_like(p), np.zeros_like(p)
-        gamma0[n1:] = p2
-        gamma_inv[:n1] = -p1
         return _LaurentBlocks(None, p2.conj().T @ p2, -(p1.conj().T @ p1),
-                              gamma0, gamma_inv, dom, n_dom)
+                              p, None, dom, n_dom, n1)
 
 
 def _built(trip: _LiftedTriplet, bundle: LiftBundle) -> BoundaryTriplet:
@@ -539,9 +556,10 @@ def boundary_map_rank(trip: BoundaryTriplet) -> int:
 
 def _boundary_values(
     trip: BoundaryTriplet, lam: complex, rank_tol: float, gamma: bool,
-    resolvent: bool = False,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """M(lambda) and, if asked, gamma(lambda) and (A0 - lambda)^{-1}.
+    """M(lambda), gamma(lambda) if asked, and (A0 - lambda)^{-1} written
+    into the n x n out if one is given.
 
     T* = ker Gamma0 (+) N_lambda exactly when the n x n pencil
     g0 - lambda f0 is invertible, so the rank rule applied to its
@@ -565,19 +583,16 @@ def _boundary_values(
             m = blocks.m0 + m
         if blocks.m_inv is not None:
             m = m + inv * blocks.m_inv
-        gam = None
-        if gamma:
-            gam = (blocks.gamma0.copy() if blocks.gamma_inv is None
-                   else blocks.gamma0 + inv * blocks.gamma_inv)
-        return m, gam, blocks.resolvent(inv) if resolvent else None
+        return (m, blocks.gamma(inv) if gamma else None,
+                None if out is None else blocks.resolvent(inv, out))
     f0, g = blocks.f0, trip.g
     rhs = blocks.g1 - lam * blocks.f1
-    if resolvent:
+    if out is not None:
         rhs = np.hstack([rhs, np.eye(len(f0))])
     x = _pencil_solve(blocks.g0, f0, lam, rhs, rank_tol, spectral)
     return (blocks.gamma1_q1 - blocks.gamma1_q0 @ x[:, :g],
             blocks.f1 - f0 @ x[:, :g] if gamma else None,
-            f0 @ x[:, g:] if resolvent else None)
+            None if out is None else np.matmul(f0, x[:, g:], out=out))
 
 
 def weyl(trip: BoundaryTriplet, lam: complex,
@@ -678,11 +693,14 @@ def extension_from_boundary(trip: BoundaryTriplet,
     identity stacked onto its right-hand side.
     Y - M(i) X is invertible because Im M(i) = gamma(i)^H gamma(i) > 0.
     Multivalued parameters (dim of theta's domain below g) need no
-    special case.  The Cayley basis [R; I + i R] is orthonormal because
-    A_theta is selfadjoint; subspace._cayley checks it through its Gram
-    matrix I + 2 R^H R + i (R - R^H), by the rule of the Gram test.  A
-    theta that is not selfadjoint raises PreconditionViolated;
-    oracle.extension_definitional takes any theta.
+    special case.  R is formed inside the 2n x n Cayley basis [R; I + i R]:
+    (A0 - i)^{-1} in its upper half and the rank-g correction in its
+    lower half, which is added in and which _cayley then overwrites;
+    M(i), gamma(+-i) and the coupling are dropped once read.  The Cayley
+    basis is orthonormal because A_theta is selfadjoint; subspace._cayley
+    checks it through its Gram matrix I + 2 R^H R + i (R - R^H), by the
+    rule of the Gram test.  A theta that is not selfadjoint raises
+    PreconditionViolated; oracle.extension_definitional takes any theta.
     """
     cfg = trip.cfg
     if theta.n1 != trip.g or theta.n2 != trip.g:
@@ -692,16 +710,23 @@ def extension_from_boundary(trip: BoundaryTriplet,
         )
     if not classify(theta, cfg).is_selfadjoint:
         raise PreconditionViolated("theta is not selfadjoint")
-    m_i, gamma_i, res = _boundary_values(trip, 1j, cfg.rank_tol,
-                                         gamma=True, resolvent=True)
+    n = trip.star.n1
+    basis = np.empty((2 * n, n), dtype=complex)
+    res, lower = basis[:n], basis[n:]
+    m_i, gamma_i, _ = _boundary_values(trip, 1j, cfg.rank_tol, gamma=True,
+                                       out=res)
     gamma_conj = _boundary_values(trip, -1j, cfg.rank_tol, gamma=True)[1]
+    np.conjugate(gamma_conj, out=gamma_conj)
     t_dom = theta.domain_block
     # X (Y - M(i) X)^{-1}, solved transposed: g right-hand sides, not n
     coupling = np.linalg.solve((theta.range_block - m_i @ t_dom).T,
                                t_dom.T).T
-    res += (gamma_i @ coupling) @ gamma_conj.conj().T
-    n = trip.star.n1
-    return LinearRelation(n, trip.star.n2, _cayley(res))
+    left = gamma_i @ coupling
+    del m_i, gamma_i, coupling
+    np.matmul(left, gamma_conj.T, out=lower)
+    del left, gamma_conj
+    res += lower
+    return LinearRelation(n, trip.star.n2, _cayley(basis))
 
 
 @dataclass(frozen=True)

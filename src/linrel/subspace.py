@@ -11,7 +11,8 @@ factorization, from user input or from a product of bases.  Such a
 basis must pass |B^H B - I| <= 1e-8 off the diagonal and <= 1e-8 +
 1e-5 on it; an entry of modulus above 2, NaN or inf fails it before the
 product is formed.  The two exact rearrangements of checked bases are
-not tested.  A stack of existing Subspace bases (and identities) on
+not tested; Subspace.full makes its identity on the first read of its
+basis.  A stack of existing Subspace bases (and identities) on
 pairwise disjoint rows, as oplus and the lifted relations of the
 extension module are, has a block diagonal Gram matrix with the parts'
 Grams as its blocks whenever it is assembled (_stack).  A stack's
@@ -21,8 +22,9 @@ matrix on the first read of .basis.  A signed swap [B[s:]; B[:s]] with
 one block negated, as the adjoint, the inverse and the boundary space
 G~ are, has the Gram matrix of B itself (_signed_swap).  Either way the
 parts' own checks decide the same, exactly.  The Cayley basis [R; I + iR]
-of an n x n R (boundary.extension_from_boundary) is a product, and is
-tested through its Gram matrix in closed form, I + 2 R^H R + i (R - R^H):
+of an n x n R (boundary.extension_from_boundary, which forms R in the
+basis's upper half) is a product, and is tested through its Gram matrix
+in closed form, I + 2 R^H R + i (R - R^H):
 one n x n x n product in place of the n x 2n x n one, with the same
 entry bound and the same rule on the deviation from I (_cayley).
 """
@@ -191,7 +193,9 @@ class Subspace:
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
         # the identity is orthonormal exactly, as a stack of unit columns
-        return _assembled(ambient_dim, np.eye(ambient_dim, dtype=complex))
+        out = object.__new__(_Identity)
+        out.ambient_dim = ambient_dim
+        return out
 
     def projector(self) -> np.ndarray:
         """Orthogonal projection matrix onto the subspace."""
@@ -450,9 +454,8 @@ def oplus(u: Subspace, v: Subspace) -> Subspace:
 def _assembled(ambient_dim: int, basis: np.ndarray) -> Subspace:
     """A Subspace whose basis is orthonormal by construction: no Gram test.
 
-    Only _signed_swap, _cayley and Subspace.full build one, each from a
-    basis that was checked (or is an identity); _stack builds its own
-    subclass.
+    Only _signed_swap and _cayley build one, each from a basis that was
+    checked; _stack and Subspace.full build their own subclasses.
     Every basis from a factorization, from user input or from a product
     of bases goes through Subspace.__post_init__.
     """
@@ -487,6 +490,19 @@ class _Stacked(Subspace):
             col += part.dim
         del self._blocks
         return basis
+
+
+class _Identity(Subspace):
+    """C^n from Subspace.full: its dim is n, and its basis, the identity,
+    is made on the first read of .basis, as a _Stacked basis is."""
+
+    @property
+    def dim(self) -> int:
+        return self.ambient_dim
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        return np.eye(self.ambient_dim, dtype=complex)
 
 
 def _stack(ambient_dim: int, blocks) -> Subspace:
@@ -550,8 +566,10 @@ def _signed_swap(space: Subspace, split: int,
     return _assembled(space.ambient_dim, np.vstack([tail, head]))
 
 
-def _cayley(res: np.ndarray) -> Subspace:
-    """The span of the Cayley basis [R; I + iR] of an n x n R.
+def _cayley(basis: np.ndarray) -> Subspace:
+    """The span of the Cayley basis [R; I + iR] of an n x n R, given as
+    the 2n x n basis whose first n rows hold R; its last n rows are
+    written here, so R is never copied.
 
     Its Gram matrix is I + 2 R^H R + i (R - R^H), so the deviation from I
     costs one n x n x n product, and the entry bound of _is_orthonormal
@@ -559,10 +577,8 @@ def _cayley(res: np.ndarray) -> Subspace:
     deviation decide it.  A basis that fails raises Subspace's
     ValueError; a NaN or huge entry fails before the product.
     """
-    n = len(res)
-    basis = np.empty((2 * n, n), dtype=complex)
-    basis[:n] = res
-    lower = basis[n:]
+    n = basis.shape[1]
+    res, lower = basis[:n], basis[n:]
     np.multiply(res, 1j, out=lower)
     lower += np.eye(n)
     if not np.abs(basis).max(initial=0.0) <= _ENTRY_BOUND:

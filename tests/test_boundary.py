@@ -17,6 +17,7 @@ from linrel.boundary import (
     _KernelSplit,
     _LaurentBlocks,
     _LiftedTriplet,
+    _boundary_values,
     _split_holds,
     _split_map,
     alternative_experiment,
@@ -378,7 +379,8 @@ class TestCayleyDiagonalization:
         assert blocks.dom is None
         want = np.zeros((n, n), dtype=complex)
         want[: n // 2, : n // 2] = 2j * np.eye(n // 2)
-        np.testing.assert_array_equal(blocks.resolvent(-2j), want)
+        got = blocks.resolvent(-2j, np.empty((n, n), dtype=complex))
+        np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("rank", [8, 16, 24])
     @pytest.mark.parametrize("build", [triplet_main, triplet_basic, triplet_tilde])
@@ -824,14 +826,51 @@ def test_cayley_gram_in_closed_form_is_the_gram_test(build, n1, n2, rank):
             warnings.simplefilter("error")
             assembled = np.vstack([moved, np.eye(n) + 1j * moved])
             assert _is_orthonormal(assembled) is accepted
+            # _cayley takes R in the upper half and writes the lower
+            buffer = np.vstack([moved, np.zeros_like(moved)])
             if accepted:
-                assert _cayley(moved).basis.tobytes() == assembled.tobytes()
+                assert _cayley(buffer).basis.tobytes() == assembled.tobytes()
                 continue
             message = "^basis columns are not orthonormal$"
             with pytest.raises(ValueError, match=message):
                 Subspace(2 * n, assembled)
             with pytest.raises(ValueError, match=message):
-                _cayley(moved)
+                _cayley(buffer)
+
+
+def _krein_term_by_term(trip, theta):
+    """R = (A0 - i)^{-1} + (gamma(i) C) gamma(-i)^H, C = X (Y - M(i) X)^{-1}
+    solved transposed, each term its own array."""
+    n = trip.star.n1
+    res = _boundary_values(trip, 1j, trip.cfg.rank_tol, gamma=False,
+                           out=np.empty((n, n), dtype=complex))[2]
+    t_dom = theta.domain_block
+    coupling = np.linalg.solve((theta.range_block - weyl(trip, 1j) @ t_dom).T,
+                               t_dom.T).T
+    res += (gamma_field(trip, 1j) @ coupling) @ gamma_field(trip, -1j).conj().T
+    return res
+
+
+@pytest.mark.parametrize("n", [4, 12, 24])
+def test_krein_formula_in_the_cayley_basis_is_bit_for_bit(n):
+    # R formed inside the Cayley basis, its correction added from the
+    # lower half, is the R of the formula written out, to the last bit:
+    # on the lifted triplets, on a hand-built one (dense Laurent blocks)
+    # and on a swapped one (the pencil route)
+    bundle = lift(random_relation(n, n, rank=n // 2, rng=n))
+    for build in (triplet_main, triplet_basic, triplet_tilde):
+        lifted = build(bundle)
+        trips = [lifted, _hand_built(lifted)]
+        if build is triplet_main:
+            trips.append(swapped(lifted))
+        for trip in trips:
+            for dom_dim in (trip.g, trip.g // 2):
+                theta = random_selfadjoint_relation(trip.g, rng=3,
+                                                    dom_dim=dom_dim)
+                res = _krein_term_by_term(trip, theta)
+                want = np.vstack([res, np.eye(len(res)) + 1j * res])
+                got = extension_from_boundary(trip, theta).graph.basis
+                assert got.tobytes() == want.tobytes(), (trip.kind, dom_dim)
 
 
 class TestSemiboundCriterion:
@@ -984,18 +1023,25 @@ def _check_closed_forms(bundle):
                           f"{trip.kind} ker {name}")
 
         # the closed-form blocks against the whole split's: its constant
-        # term Gamma1 Q1 is zero to round-off, and f0 f0^H is read
-        # through the resolvent at lambda = -1
+        # term Gamma1 Q1 is zero to round-off, gamma(lambda) is compared
+        # as a value (the lifted blocks hold P once, the split's hold two
+        # dense terms), and f0 f0^H is read through the resolvent at
+        # lambda = -1
         got, want = trip.resolvent_blocks, _hand_built(trip).resolvent_blocks
         assert isinstance(got, _LaurentBlocks), trip.kind
         assert isinstance(want, _LaurentBlocks), trip.kind
         assert got.m0 is None
         _assert_close(want.m0, 0.0, f"{trip.kind} m0")
-        for name in ("m1", "m_inv", "gamma0", "gamma_inv"):
+        for name in ("m1", "m_inv"):
             value = getattr(got, name)
             _assert_close(0.0 if value is None else value,
                           getattr(want, name), f"{trip.kind} {name}")
-        _assert_close(got.resolvent(-1.0), want.resolvent(-1.0),
+        for lam in (-1.0, 1j, 2.5 - 0.5j):
+            _assert_close(got.gamma(1 / lam), want.gamma(1 / lam),
+                          f"{trip.kind} gamma({lam})")
+        n = trip.star.n1
+        _assert_close(got.resolvent(-1.0, np.empty((n, n), dtype=complex)),
+                      want.resolvent(-1.0, np.empty((n, n), dtype=complex)),
                       f"{trip.kind} f0 f0^H")
         assert got.n_dom == want.n_dom
 

@@ -131,6 +131,16 @@ class TestStackedBases:
         # 3n/2 make both dense, so G0 = {0}
         assert (bundle.G0.dim > 0) is (rank < n)
 
+    @pytest.mark.parametrize("rank", [4, 6])
+    def test_full_rank_blocks_give_the_identity(self, rank):
+        # at ranks n and 3n/2 both blocks span everything: dom R and ran R
+        # are all of C^n, whose identity basis is made when first read
+        bundle = lift(random_relation(4, 4, rank=rank, rng=0))
+        for space in (bundle.dom_R, bundle.ran_R):
+            assert space.dim == 4
+            assert space.basis.tobytes() == np.eye(4, dtype=complex).tobytes()
+        assert bundle.mul_R_star.dim == bundle.ker_R_star.dim == 0
+
     def test_lifted_bases_are_the_zero_padded_blocks(self, bundle):
         n1, n = bundle.n1, bundle.n
         f, g = bundle.R.domain_block, bundle.R.range_block

@@ -179,6 +179,20 @@ def test_zero_and_full():
     np.testing.assert_allclose(z.projector(), np.zeros((3, 3)), atol=1e-14)
 
 
+def test_full_makes_its_identity_on_the_first_read(rng):
+    f = Subspace.full(4)
+    # dim is known, and a stack takes f as a part, before the basis exists
+    assert (f.ambient_dim, f.dim) == (4, 4)
+    w = _stack(6, [(random_subspace(rng, 2, 1), [(4, 6)]), (f, [(0, 4)])])
+    assert w.dim == 5
+    assert "basis" not in vars(f)
+    assert f.basis.dtype == complex
+    assert f.basis.tobytes() == np.eye(4, dtype=complex).tobytes()
+    assert f.basis is f.basis
+    assert np.array_equal(w.basis[:4, 1:], np.eye(4))
+    assert Subspace.full(0).basis.shape == (0, 0)
+
+
 def test_complement_involution_and_dimension(rng):
     for dim in range(5):
         u = random_subspace(rng, 4, dim)

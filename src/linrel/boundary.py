@@ -611,7 +611,11 @@ def weyl(trip: BoundaryTriplet, lam: complex,
     whether lambda is a spectral point (SpectrumError).  A cfg given here
     replaces the triplet's rank_tol for that decision only; the cached
     blocks are kept.  weyl is the one triplet function that keeps an
-    optional cfg, because bench/test_smoke.py passes one.
+    optional cfg: bench/test_smoke.py's wrapper of weyl forwards one, and
+    three tests in tests/test_svd_budget.py pass one
+    (test_weyl_set_up_reads_no_boundary_map,
+    test_swapped_triplets_still_rotate and
+    test_laurent_route_does_not_depend_on_coordinates).
     """
     return _boundary_values(trip, lam, (cfg or trip.cfg).rank_tol,
                             gamma=False)[0]

@@ -402,11 +402,6 @@ def cmd_weyl(args: argparse.Namespace, cfg: ToleranceConfig) -> int:
     trip = _TRIPLET_BUILDERS[args.triplet](bundle)
     g = trip.g
 
-    header = ["re_lambda", "im_lambda"]
-    for i in range(g):
-        for j in range(g):
-            header += [f"m{i}{j}_re", f"m{i}{j}_im"]
-    header.append("status")
     rows = []
     for lam in grid:
         row = [repr(lam.real), repr(lam.imag)]
@@ -418,8 +413,22 @@ def cmd_weyl(args: argparse.Namespace, cfg: ToleranceConfig) -> int:
             row += map(repr, _float_pairs(m_lam))
             row.append("ok")
         rows.append(row)
-    _emit_csv(header, rows, args.out)
+    _emit_csv(_weyl_header(g), rows, args.out)
     return 0
+
+
+def _weyl_header(g: int) -> list[str]:
+    """weyl's CSV columns.  Entry (i, j) of M(lambda) is m{i}{j}_re and
+    m{i}{j}_im, i and j zero-padded to the digits of g - 1, so that no two
+    entries share a name: (1, 10) and (11, 0) are m0110 and m1100 at
+    g = 12.  For g <= 10 no index is padded."""
+    width = len(str(g - 1))
+    header = ["re_lambda", "im_lambda"]
+    for i in range(g):
+        for j in range(g):
+            ij = f"{i:0{width}}{j:0{width}}"
+            header += [f"m{ij}_re", f"m{ij}_im"]
+    return header + ["status"]
 
 
 def _theta_in_boundary_basis(trip: BoundaryTriplet,
@@ -548,14 +557,14 @@ def cmd_semibound_demo(args: argparse.Namespace,
 def _verify_checks(spec: LoadedSpec, cfg: ToleranceConfig,
                    seed: int) -> list[dict]:
     rel = spec.relation
-    adj = adjoint(rel)
+    bundle = lift(rel, cfg)
+    adj = bundle.R_star  # adjoint(rel), as lift formed it
     r_o = relation_equal(adj, adjoint_definitional(rel, cfg), cfg)
     r_i = relation_equal(adjoint(adj), rel, cfg)
     p = parts(rel, cfg)
     p_adj = parts(adj, cfg)
     a_mul = relate(p_adj.mul, complement(p.dom), cfg)
     a_ker = relate(p_adj.ker, complement(p.ran), cfg)
-    bundle = lift(rel, cfg)
     closed_forms = _extreme_closed_forms(bundle)
     # verdicts only: extensions' report prints these residuals
     decompositions = [(ok, None) for ok, _ in
@@ -719,7 +728,16 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
         if args.out is not None:
             _check_out_path(args.out)
-        return args.func(args, cfg)
+        code = args.func(args, cfg)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        # the reader closed stdout: send what is still buffered to devnull,
+        # so the interpreter's last flush raises nothing more (the SIGPIPE
+        # note of Python's signal module docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"input error: stdout: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     except (InputFormatError, DimensionMismatch) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

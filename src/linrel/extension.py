@@ -54,8 +54,8 @@ from .relation import (
     LinearRelation,
     SymmetryReport,
     _adjoint_from_complement,
+    _dom_and_mul,
     _hermitian_floor,
-    _mul,
     _operator_part_off,
     _sub_relation,
     adjoint,
@@ -464,7 +464,8 @@ def is_singular_relation(rel: LinearRelation,
 
     Singular relations are exactly the ones whose operator part is the
     zero operator, and exactly the ones whose Friedrichs and Krein
-    extensions are disjoint (meet equal to the lift itself).
+    extensions are disjoint (meet equal to the lift itself).  dom R and
+    mul R come from one SVD of the domain block (_dom_and_mul).
     """
-    product = from_product(span(rel.domain_block, rel.n1, cfg), _mul(rel, cfg))
+    product = from_product(*_dom_and_mul(rel, cfg))
     return relate(rel.graph, product.graph, cfg).verdict is Verdict.EQUAL

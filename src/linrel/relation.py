@@ -30,7 +30,6 @@ from .subspace import (
     complement,
     join,
     meet,
-    nullspace_columns,
     oplus,
     orthonormal_columns,
     relate,
@@ -219,23 +218,25 @@ def zero_operator(n1: int, n2: int | None = None) -> LinearRelation:
 
 def parts(rel: LinearRelation,
           cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> RelationParts:
-    """Domain, range, kernel, multivalued part.
+    """Domain, range, kernel, multivalued part, from one SVD per block.
 
-    ker and mul come from coefficient nullspaces of the graph blocks:
-    coefficients c with Gc = 0 give kernel vectors Fc, and symmetrically
-    for mul.
+    _block_form splits the domain block F and the range block G once
+    each: dom R and ran R are their spans, and the coefficients c with
+    G c = 0 give kernel vectors F c, and symmetrically for mul.  The
+    products F K_G and G K_F take one SVD each when they are not empty.
     """
-    f_blk, g_blk = rel.domain_block, rel.range_block
-    dom = span(f_blk, rel.n1, cfg)
-    ran = span(g_blk, rel.n2, cfg)
-    ker = span(f_blk @ nullspace_columns(g_blk, cfg.rank_tol), rel.n1, cfg)
-    return RelationParts(dom=dom, ran=ran, ker=ker, mul=_mul(rel, cfg))
+    dom, mul = _dom_and_mul(rel, cfg)
+    ran, _, kernel = _block_form(rel.range_block, cfg.rank_tol)
+    ker = span(rel.domain_block @ kernel, rel.n1, cfg)
+    return RelationParts(dom=dom, ran=Subspace(rel.n2, ran), ker=ker, mul=mul)
 
 
-def _mul(rel: LinearRelation, cfg: ToleranceConfig) -> Subspace:
-    """mul R: range components of the coefficients with F c = 0."""
-    coeffs = nullspace_columns(rel.domain_block, cfg.rank_tol)
-    return span(rel.range_block @ coeffs, rel.n2, cfg)
+def _dom_and_mul(rel: LinearRelation,
+                 cfg: ToleranceConfig) -> tuple[Subspace, Subspace]:
+    """dom R = span(U_r) and mul R = span(G K), from one _block_form of F:
+    K spans the coefficients with F c = 0."""
+    dom, _, kernel = _block_form(rel.domain_block, cfg.rank_tol)
+    return Subspace(rel.n1, dom), span(rel.range_block @ kernel, rel.n2, cfg)
 
 
 def adjoint(rel: LinearRelation) -> LinearRelation:
@@ -265,10 +266,10 @@ def operator_part(rel: LinearRelation,
                   cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> LinearRelation:
     """Single-valued part: the graph with {0} x mul(R) split off.
 
-    Only mul R is factored, not the other parts; _operator_part_off does
-    the rest with one QR.
+    Only mul R is found, from the one SVD of F that _dom_and_mul takes;
+    _operator_part_off does the rest with one QR.
     """
-    return _operator_part_off(rel, _mul(rel, cfg))
+    return _operator_part_off(rel, _dom_and_mul(rel, cfg)[1])
 
 
 def _mul_coordinates(rel: LinearRelation, mul: Subspace) -> np.ndarray:
@@ -303,24 +304,25 @@ def _dom_perp_ran(cross: np.ndarray, rank_tol: float) -> bool:
     return bool(np.abs(cross).max(initial=0.0) <= rank_tol)
 
 
-def _domain_form(rel: LinearRelation, cfg: ToleranceConfig
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(U_r, W, K) from one SVD F = U S V^H of rel's domain block, rank r.
+def _block_form(blk: np.ndarray, rank_tol: float
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(U_r, W, K) from one SVD B = U S V^H of a graph block B, rank r.
 
-    U_r spans dom R, W = V_r S_r^{-1} whitens (F W = U_r), and K = V_{r:}
-    spans the coefficients with F c = 0, so G K spans mul R orthonormally.
-    The form <g, f> on unit domain vectors is W^H F^H G W, stable even for
-    a badly conditioned F (steep operators have nearly vertical graphs).
+    U_r spans the block's columns (dom R for the domain block F, ran R for
+    the range block G), W = V_r S_r^{-1} whitens (B W = U_r), and K =
+    V_{r:} spans the coefficients with B c = 0; for B = F, G K spans mul R
+    orthonormally.  The form <g, f> on unit domain vectors is
+    W^H F^H G W, stable even for a badly conditioned F (steep operators
+    have nearly vertical graphs).
     """
-    f_blk = rel.domain_block
-    m, k = f_blk.shape
-    u, s, vh = np.linalg.svd(f_blk, full_matrices=m < k)
-    r = _numerical_rank(s, cfg.rank_tol)
+    m, k = blk.shape
+    u, s, vh = np.linalg.svd(blk, full_matrices=m < k)
+    r = _numerical_rank(s, rank_tol)
     return u[:, :r], vh[:r].conj().T / s[:r], vh[r:].conj().T
 
 
 def _form_bound(rel: LinearRelation, form: tuple) -> float:
-    """lambda_min(Re B) for B = U_r^H G W of a _domain_form; +inf when
+    """lambda_min(Re B) for B = U_r^H G W of F's _block_form; +inf when
     dom R = {0}."""
     dom, whitener, _ = form
     return _hermitian_floor((dom.conj().T @ rel.range_block) @ whitener)
@@ -328,7 +330,7 @@ def _form_bound(rel: LinearRelation, form: tuple) -> float:
 
 def _form_radius(rel: LinearRelation, form: tuple,
                  cfg: ToleranceConfig) -> float:
-    """The numerical radius read off a _domain_form (numerical_radius)."""
+    """The numerical radius read off F's _block_form (numerical_radius)."""
     dom, whitener, kernel = form
     pairing = dom.conj().T @ rel.range_block
     if not _sine_below(pairing @ kernel, cfg.angle_tol):
@@ -358,13 +360,13 @@ def lower_bound(rel: LinearRelation,
     rule; +inf when the domain is trivial (every bound holds vacuously).
     A single finite relation is never unbounded below.  The bound is the
     least eigenvalue of Re B = (B + B^H)/2 for B = U_r^H G W, with U_r and
-    W of _domain_form: mul R is orthogonal to dom R in a symmetric R, so B
-    is the form of the operator part.  numerical_radius reads the same B
+    W of F's _block_form: mul R is orthogonal to dom R in a symmetric R, so
+    B is the form of the operator part.  numerical_radius reads the same B
     at t = 0, so it is never below |lower_bound|.
     """
     if not classify(rel, cfg).is_symmetric:
         return None
-    return _form_bound(rel, _domain_form(rel, cfg))
+    return _form_bound(rel, _block_form(rel.domain_block, cfg.rank_tol))
 
 
 def numerical_radius(rel: LinearRelation,
@@ -379,17 +381,17 @@ def numerical_radius(rel: LinearRelation,
     """
     if rel.n1 != rel.n2:
         raise DimensionMismatch("the numerical range needs a square relation")
-    return _form_radius(rel, _domain_form(rel, cfg), cfg)
+    return _form_radius(rel, _block_form(rel.domain_block, cfg.rank_tol), cfg)
 
 
 def _bound_and_radius(rel: LinearRelation, is_symmetric: bool,
                       cfg: ToleranceConfig
                       ) -> tuple[float | None, float | None]:
-    """(lower_bound, numerical_radius) of rel from one _domain_form, given
-    classify's symmetry verdict; (None, None) for a rectangular rel."""
+    """(lower_bound, numerical_radius) of rel from one _block_form of F,
+    given classify's symmetry verdict; (None, None) for a rectangular rel."""
     if rel.n1 != rel.n2:
         return None, None
-    form = _domain_form(rel, cfg)
+    form = _block_form(rel.domain_block, cfg.rank_tol)
     return (_form_bound(rel, form) if is_symmetric else None,
             _form_radius(rel, form, cfg))
 
@@ -534,8 +536,9 @@ def orthogonal_componentwise_sum(
 
 def operator_norm(rel: LinearRelation,
                   cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> float:
-    """||G W||_2, W of _domain_form: the norm of a single-valued relation."""
-    _, whitener, kernel = _domain_form(rel, cfg)
+    """||G W||_2, W of F's _block_form: the norm of a single-valued
+    relation."""
+    _, whitener, kernel = _block_form(rel.domain_block, cfg.rank_tol)
     if kernel.shape[1]:
         raise ValueError("operator_norm needs a single-valued relation")
     s = np.linalg.svd(rel.range_block @ whitener, compute_uv=False)

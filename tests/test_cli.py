@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +46,7 @@ from linrel.subspace import (
 from conftest import CFG, swapped
 
 DATA = Path(__file__).resolve().parents[1] / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 EXTENSIONS_CHECKS = [
     "triplet_main_green_identity",
@@ -492,6 +496,31 @@ class TestWeyl:
             assert statuses == (["singular", "singular"] if "main" in argv
                                 else ["ok", "ok", "ok", "singular"])
 
+    def test_header_names_are_unique_past_ten(self, tmp_path, capsys):
+        # basic's G0 = mul R* + ker R* has dimension 6 + 6 at rank 2 in
+        # C^8 x C^8: g = 12, so unpadded (1, 10) and (11, 0) would collide
+        rel = random_relation(8, 8, rank=2, rng=11)
+        spec = write_spec(tmp_path / "g12.json", {
+            "mode": "graph_basis", "n1": 8, "n2": 8,
+            "matrices": {"basis": encode_matrix(rel.graph.basis)}})
+        assert main(["weyl", spec, "--triplet", "basic",
+                     "--grid", "[-1.0]"]) == 0
+        header, row = self.read_csv(capsys.readouterr().out)
+        assert len(header) == len(set(header)) == 2 + 2 * 12 * 12 + 1
+        assert header == cli._weyl_header(12)
+        assert header[2:6] == ["m0000_re", "m0000_im", "m0001_re", "m0001_im"]
+        # basic's Weyl function is lambda * I, entry (11, 11) included
+        assert float(row[header.index("m1111_re")]) == -1.0
+        assert float(row[header.index("m1110_re")]) == 0.0
+
+    @pytest.mark.parametrize("g", range(11))
+    def test_header_names_are_unpadded_up_to_ten(self, g):
+        want = ["re_lambda", "im_lambda"]
+        for i in range(g):
+            for j in range(g):
+                want += [f"m{i}{j}_re", f"m{i}{j}_im"]
+        assert cli._weyl_header(g) == want + ["status"]
+
     def test_bad_grid_exits_2(self, halfline_spec, capsys):
         assert main(["weyl", halfline_spec, "--grid", "nope"]) == 2
         assert "grid" in capsys.readouterr().err
@@ -620,7 +649,7 @@ def _parent_boundary_basis(bundle, kind):
                      complement(span(rel.range_block, rel.n2))).basis
     r_star = bundle.R_star
     n2 = r_star.n1
-    mul = relation._mul(r_star, CFG).basis
+    mul = relation._dom_and_mul(r_star, CFG)[1].basis
     lifted = np.vstack([np.zeros((n2, mul.shape[1])), mul])
     w = r_star.graph.basis
     op = orthonormal_columns(w - lifted @ (lifted.conj().T @ w), CFG.rank_tol)
@@ -1066,6 +1095,26 @@ class TestErrorPaths:
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["analyze", "/no/such/file.json"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", str(DATA / "halfline_embed.json")],
+        ["weyl", str(DATA / "halfline_embed.json"), "--grid", "[-1.0]"],
+        ["verify", str(DATA / "graph_one.json")],
+    ], ids=["analyze", "weyl", "verify"])
+    def test_closed_stdout_exits_2(self, argv):
+        # the reader of stdout is gone before the command writes: an input
+        # error on one stderr line, and no "Exception ignored" at shutdown
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        try:
+            proc = subprocess.run([sys.executable, "-m", "linrel.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  text=True, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == "input error: stdout: Broken pipe\n"
 
     @pytest.mark.parametrize(
         "argv", [["analyze", str(DATA / "graph_one.json")], ["semibound-demo"]]

@@ -16,7 +16,7 @@ from linrel.boundary import (
 )
 from linrel.config import ToleranceConfig
 from linrel.errors import DimensionMismatch, SpectrumError
-from linrel.extension import lift
+from linrel.extension import is_singular_relation, lift
 from linrel.oracle import (
     adjoint_definitional,
     random_hermitian,
@@ -25,6 +25,7 @@ from linrel.oracle import (
 )
 from linrel.relation import (
     LinearRelation,
+    _operator_part_off,
     adjoint,
     classify,
     componentwise_sum,
@@ -46,7 +47,14 @@ from linrel.relation import (
     resolvent,
     zero_operator,
 )
-from linrel.subspace import Subspace, Verdict, complement, relate, span
+from linrel.subspace import (
+    Subspace,
+    Verdict,
+    complement,
+    nullspace_columns,
+    relate,
+    span,
+)
 
 from conftest import CFG, assert_relation_equal, assert_subspace_equal, tilted
 
@@ -125,6 +133,60 @@ class TestParts:
         q = parts(adjoint(rel))
         assert_subspace_equal(q.mul, complement(p.dom))
         assert_subspace_equal(q.ker, complement(p.ran))
+
+
+def _composed_parts(rel):
+    """dom, ran, ker and mul composed from factorizations of their own:
+    span(F), span(G), span(F null(G)) and span(G null(F))."""
+    f_blk, g_blk = rel.domain_block, rel.range_block
+    tol = CFG.rank_tol
+    return (span(f_blk, rel.n1, CFG), span(g_blk, rel.n2, CFG),
+            span(f_blk @ nullspace_columns(g_blk, tol), rel.n1, CFG),
+            span(g_blk @ nullspace_columns(f_blk, tol), rel.n2, CFG))
+
+
+def _parts_cases():
+    """Every rank class of small square, tall and wide relations, with
+    the empty and the full graph, selfadjoint relations and the zero,
+    identity and wide zero operators."""
+    rng = np.random.default_rng(35)
+    cases = []
+    for n1, n2 in [(1, 1), (3, 3), (2, 9), (9, 2), (5, 7), (12, 12)]:
+        total = n1 + n2
+        for rank in sorted({0, 1, n1, n2, total // 2, total - 1, total}):
+            cases.append(random_relation(n1, n2, rank=rank, rng=rng))
+    for n in (4, 12):
+        for dom_dim in (0, 2, n):
+            cases.append(random_selfadjoint_relation(n, rng=rng,
+                                                     dom_dim=dom_dim))
+    cases += [zero_operator(5), identity_relation(5), zero_operator(3, 7),
+              zero_operator(7, 3), pure_multivalued(2, 3),
+              from_product(span(rng.normal(size=(6, 2)), 6),
+                           span(rng.normal(size=(4, 3)), 4))]
+    return cases
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestPartsMatchTheirComposition:
+    # parts, operator_part and is_singular_relation read one split of
+    # each graph block; the spans and nullspaces factored one by one give
+    # the same bits, and so the same verdicts
+    @pytest.mark.parametrize("rel", _parts_cases(), ids=repr)
+    def test_same_bits_and_verdicts(self, rel):
+        dom, ran, ker, mul = _composed_parts(rel)
+        p = parts(rel)
+        for got, want in zip((p.dom, p.ran, p.ker, p.mul),
+                             (dom, ran, ker, mul)):
+            assert _same_bits(got.basis, want.basis)
+        op = operator_part(rel)
+        assert _same_bits(op.graph.basis,
+                          _operator_part_off(rel, mul).graph.basis)
+        singular = relate(rel.graph, from_product(dom, mul).graph,
+                          CFG).verdict is Verdict.EQUAL
+        assert is_singular_relation(rel) is singular
 
 
 class TestAdjoint:

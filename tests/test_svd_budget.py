@@ -1,6 +1,6 @@
-"""SVD budget of classify, relate, lift, the triplet builders, the Weyl
-function, the Krein-formula extension, the sub-relation builders and the
-block calculus, at a fixed seed.
+"""SVD budget of classify, relate, parts, lift, the triplet builders, the
+Weyl function, the Krein-formula extension, the sub-relation builders and
+the block calculus, at a fixed seed.
 
 One fixture records every numpy.linalg call, so a change that re-forms
 an adjoint inside lift, factors a block of R apart from its complement,
@@ -32,6 +32,9 @@ n x n pencil, and no eigensolver runs.  numerical_radius factors the
 domain block once however many angles it searches, with one batched
 eigvalsh per grid of angles, and the symmetry block of a CLI report
 reads the lower bound and the radius off that one factorization.
+parts, operator_part and is_singular_relation take one SVD per graph
+block, the split that gives the block's span and the coefficients it
+kills, and one more per non-empty product F K_G or G K_F.
 Whole extensions and verify commands are pinned by the count of each
 factorization, so a check value computed twice in one command fails here.
 """
@@ -274,17 +277,23 @@ def test_krein_margins_reuse_the_extreme_resolvents(linalg):
 # numpy.linalg factorizations of one whole check command, by (command,
 # spec): every check value, shared between groupings or not, is computed
 # once, and extensions computes no decomposition it does not print (S0*
-# against its closed form is verify's alone).  graph_one has G0 = {0}: no
-# Krein margin is sampled and the square blocks of full rank are
-# certified by Cholesky
+# against its closed form is verify's alone).  parts factors each graph
+# block once, is_singular_relation factors the domain block once, and
+# verify reads R* off its lift.  graph_one has G0 = {0}: no Krein margin
+# is sampled and the square blocks of full rank are certified by Cholesky.
+# analyze on either spec: one SVD orthonormalizes the kernel-pair input,
+# parts takes one per block (ker R = mul R = {0}, so no product is
+# factored), and the symmetry block's lower bound and radius share one
 COMMAND_FACTORIZATIONS = {
-    ("verify", "halfline_embed"): {"svd": 76, "qr": 28, "eigvalsh": 9,
+    ("verify", "halfline_embed"): {"svd": 72, "qr": 27, "eigvalsh": 9,
                                    "solve": 10},
-    ("extensions", "halfline_embed"): {"svd": 38, "qr": 13, "eigvalsh": 13,
+    ("extensions", "halfline_embed"): {"svd": 37, "qr": 13, "eigvalsh": 13,
                                        "solve": 5},
-    ("verify", "graph_one"): {"svd": 61, "qr": 22, "solve": 5, "cholesky": 2},
-    ("extensions", "graph_one"): {"svd": 25, "qr": 4, "eigvalsh": 2,
+    ("analyze", "halfline_embed"): {"svd": 4, "qr": 1, "eigvalsh": 8},
+    ("verify", "graph_one"): {"svd": 57, "qr": 21, "solve": 5, "cholesky": 2},
+    ("extensions", "graph_one"): {"svd": 24, "qr": 4, "eigvalsh": 2,
                                   "cholesky": 2},
+    ("analyze", "graph_one"): {"svd": 4, "qr": 1, "eigvalsh": 8},
 }
 
 
@@ -347,7 +356,8 @@ def test_flips_are_the_hand_built_signed_stacks(make):
 
 def test_lift_and_operator_part_share_the_op_part_route(monkeypatch):
     # lift's G~ splits its own mul R* off R*, operator_part the mul R of
-    # _mul: the same private helper, and no other route to an operator part
+    # _dom_and_mul: the same private helper, and no other route to an
+    # operator part
     calls = []
     real = relation._operator_part_off
     assert extension._operator_part_off is real
@@ -396,6 +406,60 @@ def test_triplet_builders_factor_nothing(rank, linalg):
     assert [t.ker_gamma0_is_friedrichs for t in trips] == [h_is_sf, True, True]
 
 
+# tall blocks (rank N/2), square (N), wide (3N/2), a symmetric relation
+# with mul R != {0}, and the product dom x mul of a singular relation
+PARTS_CASES = [
+    lambda: random_relation(N, N, rank=N // 2, rng=5),
+    lambda: random_relation(N, N, rank=N, rng=5),
+    lambda: random_relation(N, N, rank=3 * N // 2, rng=5),
+    lambda: random_relation(3, 5, rank=6, rng=5),
+    lambda: random_selfadjoint_relation(N, rng=0, dom_dim=5),
+    lambda: relation.from_product(span(np.eye(N)[:, :3], N),
+                                  span(np.eye(N)[:, 2:6], N)),
+]
+PARTS_IDS = ["tall", "square", "wide", "rectangular", "selfadjoint",
+             "singular"]
+
+
+@pytest.mark.parametrize("make", PARTS_CASES, ids=PARTS_IDS)
+def test_parts_factors_each_block_once(make, linalg):
+    # F, then G K_F when mul R != {0}, then G, then F K_G when
+    # ker R != {0}: one SVD per block and one per non-empty product
+    rel = make()
+    linalg.clear()
+    p = relation.parts(rel)
+    k = rel.dim
+    want = [((rel.n1, k), True)]
+    want += [((rel.n2, p.mul.dim), True)] if p.mul.dim else []
+    want += [((rel.n2, k), True)]
+    want += [((rel.n1, p.ker.dim), True)] if p.ker.dim else []
+    assert linalg.factorizations == [("svd", shape) for shape, _ in want]
+    assert linalg.svd == want, linalg
+    linalg.clear()
+    relation.operator_part(rel)
+    assert linalg.svd[0] == ((rel.n1, k), True), linalg
+    assert len(linalg.svd) == 1 + bool(p.mul.dim), linalg
+
+
+@pytest.mark.parametrize("make", PARTS_CASES, ids=PARTS_IDS)
+def test_is_singular_relation_factors_the_domain_block_once(make, linalg):
+    # one SVD of F gives dom R and the coefficients of mul R; then the
+    # span of G K_F when it is not empty, and relate's one values-only
+    # angle
+    rel = make()
+    mul = relation.parts(rel).mul
+    linalg.clear()
+    singular = extension.is_singular_relation(rel)
+    assert singular is (make is PARTS_CASES[-1])
+    k = rel.dim
+    head = [((rel.n1, k), True)]
+    head += [((rel.n2, mul.dim), True)] if mul.dim else []
+    assert linalg.svd[:len(head)] == head, linalg
+    assert all(not uv for _, uv in linalg.svd[len(head):]), linalg
+    assert len(linalg.svd) <= len(head) + 1, linalg
+    assert linalg.factorizations == [("svd", s) for s, _ in linalg.svd]
+
+
 @pytest.mark.parametrize("dom_dim", [N, 5])
 def test_lower_bound_reads_the_whitened_form(dom_dim, linalg, monkeypatch):
     # the SVD of the domain block and one eigvalsh of Re B, single-valued
@@ -405,7 +469,7 @@ def test_lower_bound_reads_the_whitened_form(dom_dim, linalg, monkeypatch):
         raise AssertionError("lower_bound rebuilt the operator part")
 
     monkeypatch.setattr(relation, "operator_part", refused)
-    monkeypatch.setattr(relation, "_mul", refused)
+    monkeypatch.setattr(relation, "_dom_and_mul", refused)
     rel = random_selfadjoint_relation(N, rng=0, dom_dim=dom_dim)
     linalg.clear()
     assert np.isfinite(relation.lower_bound(rel))

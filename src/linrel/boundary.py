@@ -46,7 +46,6 @@ from .extension import LiftBundle, lift
 from .relation import (
     LinearRelation,
     _dom_perp_ran,
-    _mul_coordinates,
     _pencil_solve,
     classify,
     from_operator,
@@ -395,9 +394,9 @@ class _LiftedTriplet(BoundaryTriplet):
                    identity on k2.  Gamma0 projects (-k1, h2) and Gamma1
                    (h1, k2) onto the parameter space, inside which both
                    land: Gamma0 is A = P^H [-B_k1; B_h2] on graph R*, with
-                   ker A spanned by C = B^H [0; M] (relation.
-                   _mul_coordinates) for the basis M of the part of mul R*
-                   that P leaves out ({0} for main, mul R* for tilde);
+                   ker A spanned by the part of R* that P leaves out
+                   (LiftBundle._r_star_outside: none for main, the part
+                   {0} x mul R* splits off for tilde);
                    Gamma1 is [P_1^H D, P_2^H] on the other two blocks,
                    whose kernel [D^H F; G] for graph R = [F; G] is where
                    dom R (+) H2 meets the complement of P.
@@ -435,13 +434,12 @@ class _LiftedTriplet(BoundaryTriplet):
             null1 = np.vstack([np.zeros((mul.dim, ran.dim)), ran.basis])
         else:
             r_star, rel = b.R_star, b.R
-            mul = Subspace.zero(n1) if dom is None else b.mul_R_star
             r_basis = r_star.graph.basis
             widths = [n1 if dom is None else dom.shape[1], r_star.dim, n2]
             blocks0 = {1: ph @ np.vstack([-r_basis[n2:], r_basis[:n2]])}
             blocks1 = {0: ph[:, :n1] if dom is None else ph[:, :n1] @ dom,
                        2: ph[:, n1:]}
-            null0 = _mul_coordinates(r_star, mul)
+            null0 = b._r_star_outside(self.boundary)
             null1 = (rel.graph.basis if dom is None else np.vstack(
                 [dom.conj().T @ rel.domain_block, rel.range_block]))
         edges = np.cumsum([0, *widths])

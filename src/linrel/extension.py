@@ -11,31 +11,30 @@ intersection S0, the intermediate symmetric extension S~, and the
 boundary-parameter space G0 = mul R* (+) ker R* that parametrizes the
 nonnegative selfadjoint extensions.
 
-lift takes at most two SVDs and at most two QRs: one complete QR of the
-graph basis of R gives G = (graph R)^perp with no rank to decide
-(subspace.complement), one SVD of the domain block F gives dom R and
-mul R* = (dom R)^perp as the two halves of its U, and one of the range
-block gives ran R and ker R* the same way; op R* splits the lift's own
-mul R* off R* by one QR (relation._operator_part_off).  A square or
-wide block of full rank takes one Cholesky in place of its SVD
-(subspace._span_and_complement): its span is all of H1 or H2 and the
-complement {0}, so a densely defined R with dense range (G0 = {0})
-factors no SVD at all.  All members are
-built from their closed product/graph forms: each graph basis is a stack
-of the checked bases of R, R*, dom R, ran R, mul R*, ker R* and
-identities on disjoint rows of C^{2n}, so it needs no Gram test of its
-own (subspace._stack); R* and G~ are signed swaps of the checked G and
-op R* (subspace._signed_swap), untested too.  lift builds G, G0 and
-G~.  A lifted relation is built on its first read, and holds a stack of
-its parts, not a matrix; its zero-padded graph basis is assembled on
-the first read of that basis, so a caller that reads only R's parts
-and the parameter bases (the boundary triplets, weyl, Krein's formula)
-assembles none.  lift marks the bundle it returns, so the triplets
-built from it may read their Weyl functions in closed form.  lift
-checks the closed-form S* against adjoint(S) by a Gram-norm angle on
-its one nonzero block R*^H J graph R, with no second factorization and,
-unless the check fails or the Frobenius bracket of
-subspace._sine_below cannot decide it, no SVD; the generic
+lift takes at most two SVDs and one QR.  One SVD of the domain block F
+gives dom R and mul R* = (dom R)^perp as the two halves of its U, and
+one of the range block gives ran R and ker R* the same way; a square or
+wide block of full rank takes one Cholesky instead
+(subspace._span_and_complement), so a densely defined R with dense range
+(G0 = {0}) factors no SVD at all.  G = (graph R)^perp is read off these
+splits with one QR: mul R* x {0} and {0} x ker R*, each projected off
+graph R (else the singular values the rank rule drops would tilt G off
+(graph R)^perp by as much), then the pairs in dom R (+) ran R orthogonal
+to graph R.  G is the flipped graph of R*, and G~ = J graph(op R*) is G
+without its first dim mul R* columns.  All
+members are built from their closed product/graph forms: each graph
+basis is a stack of the checked bases of R, R*, dom R, ran R, mul R*,
+ker R* and identities on disjoint rows of C^{2n}, so it needs no Gram
+test of its own (subspace._stack); R* is a signed swap of G
+(subspace._signed_swap) and G~ a slice of G, untested too.  lift builds
+G, G0 and G~.  A lifted relation is built on its first read, and holds a
+stack of its parts, not a matrix; its zero-padded graph basis is
+assembled on the first read of that basis, so a caller that reads only
+R's parts and the parameter bases (the boundary triplets, weyl, Krein's
+formula) assembles none.  lift marks the bundle it returns, so the
+triplets built from it may read their Weyl functions in closed form.
+lift checks the closed-form S* against adjoint(S) on the one nonzero
+block R*^H J graph R of S*^H J S, by a Frobenius bracket; the generic
 Friedrichs/Krein routes stay independent of the closed forms so tests
 can compare them.
 """
@@ -56,7 +55,6 @@ from .relation import (
     _adjoint_from_complement,
     _dom_and_mul,
     _hermitian_floor,
-    _operator_part_off,
     _sub_relation,
     adjoint,
     classify,
@@ -69,6 +67,8 @@ from .subspace import (
     RelateResult,
     Subspace,
     Verdict,
+    _assembled,
+    _complement_columns,
     _signed_swap,
     _sine_angle,
     _sine_below,
@@ -100,7 +100,10 @@ class LiftBundle:
     """R together with its lift and every distinguished extension.
 
     Relations S .. S_tilde_star act in H1 (+) H2 = C^{n1+n2}; G, G0 and
-    G_tilde are subspaces of that sum space.  Their bases come from
+    G_tilde are subspaces of that sum space.  G's columns are
+    mul R* x {0} and {0} x ker R*, each projected off graph R, then its
+    part in dom R (+) ran R; G_tilde is G without the first, and R_star
+    the signed swap of G (_r_star_outside).  The bases come from
     deterministic factorizations, so boundary-parameter matrices are
     reproducible across runs of one version; a change in how lift
     factors moves them within the same spans.  A theta file that carries
@@ -148,6 +151,13 @@ class LiftBundle:
     @property
     def n(self) -> int:
         return self.R.n1 + self.R.n2
+
+    def _r_star_outside(self, space: Subspace) -> np.ndarray:
+        """The coordinates, in R*'s basis, of the part of R* that the flip
+        of the parameter space G or G~ leaves out.  lift puts R*'s columns
+        in G's order and G~ last, so they are unit vectors: none for G,
+        the first dim G - dim G~ for G~."""
+        return np.eye(self.R_star.dim, self.G.dim - space.dim, dtype=complex)
 
     @cached_property
     def _identities(self) -> tuple[Subspace, Subspace]:
@@ -254,8 +264,29 @@ def _adjoint_angle(t: LinearRelation, rel: LinearRelation) -> float:
 def lift(rel: LinearRelation,
          cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> LiftBundle:
     """Build the lift S of R and the full extension inventory around it."""
-    # G = (graph R)^perp is also the flipped graph of R*: one QR
-    g_space = complement(rel.graph)
+    # mul R* = (dom R)^perp and ker R* = (ran R)^perp: one SVD of each
+    # block gives both halves of its U, or one Cholesky certifies that the
+    # block spans everything and its complement is {0}
+    dom_r, mul_r_star = _span_and_complement(rel.domain_block, cfg)
+    ran_r, ker_r_star = _span_and_complement(rel.range_block, cfg)
+    g0_space = oplus(mul_r_star, ker_r_star)
+
+    # G = (graph R)^perp, the flipped graph of R*, is X = mul R* (+) ker R*
+    # as the columns [M, 0; 0, K] of G0, then the (U_F a, U_G b) orthogonal
+    # to graph R = span W, U_F and U_G bases of dom R and ran R (I, never
+    # multiplied, for all of H1 or H2): one complete QR of
+    # [U_F^H F; U_G^H G] gives [a; b].  X meets graph R only through the
+    # singular values the rank rule drops, so it is projected off it
+    n = rel.n1 + rel.n2
+    f, g, w = rel.domain_block, rel.range_block, rel.graph.basis
+    u_f, u_g = (None if sp.dim == sp.ambient_dim else sp.basis
+                for sp in (dom_r, ran_r))
+    null = _complement_columns(np.vstack([
+        f if u_f is None else u_f.conj().T @ f,
+        g if u_g is None else u_g.conj().T @ g]))
+    a, b, x = null[: dom_r.dim], null[dom_r.dim :], g0_space.basis
+    g_space = Subspace(n, np.hstack([x - w @ (w.conj().T @ x), np.vstack([
+        a if u_f is None else u_f @ a, b if u_g is None else u_g @ b])]))
     r_star = _adjoint_from_complement(rel, g_space)
 
     # the closed-form S* is adjoint(S) iff R* is adjoint(R): J graph S is
@@ -269,17 +300,10 @@ def lift(rel: LinearRelation,
             f"{_adjoint_angle(r_star, rel):.3e}"
         )
 
-    # mul R* = (dom R)^perp and ker R* = (ran R)^perp: one SVD of each
-    # block gives both halves of its U, or one Cholesky certifies that the
-    # block spans everything and its complement is {0}
-    dom_r, mul_r_star = _span_and_complement(rel.domain_block, cfg)
-    ran_r, ker_r_star = _span_and_complement(rel.range_block, cfg)
-    g0_space = oplus(mul_r_star, ker_r_star)
-
-    # G~ = J graph(op R*), J(f, g) = (g, -f); op R* splits off the
-    # mul R* found above
-    r_star_op = _operator_part_off(r_star, mul_r_star)
-    g_tilde = _signed_swap(r_star_op.graph, rel.n2, "head")
+    # G~ = J graph(op R*), J(f, g) = (g, -f), and op R* is R* without
+    # its first dim mul R* columns: J undoes the flip, so G~ is G without
+    # them
+    g_tilde = _assembled(n, g_space.basis[:, mul_r_star.dim :])
 
     bundle = LiftBundle(
         R=rel,

@@ -22,7 +22,6 @@ from .errors import DimensionMismatch, SpectrumError
 from .subspace import (
     RelateResult,
     Subspace,
-    _complement_columns,
     _numerical_rank,
     _signed_swap,
     _sine_below,
@@ -264,36 +263,18 @@ def inverse(rel: LinearRelation) -> LinearRelation:
 
 def operator_part(rel: LinearRelation,
                   cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> LinearRelation:
-    """Single-valued part: the graph with {0} x mul(R) split off.
+    """Single-valued part: the graph W = [F; G] with {0} x mul(R) split off.
 
-    Only mul R is found, from the one SVD of F that _dom_and_mul takes;
-    _operator_part_off does the rest with one QR.
+    One SVD F = U S V^H, taken as _block_form takes it, gives both:
+    {0} x mul R is W V_{r:}, whose F rows the rank rule calls zero, and
+    W V_r spans the rest, orthonormal as it stands.  No QR.
     """
-    return _operator_part_off(rel, _dom_and_mul(rel, cfg)[1])
-
-
-def _mul_coordinates(rel: LinearRelation, mul: Subspace) -> np.ndarray:
-    """C = G^H M, the graph coordinates of {0} x mul R.
-
-    With W = [F; G] the graph basis and M the basis of mul R, [0; M] lies
-    in the graph, so [0; M] = W C for C = W^H [0; M] = G^H M, and C has
-    orthonormal columns because W and [0; M] do.
-    """
-    return rel.range_block.conj().T @ mul.basis
-
-
-def _operator_part_off(rel: LinearRelation, mul: Subspace) -> LinearRelation:
-    """The operator part of rel, given mul R as a subspace of C^{n2}.
-
-    Its graph is the orthogonal complement of {0} x mul R inside the
-    graph, whose coordinates C are _mul_coordinates.  The complement of
-    the d x m block C in C^d (_complement_columns, one QR) times W is an
-    orthonormal basis of the operator part's graph: no rank rule, and no
-    SVD.
-    """
-    if mul.dim == 0:
+    f = rel.domain_block
+    _, s, vh = np.linalg.svd(f, full_matrices=f.shape[0] < f.shape[1])
+    r = _numerical_rank(s, cfg.rank_tol)
+    if r == len(vh):
         return rel
-    basis = rel.graph.basis @ _complement_columns(_mul_coordinates(rel, mul))
+    basis = rel.graph.basis @ vh[:r].conj().T
     return LinearRelation(rel.n1, rel.n2, Subspace(rel.n1 + rel.n2, basis))
 
 

@@ -19,9 +19,10 @@ Grams as its blocks whenever it is assembled (_stack).  A stack's
 basis exists only once it is read: _stack checks the row map and knows
 the dimension when it builds the stack, and assembles the zero-padded
 matrix on the first read of .basis.  A signed swap [B[s:]; B[:s]] with
-one block negated, as the adjoint, the inverse and the boundary space
-G~ are, has the Gram matrix of B itself (_signed_swap).  Either way the
-parts' own checks decide the same, exactly.  The Cayley basis [R; I + iR]
+one block negated, as the adjoint and the inverse are, has the Gram
+matrix of B itself (_signed_swap).  Either way the parts' own checks
+decide the same, exactly.  The lift's G~ (extension.lift) is a slice
+of the columns of the Gram-tested G.  The Cayley basis [R; I + iR]
 of an n x n R (boundary.extension_from_boundary, which forms R in the
 basis's upper half) is a product, and is tested through its Gram matrix
 in closed form, I + 2 R^H R + i (R - R^H):
@@ -454,8 +455,8 @@ def oplus(u: Subspace, v: Subspace) -> Subspace:
 def _assembled(ambient_dim: int, basis: np.ndarray) -> Subspace:
     """A Subspace whose basis is orthonormal by construction: no Gram test.
 
-    Only _signed_swap and _cayley build one, each from a basis that was
-    checked; _stack and Subspace.full build their own subclasses.
+    Only _signed_swap, _cayley and lift's G~ build one, each from a basis
+    that was checked; _stack and Subspace.full build their own subclasses.
     Every basis from a factorization, from user input or from a product
     of bases goes through Subspace.__post_init__.
     """

@@ -1134,21 +1134,25 @@ def test_maps_are_assembled_on_first_read_as_the_builders_formed_them(rank):
 
 @pytest.mark.parametrize("build", [triplet_basic, triplet_tilde])
 def test_parts_route_off_its_kernel_takes_the_whole_split(build, rng):
-    # mul R* moved by 1e-9: [D; 0] (basic) and B^H [0; M] (tilde) miss the
-    # kernel of A by far more than round-off.  A replaced bundle carries
-    # no mark of lift, so its triplets are plain ones on the same maps,
-    # split by _split_map, and M(lambda) is the hand-built triplet's, bit
-    # for bit
+    # a part the triplet reads moved by 1e-9: mul R* for basic, whose
+    # [D; 0] then misses the kernel of A, and G~ for tilde, whose A then
+    # misses zero on the first columns of R*, {0} x mul R*, by far more
+    # than round-off.  A replaced bundle carries no mark of lift, so its
+    # triplets are plain ones on the same maps, split by _split_map, and
+    # M(lambda) is the hand-built triplet's, bit for bit
     bundle = lift(random_relation(6, 6, rank=3, rng=5))
     assert bundle._from_lift
     assert not dataclasses.replace(bundle)._from_lift
-    mul = bundle.mul_R_star
-    noise = rng.normal(size=mul.basis.shape) + 1j * rng.normal(
-        size=mul.basis.shape)
-    moved = Subspace(mul.ambient_dim,
-                     orthonormal_columns(mul.basis + 1e-9 * noise, RANK_TOL))
-    bundle = dataclasses.replace(
-        bundle, mul_R_star=moved, G0=oplus(moved, bundle.ker_R_star))
+    part = bundle.mul_R_star if build is triplet_basic else bundle.G_tilde
+    noise = rng.normal(size=part.basis.shape) + 1j * rng.normal(
+        size=part.basis.shape)
+    moved = Subspace(part.ambient_dim,
+                     orthonormal_columns(part.basis + 1e-9 * noise, RANK_TOL))
+    if build is triplet_basic:
+        bundle = dataclasses.replace(
+            bundle, mul_R_star=moved, G0=oplus(moved, bundle.ker_R_star))
+    else:
+        bundle = dataclasses.replace(bundle, G_tilde=moved)
     trip = build(bundle)
     assert type(trip) is BoundaryTriplet
     lazy = _LiftedTriplet(trip.kind, trip.star, trip.boundary, bundle)

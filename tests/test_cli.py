@@ -415,6 +415,49 @@ class TestExtensions:
         assert all(f["extremal"] for f in report["extremal_family"])
 
 
+def _kernel_pair_spec(tmp_path, c, d):
+    n = len(c)
+    return write_spec(tmp_path / "kernel_pair.json", {
+        "mode": "kernel_pair", "n1": n, "n2": n, "matrices": {
+            "c": encode_matrix(np.diag(c)), "d": encode_matrix(np.diag(d))}})
+
+
+class TestRankRuleBetweenTolerances:
+    """C = diag(1, 1e-7), D = I with --tol-rank 1e-6: the rank rule drops a
+    singular value of the domain block that angle_tol sees.  dom R then
+    misses a direction of graph R, so the extension checks refuse it as a
+    precondition (exit 3); lift itself, and the Weyl functions, stand."""
+
+    @pytest.mark.parametrize("command, code", [
+        ("analyze", 0), ("extensions", 3), ("verify", 3)])
+    def test_exit_codes(self, command, code, tmp_path, capsys):
+        spec = _kernel_pair_spec(tmp_path, [1.0, 1e-7], [1.0, 1.0])
+        assert main([command, spec, "--tol-rank", "1e-6"]) == code
+        err = capsys.readouterr().err
+        if code == 3:
+            assert err == ("precondition violated: relation does not "
+                           "extend S\n")
+
+    @pytest.mark.parametrize("kind", ["main", "basic", "tilde"])
+    def test_weyl_runs(self, kind, tmp_path, capsys):
+        spec = _kernel_pair_spec(tmp_path, [1.0, 1e-7], [1.0, 1.0])
+        assert main(["weyl", spec, "--triplet", kind, "--grid",
+                     "[0.5, -1.0, [0.0, 1.0]]", "--tol-rank", "1e-6"]) == 0
+        assert capsys.readouterr().out.count(",ok\n") == 3
+
+    @pytest.mark.parametrize("c, d", [
+        ([1.0, 5e-11], [1.0, 1.0]), ([1.0, 1.0, 5e-11], [3e-11, 1.0, 1.0])])
+    def test_verify_passes_below_the_default_rank_tol(self, c, d, tmp_path,
+                                                      capsys):
+        # a value the default rank rule drops, in one block or in both
+        spec = _kernel_pair_spec(tmp_path, c, d)
+        assert main(["verify", spec]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[1] for line in lines[:-1]] == VERIFY_CHECKS
+        assert all(line.startswith("ok ") for line in lines[:-1])
+        assert lines[-1] == "verify: PASS (14/14)"
+
+
 class TestWeyl:
     def read_csv(self, text):
         return list(csv.reader(io.StringIO(text)))

@@ -4,6 +4,7 @@ its distinguished selfadjoint extensions, and the extremal family."""
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,11 +43,13 @@ from linrel.relation import (
     LinearRelation,
     adjoint,
     classify,
+    from_kernel_pair,
     from_operator,
     from_product,
     identity_relation,
     lower_bound,
     meet_relations,
+    operator_part,
     parts,
     relation_equal,
     zero_operator,
@@ -530,6 +533,124 @@ def test_one_svd_splits_each_block_into_span_and_complement(seed, n1, n2,
         dev = np.abs(whole.conj().T @ whole - np.eye(n)).max()
         assert dev <= 10 * eps * n, dev
         assert_subspace_equal(part, span(block, n))
+
+
+# (graph R)^perp from the splits of F and G, in every rank class: dim R =
+# 0; tall, square and wide blocks; both blocks of full rank (N^H = W); one
+# block certified by Cholesky and the other factored by SVD; n1 != n2 both
+# ways; the whole space; a product relation, whose pieces inside
+# dom R (+) ran R are {0}; and a relation with mul R and ker R nontrivial
+_COMPLEMENT_CASES = {
+    "empty": lambda: random_relation(3, 4, rank=0, rng=1),
+    "tall": lambda: random_relation(6, 6, rank=3, rng=2),
+    "square": lambda: random_relation(5, 5, rank=5, rng=3),
+    "wide": lambda: random_relation(4, 4, rank=6, rng=4),
+    "cholesky_and_svd": lambda: random_relation(3, 9, rank=5, rng=5),
+    "svd_and_cholesky": lambda: random_relation(9, 3, rank=5, rng=6),
+    "rectangular_tall": lambda: random_relation(5, 9, rank=4, rng=7),
+    "rectangular_wide": lambda: random_relation(9, 5, rank=11, rng=8),
+    "whole": lambda: random_relation(3, 3, rank=6, rng=9),
+    "product": lambda: from_product(
+        span(np.random.default_rng(10).normal(size=(5, 2)), 5),
+        span(np.random.default_rng(11).normal(size=(4, 3)), 4)),
+    "selfadjoint": lambda: random_selfadjoint_relation(6, rng=12, dom_dim=3),
+}
+
+
+@pytest.mark.parametrize("make", list(_COMPLEMENT_CASES.values()),
+                         ids=list(_COMPLEMENT_CASES))
+def test_g_is_the_complement_of_the_graph_in_three_pieces(make):
+    # G stacks mul R* x {0} and {0} x ker R*, projected off graph R, and a
+    # piece inside dom R (+) ran R of dimension r_F + r_G - r; together
+    # they span
+    # complement(graph R), and lift's op R*, R* without its first m
+    # columns, spans operator_part(adjoint(R))
+    rel = make()
+    bundle = lift(rel)
+    n1, n = rel.n1, rel.n1 + rel.n2
+    g = bundle.G.basis
+    m, k = bundle.mul_R_star.dim, bundle.ker_R_star.dim
+    product = g[:, m + k :]
+    assert product.shape[1] == bundle.dom_R.dim + bundle.ran_R.dim - rel.dim
+    pieces = (
+        (g[:n1, :m], bundle.mul_R_star),
+        (g[n1:, m : m + k], bundle.ker_R_star),
+        (product[:n1], bundle.dom_R),
+        (product[n1:], bundle.ran_R),
+    )
+    for block, space in pieces:
+        if block.shape[1] and space.dim:
+            inside = block - space.basis @ (space.basis.conj().T @ block)
+            assert np.abs(inside).max() < 1e-13
+    assert np.abs(g.conj().T @ g - np.eye(g.shape[1])).max(initial=0.0) < 1e-13
+    assert relate(bundle.G, subspace.complement(rel.graph),
+                  CFG).verdict is Verdict.EQUAL
+    r_star = bundle.R_star
+    op = LinearRelation(r_star.n1, r_star.n2, Subspace(
+        n, r_star.graph.basis[:, m:]))
+    assert relation_equal(op, operator_part(adjoint(rel)),
+                          CFG).verdict is Verdict.EQUAL
+    assert relation_equal(r_star, adjoint(rel), CFG).verdict is Verdict.EQUAL
+
+
+# kernel pairs C = diag(c), D = diag(d) (zero rows below, to n rows) whose
+# blocks have a singular value the rank rule drops: just below the default
+# rank_tol, or between angle_tol and a rank_tol of 1e-6; in one block or
+# in both
+_DROPPED_CASES = [
+    (2, [1.0, 5e-11], [1.0, 1.0], 1e-10),
+    (2, [1.0, 1e-7], [1.0, 1.0], 1e-6),
+    (4, [1.0, 1.0, 5e-11], [3e-11, 1.0, 1.0], 1e-10),
+    (4, [1.0, 1.0, 1e-7], [2e-7, 1.0, 1.0], 1e-6),
+]
+
+
+@pytest.mark.parametrize("n, c, d, rank_tol", _DROPPED_CASES)
+def test_g_stays_the_complement_when_the_rank_rule_drops_a_value(
+        n, c, d, rank_tol):
+    # mul R* x {0} and {0} x ker R* meet graph R through the dropped
+    # singular values; G takes them projected off graph R, so it is
+    # (graph R)^perp to round-off whatever the two tolerances, and the S*
+    # self-check passes even when the dropped value is above angle_tol
+    rel = from_kernel_pair(np.eye(n, len(c)) * c, np.eye(n, len(d)) * d)
+    cfg = ToleranceConfig(rank_tol=rank_tol)
+    bundle = lift(rel, cfg)
+    assert bundle.mul_R_star.dim == 1 + (n - len(c))
+    g, w = bundle.G.basis, rel.graph.basis
+    assert g.shape == (2 * n, 2 * n - rel.dim)
+    assert np.abs(g.conj().T @ w).max() < 1e-15
+    assert np.abs(g.conj().T @ g - np.eye(g.shape[1])).max() < 1e-13
+    assert relate(bundle.G, subspace.complement(rel.graph),
+                  CFG).verdict is Verdict.EQUAL
+    assert relation_equal(bundle.R_star, adjoint(rel),
+                          CFG).verdict is Verdict.EQUAL
+
+
+def test_lift_forms_no_dense_factor_of_the_sum_space(monkeypatch):
+    # at n1 = n2 = 96, rank 48, the old route's complete QR of the 192 x 48
+    # graph basis formed a 192 x 192 Q; now every factorization lift takes
+    # is of a 96-row block or of the 96 x 48 coordinates, and tracemalloc
+    # finds no call that allocates as much as one 192 x 192 matrix
+    rel = random_relation(96, 96, rank=48, rng=1)
+    square = 192 * 192 * np.dtype(complex).itemsize
+    peaks = []
+    for name in ("svd", "qr", "cholesky"):
+        def traced(*args, _real=getattr(np.linalg, name), _name=name,
+                   **kwargs):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = _real(*args, **kwargs)
+            peaks.append((_name, tracemalloc.get_traced_memory()[1] - before))
+            return out
+
+        monkeypatch.setattr(np.linalg, name, traced)
+    tracemalloc.start()
+    try:
+        lift(rel)
+    finally:
+        tracemalloc.stop()
+    assert [name for name, _ in peaks] == ["svd", "svd", "qr"], peaks
+    assert all(peak < square for _, peak in peaks), peaks
 
 
 class TestNamedExamples:

@@ -25,7 +25,6 @@ from linrel.oracle import (
 )
 from linrel.relation import (
     LinearRelation,
-    _operator_part_off,
     adjoint,
     classify,
     componentwise_sum,
@@ -50,6 +49,8 @@ from linrel.relation import (
 from linrel.subspace import (
     Subspace,
     Verdict,
+    _complement_columns,
+    _numerical_rank,
     complement,
     nullspace_columns,
     relate,
@@ -166,6 +167,16 @@ def _parts_cases():
     return cases
 
 
+def _composed_operator_part(rel):
+    """W V_r for the graph basis W and the first r right singular vectors
+    V_r of an SVD of F of its own; W itself when F has no kernel."""
+    f_blk = rel.domain_block
+    n1, k = f_blk.shape
+    _, s, vh = np.linalg.svd(f_blk, full_matrices=n1 < k)
+    r = _numerical_rank(s, CFG.rank_tol)
+    return rel.graph.basis if r == k else rel.graph.basis @ vh[:r].conj().T
+
+
 def _same_bits(got, want):
     return got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -182,8 +193,12 @@ class TestPartsMatchTheirComposition:
                              (dom, ran, ker, mul)):
             assert _same_bits(got.basis, want.basis)
         op = operator_part(rel)
-        assert _same_bits(op.graph.basis,
-                          _operator_part_off(rel, mul).graph.basis)
+        assert _same_bits(op.graph.basis, _composed_operator_part(rel))
+        # the graph without {0} x mul R, as its coordinates' complement
+        coords = rel.range_block.conj().T @ mul.basis
+        off = rel.graph.basis @ _complement_columns(coords)
+        assert relate(op.graph, Subspace(rel.n1 + rel.n2, off),
+                      CFG).verdict is Verdict.EQUAL
         singular = relate(rel.graph, from_product(dom, mul).graph,
                           CFG).verdict is Verdict.EQUAL
         assert is_singular_relation(rel) is singular

@@ -8,13 +8,14 @@ factors the triplet kernels eagerly, or re-orthonormalizes a graph basis
 times a nullspace basis fails here, not only in the benchmark.  Gram
 tests of Subspace bases are counted too, so a change that routes one of
 lift's stacked or swapped bases back through the Gram product fails here
-as well.  complement (so G in lift, and adjoint) is one QR of a checked
-basis, with no SVD, and a square or wide block of R of full rank is
-certified by one Cholesky, with no SVD either.  Verdict-only angles (classify's
-symmetry, lift's S* check, theta's selfadjointness test) are Frobenius
-brackets that factor nothing away from angle_tol, classify's PSD verdict
-takes its eigvalsh only when it is read, and relate factors one
-containment angle at most.  Krein-order margins on one bundle solve the
+as well.  complement (so adjoint) is one QR of a checked basis, with no
+SVD; lift's G is one QR of the coordinates of graph R in dom R (+) ran R,
+after the splits of the two blocks, and a square or wide block of R of
+full rank is certified by one Cholesky, with no SVD.  Verdict-only
+angles (classify's symmetry, lift's S* check, theta's selfadjointness
+test) are Frobenius brackets that factor nothing away from angle_tol,
+classify's PSD verdict takes its eigvalsh only when it is read, and
+relate factors one containment angle at most.  Krein-order margins on one bundle solve the
 pencils of S_F and S_K once.  Every boundary map is split by one routine
 that uses only its live (not exactly zero) columns.  A lifted Gamma0 or
 Gamma1 is a co-isometry there: no SVD, and one QR where the live block
@@ -32,9 +33,10 @@ n x n pencil, and no eigensolver runs.  numerical_radius factors the
 domain block once however many angles it searches, with one batched
 eigvalsh per grid of angles, and the symmetry block of a CLI report
 reads the lower bound and the radius off that one factorization.
-parts, operator_part and is_singular_relation take one SVD per graph
-block, the split that gives the block's span and the coefficients it
-kills, and one more per non-empty product F K_G or G K_F.
+parts and is_singular_relation take one SVD per graph block, the split
+that gives the block's span and the coefficients it kills, and one more
+per non-empty product F K_G or G K_F; operator_part takes the SVD of F
+alone.
 Whole extensions and verify commands are pinned by the count of each
 factorization, so a check value computed twice in one command fails here.
 """
@@ -72,25 +74,26 @@ from conftest import (
 DATA = Path(__file__).resolve().parents[1] / "data"
 
 N = 8
-# numpy.linalg factorizations per lift, by rank.  G is one QR of the
-# checked graph basis and the S* self-check is a Frobenius bracket, not
-# an SVD.  At rank N/2 the domain and range blocks are tall: one SVD each
-# gives dom R and mul R*, ran R and ker R*, and op R* splits mul R* off
-# R* by one more QR.  At ranks N and 3N/2 both blocks are square or wide
-# and of full rank: one Cholesky each certifies it, so dom R and ran R
-# are everything, mul R* = ker R* = {0}, and R* is its own operator part
+# numpy.linalg factorizations per lift, by rank.  The S* self-check is a
+# Frobenius bracket, not an SVD.  At rank N/2 the domain and range blocks
+# are tall: one SVD each gives dom R and mul R*, ran R and ker R*.  At
+# ranks N and 3N/2 both blocks are square or wide and of full rank: one
+# Cholesky each certifies it, so dom R and ran R are everything and
+# mul R* = ker R* = {0}.  Then one QR of the (r_F + r_G) x r coordinates
+# of graph R in dom R (+) ran R gives G; R*, its operator part and G~ are
+# read off G's columns
 LIFT_FACTORIZATIONS = {
-    N // 2: ["qr", "svd", "svd", "qr"],
-    N: ["qr", "cholesky", "cholesky"],
-    3 * N // 2: ["qr", "cholesky", "cholesky"],
+    N // 2: ["svd", "svd", "qr"],
+    N: ["cholesky", "cholesky", "qr"],
+    3 * N // 2: ["cholesky", "cholesky", "qr"],
 }
-# Gram checks per lift, by rank: the bases lift factors (G, dom R, ran R,
-# mul R*, ker R*, and for G~ the operator part of R*).  At ranks N and
-# 3N/2, dom R and ran R are identities and mul R* = ker R* = {0}, none
-# tested, and R* is its own operator part, hence 6/1/1.  R* and G~ are
-# signed swaps of G and of op R*, and the lifted relations are stacks:
-# none takes a Gram product.
-LIFT_GRAM_CHECKS = {N // 2: 6, N: 1, 3 * N // 2: 1}
+# Gram checks per lift, by rank: the bases lift factors (dom R, ran R,
+# mul R*, ker R*, and the piece of G inside dom R (+) ran R).  At ranks N
+# and 3N/2, dom R and ran R are identities and mul R* = ker R* = {0},
+# none tested, hence 5/1/1.  G stacks mul R* x {0} and {0} x ker R* with
+# that piece, R* is a signed swap of G and G~ a slice of G's columns, and
+# the lifted relations are stacks: none takes a Gram product.
+LIFT_GRAM_CHECKS = {N // 2: 5, N: 1, 3 * N // 2: 1}
 # adjoint takes the complement of the graph and flips it; inverse only
 # swaps the graph's components
 RELATION_GRAM_CHECKS = {"adjoint": 1, "inverse": 0}
@@ -237,13 +240,10 @@ def test_lift_stays_within_budget(rank, linalg):
     bundle = lift(rel)
     assert [name for name, _ in linalg.factorizations] == (
         LIFT_FACTORIZATIONS[rank]), linalg
-    # the QRs are G's, of the graph basis, and op R*'s, of the
-    # dim R* x dim mul R* block, only when mul R* != {0}; a Cholesky is of
-    # the N x N Gram matrix of a block
-    mul = bundle.mul_R_star.dim
-    want_qr = [("qr", (2 * N, rank))]
-    want_qr += [("qr", (bundle.R_star.dim, mul))] if mul else []
-    assert linalg.named("qr") == want_qr, linalg
+    # the one QR is G's, of the (r_F + r_G) x r coordinates of graph R;
+    # a Cholesky is of the N x N Gram matrix of a block
+    rows = bundle.dom_R.dim + bundle.ran_R.dim
+    assert linalg.named("qr") == [("qr", (rows, rank))], linalg
     assert all(shape == (N, N) for _, shape in linalg.named("cholesky"))
 
 
@@ -285,9 +285,9 @@ def test_krein_margins_reuse_the_extreme_resolvents(linalg):
 # parts takes one per block (ker R = mul R = {0}, so no product is
 # factored), and the symmetry block's lower bound and radius share one
 COMMAND_FACTORIZATIONS = {
-    ("verify", "halfline_embed"): {"svd": 72, "qr": 27, "eigvalsh": 9,
+    ("verify", "halfline_embed"): {"svd": 72, "qr": 26, "eigvalsh": 9,
                                    "solve": 10},
-    ("extensions", "halfline_embed"): {"svd": 37, "qr": 13, "eigvalsh": 13,
+    ("extensions", "halfline_embed"): {"svd": 37, "qr": 12, "eigvalsh": 13,
                                        "solve": 5},
     ("analyze", "halfline_embed"): {"svd": 4, "qr": 1, "eigvalsh": 8},
     ("verify", "graph_one"): {"svd": 57, "qr": 21, "solve": 5, "cholesky": 2},
@@ -340,40 +340,52 @@ def _same_bits(got, want):
 ], ids=["square", "wide", "tall", "halfline"])
 def test_flips_are_the_hand_built_signed_stacks(make):
     # bit for bit and in the same memory order: later factorizations of
-    # these bases (and the printed G~) depend on both
+    # these bases (and the printed G and G~) depend on both.  G stacks
+    # X = [M, 0; 0, K] projected off graph R = span W, then
+    # [U_F a; U_G b]; R* is its signed swap, and G~ = J graph(op R*) is
+    # G's columns after the first m, a view of G's basis
     rel = make()
     n1 = rel.n1
     bundle = lift(rel)
-    g = subspace.complement(rel.graph).basis
+    g = bundle.G.basis
+    m, k = bundle.mul_R_star.dim, bundle.ker_R_star.dim
+    assert g.flags.c_contiguous
+    x = np.zeros((bundle.n, m + k), dtype=complex)
+    x[:n1, :m] = bundle.mul_R_star.basis
+    x[n1:, m:] = bundle.ker_R_star.basis
+    w = rel.graph.basis
+    x -= w @ (w.conj().T @ x)
+    assert _same_bits(np.ascontiguousarray(g[:, : m + k]), x)
     assert _same_bits(bundle.R_star.graph.basis,
                       np.vstack([-g[n1:], g[:n1]]))
     assert _same_bits(relation.inverse(rel).graph.basis,
                       np.vstack([rel.range_block, rel.domain_block]))
-    op = relation._operator_part_off(bundle.R_star, bundle.mul_R_star)
-    assert _same_bits(bundle.G_tilde.basis,
-                      np.vstack([op.range_block, -op.domain_block]))
+    assert bundle.G_tilde.basis.base is g
+    op = bundle.R_star.graph.basis[:, m:]
+    assert _same_bits(np.ascontiguousarray(bundle.G_tilde.basis),
+                      np.vstack([op[rel.n2:], -op[:rel.n2]]))
 
 
 def test_lift_and_operator_part_share_the_op_part_route(monkeypatch):
-    # lift's G~ splits its own mul R* off R*, operator_part the mul R of
-    # _dom_and_mul: the same private helper, and no other route to an
-    # operator part
-    calls = []
-    real = relation._operator_part_off
-    assert extension._operator_part_off is real
+    # lift builds no operator part: its R* holds {0} x mul R* in its first
+    # m columns, so op R* is the other columns.  operator_part is the one
+    # route that builds one, W V_r from the SVD of F, and both give one span
+    def refused(*args, **kwargs):
+        raise AssertionError("lift split an operator part off")
 
-    def counted(rel, mul):
-        calls.append(mul)
-        return real(rel, mul)
-
-    monkeypatch.setattr(relation, "_operator_part_off", counted)
-    monkeypatch.setattr(extension, "_operator_part_off", counted)
+    monkeypatch.setattr(relation, "_block_form", refused)
+    monkeypatch.setattr(relation, "operator_part", refused)
     bundle = lift(random_relation(N, N, rank=N // 2, rng=5))
-    assert len(calls) == 1 and calls[0] is bundle.mul_R_star
-    calls.clear()
-    op = relation.operator_part(bundle.R_star)
-    assert len(calls) == 1
-    assert_relation_equal(op, real(bundle.R_star, bundle.mul_R_star))
+    monkeypatch.undo()
+    r_star, m = bundle.R_star, bundle.mul_R_star.dim
+    basis = r_star.graph.basis
+    head = subspace.Subspace(r_star.n1 + r_star.n2, basis[:, :m])
+    mul = subspace.oplus(subspace.Subspace.zero(r_star.n1),
+                         bundle.mul_R_star)
+    assert m and relate(head, mul).verdict is Verdict.EQUAL
+    op = relation.LinearRelation(r_star.n1, r_star.n2, subspace.Subspace(
+        r_star.n1 + r_star.n2, basis[:, m:]))
+    assert_relation_equal(op, relation.operator_part(r_star))
 
 
 @pytest.mark.parametrize("rank", [N // 2, N, 3 * N // 2])
@@ -435,10 +447,10 @@ def test_parts_factors_each_block_once(make, linalg):
     want += [((rel.n1, p.ker.dim), True)] if p.ker.dim else []
     assert linalg.factorizations == [("svd", shape) for shape, _ in want]
     assert linalg.svd == want, linalg
+    # operator_part reads W V_r off the SVD of F: nothing else
     linalg.clear()
     relation.operator_part(rel)
-    assert linalg.svd[0] == ((rel.n1, k), True), linalg
-    assert len(linalg.svd) == 1 + bool(p.mul.dim), linalg
+    assert linalg.factorizations == [("svd", (rel.n1, k))], linalg
 
 
 @pytest.mark.parametrize("make", PARTS_CASES, ids=PARTS_IDS)

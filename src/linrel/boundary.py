@@ -56,7 +56,6 @@ from .subspace import (
     Subspace,
     Verdict,
     _cayley,
-    _complement_columns,
     _higham_gamma,
     _is_orthonormal,
     _numerical_rank,
@@ -105,19 +104,12 @@ def _live_columns(mat: np.ndarray,
     return _column_index(~live), _column_index(live)
 
 
-def _is_coisometric(a: np.ndarray, length: int) -> bool:
-    """A A^H = I within _higham_gamma(length) entrywise."""
-    dev = a @ a.conj().T
-    dev.reshape(-1)[:: len(a) + 1] -= 1.0
-    return bool(np.abs(dev).max(initial=0.0) <= _higham_gamma(length))
-
-
 class _MapSplit(NamedTuple):
     """Gamma split at its kernel: for A = Gamma[:, live], rank is A's
     numerical rank and null an orthonormal basis N of ker A, so
     Q0 = [E_dead, E_live N] is an orthonormal basis of ker Gamma.  pinv is
-    A^+, or None for a co-isometry, whose A^+ = A^H is formed where it is
-    read and never kept."""
+    A^+, which _split_map always gives; a lifted triplet's builder splits
+    carry None, for the Laurent blocks read no pinv."""
 
     dead: slice | np.ndarray
     live: slice | np.ndarray
@@ -130,25 +122,16 @@ class _MapSplit(NamedTuple):
         return np.hstack([mat[:, self.dead], mat[:, self.live] @ self.null])
 
 
-def _split_map(gamma: np.ndarray, length: int, rank_tol: float) -> _MapSplit:
+def _split_map(gamma: np.ndarray, rank_tol: float) -> _MapSplit:
     """Split a g x d boundary map, factoring its live block A at most once.
 
-    Dead (exactly zero) columns are kernel axes as they stand.  Every
-    lifted Gamma0 and Gamma1 is a co-isometry: A A^H = I within
-    _higham_gamma(length) entrywise, for the length 2n of the star's graph
-    columns (lifted maps miss it by at most n eps).  Then A^+ = A^H (not
-    stored), A has rank g, and N is the complement of the columns of the
-    (g + k) x g matrix A^H (one QR), or empty with no factorization when
-    k = 0.  Any other A takes one SVD, which the rank rule reads; an empty
-    one needs none.
+    Dead (exactly zero) columns are kernel axes as they stand.  A takes
+    one SVD, which gives its rank by the rank rule, A^+ and ker A; an
+    empty one needs none.
     """
     dead, live = _live_columns(gamma)
     a = gamma[:, live]
     g, width = a.shape
-    if _is_coisometric(a, length):
-        null = (_complement_columns(a.conj().T) if width > g
-                else np.zeros((width, 0), dtype=complex))
-        return _MapSplit(dead, live, null, None, g)
     # the kernel needs all of V^H: only a wide A needs full_matrices for it
     u, s, vh = (np.linalg.svd(a, full_matrices=g < width) if a.size else
                 (a, np.zeros(0), np.eye(width, dtype=complex)))
@@ -159,13 +142,17 @@ def _split_map(gamma: np.ndarray, length: int, rank_tol: float) -> _MapSplit:
 
 def _split_holds(split: _MapSplit, gamma: np.ndarray, length: int) -> bool:
     """A builder's split of gamma stands for _split_map's when its live
-    block A is a co-isometry (as _split_map tests it) and A N vanishes
-    within _higham_gamma(length) entrywise: then N, orthonormal and of
-    width live - g, spans ker A, and nothing is factored."""
+    block A is a co-isometry, A A^H = I, and A N vanishes, both within
+    _higham_gamma(length) entrywise for the length 2n of the star's graph
+    columns (lifted maps miss them by at most n eps): then A has rank g,
+    N, orthonormal and of width live - g, spans ker A, and nothing is
+    factored."""
     a = gamma[:, split.live]
-    return (_is_coisometric(a, length)
-            and np.abs(a @ split.null).max(initial=0.0)
-            <= _higham_gamma(length))
+    dev = a @ a.conj().T
+    dev.reshape(-1)[:: len(a) + 1] -= 1.0
+    bound = _higham_gamma(length)
+    return bool(np.abs(dev).max(initial=0.0) <= bound
+                and np.abs(a @ split.null).max(initial=0.0) <= bound)
 
 
 class _KernelSplit(NamedTuple):
@@ -290,8 +277,7 @@ class BoundaryTriplet:
 
     @cached_property
     def _gamma0_split(self) -> _MapSplit:
-        return _split_map(self.gamma0, self.star.graph.ambient_dim,
-                          self.cfg.rank_tol)
+        return _split_map(self.gamma0, self.cfg.rank_tol)
 
     @cached_property
     def ker_gamma0(self) -> LinearRelation:
@@ -299,8 +285,7 @@ class BoundaryTriplet:
 
     @cached_property
     def ker_gamma1(self) -> LinearRelation:
-        return self._kernel(_split_map(
-            self.gamma1, self.star.graph.ambient_dim, self.cfg.rank_tol))
+        return self._kernel(_split_map(self.gamma1, self.cfg.rank_tol))
 
     def _kernel(self, split: _MapSplit) -> LinearRelation:
         """{W c : Gamma c = 0} = W Q0, orthonormal as W and Q0 are."""
@@ -356,8 +341,6 @@ class BoundaryTriplet:
         by the split of Gamma0, on the whole graph basis."""
         n = self.star.n1
         w, live, pinv = self.star.graph.basis, split.live, split.pinv
-        if pinv is None:
-            pinv = self.gamma0[:, live].conj().T
         w_q0 = split.times_kernel(w)
         return _KernelSplit(
             w_q0[:n], w_q0[n:], w[:n, live] @ pinv, w[n:, live] @ pinv,
@@ -464,11 +447,10 @@ class _LiftedTriplet(BoundaryTriplet):
         return self._parts[1]
 
     def _checked(self, split: _MapSplit, gamma: np.ndarray) -> _MapSplit:
-        length = self.star.graph.ambient_dim
         # an empty map is all dead columns, split as it stands
-        if self.g and _split_holds(split, gamma, length):
+        if self.g and _split_holds(split, gamma, self.star.graph.ambient_dim):
             return split
-        return _split_map(gamma, length, self.cfg.rank_tol)
+        return _split_map(gamma, self.cfg.rank_tol)
 
     @cached_property
     def _gamma0_split(self) -> _MapSplit:

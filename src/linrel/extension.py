@@ -401,8 +401,17 @@ def _require_nonneg_selfadjoint_extension(
         raise PreconditionViolated("extension is not selfadjoint")
     if not report.is_nonnegative:
         raise PreconditionViolated("extension is not nonnegative")
-    if not relate(bundle.S.graph, a.graph, bundle.cfg).contained:
-        raise PreconditionViolated("relation does not extend S")
+    cfg = bundle.cfg
+    res = relate(bundle.S.graph, a.graph, cfg)
+    if not res.contained:
+        why = (f"containment angle {res.forward_angle:.3g} is not below "
+               f"angle_tol {cfg.angle_tol:g}")
+        if cfg.rank_tol > cfg.angle_tol:
+            # the fault may be the tolerance pair and not the relation
+            why += (f"; rank_tol {cfg.rank_tol:g} exceeds angle_tol, so the"
+                    " rank rule can drop directions of R that the angle"
+                    " rule still sees")
+        raise PreconditionViolated(f"relation does not extend S: {why}")
     return report
 
 
@@ -449,15 +458,20 @@ def krein_order_check(a: LinearRelation, bundle: LiftBundle) -> bool:
 
 
 def extremal_family(bundle: LiftBundle, l_space: Subspace) -> LinearRelation:
-    """Extension for the product parameter theta = L x (G0 (-) L)."""
+    """Extension for the product parameter theta = L x (G0 (-) L).
+
+    Every member it returns is checked extremal (is_extremal), with
+    G0 = {0} too; one that is not raises ArithmeticError.
+    """
     if l_space.ambient_dim != bundle.G0.dim:
         raise DimensionMismatch(
             f"L lives in C^{l_space.ambient_dim}, expected C^{bundle.G0.dim}"
         )
-    if not bundle.G0.dim:
-        return bundle.S_F  # S0 is selfadjoint, so S_F = S_K = S0
-    theta = from_product(l_space, complement(l_space))
-    a = nonneg_extension(bundle, theta)
+    if bundle.G0.dim:
+        theta = from_product(l_space, complement(l_space))
+        a = nonneg_extension(bundle, theta)
+    else:
+        a = bundle.S_F  # S0 is selfadjoint, so S_F = S_K = S0
     if not is_extremal(a, bundle):
         raise ArithmeticError("product-form parameter produced a non-extremal extension")
     return a

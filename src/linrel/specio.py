@@ -34,7 +34,6 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import islice
-from json.encoder import encode_basestring_ascii
 from typing import Any, Iterator
 
 import numpy as np
@@ -322,20 +321,6 @@ def _check_report(obj: Any) -> None:
         )
 
 
-def _scalar(obj: Any) -> str:
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    return float.__repr__(obj)
-
-
 def _float_pairs(mat: np.ndarray) -> list[float]:
     """The real and imaginary part of every entry, row by row, as floats."""
     flat = np.ascontiguousarray(mat, dtype=complex).view(np.float64)
@@ -375,19 +360,20 @@ def _matrix_pieces(mat: np.ndarray, indent: str) -> Iterator[str]:
 
 def _pieces(obj: Any, indent: str) -> Iterator[str]:
     """The json text of a checked obj, in pieces; indent is the newline and
-    indentation of the line obj ends on."""
+    indentation of the line obj ends on.  Keys and scalars are written by
+    json.dumps itself."""
     if isinstance(obj, np.ndarray):
         yield from _matrix_pieces(obj, indent)
         return
     if isinstance(obj, dict):
-        items = [(encode_basestring_ascii(key) + ": ", obj[key])
+        items = [(json.dumps(key) + ": ", obj[key])
                  for key in sorted(obj)]
         brackets = "{}"
     elif isinstance(obj, (list, tuple)):
         items = [("", item) for item in obj]
         brackets = "[]"
     else:
-        yield _scalar(obj)
+        yield json.dumps(obj)
         return
     if not items:
         yield brackets

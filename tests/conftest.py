@@ -94,9 +94,10 @@ def recoordinatized(trip, q):
 
 
 def off_coisometry(trip, live_block, rng):
-    """trip with the square live block of its Gamma0 set to 2 I
-    (live_block "2I") or moved by 1e-9 noise ("unitary+1e-9"): A A^H = I
-    fails far beyond round-off, while ker Gamma0 is still the dead axes."""
+    """trip with the square live block A of its Gamma0 set to 2 I
+    (live_block "2I") or moved by 1e-9 noise ("unitary+1e-9"): A is no
+    co-isometry, A A^H = I failing far beyond round-off, and its rank
+    rule decides, while ker Gamma0 is still the dead axes."""
     live = trip.gamma0.any(axis=0)
     g = trip.g
     gamma0 = trip.gamma0.copy()

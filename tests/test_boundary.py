@@ -501,8 +501,9 @@ class TestLiveColumns:
     def test_gamma0_off_the_coisometry_takes_the_svd(self, live_block, rng,
                                                      monkeypatch):
         # a hand-built Gamma0 whose square live block misses A A^H = I
-        # far beyond round-off keeps the SVD set-up and its rank rule; its
-        # kernel is still the dead axes, so the Laurent route follows
+        # far beyond round-off takes the one SVD of that block and its
+        # rank rule; its kernel is still the dead axes, so the Laurent
+        # route follows
         trip = triplet_main(lift(random_relation(3, 3, rank=2, rng=5)))
         g = trip.g
         hand = off_coisometry(trip, live_block, rng)
@@ -1016,8 +1017,11 @@ def _check_closed_forms(bundle):
         for known, gamma, name in ((trip._parts[2], trip.gamma0, "Gamma0"),
                                    (trip._parts[3], trip.gamma1, "Gamma1")):
             assert _split_holds(known, gamma, length), (trip.kind, name)
-            oracle = _split_map(gamma, length, RANK_TOL)
-            assert oracle.pinv is None and oracle.rank == trip.g
+            # the live block is a co-isometry: its pinv is its adjoint
+            oracle = _split_map(gamma, RANK_TOL)
+            assert oracle.rank == trip.g, (trip.kind, name)
+            _assert_close(oracle.pinv, gamma[:, oracle.live].conj().T,
+                          f"{trip.kind} {name}^+")
             _assert_close(_kernel_projector(known, d),
                           _kernel_projector(oracle, d),
                           f"{trip.kind} ker {name}")

@@ -1,12 +1,15 @@
 """Command-line interface and the spec-file IO layer behind it."""
 
+import contextlib
 import csv
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +46,7 @@ from linrel.subspace import (
     span,
 )
 
-from conftest import CFG, swapped
+from conftest import CFG, haar_unitary, swapped
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -435,8 +438,14 @@ class TestRankRuleBetweenTolerances:
         assert main([command, spec, "--tol-rank", "1e-6"]) == code
         err = capsys.readouterr().err
         if code == 3:
-            assert err == ("precondition violated: relation does not "
-                           "extend S\n")
+            # the refusal gives the angle and blames the tolerance pair
+            head = re.fullmatch(
+                r"precondition violated: relation does not extend S: "
+                r"containment angle (\S+) is not below angle_tol 1e-08; "
+                r"rank_tol 1e-06 exceeds angle_tol, so the rank rule can drop "
+                r"directions of R that the angle rule still sees\n", err)
+            assert head, err
+            assert 1e-8 <= float(head[1]) < 1e-6
 
     @pytest.mark.parametrize("kind", ["main", "basic", "tilde"])
     def test_weyl_runs(self, kind, tmp_path, capsys):
@@ -456,6 +465,87 @@ class TestRankRuleBetweenTolerances:
         assert [line.split()[1] for line in lines[:-1]] == VERIFY_CHECKS
         assert all(line.startswith("ok ") for line in lines[:-1])
         assert lines[-1] == "verify: PASS (14/14)"
+
+
+def _graph_basis(kind, n1, n2, seed):
+    """An orthonormal graph basis in C^n1 x C^n2: of an operator's graph,
+    of a Hermitian operator's (n2 = n1), or of a random subspace."""
+    rng = np.random.default_rng(seed)
+
+    def gauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    if kind == "subspace":
+        raw = gauss(n1 + n2, int(rng.integers(1, n1 + n2 + 1)))
+    else:
+        op = gauss(n2, n1)
+        if kind == "hermitian":
+            op = op + op.conj().T
+        raw = np.vstack([np.eye(n1), op])
+    return np.linalg.qr(raw)[0]
+
+
+def _verdicts(path):
+    """Exit code and verdicts of every command on the spec at path: the
+    symmetry verdicts and part dimensions of analyze, each check's passed,
+    extremal_family's extremal and the flags of extensions, verify's
+    status column, and weyl's on each triplet."""
+    grid = "[0.0, 1e-12, [0.0, 1.0]]"
+    runs = [["analyze", path], ["extensions", path], ["verify", path]] + [
+        ["weyl", path, "--triplet", kind, "--grid", grid]
+        for kind in ("main", "basic", "tilde")]
+    verdicts = []
+    for argv in runs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        text = out.getvalue()
+        if not text:
+            seen = None
+        elif argv[0] == "analyze":
+            report = json.loads(text)
+            sym = report["symmetry"]
+            seen = ([sym[key] for key in ("is_symmetric", "is_selfadjoint",
+                                          "is_nonnegative", "dom_perp_ran")],
+                    {key: part["dim"] for key, part in report["parts"].items()})
+        elif argv[0] == "extensions":
+            report = json.loads(text)
+            seen = ([c["passed"] for c in report["checks"]],
+                    [f["extremal"] for f in report["extremal_family"]],
+                    report["flags"])
+        elif argv[0] == "verify":
+            lines = text.splitlines()
+            seen = [line.split()[0] for line in lines[:-1]] + lines[-1:]
+        else:
+            seen = [row[-1] for row in csv.reader(io.StringIO(text))][1:]
+        verdicts.append((argv[0], argv[3:4], code, seen))
+    return verdicts
+
+
+class TestBasisInvariance:
+    """A relation is its graph, not the basis it is given in: a graph_basis
+    spec and the same spec with its basis times a unitary get the same
+    exit codes and verdicts from every command."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(kind=st.sampled_from(["operator", "hermitian", "subspace"]),
+           n1=st.integers(1, 4), n2=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_verdicts_do_not_depend_on_the_basis(self, kind, n1, n2, seed):
+        if kind == "hermitian":
+            n2 = n1
+        basis = _graph_basis(kind, n1, n2, seed)
+        rotated = basis @ haar_unitary(np.random.default_rng(seed + 1),
+                                       basis.shape[1])
+        with tempfile.TemporaryDirectory() as tmp:
+            verdicts = []
+            for name, mat in (("given", basis), ("rotated", rotated)):
+                path = write_spec(Path(tmp) / f"{name}.json", {
+                    "mode": "graph_basis", "n1": n1, "n2": n2,
+                    "matrices": {"basis": encode_matrix(mat)}})
+                verdicts.append(_verdicts(path))
+        assert verdicts[0] == verdicts[1]
 
 
 class TestWeyl:

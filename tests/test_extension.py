@@ -355,6 +355,25 @@ class TestDistinguishedExtensions:
             with pytest.raises(PreconditionViolated, match="does not extend S"):
                 check(ident, bundle)
 
+    @pytest.mark.parametrize("rank_tol, blames_tolerances", [
+        (1e-10, False), (1e-8, False), (1e-6, True)])
+    def test_refusal_names_the_angle_and_the_tolerance_pair(
+            self, rank_tol, blames_tolerances, rng):
+        # the message carries the containment angle against angle_tol, and
+        # names the tolerance pair only where rank_tol exceeds angle_tol
+        cfg = ToleranceConfig(rank_tol=rank_tol)
+        bundle = lift(random_relation(2, 3, rank=2, rng=rng), cfg)
+        with pytest.raises(PreconditionViolated) as info:
+            is_extremal(identity_relation(bundle.n), bundle)
+        msg = str(info.value)
+        head = re.fullmatch(r"relation does not extend S: containment angle "
+                            r"(\S+) is not below angle_tol 1e-08(;.*)?", msg)
+        assert head, msg
+        assert float(head[1]) >= cfg.angle_tol
+        assert (head[2] == f"; rank_tol {rank_tol:g} exceeds angle_tol, so "
+                "the rank rule can drop directions of R that the angle rule "
+                "still sees") if blames_tolerances else head[2] is None, msg
+
     def test_krein_order_of_extremes(self, bundle):
         assert krein_order_margin(bundle.S_F, bundle) >= -1e-10
         assert krein_order_margin(bundle.S_K, bundle) >= -1e-10
